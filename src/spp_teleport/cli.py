@@ -34,7 +34,6 @@ class ConfigError(ValueError):
 class RunConfig:
     mode: str = "simulate"
     seed: int = 0
-    threads: int = 1
     out_dir: Path = Path("results")
     # channel
     calibration: str = "none"  # none | with_spp | without_spp
@@ -67,13 +66,10 @@ class RunConfig:
             raise ConfigError("shots must be >= 1")
         if self.mc_trials < 100:
             raise ConfigError("mc_trials must be >= 100")
-        if self.threads < 1:
-            raise ConfigError("threads must be >= 1")
         if self.calibration not in ("none", "with_spp", "without_spp"):
             raise ConfigError(f"unknown calibration {self.calibration!r}")
-        bad = [l for l in self.inputs if l not in protocol.INPUT_LABELS]
-        if bad:
-            raise ConfigError(f"unknown input labels {bad}")
+        if not self.inputs or not set(self.inputs) <= set(protocol.INPUT_LABELS):
+            raise ConfigError(f"inputs must be labels from {protocol.INPUT_LABELS}, got {list(self.inputs)}")
 
     def build_channel(self) -> channel_mod.ChannelModel:
         try:
@@ -122,7 +118,6 @@ def load_config(path) -> RunConfig:
             run = parser["run"]
             cfg.mode = run.get("mode", cfg.mode)
             cfg.seed = run.getint("seed", cfg.seed)
-            cfg.threads = run.getint("threads", cfg.threads)
             cfg.out_dir = Path(run.get("out", str(cfg.out_dir)))
         if parser.has_section("channel"):
             ch = parser["channel"]
@@ -159,6 +154,8 @@ def load_config(path) -> RunConfig:
                     start, stop, step = (float(x) for x in d["period_sweep"].split(":"))
                 except ValueError:
                     raise ConfigError("period_sweep must be 'start:stop:step'") from None
+                if step <= 0 or stop < start:
+                    raise ConfigError("period_sweep needs step > 0 and stop >= start")
                 cfg.period_sweep = (start, stop, step)
     except (ValueError, configparser.Error) as exc:
         if isinstance(exc, ConfigError):
@@ -168,7 +165,7 @@ def load_config(path) -> RunConfig:
 
 
 def _write_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _fmt(v: float) -> str:
@@ -306,22 +303,8 @@ def cmd_analyze(cfg: RunConfig) -> None:
     for block in ("without_spp", "with_spp"):
         table = _load_counts(cfg, "chsh", block)
         s = counts_mod.chsh_s(table)
-        flat = np.array(
-            [table.row(lbl)[o] for lbl in counts_mod.ChshSettings().setting_labels()
-             for o in counts_mod.CHSH_OUTCOMES],
-            dtype=float,
-        )
-
-        def s_stat(c, _labels=counts_mod.ChshSettings().setting_labels()):
-            rows = tuple(
-                (lbl, dict(zip(counts_mod.CHSH_OUTCOMES, map(int, c[4 * i:4 * i + 4]))))
-                for i, lbl in enumerate(_labels)
-            )
-            return counts_mod.chsh_s(
-                counts_mod.CountsTable(kind="chsh", block="resampled", rows=rows))
-
-        _, std = tomo.monte_carlo_errors(flat, s_stat, trials=cfg.mc_trials,
-                                         seed=cfg.seed, threads=cfg.threads)
+        _, std = tomo.monte_carlo_errors(counts_mod.chsh_counts(table), counts_mod.chsh_s_values,
+                                         trials=cfg.mc_trials, seed=cfg.seed)
         chsh_payload[block] = {"S": s, "std": std,
                               "sigma_vs_local_bound": counts_mod.sigma_violation(s, 2.0, std)}
         stats.append({"statistic": f"chsh_s_{block}", "value": s, "std": std,
@@ -409,7 +392,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", type=Path, default=None, help="INI config file")
         p.add_argument("--seed", type=int, default=None, help="override RNG seed")
-        p.add_argument("--threads", type=int, default=None, help="worker threads")
         p.add_argument("--out", type=Path, default=None, help="output directory")
     return parser
 
@@ -421,8 +403,6 @@ def main(argv=None) -> int:
         cfg.mode = args.command
         if args.seed is not None:
             cfg.seed = args.seed
-        if args.threads is not None:
-            cfg.threads = args.threads
         if args.out is not None:
             cfg.out_dir = args.out
         cfg.validate()

@@ -13,12 +13,13 @@ from importlib import resources
 
 import numpy as np
 
+from .protocol import INPUT_LABELS
 from .tomo import monte_carlo_errors
 
 CHSH_OUTCOMES = ("++", "+-", "-+", "--")
 FIDELITY_OUTCOMES = ("phi", "perp")
+# row order of the published fidelity tables
 BELL_LABELS = ("PsiPlus", "PsiMinus", "PhiMinus", "PhiPlus")
-INPUT_LABELS = ("H", "V", "D", "A", "R", "L")
 
 CLASSICAL_STATE_FIDELITY_BOUND = 2.0 / 3.0
 CLASSICAL_PROCESS_FIDELITY_BOUND = 0.5
@@ -84,7 +85,11 @@ def load_counts_csv(path, kind: str, block: str) -> CountsTable:
                 c = int(row["count"])
             except ValueError:
                 raise CountsDataError(f"line {i}: count {row['count']!r} is not an integer") from None
-            rows.setdefault(row["setting"], {})[row["outcome"]] = c
+            setting = rows.setdefault(row["setting"], {})
+            if row["outcome"] in setting:
+                raise CountsDataError(
+                    f"line {i}: duplicate row for setting {row['setting']!r}, outcome {row['outcome']!r}")
+            setting[row["outcome"]] = c
     if not rows:
         raise CountsDataError(f"no rows with kind={kind!r}, block={block!r} in {path}")
     return CountsTable(kind=kind, block=block, rows=tuple(rows.items()))
@@ -98,27 +103,42 @@ def load_bundled(kind: str, block: str) -> CountsTable:
     return load_counts_csv(bundled_counts_path(), kind, block)
 
 
+def _correlations(c: np.ndarray) -> np.ndarray:
+    """E = (N++ - N+- - N-+ + N--) / total over a last axis ordered as CHSH_OUTCOMES."""
+    npp, npm, nmp, nmm = (c[..., i] for i in range(len(CHSH_OUTCOMES)))
+    return (npp - npm - nmp + nmm) / (npp + npm + nmp + nmm)
+
+
 def correlation(counts: dict) -> float:
-    """Correlation E = (N++ - N+- - N-+ + N--) / total for one setting."""
+    """Correlation E for one setting."""
     try:
-        npp, npm, nmp, nmm = (counts[o] for o in CHSH_OUTCOMES)
+        c = np.array([counts[o] for o in CHSH_OUTCOMES], dtype=float)
     except KeyError as exc:
         raise CountsDataError(f"missing outcome {exc}") from None
-    total = npp + npm + nmp + nmm
-    if total <= 0:
+    if c.sum() <= 0:
         raise CountsDataError("zero total counts")
-    return (npp - npm - nmp + nmm) / total
+    return float(_correlations(c))
+
+
+def chsh_counts(table: CountsTable, settings: ChshSettings = ChshSettings()) -> np.ndarray:
+    """The 16 counts `chsh_s_values` takes: settings in `setting_labels` order, each by CHSH_OUTCOMES."""
+    return np.array([table.row(lbl)[o] for lbl in settings.setting_labels() for o in CHSH_OUTCOMES],
+                    dtype=float)
+
+
+def chsh_s_values(counts) -> np.ndarray:
+    """|S| = |E(t1,t2) - E(t1,t2') + E(t1',t2) + E(t1',t2')| for counts shaped (..., 16)."""
+    counts = np.asarray(counts, dtype=float)
+    e = _correlations(counts.reshape(*counts.shape[:-1], -1, len(CHSH_OUTCOMES)))
+    return np.abs(e[..., 0] - e[..., 1] + e[..., 2] + e[..., 3])
 
 
 def chsh_s(table: CountsTable, settings: ChshSettings = ChshSettings()) -> float:
-    """|S| = |E(t1,t2) - E(t1,t2') + E(t1',t2) + E(t1',t2')|."""
-    l_ab, l_abp, l_apb, l_apbp = settings.setting_labels()
-    return abs(
-        correlation(table.row(l_ab))
-        - correlation(table.row(l_abp))
-        + correlation(table.row(l_apb))
-        + correlation(table.row(l_apbp))
-    )
+    """|S| of a CHSH count table."""
+    counts = chsh_counts(table, settings)
+    if (counts.reshape(-1, len(CHSH_OUTCOMES)).sum(axis=1) <= 0).any():
+        raise CountsDataError("zero total counts")
+    return float(chsh_s_values(counts))
 
 
 def fidelity_from_counts(n_phi: int, n_perp: int) -> float:
@@ -129,6 +149,11 @@ def fidelity_from_counts(n_phi: int, n_perp: int) -> float:
     if n_phi < 0 or n_perp < 0:
         raise CountsDataError("negative counts")
     return n_phi / total
+
+
+def _phi_fraction(c: np.ndarray) -> np.ndarray:
+    """phi / (phi + perp) over a last axis of (phi, perp) counts."""
+    return c[..., 0] / (c[..., 0] + c[..., 1])
 
 
 @dataclass(frozen=True)
@@ -150,9 +175,8 @@ def fidelity_table(table: CountsTable, mc_trials: int = 1000, seed: int = 0) -> 
             raw[i, j] = (row["phi"], row["perp"])
             fids[i, j] = fidelity_from_counts(row["phi"], row["perp"])
 
-    def mean_stat(flat):
-        c = flat.reshape(raw.shape)
-        return float(np.mean(c[..., 0] / (c[..., 0] + c[..., 1])))
+    def mean_stat(c):
+        return np.mean(_phi_fraction(c.reshape(len(c), -1, 2)), axis=-1)
 
     _, std = monte_carlo_errors(raw.ravel(), mean_stat, trials=mc_trials, seed=seed)
     return FidelityTableResult(
@@ -169,7 +193,7 @@ def cell_fidelity_std(table: CountsTable, outcome: str, inp: str,
     """Monte Carlo (mean, std) of one cell's fidelity."""
     row = table.row(f"{outcome}/{inp}")
     counts = np.array([row["phi"], row["perp"]], dtype=float)
-    return monte_carlo_errors(counts, lambda c: c[0] / (c[0] + c[1]), trials=mc_trials, seed=seed)
+    return monte_carlo_errors(counts, _phi_fraction, trials=mc_trials, seed=seed)
 
 
 def sigma_violation(value: float, bound: float, std: float) -> float:

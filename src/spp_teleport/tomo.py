@@ -220,14 +220,14 @@ def bloch_sphere_samples(bmap: AffineBlochMap, n_theta: int = 12, n_phi: int = 2
     return out
 
 
-def monte_carlo_errors(counts, statistic, trials: int = 1000, seed: int = 0,
-                       threads: int = 1) -> tuple[float, float]:
+def monte_carlo_errors(counts, statistic, trials: int = 1000, seed: int = 0) -> tuple[float, float]:
     """Poissonian resampling of counts; returns (mean, std) of the statistic.
 
-    `counts` is a flat array-like of observed counts; `statistic` maps a
-    resampled array of the same shape to a float. Trials run in a fixed
-    number of independently seeded chunks, so the result is identical for
-    any thread count.
+    `counts` is a flat array-like of k observed counts; `statistic` maps an
+    (n, k) batch of resampled counts to n values. Trials run in a fixed
+    number of independently seeded chunks, each drawn as one batch; a batch
+    draws the same stream as n sequential `rng.poisson(counts)` calls.
+    Raises TomographyError if any resample gives a non-finite value.
     """
     counts = np.asarray(counts, dtype=float)
     if trials < 100:
@@ -237,19 +237,12 @@ def monte_carlo_errors(counts, statistic, trials: int = 1000, seed: int = 0,
     n_chunks = 32
     bounds = np.linspace(0, trials, n_chunks + 1).astype(int)
     seeds = np.random.SeedSequence(seed).spawn(n_chunks)
-
-    def run_chunk(args):
-        ss, n = args
-        rng = np.random.default_rng(ss)
-        return [statistic(rng.poisson(counts)) for _ in range(n)]
-
-    jobs = [(ss, b - a) for ss, a, b in zip(seeds, bounds[:-1], bounds[1:])]
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(run_chunk, jobs))
-    else:
-        chunks = [run_chunk(j) for j in jobs]
-    values = np.concatenate([np.asarray(c) for c in chunks])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        values = np.concatenate([statistic(np.random.default_rng(ss).poisson(counts, size=(n, counts.size)))
+                                 for ss, n in zip(seeds, np.diff(bounds))])
+    if values.shape != (trials,):
+        raise ValueError(f"statistic must map an (n, k) batch to n values, got shape {values.shape}")
+    bad = int(np.count_nonzero(~np.isfinite(values)))
+    if bad:
+        raise TomographyError(f"{bad} of {trials} Monte Carlo resamples gave a non-finite statistic")
     return float(values.mean()), float(values.std(ddof=1))

@@ -6,7 +6,8 @@ import jsonschema
 import numpy as np
 import pytest
 
-from spp_teleport.cli import ConfigError, RunConfig, load_config, main
+from spp_teleport import counts as counts_mod
+from spp_teleport.cli import ConfigError, RunConfig, _write_json, load_config, main
 from spp_teleport.qcore import complex_matrix_from_json
 
 try:
@@ -48,7 +49,6 @@ class TestConfig:
             """
 [run]
 seed = 7
-threads = 2
 out = results
 
 [channel]
@@ -97,6 +97,19 @@ mc_trials = 300
         path = write_config(tmp_path, "[design]\nmodes = 1;2,3\n")
         with pytest.raises(ConfigError):
             load_config(path)
+
+    @pytest.mark.parametrize("sweep", ["600:700:0", "600:700:-5", "700:600:10"])
+    def test_bad_period_sweep(self, tmp_path, sweep):
+        path = write_config(tmp_path, f"[design]\nperiod_sweep = {sweep}\n")
+        with pytest.raises(ConfigError, match="period_sweep"):
+            load_config(path)
+        assert main(["design", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+
+    def test_empty_inputs(self, tmp_path):
+        path = write_config(tmp_path, "[simulate]\ninputs = ,\n")
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
+        assert not (out / "summary.json").exists()
 
 
 class TestSimulateCommand:
@@ -186,6 +199,30 @@ class TestAnalyzeCommand:
         for block in ("without_spp", "with_spp"):
             assert chsh[block]["sigma_vs_local_bound"] > 10
 
+    def test_degenerate_fidelity_cell_exits_3(self, tmp_path, capsys):
+        # a cell of phi=1, perp=0 resamples to 0/0; that must not reach summary.json as NaN
+        counts = tmp_path / "counts.csv"
+        lines = [line for line in open(counts_mod.bundled_counts_path()).read().splitlines()
+                 if not line.startswith("fidelity,with_spp,PsiPlus/H,")]
+        lines += ["fidelity,with_spp,PsiPlus/H,phi,1", "fidelity,with_spp,PsiPlus/H,perp,0"]
+        counts.write_text("\n".join(lines) + "\n")
+        cfg = write_config(tmp_path, f"[analyze]\ncounts = {counts}\n")
+        out = tmp_path / "o"
+        assert main(["analyze", "--config", str(cfg), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "resamples" in err
+        assert "RuntimeWarning" not in err
+        assert not (out / "summary.json").exists()
+
+    def test_degenerate_chsh_setting_exits_3(self, tmp_path):
+        counts = tmp_path / "counts.csv"
+        text = open(counts_mod.bundled_counts_path()).read()
+        lines = [line if not line.startswith("chsh,with_spp,0-22.5,") else line.rsplit(",", 1)[0] + ",0"
+                 for line in text.splitlines()]
+        counts.write_text("\n".join(lines) + "\n")
+        cfg = write_config(tmp_path, f"[analyze]\ncounts = {counts}\n")
+        assert main(["analyze", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+
     def test_missing_counts_file_exits_3(self, tmp_path):
         cfg = write_config(tmp_path, "[analyze]\ncounts = /no/such/counts.csv\n")
         assert main(["analyze", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
@@ -216,6 +253,11 @@ class TestDesignCommand:
     def test_missing_dielectric_exits_3(self, tmp_path):
         cfg = write_config(tmp_path, "[design]\ndielectric = /no/such/eps.csv\n")
         assert main(["design", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+
+
+def test_write_json_rejects_nan(tmp_path):
+    with pytest.raises(ValueError):
+        _write_json(tmp_path / "x.json", {"value": float("nan")})
 
 
 class TestExitCodes:

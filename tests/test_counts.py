@@ -197,6 +197,13 @@ class TestLoading:
         with pytest.raises(CountsDataError):
             load_counts_csv(path, "chsh", "x")
 
+    def test_duplicate_row(self, tmp_path):
+        path = tmp_path / "c.csv"
+        path.write_text("kind,block,setting,outcome,count\n"
+                        "chsh,x,0-22.5,++,12\nchsh,x,0-22.5,+-,3\nchsh,x,0-22.5,++,13\n")
+        with pytest.raises(CountsDataError, match="line 4: duplicate"):
+            load_counts_csv(path, "chsh", "x")
+
     def test_missing_outcome_in_row(self):
         with pytest.raises(CountsDataError):
             CountsTable(kind="chsh", block="b", rows=(("0-22.5", {"++": 1}),))

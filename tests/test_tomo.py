@@ -269,30 +269,42 @@ class TestBlochMap:
             assert np.allclose(src.as_array(), img, atol=1e-10)
 
 
+def _fraction(c):
+    return c[:, 0] / (c[:, 0] + c[:, 1])
+
+
 class TestMonteCarlo:
     def test_constant_statistic_zero_std(self):
-        mean, std = monte_carlo_errors([100, 200], lambda c: 1.0, trials=200, seed=0)
+        mean, std = monte_carlo_errors([100, 200], lambda c: np.ones(len(c)), trials=200, seed=0)
         assert mean == 1.0
         assert std == 0.0
 
-    def test_deterministic_and_thread_invariant(self):
-        counts = [2746, 120]
-        stat = lambda c: c[0] / (c[0] + c[1])
-        a = monte_carlo_errors(counts, stat, trials=1000, seed=3, threads=1)
-        b = monte_carlo_errors(counts, stat, trials=1000, seed=3, threads=8)
+    @pytest.mark.parametrize("counts", [[0.5, 3.0, 7.0], [2746.0, 120.0, 1e6]])
+    def test_batch_draw_equals_sequential_draws(self, counts):
+        # reference: the same 32 seeded chunks, one rng.poisson(counts) draw per trial
+        weights = np.array([1.0, -2.0, 0.5])
+        values = []
+        chunks = np.diff(np.linspace(0, 1000, 33).astype(int))
+        for ss, n in zip(np.random.SeedSequence(3).spawn(32), chunks):
+            rng = np.random.default_rng(ss)
+            values += [rng.poisson(counts) @ weights for _ in range(n)]
+        expected = (float(np.mean(values)), float(np.std(values, ddof=1)))
+        assert monte_carlo_errors(counts, lambda c: c @ weights, trials=1000, seed=3) == expected
+
+    def test_deterministic(self):
+        a = monte_carlo_errors([2746, 120], _fraction, trials=1000, seed=3)
+        b = monte_carlo_errors([2746, 120], _fraction, trials=1000, seed=3)
         assert a == b
 
     def test_poisson_scaling(self):
         # quadrupling the counts should halve the relative error
-        stat = lambda c: c[0] / (c[0] + c[1])
-        _, s1 = monte_carlo_errors([900, 100], stat, trials=4000, seed=1)
-        _, s2 = monte_carlo_errors([3600, 400], stat, trials=4000, seed=1)
+        _, s1 = monte_carlo_errors([900, 100], _fraction, trials=4000, seed=1)
+        _, s2 = monte_carlo_errors([3600, 400], _fraction, trials=4000, seed=1)
         assert s1 / s2 == pytest.approx(2.0, rel=0.15)
 
     def test_matches_binomial_formula(self):
         n_phi, n_perp = 2746, 120
-        stat = lambda c: c[0] / (c[0] + c[1])
-        _, std = monte_carlo_errors([n_phi, n_perp], stat, trials=4000, seed=0)
+        _, std = monte_carlo_errors([n_phi, n_perp], _fraction, trials=4000, seed=0)
         total = n_phi + n_perp
         f = n_phi / total
         analytic = np.sqrt(f * (1 - f) / total)  # delta method, independent Poissons
@@ -300,8 +312,18 @@ class TestMonteCarlo:
 
     def test_trials_floor(self):
         with pytest.raises(ValueError):
-            monte_carlo_errors([10, 10], lambda c: 0.0, trials=10)
+            monte_carlo_errors([10, 10], lambda c: np.zeros(len(c)), trials=10)
 
     def test_zero_counts(self):
         with pytest.raises(ValueError):
-            monte_carlo_errors([0, 0], lambda c: 0.0, trials=200)
+            monte_carlo_errors([0, 0], lambda c: np.zeros(len(c)), trials=200)
+
+    def test_degenerate_resamples_raise(self, recwarn):
+        # [1, 0] resamples to [0, 0] about a third of the time: 0/0 is NaN
+        with pytest.raises(TomographyError, match=r"\d+ of 1000 Monte Carlo resamples"):
+            monte_carlo_errors([1, 0], _fraction, trials=1000, seed=0)
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+    def test_statistic_must_return_one_value_per_resample(self):
+        with pytest.raises(ValueError, match="statistic must map"):
+            monte_carlo_errors([10, 10], lambda c: c, trials=200)
