@@ -130,15 +130,18 @@ class DielectricTable:
     def wl_max(self) -> float:
         return float(self.wavelengths_nm[-1])
 
-    def __call__(self, wavelength_nm: float) -> complex:
-        if not self.wl_min <= wavelength_nm <= self.wl_max:
+    def __call__(self, wavelength_nm):
+        """Interpolated permittivity: complex for a scalar, a complex array for an array."""
+        wl = np.asarray(wavelength_nm, dtype=float)
+        outside = ~((self.wl_min <= wl) & (wl <= self.wl_max))
+        if outside.any():
             raise ResonanceSolveError(
-                f"wavelength {wavelength_nm:.1f} nm outside table range "
+                f"wavelength {wl[outside][0]:.1f} nm outside table range "
                 f"[{self.wl_min:.0f}, {self.wl_max:.0f}]"
             )
-        re = np.interp(wavelength_nm, self.wavelengths_nm, self.eps.real)
-        im = np.interp(wavelength_nm, self.wavelengths_nm, self.eps.imag)
-        return complex(re, im)
+        re = np.interp(wl, self.wavelengths_nm, self.eps.real)
+        im = np.interp(wl, self.wavelengths_nm, self.eps.imag)
+        return complex(re, im) if wl.ndim == 0 else re + 1j * im
 
 
 def load_dielectric_table(path) -> DielectricTable:
@@ -150,8 +153,17 @@ def load_dielectric_table(path) -> DielectricTable:
         if reader.fieldnames is None or not required.issubset(reader.fieldnames):
             raise ChannelParameterError(f"dielectric CSV must have columns {sorted(required)}")
         for row in reader:
-            wl.append(float(row["wavelength_nm"]))
-            eps.append(complex(float(row["eps_re"]), float(row["eps_im"])))
+            where = f"dielectric CSV line {reader.line_num}"
+            try:
+                w, re, im = (float(row[k]) for k in ("wavelength_nm", "eps_re", "eps_im"))
+            except (TypeError, ValueError):
+                raise ChannelParameterError(f"{where}: non-numeric value") from None
+            if not all(map(math.isfinite, (w, re, im))):
+                raise ChannelParameterError(f"{where}: non-finite value")
+            if w in wl:
+                raise ChannelParameterError(f"{where}: repeated wavelength {w:g} nm")
+            wl.append(w)
+            eps.append(complex(re, im))
     return DielectricTable(wl, eps)
 
 
@@ -163,7 +175,9 @@ def gold_dielectric_table() -> DielectricTable:
 
 @dataclass(frozen=True)
 class HoleArrayGeometry:
-    period_nm: float
+    """Square hole array; `period_nm` is one period or a 1-D array of periods."""
+
+    period_nm: float | np.ndarray
     hole_diameter_nm: float
     mode: tuple[int, int]
     eps_substrate: float
@@ -171,29 +185,22 @@ class HoleArrayGeometry:
     metal: DielectricTable = field(default_factory=gold_dielectric_table)
 
     def __post_init__(self):
-        if not self.period_nm > self.hole_diameter_nm > 0:
+        period = np.asarray(self.period_nm, dtype=float)
+        if period.ndim > 1 or not (np.all(period > self.hole_diameter_nm) and self.hole_diameter_nm > 0):
             raise ChannelParameterError("need period > hole diameter > 0")
         if self.mode == (0, 0):
             raise ChannelParameterError("mode (0, 0) does not excite a plasmon")
 
 
-def _resonance_rhs(geom: HoleArrayGeometry, eps_dielectric: float, eps_metal_re: float) -> float:
-    m1, m2 = geom.mode
-    denom = eps_dielectric + eps_metal_re
-    if denom == 0:
-        raise ResonanceSolveError("degenerate dielectric/metal combination")
-    factor = eps_dielectric * eps_metal_re / denom
-    if factor < 0:
-        raise ResonanceSolveError("no bound surface mode for these dielectric constants")
-    return geom.period_nm / math.hypot(m1, m2) * math.sqrt(factor)
-
-
 def resonance_wavelength(geom: HoleArrayGeometry, interface: str = "substrate",
-                         tol_nm: float = 1e-6, max_iter: int = 500) -> float:
+                         tol_nm: float = 1e-6, max_iter: int = 500) -> float | np.ndarray:
     """Self-consistent resonance wavelength of the (m1, m2) hole-array mode.
 
     The wavelength enters both sides through the metal dielectric function,
-    so the equation is solved by fixed-point iteration over the table.
+    so lambda = P/|m| sqrt(eps_d eps_m / (eps_d + eps_m)) is solved by
+    fixed-point iteration over the table, for all periods at once: each
+    period stops at its own first step that moves less than `tol_nm`.
+    Returns a float for a scalar period and an array for an array of periods.
     """
     if interface == "substrate":
         eps_d = geom.eps_substrate
@@ -202,23 +209,34 @@ def resonance_wavelength(geom: HoleArrayGeometry, interface: str = "substrate",
     else:
         raise ChannelParameterError(f"interface must be substrate or air, got {interface!r}")
     table = geom.metal
-    lam = 0.5 * (table.wl_min + table.wl_max)
+    scale = np.atleast_1d(geom.period_nm) / math.hypot(*geom.mode)
+    lam = np.full(scale.shape, 0.5 * (table.wl_min + table.wl_max))
+    active = np.arange(lam.size)  # periods still iterating
     for _ in range(max_iter):
-        nxt = _resonance_rhs(geom, eps_d, table(lam).real)
-        if abs(nxt - lam) < tol_nm:
-            return nxt
-        lam = nxt
-    raise ResonanceSolveError(f"no fixed point after {max_iter} iterations (last {lam:.1f} nm)")
+        eps_m = table(lam[active]).real
+        denom = eps_d + eps_m
+        if np.any(denom == 0):
+            raise ResonanceSolveError("degenerate dielectric/metal combination")
+        factor = eps_d * eps_m / denom
+        if np.any(factor < 0):
+            raise ResonanceSolveError("no bound surface mode for these dielectric constants")
+        nxt = scale[active] * np.sqrt(factor)
+        done = np.abs(nxt - lam[active]) < tol_nm
+        lam[active] = nxt
+        active = active[~done]
+        if active.size == 0:
+            return lam if np.ndim(geom.period_nm) else float(lam[0])
+    raise ResonanceSolveError(f"no fixed point after {max_iter} iterations (last {lam[active[0]]:.1f} nm)")
 
 
 def dispersion_match(geom: HoleArrayGeometry, k_parallel) -> np.ndarray:
-    """Momentum-matched plasmon wavevector k_parallel + m1 b1 + m2 b2 (rad/nm)."""
+    """Momentum-matched plasmon wavevector k_parallel + m1 b1 + m2 b2 (rad/nm), one row per period."""
     k_par = np.asarray(k_parallel, dtype=float)
     if k_par.shape != (2,):
         raise ChannelParameterError("k_parallel must be a 2-vector")
-    g = 2.0 * math.pi / geom.period_nm
+    g = 2.0 * math.pi / np.asarray(geom.period_nm, dtype=float)
     m1, m2 = geom.mode
-    return k_par + np.array([m1 * g, m2 * g])
+    return k_par + np.stack([m1 * g, m2 * g], axis=-1)
 
 
 # ---------------------------------------------------------------------------

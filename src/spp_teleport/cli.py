@@ -107,56 +107,53 @@ def _parse_modes(text: str) -> tuple:
     return tuple(modes)
 
 
+def _parse_sweep(text: str) -> tuple | None:
+    if not text.strip():
+        return None
+    try:
+        start, stop, step = (float(x) for x in text.split(":"))
+    except ValueError:
+        raise ConfigError("period_sweep must be 'start:stop:step'") from None
+    if step <= 0 or stop < start:
+        raise ConfigError("period_sweep needs step > 0 and stop >= start")
+    return (start, stop, step)
+
+
+# Every key a config may hold, with the section getter that parses it. A key
+# names its RunConfig field, except where _FIELD_NAMES says otherwise.
+_CONFIG_KEYS = {
+    "run": {"mode": "get", "seed": "getint", "out": "getpath"},
+    "channel": {"calibration": "get", "werner_visibility": "getfloat", "transmittance": "getfloat",
+                "depolarizing_extra": "getfloat", "contrast_x": "getfloat", "contrast_z": "getfloat"},
+    "simulate": {"inputs": "getinputs", "shots": "getint"},
+    "tomography": {"max_likelihood": "getboolean", "cp_projection": "getboolean", "mc_trials": "getint"},
+    "analyze": {"counts": "get"},
+    "design": {"dielectric": "get", "period_nm": "getfloat", "hole_diameter_nm": "getfloat",
+               "eps_substrate": "getfloat", "modes": "getmodes", "period_sweep": "getsweep"},
+}
+_FIELD_NAMES = {"out": "out_dir", "counts": "counts_source"}
+
+
 def load_config(path) -> RunConfig:
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    read = parser.read(path)
-    if not read:
-        raise ConfigError(f"cannot read config file {path}")
+    parser = configparser.ConfigParser(
+        inline_comment_prefixes=(";", "#"),
+        converters={"path": Path, "modes": _parse_modes, "sweep": _parse_sweep,
+                    "inputs": lambda text: tuple(s.strip() for s in text.split(",") if s.strip())},
+    )
     cfg = RunConfig()
     try:
-        if parser.has_section("run"):
-            run = parser["run"]
-            cfg.mode = run.get("mode", cfg.mode)
-            cfg.seed = run.getint("seed", cfg.seed)
-            cfg.out_dir = Path(run.get("out", str(cfg.out_dir)))
-        if parser.has_section("channel"):
-            ch = parser["channel"]
-            cfg.calibration = ch.get("calibration", cfg.calibration)
-            cfg.werner_visibility = ch.getfloat("werner_visibility", cfg.werner_visibility)
-            cfg.transmittance = ch.getfloat("transmittance", cfg.transmittance)
-            cfg.depolarizing_extra = ch.getfloat("depolarizing_extra", cfg.depolarizing_extra)
-            if "contrast_x" in ch:
-                cfg.contrast_x = ch.getfloat("contrast_x")
-            if "contrast_z" in ch:
-                cfg.contrast_z = ch.getfloat("contrast_z")
-        if parser.has_section("simulate"):
-            sim = parser["simulate"]
-            if "inputs" in sim:
-                cfg.inputs = tuple(s.strip() for s in sim["inputs"].split(",") if s.strip())
-            cfg.shots = sim.getint("shots", cfg.shots)
-        if parser.has_section("tomography"):
-            tm = parser["tomography"]
-            cfg.max_likelihood = tm.getboolean("max_likelihood", cfg.max_likelihood)
-            cfg.cp_projection = tm.getboolean("cp_projection", cfg.cp_projection)
-            cfg.mc_trials = tm.getint("mc_trials", cfg.mc_trials)
-        if parser.has_section("analyze"):
-            cfg.counts_source = parser["analyze"].get("counts", cfg.counts_source)
-        if parser.has_section("design"):
-            d = parser["design"]
-            cfg.dielectric = d.get("dielectric", cfg.dielectric)
-            cfg.period_nm = d.getfloat("period_nm", cfg.period_nm)
-            cfg.hole_diameter_nm = d.getfloat("hole_diameter_nm", cfg.hole_diameter_nm)
-            cfg.eps_substrate = d.getfloat("eps_substrate", cfg.eps_substrate)
-            if "modes" in d:
-                cfg.modes = _parse_modes(d["modes"])
-            if d.get("period_sweep", "").strip():
-                try:
-                    start, stop, step = (float(x) for x in d["period_sweep"].split(":"))
-                except ValueError:
-                    raise ConfigError("period_sweep must be 'start:stop:step'") from None
-                if step <= 0 or stop < start:
-                    raise ConfigError("period_sweep needs step > 0 and stop >= start")
-                cfg.period_sweep = (start, stop, step)
+        if not parser.read(path):
+            raise ConfigError(f"cannot read config file {path}")
+        if parser.defaults():
+            raise ConfigError("unknown config section [DEFAULT]")
+        for section in parser.sections():
+            if section not in _CONFIG_KEYS:
+                raise ConfigError(f"unknown config section [{section}]")
+            for key in parser.options(section):
+                if key not in _CONFIG_KEYS[section]:
+                    raise ConfigError(f"unknown config key {key!r} in [{section}]")
+                value = getattr(parser[section], _CONFIG_KEYS[section][key])(key)
+                setattr(cfg, _FIELD_NAMES.get(key, key), value)
     except (ValueError, configparser.Error) as exc:
         if isinstance(exc, ConfigError):
             raise
@@ -348,31 +345,24 @@ def cmd_design(cfg: RunConfig) -> None:
 
     if cfg.period_sweep:
         start, stop, step = cfg.period_sweep
-        periods = list(np.arange(start, stop + step / 2, step))
+        periods = np.arange(start, stop + step / 2, step)
     else:
-        periods = [cfg.period_nm]
+        periods = np.array([cfg.period_nm])
 
-    rows = []
-    for period in periods:
-        for mode in cfg.modes:
-            geom = channel_mod.HoleArrayGeometry(
-                period_nm=period,
-                hole_diameter_nm=cfg.hole_diameter_nm,
-                mode=mode,
-                eps_substrate=cfg.eps_substrate,
-                metal=table,
-            )
-            lam = channel_mod.resonance_wavelength(geom, interface="substrate")
-            k_spp = channel_mod.dispersion_match(geom, (0.0, 0.0))
-            rows.append({
-                "period_nm": period,
-                "m1": mode[0],
-                "m2": mode[1],
-                "resonance_nm": lam,
-                "k_spp_x": float(k_spp[0]),
-                "k_spp_y": float(k_spp[1]),
-                "k_spp_mag": float(np.linalg.norm(k_spp)),
-            })
+    # one array solve per mode, then rows in period-major order
+    columns = []
+    for mode in cfg.modes:
+        geom = channel_mod.HoleArrayGeometry(periods, cfg.hole_diameter_nm, mode, cfg.eps_substrate, metal=table)
+        lam = channel_mod.resonance_wavelength(geom, interface="substrate")
+        k_spp = channel_mod.dispersion_match(geom, (0.0, 0.0))
+        # row-wise dot products, the same BLAS dot np.linalg.norm takes for one row
+        k_mag = np.sqrt(k_spp[:, None, :] @ k_spp[:, :, None])[:, 0, 0]
+        columns.append((mode, lam.tolist(), k_spp.tolist(), k_mag.tolist()))
+    rows = [
+        {"period_nm": period, "m1": mode[0], "m2": mode[1], "resonance_nm": lam[i],
+         "k_spp_x": k_spp[i][0], "k_spp_y": k_spp[i][1], "k_spp_mag": k_mag[i]}
+        for i, period in enumerate(periods.tolist()) for mode, lam, k_spp, k_mag in columns
+    ]
     with open(out / "design.csv", "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
         writer.writeheader()
@@ -420,7 +410,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (counts_mod.CountsDataError, channel_mod.ChannelParameterError,
-            channel_mod.ResonanceSolveError, tomo.TomographyError, OSError) as exc:
+            channel_mod.ResonanceSolveError, tomo.TomographyError, OSError, UnicodeDecodeError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
     return 0

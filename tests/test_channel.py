@@ -122,6 +122,33 @@ class TestDielectricTable:
         with pytest.raises(ChannelParameterError):
             load_dielectric_table(path)
 
+    @pytest.mark.parametrize("row, problem", [
+        ("500,abc,1", "non-numeric"),
+        ("500,-2.5", "non-numeric"),
+        ("500,nan,1", "non-finite"),
+        ("inf,-2.5,1", "non-finite"),
+        ("600,-3,1", "repeated wavelength"),
+    ])
+    def test_csv_bad_row_names_its_line(self, tmp_path, row, problem):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"wavelength_nm,eps_re,eps_im\n600,-9,1.5\n{row}\n700,-15,1\n")
+        with pytest.raises(ChannelParameterError, match=f"line 3: {problem}"):
+            load_dielectric_table(path)
+
+    def test_array_lookup_equals_scalar_calls(self):
+        table = gold_dielectric_table()
+        wl = np.concatenate([np.linspace(500, 1300, 321), [517.3, 1299.999]])
+        out = table(wl)
+        assert out.dtype == complex and out.shape == wl.shape
+        assert isinstance(table(700.0), complex)
+        for w, v in zip(wl, out):
+            assert v == table(float(w))
+
+    @pytest.mark.parametrize("wl", [float("nan"), [600.0, float("nan")], [600.0, 1300.5, 700.0]])
+    def test_nan_or_out_of_range_raises(self, wl):
+        with pytest.raises(ResonanceSolveError, match="outside table range"):
+            gold_dielectric_table()(wl)
+
     def test_bundled_gold_is_metallic_in_nir(self):
         table = gold_dielectric_table()
         for wl in (600, 800, 1000):
@@ -167,7 +194,37 @@ class TestResonance:
         with pytest.raises(ChannelParameterError):
             HoleArrayGeometry(100, 200, (1, 1), 2.25)
         with pytest.raises(ChannelParameterError):
+            HoleArrayGeometry(np.array([700.0, 150.0]), 200, (1, 1), 2.25)
+        with pytest.raises(ChannelParameterError):
+            HoleArrayGeometry(np.full((2, 2), 700.0), 200, (1, 1), 2.25)
+        with pytest.raises(ChannelParameterError):
             HoleArrayGeometry(700, 200, (0, 0), 2.25)
+
+    @pytest.mark.parametrize("periods, modes, eps", [
+        (np.arange(600.1234, 800.1234, 0.25), ((1, 0), (1, 1)), 2.25),
+        (np.arange(1000.0, 1150.0, 0.37), ((2, 1), (1, 2), (2, 2)), 2.1),
+    ])
+    def test_array_solve_equals_scalar_solves(self, periods, modes, eps):
+        table = gold_dielectric_table()
+        for mode in modes:
+            lam = resonance_wavelength(HoleArrayGeometry(periods, 200, mode, eps, metal=table))
+            assert isinstance(lam, np.ndarray) and lam.shape == periods.shape
+            for period, value in zip(periods, lam):
+                assert value == resonance_wavelength(HoleArrayGeometry(float(period), 200, mode, eps,
+                                                                       metal=table))
+
+    def test_scalar_period_returns_float(self):
+        assert isinstance(resonance_wavelength(HoleArrayGeometry(700.0, 200, (1, 1), 2.25)), float)
+
+    def test_out_of_range_period_inside_sweep_raises(self):
+        periods = np.array([700.0, 710.0, 300.0, 720.0])
+        with pytest.raises(ResonanceSolveError, match="outside table range"):
+            resonance_wavelength(HoleArrayGeometry(periods, 200, (1, 1), 2.25))
+
+    def test_max_iter_exhausted_raises(self):
+        geom = HoleArrayGeometry(np.array([700.0, 710.0]), 200, (1, 1), 2.25)
+        with pytest.raises(ResonanceSolveError, match="no fixed point after 1 iterations"):
+            resonance_wavelength(geom, max_iter=1)
 
     def test_unknown_interface(self):
         geom = HoleArrayGeometry(700, 200, (1, 1), 2.25)
@@ -187,6 +244,14 @@ class TestDispersion:
         k = dispersion_match(geom, (0.001, -0.002))
         assert k[0] == pytest.approx(0.001 + 2 * math.pi / 700)
         assert k[1] == pytest.approx(-0.002)
+
+    def test_array_of_periods_matches_scalar_rows(self):
+        periods = np.array([650.0, 700.0, 733.3])
+        k = dispersion_match(HoleArrayGeometry(periods, 200, (2, 1), 2.25), (0.001, -0.002))
+        assert k.shape == (3, 2)
+        for row, period in zip(k, periods):
+            assert np.array_equal(row, dispersion_match(HoleArrayGeometry(period, 200, (2, 1), 2.25),
+                                                        (0.001, -0.002)))
 
     def test_bad_k_parallel(self):
         geom = HoleArrayGeometry(700, 200, (1, 0), 2.25)

@@ -1,11 +1,13 @@
 import csv
 import hashlib
 import json
+from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
+from spp_teleport import channel
 from spp_teleport import counts as counts_mod
 from spp_teleport.cli import ConfigError, RunConfig, _write_json, load_config, main
 from spp_teleport.qcore import complex_matrix_from_json
@@ -105,6 +107,64 @@ mc_trials = 300
             load_config(path)
         assert main(["design", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("text, match", [
+        ("[simulate]\nshot = 5\n", "unknown config key 'shot' in \\[simulate\\]"),
+        ("[desing]\nmodes = 1,1\n", "unknown config section \\[desing\\]"),
+        ("[DEFAULT]\nseed = 3\n", "unknown config section \\[DEFAULT\\]"),
+    ])
+    def test_unknown_key_or_section(self, tmp_path, capsys, text, match):
+        path = write_config(tmp_path, text)
+        with pytest.raises(ConfigError, match=match):
+            load_config(path)
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: unknown config") and err.count("\n") == 1
+
+    def test_non_utf8_config_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "run.ini"
+        path.write_bytes(b"[design]\nmodes = 1,1 \xff\n")
+        assert main(["design", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("config error: bad config value")
+
+    def test_every_documented_key_loads(self, tmp_path):
+        path = write_config(tmp_path, """
+[run]
+mode = design
+seed = 4
+out = elsewhere
+[channel]
+calibration = none
+werner_visibility = 0.9
+transmittance = 0.5
+depolarizing_extra = 0.1
+contrast_x = 50
+contrast_z = 20
+[simulate]
+inputs = H, D
+shots = 100
+[tomography]
+max_likelihood = yes
+cp_projection = on
+mc_trials = 200
+[analyze]
+counts = bundled
+[design]
+dielectric = bundled
+period_nm = 710
+hole_diameter_nm = 180
+eps_substrate = 2.0
+modes = 1,0
+period_sweep = 600:700:50
+""")
+        cfg = load_config(path)
+        assert (cfg.mode, cfg.seed, cfg.out_dir) == ("design", 4, Path("elsewhere"))
+        assert (cfg.werner_visibility, cfg.transmittance, cfg.depolarizing_extra) == (0.9, 0.5, 0.1)
+        assert (cfg.contrast_x, cfg.contrast_z, cfg.inputs, cfg.shots) == (50.0, 20.0, ("H", "D"), 100)
+        assert (cfg.max_likelihood, cfg.cp_projection, cfg.mc_trials) == (True, True, 200)
+        assert (cfg.counts_source, cfg.dielectric, cfg.period_nm) == ("bundled", "bundled", 710.0)
+        assert (cfg.hole_diameter_nm, cfg.eps_substrate, cfg.modes) == (180.0, 2.0, ((1, 0),))
+        assert cfg.period_sweep == (600.0, 700.0, 50.0)
+
     def test_empty_inputs(self, tmp_path):
         path = write_config(tmp_path, "[simulate]\ninputs = ,\n")
         out = tmp_path / "o"
@@ -136,6 +196,10 @@ class TestSimulateCommand:
         jsonschema.validate(payload, _schema("simulate_records.json"))
         chi = json.loads((out / "chi.json").read_text())
         jsonschema.validate(chi, _schema("process_matrix.json"))
+        jsonschema.validate(json.loads((out / "tomography.json").read_text()),
+                            _schema("simulate_tomography.json"))
+        jsonschema.validate(json.loads((out / "summary.json").read_text()),
+                            _schema("simulate_summary.json"))
 
     def test_deterministic_across_runs(self, tmp_path):
         cfg = write_config(
@@ -149,6 +213,8 @@ class TestSimulateCommand:
                          "--out", str(out)]) == 0
             outs.append(_hash_dir(out))
         assert outs[0] == outs[1]
+        jsonschema.validate(json.loads((tmp_path / "a" / "summary.json").read_text()),
+                            _schema("simulate_summary.json"))
 
     def test_seed_changes_sampled_outputs(self, tmp_path):
         cfg = write_config(tmp_path, "[channel]\nwerner_visibility = 0.9\n")
@@ -175,6 +241,7 @@ class TestSimulateCommand:
         assert not (out / "chi.json").exists()
         summary = json.loads((out / "summary.json").read_text())
         assert summary["process_fidelity"] is None
+        jsonschema.validate(summary, _schema("simulate_summary.json"))
 
 
 class TestAnalyzeCommand:
@@ -188,6 +255,7 @@ class TestAnalyzeCommand:
         assert summary["mean_fidelity_with_spp"]["value"] == pytest.approx(0.8891, abs=1e-4)
         jsonschema.validate(json.loads((out / "summary.json").read_text()),
                             _schema("analyze_summary.json"))
+        jsonschema.validate(json.loads((out / "chsh.json").read_text()), _schema("analyze_chsh.json"))
 
     def test_sigma_violations_large(self, tmp_path):
         out = tmp_path / "res"
@@ -250,6 +318,43 @@ class TestDesignCommand:
         assert len(lams) == 5
         assert all(b > a for a, b in zip(lams, lams[1:]))
 
+    def test_sweep_rows_equal_scalar_solver(self, tmp_path):
+        cfg = write_config(tmp_path, "[design]\nperiod_sweep = 600.1234:800.1234:0.25\nmodes = 1,0;1,1\n")
+        out = tmp_path / "res"
+        assert main(["design", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = json.loads((out / "design.json").read_text())
+        assert len(rows) == 2 * 801
+        assert [(r["m1"], r["m2"]) for r in rows[:4]] == [(1, 0), (1, 1), (1, 0), (1, 1)]
+        table = channel.gold_dielectric_table()
+        for row in rows:
+            geom = channel.HoleArrayGeometry(row["period_nm"], 200.0, (row["m1"], row["m2"]), 2.25,
+                                             metal=table)
+            assert row["resonance_nm"] == channel.resonance_wavelength(geom)
+            k = channel.dispersion_match(geom, (0.0, 0.0))
+            assert [row["k_spp_x"], row["k_spp_y"], row["k_spp_mag"]] == [k[0], k[1], np.linalg.norm(k)]
+
+    def test_out_of_range_period_in_sweep_exits_3(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "[design]\nmodes = 1,1\nperiod_sweep = 300:800:50\n")
+        out = tmp_path / "o"
+        assert main(["design", "--config", str(cfg), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: wavelength") and err.count("\n") == 1
+        assert not (out / "design.json").exists()
+
+    @pytest.mark.parametrize("row, problem", [
+        ("500,abc,1", "non-numeric value"),
+        ("500,nan,1", "non-finite value"),
+        ("500,-2,inf", "non-finite value"),
+        ("1300,-70,6", "repeated wavelength"),
+    ])
+    def test_bad_dielectric_csv_exits_3(self, tmp_path, capsys, row, problem):
+        eps = tmp_path / "eps.csv"
+        eps.write_text(f"wavelength_nm,eps_re,eps_im\n1300,-71.5,6.7\n{row}\n900,-30,1.2\n")
+        cfg = write_config(tmp_path, f"[design]\ndielectric = {eps}\n")
+        assert main(["design", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: dielectric CSV line 3: {problem}") and err.count("\n") == 1
+
     def test_missing_dielectric_exits_3(self, tmp_path):
         cfg = write_config(tmp_path, "[design]\ndielectric = /no/such/eps.csv\n")
         assert main(["design", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
@@ -268,6 +373,18 @@ class TestExitCodes:
     def test_bad_channel_value_exit_2(self, tmp_path):
         cfg = write_config(tmp_path, "[channel]\nwerner_visibility = 1.5\n")
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("command, section, key, header", [
+        ("design", "design", "dielectric", b"wavelength_nm,eps_re,eps_im\n"),
+        ("analyze", "analyze", "counts", b"kind,block,setting,outcome,count\n"),
+    ])
+    def test_non_utf8_data_file_exit_3(self, tmp_path, capsys, command, section, key, header):
+        data = tmp_path / "data.csv"
+        data.write_bytes(header + b"500,\xff,1\n")
+        cfg = write_config(tmp_path, f"[{section}]\n{key} = {data}\n")
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and err.count("\n") == 1
 
     def test_unknown_calibration_exit_2(self, tmp_path):
         cfg = write_config(tmp_path, "[channel]\ncalibration = maybe\n")
