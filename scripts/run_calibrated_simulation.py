@@ -27,29 +27,18 @@ def main():
           f"extra_depol={ch.depolarizing_extra:.4f} "
           f"transmittance={ch.transmittance:g}")
 
-    seeds = np.random.SeedSequence(args.seed).generate_state(len(protocol.INPUT_LABELS) * 5)
-    recons = {}
-    fids = []
+    records, estimates = protocol.run_campaign(ch, protocol.INPUT_LABELS, args.shots, args.seed)
     print("\nexact fidelity per (outcome, input):")
     print("        " + "".join(f"{l:>8}" for l in protocol.INPUT_LABELS))
-    by_outcome = {o: [] for o in protocol.OUTCOMES}
-    for i, label in enumerate(protocol.INPUT_LABELS):
-        recs = protocol.run_teleportation(label, ch, args.shots, seed=int(seeds[5 * i]))
-        recons[label] = []
-        for rec, sub in zip(recs, seeds[5 * i + 1:5 * i + 5]):
-            by_outcome[rec.outcome].append(rec.fidelity)
-            fids.append(rec.fidelity)
-            per_basis = max(1, rec.shots // len(tomo.BASES))
-            measured = tomo.sample_measurements(rec.state, per_basis, seed=int(sub))
-            recons[label].append(tomo.qst_reconstruct(measured))
     for outcome in protocol.OUTCOMES:
-        print(f"{outcome.label:>8}" + "".join(f"{f:8.4f}" for f in by_outcome[outcome]))
-    print(f"mean exact fidelity: {np.mean(fids):.4f}")
+        row = [rec.fidelity for rec in records if rec.outcome is outcome]
+        print(f"{outcome.label:>8}" + "".join(f"{f:8.4f}" for f in row))
+    print(f"mean exact fidelity: {np.mean([rec.fidelity for rec in records]):.4f}")
 
     pairs = []
     for label in tomo.QPT_INPUT_LABELS:
         rho_in = protocol.prepare_input(label).projector()
-        avg = np.mean([r.matrix for r in recons[label]], axis=0)
+        avg = np.mean([rho.matrix for rec, rho in zip(records, estimates) if rec.input == label], axis=0)
         pairs.append((rho_in, MixedState(avg)))
     chi = tomo.qpt_reconstruct(pairs)
     f_proc = tomo.process_fidelity(chi, tomo.chi_identity())

@@ -177,44 +177,37 @@ def cmd_simulate(cfg: RunConfig) -> None:
     ch = cfg.build_channel()
     out = cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)
-    # 5 deterministic sub-seeds per input: one teleportation run + 4 QST runs
-    seeds = np.random.SeedSequence(cfg.seed).generate_state(len(cfg.inputs) * 5)
+    records, estimates = protocol.run_campaign(ch, cfg.inputs, cfg.shots, cfg.seed, cfg.max_likelihood)
 
     records_payload = []
     tomo_payload = []
     fid_exact = {}
     fid_qst = {}
-    recons: dict[str, list[MixedState]] = {}
-    for i, label in enumerate(cfg.inputs):
-        target = protocol.prepare_input(label)
-        recs = protocol.run_teleportation(label, ch, cfg.shots, seed=int(seeds[5 * i]))
-        recons[label] = []
-        for rec, sub in zip(recs, seeds[5 * i + 1:5 * i + 5]):
-            records_payload.append(
-                {
-                    "input": rec.input,
-                    "outcome": rec.outcome.label,
-                    "port": rec.port,
-                    "shots": rec.shots,
-                    "density_matrix": complex_matrix_to_json(rec.state.matrix),
-                    "fidelity": rec.fidelity,
-                }
-            )
-            fid_exact[(label, rec.outcome.label)] = rec.fidelity
-            per_basis = max(1, rec.shots // len(tomo.BASES))
-            measured = tomo.sample_measurements(rec.state, per_basis, seed=int(sub))
-            rho_hat = tomo.qst_reconstruct(measured, max_likelihood=cfg.max_likelihood)
-            recons[label].append(rho_hat)
-            f_hat = float(np.vdot(target.amplitudes, rho_hat.matrix @ target.amplitudes).real)
-            fid_qst[(label, rec.outcome.label)] = f_hat
-            tomo_payload.append(
-                {
-                    "input": rec.input,
-                    "outcome": rec.outcome.label,
-                    "density_matrix": complex_matrix_to_json(rho_hat.matrix),
-                    "fidelity": f_hat,
-                }
-            )
+    n_out = len(protocol.OUTCOMES)
+    recons = {label: estimates[n_out * i:n_out * (i + 1)] for i, label in enumerate(cfg.inputs)}
+    for rec, rho_hat in zip(records, estimates):
+        records_payload.append(
+            {
+                "input": rec.input,
+                "outcome": rec.outcome.label,
+                "port": rec.port,
+                "shots": rec.shots,
+                "density_matrix": complex_matrix_to_json(rec.state.matrix),
+                "fidelity": rec.fidelity,
+            }
+        )
+        fid_exact[(rec.input, rec.outcome.label)] = rec.fidelity
+        target = protocol.prepare_input(rec.input).amplitudes
+        f_hat = float(np.vdot(target, rho_hat.matrix @ target).real)
+        fid_qst[(rec.input, rec.outcome.label)] = f_hat
+        tomo_payload.append(
+            {
+                "input": rec.input,
+                "outcome": rec.outcome.label,
+                "density_matrix": complex_matrix_to_json(rho_hat.matrix),
+                "fidelity": f_hat,
+            }
+        )
     _write_json(out / "records.json", records_payload)
     _write_json(out / "tomography.json", tomo_payload)
 

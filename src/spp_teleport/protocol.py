@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import tomo
 from .channel import ChannelModel, EomModel, apply_channel
 from .qcore import (
     MixedState,
@@ -222,6 +223,27 @@ def run_teleportation(input_label: str, channel: ChannelModel, shots: int,
             )
         )
     return records
+
+
+def run_campaign(channel: ChannelModel, inputs, shots: int, seed: int,
+                 max_likelihood: bool = False) -> tuple[list[TeleportationRecord], list[MixedState]]:
+    """Teleport each input and reconstruct every branch's output state by QST.
+
+    The root seed gives 5 sub-seeds per input: one for the teleportation run
+    and one for the sampled tomography of each Bell outcome. Each branch is
+    measured with shots // 3 shots per basis (at least 1), and all branches
+    are reconstructed as one batch. Returns the records, input-major in
+    OUTCOMES order, and the reconstructed state of each.
+    """
+    seeds = np.random.SeedSequence(seed).generate_state(len(inputs) * 5)
+    records, measured = [], []
+    for i, label in enumerate(inputs):
+        recs = run_teleportation(label, channel, shots, seed=int(seeds[5 * i]))
+        for rec, sub in zip(recs, seeds[5 * i + 1:5 * i + 5]):
+            per_basis = max(1, rec.shots // len(tomo.BASES))
+            measured.append(tomo.sample_measurements(rec.state, per_basis, seed=int(sub)))
+        records += recs
+    return records, tomo.qst_reconstruct(measured, max_likelihood=max_likelihood)
 
 
 def average_fidelity(records, weighting: str = "uniform") -> float:

@@ -55,61 +55,80 @@ def sample_measurements(rho: MixedState, shots_per_basis: int, seed: int) -> lis
 
 
 def qst_reconstruct(records, max_likelihood: bool = False,
-                    ml_tol: float = 1e-10, ml_max_iter: int = 10_000) -> MixedState:
+                    ml_tol: float = 1e-10, ml_max_iter: int = 10_000) -> MixedState | list[MixedState]:
     """Single-qubit state reconstruction from per-basis counts.
 
     Default is linear inversion of the three basis expectation values with
     radial projection back onto the Bloch ball; max_likelihood enables a
-    diluted RrhoR fixed-point refinement.
+    diluted RrhoR fixed-point refinement. Given one list of records, returns
+    a MixedState; given a sequence of record lists, returns a list of them,
+    reconstructed as one batch.
     """
-    by_basis: dict[str, list[MeasurementRecord]] = {b: [] for b in BASES}
-    for rec in records:
-        by_basis[rec.basis].append(rec)
-    for basis in BASES:
-        if not by_basis[basis] or sum(r.plus_counts + r.minus_counts for r in by_basis[basis]) == 0:
-            raise TomographyError(f"no counts for basis {basis}")
-    r = np.zeros(3)
-    for i, basis in enumerate(("X", "Y", "Z")):
-        plus = sum(rec.plus_counts for rec in by_basis[basis])
-        minus = sum(rec.minus_counts for rec in by_basis[basis])
-        r[i] = (plus - minus) / (plus + minus)
-    norm = np.linalg.norm(r)
-    if norm > 1.0:
-        r = r / norm  # radial projection, direction preserved
-    rho = state_from_bloch(r)
+    records = list(records)
+    single = not records or isinstance(records[0], MeasurementRecord)
+    counts = np.array([_basis_counts(recs) for recs in ([records] if single else records)], dtype=float)
+    plus, minus = counts[:, 0::2], counts[:, 1::2]
+    bloch = ((plus - minus) / (plus + minus))[:, [1, 2, 0]]  # BASES order -> (X, Y, Z)
+    states = []
+    for r in bloch:
+        norm = np.linalg.norm(r)
+        if norm > 1.0:
+            r = r / norm  # radial projection, direction preserved
+        states.append(state_from_bloch(r))
     if max_likelihood:
-        rho = _ml_refine(rho, by_basis, tol=ml_tol, max_iter=ml_max_iter)
-    return rho
+        mats = _ml_refine(np.array([rho.matrix for rho in states]), counts, tol=ml_tol, max_iter=ml_max_iter)
+        states = [MixedState(mat) for mat in mats]
+    return states[0] if single else states
 
 
-def _ml_refine(rho0: MixedState, by_basis, tol: float, max_iter: int,
-               dilution: float = 0.5) -> MixedState:
-    projectors, counts = [], []
+def _basis_counts(records) -> list:
+    """(plus, minus) counts summed per basis, flattened in BASES order."""
+    totals = {b: [0, 0] for b in BASES}
+    for rec in records:
+        totals[rec.basis][0] += rec.plus_counts
+        totals[rec.basis][1] += rec.minus_counts
     for basis in BASES:
-        plus, minus = _BASIS_STATES[basis]
-        n_plus = sum(r.plus_counts for r in by_basis[basis])
-        n_minus = sum(r.minus_counts for r in by_basis[basis])
-        projectors.append(np.outer(plus, plus.conj()))
-        counts.append(n_plus)
-        projectors.append(np.outer(minus, minus.conj()))
-        counts.append(n_minus)
-    counts = np.array(counts, dtype=float)
-    total = counts.sum()
-    mat = rho0.matrix + 1e-6 * np.eye(2)  # keep strictly positive for the iteration
-    mat /= np.trace(mat).real
+        if sum(totals[basis]) == 0:
+            raise TomographyError(f"no counts for basis {basis}")
+    return [n for basis in BASES for n in totals[basis]]
+
+
+# projectors onto the outcomes of _basis_counts, in the same order
+_PROJECTORS = np.array([np.outer(v, v.conj()) for basis in BASES for v in _BASIS_STATES[basis]])
+
+
+def _ml_refine(rho0: np.ndarray, counts: np.ndarray, tol: float, max_iter: int,
+               dilution: float = 0.5) -> np.ndarray:
+    """Diluted RrhoR maximum-likelihood iteration (Rehacek, Hradil, Knill and
+    Lvovsky, quant-ph/0611244) over an (n, 2, 2) stack of starting estimates
+    with (n, 6) outcome counts.
+
+    Every state runs its own iteration: it stops at its own first step that
+    changes no element by `tol` or more, so a state's result does not depend
+    on the rest of the batch. Raises TomographyError if any state has not
+    converged within `max_iter` steps.
+    """
+    mat = rho0 + 1e-6 * np.eye(2)  # keep strictly positive for the iteration
+    mat /= np.trace(mat, axis1=1, axis2=2).real[:, None, None]
+    total = counts.sum(axis=1)
+    out = np.empty_like(mat)
+    active = np.arange(len(mat))  # states still iterating
     eye = np.eye(2)
     for _ in range(max_iter):
-        probs = np.array([max(np.trace(p @ mat).real, 1e-15) for p in projectors])
-        r_op = sum(c / p * proj for c, p, proj in zip(counts, probs, projectors)) / total
+        probs = np.maximum(np.trace(_PROJECTORS[:, None] @ mat, axis1=2, axis2=3).real, 1e-15)
+        r_op = sum(counts[:, k, None, None] / probs[k, :, None, None] * proj
+                   for k, proj in enumerate(_PROJECTORS)) / total[:, None, None]
         g = (1 - dilution) * eye + dilution * r_op
-        new = g @ mat @ g.conj().T
-        new = 0.5 * (new + new.conj().T)
-        new /= np.trace(new).real
-        if np.abs(new - mat).max() < tol:
-            mat = new
-            break
-        mat = new
-    return MixedState(mat)
+        new = g @ mat @ g.conj().swapaxes(1, 2)
+        new = 0.5 * (new + new.conj().swapaxes(1, 2))
+        new /= np.trace(new, axis1=1, axis2=2).real[:, None, None]
+        done = np.abs(new - mat).max(axis=(1, 2)) < tol
+        out[active[done]] = new[done]
+        active, mat, counts, total = active[~done], new[~done], counts[~done], total[~done]
+        if active.size == 0:
+            return out
+    raise TomographyError(f"{active.size} of {len(out)} maximum-likelihood reconstructions "
+                          f"did not converge within {max_iter} iterations")
 
 
 @dataclass(frozen=True)
@@ -150,8 +169,11 @@ def qpt_reconstruct(pairs, cp_projection: bool = False) -> ProcessMatrix:
     """Process matrix from (rho_in, rho_out) pairs.
 
     Solves the linear system rho_out = sum_lk chi_lk s_l rho_in s_k by
-    least squares, Hermitizes, and optionally projects onto the nearest
-    completely positive chi (eigenvalue clipping).
+    least squares and Hermitizes. cp_projection makes chi completely
+    positive by mixing in just enough of the completely depolarizing channel
+    (chi = I/4) to lift its lowest eigenvalue to zero; unlike clipping the
+    negative eigenvalues, this keeps a trace-preserving estimate (unit-trace
+    outputs of four spanning inputs) trace preserving.
     """
     pairs = list(pairs)
     if len(pairs) < 4:
@@ -174,8 +196,8 @@ def qpt_reconstruct(pairs, cp_projection: bool = False) -> ProcessMatrix:
     chi = 0.5 * (chi + chi.conj().T)
     if cp_projection:
         evals, evecs = np.linalg.eigh(chi)
-        evals = np.clip(evals, 0.0, None)
-        chi = (evecs * evals) @ evecs.conj().T
+        shift = max(0.0, -evals.min())
+        chi = (evecs * (evals + shift)) @ evecs.conj().T / (1 + 4 * shift)
         chi /= np.trace(chi).real
     return ProcessMatrix(chi)
 

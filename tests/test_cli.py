@@ -1,4 +1,5 @@
 import csv
+import functools
 import hashlib
 import json
 from pathlib import Path
@@ -6,8 +7,10 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from spp_teleport import channel
+from spp_teleport import channel, protocol, tomo
 from spp_teleport import counts as counts_mod
 from spp_teleport.cli import ConfigError, RunConfig, _write_json, load_config, main
 from spp_teleport.qcore import complex_matrix_from_json
@@ -242,6 +245,57 @@ class TestSimulateCommand:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["process_fidelity"] is None
         jsonschema.validate(summary, _schema("simulate_summary.json"))
+
+    def test_ml_not_converged_exits_3(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(tomo, "qst_reconstruct", functools.partial(tomo.qst_reconstruct, ml_max_iter=1))
+        cfg = write_config(tmp_path, "[tomography]\nmax_likelihood = true\n")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert err == ("data error: 24 of 24 maximum-likelihood reconstructions "
+                       "did not converge within 1 iterations\n")
+        assert not (tmp_path / "o" / "records.json").exists()
+
+    @pytest.mark.parametrize("shots", [30, 100_000])
+    def test_cp_projection_of_ideal_channel(self, tmp_path, shots):
+        # sampling noise gives the identity channel's chi negative eigenvalues
+        cfg = write_config(tmp_path, f"[simulate]\nshots = {shots}\n\n[tomography]\ncp_projection = true\n")
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        chi = complex_matrix_from_json(json.loads((out / "chi.json").read_text())["chi"])
+        assert np.linalg.eigvalsh(chi).min() >= -1e-12
+
+
+def _strict_json(path):
+    def reject(name):
+        raise ValueError(f"{path.name} holds {name}")
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+_SIMULATE_SCHEMAS = {"records.json": "simulate_records.json", "tomography.json": "simulate_tomography.json",
+                     "summary.json": "simulate_summary.json", "chi.json": "process_matrix.json"}
+
+
+@settings(max_examples=25, deadline=None)
+@given(shots=st.integers(1, 200),
+       inputs=st.one_of(st.just(list(protocol.INPUT_LABELS)),
+                        st.lists(st.sampled_from(protocol.INPUT_LABELS), min_size=1, unique=True)),
+       calibration=st.sampled_from(["none", "with_spp", "without_spp"]),
+       cp_projection=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_simulate_configs_exit_0_with_valid_outputs(tmp_path_factory, shots, inputs, calibration,
+                                                    cp_projection, seed):
+    root = tmp_path_factory.mktemp("sim")
+    records = []
+    for ml in ("false", "true"):
+        cfg = write_config(root, f"[channel]\ncalibration = {calibration}\n\n"
+                                 f"[simulate]\nshots = {shots}\ninputs = {', '.join(inputs)}\n\n"
+                                 f"[tomography]\nmax_likelihood = {ml}\ncp_projection = {cp_projection}\n")
+        out = root / f"ml_{ml}"
+        assert main(["simulate", "--config", str(cfg), "--seed", str(seed), "--out", str(out)]) == 0
+        for path in out.glob("*.json"):
+            jsonschema.validate(_strict_json(path), _schema(_SIMULATE_SCHEMAS[path.name]))
+        assert (out / "chi.json").exists() == (set(tomo.QPT_INPUT_LABELS) <= set(inputs))
+        records.append((out / "records.json").read_bytes())
+    assert records[0] == records[1]
 
 
 class TestAnalyzeCommand:

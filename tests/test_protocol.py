@@ -18,6 +18,7 @@ from spp_teleport.protocol import (
     bsm_matrix,
     port_vector,
     prepare_input,
+    run_campaign,
     run_teleportation,
     swapped_resource,
 )
@@ -30,6 +31,8 @@ from spp_teleport.qcore import (
     tensor,
     trace_distance,
 )
+
+from spp_teleport.tomo import BASES, qst_reconstruct, sample_measurements
 
 from conftest import pure_states
 
@@ -269,6 +272,26 @@ class TestRunTeleportation:
     def test_invalid_shots(self):
         with pytest.raises(ValueError):
             run_teleportation("H", ChannelModel.ideal(), shots=0, seed=0)
+
+
+class TestRunCampaign:
+    def test_matches_per_branch_pipeline(self):
+        # reference: the per-input loop with 5 sub-seeds per input, one QST per branch
+        ch = ChannelModel(werner_visibility=0.9, eom=EomModel(40.0, 20.0))
+        inputs = ("D", "H", "L")
+        records, estimates = run_campaign(ch, inputs, shots=300, seed=42, max_likelihood=True)
+        seeds = np.random.SeedSequence(42).generate_state(len(inputs) * 5)
+        expected = []
+        for i, label in enumerate(inputs):
+            recs = run_teleportation(label, ch, 300, seed=int(seeds[5 * i]))
+            for rec, sub in zip(recs, seeds[5 * i + 1:5 * i + 5]):
+                measured = sample_measurements(rec.state, max(1, rec.shots // len(BASES)), seed=int(sub))
+                expected.append((rec, qst_reconstruct(measured, max_likelihood=True)))
+        assert len(records) == len(estimates) == len(expected) == 12
+        for rec, est, (ref_rec, ref_est) in zip(records, estimates, expected):
+            assert (rec.input, rec.outcome, rec.shots) == (ref_rec.input, ref_rec.outcome, ref_rec.shots)
+            assert np.array_equal(rec.state.matrix, ref_rec.state.matrix)
+            assert np.array_equal(est.matrix, ref_est.matrix)
 
 
 class TestAverageFidelity:

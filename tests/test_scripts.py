@@ -4,7 +4,21 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
+from spp_teleport import counts, protocol
+
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_script(name, *args):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                                      os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 def test_scan_hole_array_prints_one_row_per_period_and_mode():
@@ -23,3 +37,36 @@ def test_scan_hole_array_prints_one_row_per_period_and_mode():
     assert [(int(m[1]), (int(m[2]), int(m[3]))) for m in rows] == [
         (period, mode) for period in (650, 700, 750) for mode in ((1, 1), (1, 0))
     ]
+
+
+def _calibrated_means(with_spp):
+    flag = ["--with-spp"] if with_spp else []
+    lines = run_script("run_calibrated_simulation.py", "--shots", "2000", *flag).splitlines()
+    assert lines[0].startswith("channel: visibility=")
+    assert lines[3].split() == list(protocol.INPUT_LABELS)
+    table = [line.split() for line in lines[4:8]]
+    assert [row[0] for row in table] == [o.label for o in protocol.OUTCOMES]
+    fids = np.array([[float(v) for v in row[1:]] for row in table])
+    assert fids.shape == (4, 6) and ((fids > 0.5) & (fids <= 1)).all()
+    mean = re.fullmatch(r"mean exact fidelity: (0\.\d{4})", lines[8])
+    f_proc = re.fullmatch(r"process fidelity \(QPT on sampled tomography\): (0\.\d{4})", lines[9])
+    assert mean and f_proc and len(lines) == 10, lines
+    assert float(mean[1]) == pytest.approx(fids.mean(), abs=1e-4)
+    return float(mean[1]), float(f_proc[1])
+
+
+def test_run_calibrated_simulation_with_and_without_spp():
+    without, with_spp = _calibrated_means(False), _calibrated_means(True)
+    # the plasmonic element lowers both the exact and the process fidelity
+    assert with_spp[0] < without[0] and with_spp[1] < without[1]
+
+
+def test_reproduce_published_stats_matches_package():
+    lines = run_script("reproduce_published_stats.py").splitlines()
+    for block in ("without_spp", "with_spp"):
+        tag = block.replace("_", " ")
+        s = counts.chsh_s(counts.load_bundled("chsh", block))
+        assert f"CHSH {tag}: |S| = {s:.4f}" in lines
+        result = counts.fidelity_table(counts.load_bundled("fidelity", block), mc_trials=1000, seed=0)
+        assert any(line.startswith(f"mean = {100 * result.mean:.2f} +- {100 * result.mean_std:.2f} %")
+                   for line in lines)

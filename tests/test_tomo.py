@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from spp_teleport.qcore import (
     MixedState,
@@ -139,6 +140,116 @@ class TestQst:
         assert trace_distance(qst_reconstruct(exact_records(rho)), rho) < 1e-9
 
 
+# Per-outcome basis vectors in BASES order, for the reference below.
+_REF_BASIS_STATES = {
+    "Z": (np.array([1, 0], dtype=complex), np.array([0, 1], dtype=complex)),
+    "X": (np.array([1, 1], dtype=complex) / np.sqrt(2), np.array([1, -1], dtype=complex) / np.sqrt(2)),
+    "Y": (np.array([1, 1j], dtype=complex) / np.sqrt(2), np.array([1, -1j], dtype=complex) / np.sqrt(2)),
+}
+
+
+def reference_ml_refine(records, tol=1e-10, max_iter=10_000, dilution=0.5):
+    """One state's diluted RrhoR loop, written per state: the reference the
+    batched solve must match bit for bit."""
+    rho0 = qst_reconstruct(records)
+    projectors, counts = [], []
+    for basis in BASES:
+        plus, minus = _REF_BASIS_STATES[basis]
+        projectors.append(np.outer(plus, plus.conj()))
+        counts.append(sum(r.plus_counts for r in records if r.basis == basis))
+        projectors.append(np.outer(minus, minus.conj()))
+        counts.append(sum(r.minus_counts for r in records if r.basis == basis))
+    counts = np.array(counts, dtype=float)
+    total = counts.sum()
+    mat = rho0.matrix + 1e-6 * np.eye(2)
+    mat /= np.trace(mat).real
+    eye = np.eye(2)
+    for _ in range(max_iter):
+        probs = np.array([max(np.trace(p @ mat).real, 1e-15) for p in projectors])
+        r_op = sum(c / p * proj for c, p, proj in zip(counts, probs, projectors)) / total
+        g = (1 - dilution) * eye + dilution * r_op
+        new = g @ mat @ g.conj().T
+        new = 0.5 * (new + new.conj().T)
+        new /= np.trace(new).real
+        if np.abs(new - mat).max() < tol:
+            mat = new
+            break
+        mat = new
+    return MixedState(mat)
+
+
+def _records(counts):
+    return [MeasurementRecord(b, p, m) for b, (p, m) in zip(BASES, counts)]
+
+
+class TestBatchedMaximumLikelihood:
+    def mixed_batch(self, rng):
+        batch = [
+            _records([(500, 0), (260, 240), (251, 249)]),  # pure along Z: one outcome never seen
+            _records([(99, 1), (99, 1), (99, 1)]),  # outside the ball, radially projected
+            _records([(1, 0), (0, 1), (1, 0)]),  # one count per basis
+            exact_records(random_mixed(rng), scale=1000.0),  # non-integer counts
+        ]
+        for seed in range(6):
+            batch.append(sample_measurements(random_mixed(rng), 100_000 // 3, seed=seed))
+        batch.append(batch[1] + batch[0])  # several records per basis
+        return batch
+
+    def test_batch_equals_per_state_reference(self, rng):
+        batch = self.mixed_batch(rng)
+        states = qst_reconstruct(batch, max_likelihood=True)
+        assert len(states) == len(batch)
+        for records, state in zip(batch, states):
+            expected = reference_ml_refine(records).matrix
+            assert np.array_equal(state.matrix, expected)
+            assert np.array_equal(qst_reconstruct(records, max_likelihood=True).matrix, expected)
+
+    def test_linear_batch_equals_single_calls(self, rng):
+        batch = self.mixed_batch(rng)
+        for records, state in zip(batch, qst_reconstruct(batch)):
+            assert np.array_equal(state.matrix, qst_reconstruct(records).matrix)
+
+    def test_return_types(self):
+        records = _records([(5, 5), (5, 5), (5, 5)])
+        assert isinstance(qst_reconstruct(records), MixedState)
+        assert isinstance(qst_reconstruct(tuple(records), max_likelihood=True), MixedState)
+        states = qst_reconstruct([records], max_likelihood=True)
+        assert isinstance(states, list) and len(states) == 1
+
+    def test_missing_basis_in_batch(self):
+        good = _records([(5, 5), (5, 5), (5, 5)])
+        with pytest.raises(TomographyError, match="no counts for basis X"):
+            qst_reconstruct([good, _records([(5, 5), (0, 0), (5, 5)])])
+
+    def test_not_converged_raises(self, rng):
+        batch = [sample_measurements(random_mixed(rng), 1000, seed=s) for s in range(3)]
+        with pytest.raises(TomographyError, match=r"^3 of 3 maximum-likelihood reconstructions "
+                                                  r"did not converge within 1 iterations$"):
+            qst_reconstruct(batch, max_likelihood=True, ml_max_iter=1)
+        with pytest.raises(TomographyError, match="1 of 1 maximum-likelihood"):
+            qst_reconstruct(batch[0], max_likelihood=True, ml_max_iter=1)
+
+    def test_converged_states_leave_the_batch(self):
+        # the maximally mixed estimate converges within 2 steps, the projected
+        # one does not: only the state still iterating is counted
+        fast = _records([(10, 10), (10, 10), (10, 10)])
+        slow = _records([(99, 1), (99, 1), (99, 1)])
+        assert isinstance(qst_reconstruct(fast, max_likelihood=True, ml_max_iter=2), MixedState)
+        with pytest.raises(TomographyError, match="1 of 2"):
+            qst_reconstruct([fast, slow], max_likelihood=True, ml_max_iter=2)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 5000), st.integers(0, 5000)), min_size=3, max_size=3))
+    def test_ml_equals_linear_inside_ball(self, counts):
+        # complete three-basis data: the unconstrained likelihood maximum is the
+        # linear-inversion estimate, so inside the ball ML must land on it
+        assume(all(p + m > 0 for p, m in counts))
+        records = _records(counts)
+        linear = qst_reconstruct(records)
+        assume(np.linalg.norm(bloch_of(linear).as_array()) <= 0.95)
+        assert trace_distance(qst_reconstruct(records, max_likelihood=True), linear) < 1e-6
+
+
 class TestProcessMatrix:
     def test_validation(self):
         with pytest.raises(TomographyError):
@@ -203,6 +314,45 @@ class TestQpt:
             pairs.append((rho, MixedState(out)))
         chi = qpt_reconstruct(pairs, cp_projection=True)
         assert np.linalg.eigvalsh(chi.chi).min() >= -1e-12
+
+
+def _tp_residual(chi):
+    """Distance of sum_lk chi_lk s_k s_l from the identity: zero for a trace-preserving chi."""
+    acc = sum(chi[l, k] * PAULI_MATRICES[k] @ PAULI_MATRICES[l] for l in range(4) for k in range(4))
+    return np.abs(acc - np.eye(2)).max()
+
+
+class TestCpProjection:
+    def non_cp_pairs(self):
+        # pure outputs that no unitary produces: H is tilted, V, D and L are not;
+        # clipping the negative eigenvalue of this chi breaks trace preservation
+        tilted = np.array([0.1, 0.0, 0.99])
+        outs = [state_from_bloch(tilted / np.linalg.norm(tilted))] + QPT_INPUTS[1:]
+        return list(zip(QPT_INPUTS, outs))
+
+    def test_result_is_completely_positive_and_trace_preserving(self):
+        pairs = self.non_cp_pairs()
+        raw = qpt_reconstruct(pairs)
+        assert np.linalg.eigvalsh(raw.chi).min() < -1e-3
+        chi = qpt_reconstruct(pairs, cp_projection=True)
+        assert np.linalg.eigvalsh(chi.chi).min() >= -1e-12
+        assert _tp_residual(chi.chi) < 1e-12
+        for rho in QPT_INPUTS:
+            assert np.trace(chi.apply(rho).matrix).real == pytest.approx(1.0, abs=1e-12)
+        bloch_map_of(chi)  # applies chi to validated states
+
+    def test_admixes_the_depolarizing_channel(self):
+        pairs = self.non_cp_pairs()
+        raw = qpt_reconstruct(pairs).chi
+        lowest = np.linalg.eigvalsh(raw).min()
+        expected = (raw - lowest * np.eye(4)) / (1 - 4 * lowest)
+        assert np.allclose(qpt_reconstruct(pairs, cp_projection=True).chi, expected, atol=1e-12)
+
+    def test_completely_positive_input_unchanged(self):
+        ref = depolarizing_chi(0.1)
+        pairs = [(rho, ref.apply(rho)) for rho in QPT_INPUTS]
+        chi = qpt_reconstruct(pairs, cp_projection=True)
+        assert np.allclose(chi.chi, ref.chi, atol=1e-10)
 
 
 class TestProcessFidelity:
