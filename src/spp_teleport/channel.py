@@ -12,7 +12,6 @@ import csv
 import math
 from dataclasses import dataclass, field
 from importlib import resources
-from pathlib import Path
 
 import numpy as np
 
@@ -337,10 +336,3 @@ def calibrated_channel(with_spp: bool, eom: EomModel | None = None) -> ChannelMo
         depolarizing_extra=1.0 - shrink,
     )
 
-
-def write_dielectric_csv(path, table: DielectricTable) -> None:
-    with open(Path(path), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["wavelength_nm", "eps_re", "eps_im"])
-        for wl, eps in zip(table.wavelengths_nm, table.eps):
-            writer.writerow([f"{wl:g}", f"{eps.real:g}", f"{eps.imag:g}"])

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import csv
-import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -22,7 +21,7 @@ import numpy as np
 
 from . import channel as channel_mod
 from . import counts as counts_mod
-from . import protocol, tomo
+from . import output, protocol, tomo
 from .qcore import MixedState, complex_matrix_to_json
 
 
@@ -70,6 +69,8 @@ class RunConfig:
             raise ConfigError(f"unknown calibration {self.calibration!r}")
         if not self.inputs or not set(self.inputs) <= set(protocol.INPUT_LABELS):
             raise ConfigError(f"inputs must be labels from {protocol.INPUT_LABELS}, got {list(self.inputs)}")
+        if len(set(self.inputs)) < len(self.inputs):
+            raise ConfigError(f"inputs must not repeat a label, got {list(self.inputs)}")
 
     def build_channel(self) -> channel_mod.ChannelModel:
         try:
@@ -89,6 +90,13 @@ class RunConfig:
             )
         except channel_mod.ChannelParameterError as exc:
             raise ConfigError(str(exc)) from exc
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text.strip()!r} is not a finite number")
+    return value
 
 
 def _parse_modes(text: str) -> tuple:
@@ -114,6 +122,8 @@ def _parse_sweep(text: str) -> tuple | None:
         start, stop, step = (float(x) for x in text.split(":"))
     except ValueError:
         raise ConfigError("period_sweep must be 'start:stop:step'") from None
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise ConfigError("period_sweep needs finite numbers")
     if step <= 0 or stop < start:
         raise ConfigError("period_sweep needs step > 0 and stop >= start")
     return (start, stop, step)
@@ -137,7 +147,7 @@ _FIELD_NAMES = {"out": "out_dir", "counts": "counts_source"}
 def load_config(path) -> RunConfig:
     parser = configparser.ConfigParser(
         inline_comment_prefixes=(";", "#"),
-        converters={"path": Path, "modes": _parse_modes, "sweep": _parse_sweep,
+        converters={"float": _finite_float, "path": Path, "modes": _parse_modes, "sweep": _parse_sweep,
                     "inputs": lambda text: tuple(s.strip() for s in text.split(",") if s.strip())},
     )
     cfg = RunConfig()
@@ -159,14 +169,6 @@ def load_config(path) -> RunConfig:
             raise
         raise ConfigError(f"bad config value: {exc}") from exc
     return cfg
-
-
-def _write_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
-
-
-def _fmt(v: float) -> str:
-    return f"{v:.12g}"
 
 
 # ---------------------------------------------------------------------------
@@ -208,18 +210,14 @@ def cmd_simulate(cfg: RunConfig) -> None:
                 "fidelity": f_hat,
             }
         )
-    _write_json(out / "records.json", records_payload)
-    _write_json(out / "tomography.json", tomo_payload)
+    output.write_json(out / "records.json", records_payload)
+    output.write_json(out / "tomography.json", tomo_payload)
 
-    with open(out / "fidelity_table.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["outcome"] + list(cfg.inputs))
-        for outcome in protocol.OUTCOMES:
-            writer.writerow(
-                [outcome.label] + [_fmt(fid_exact[(l, outcome.label)]) for l in cfg.inputs]
-            )
-        mean = float(np.mean(list(fid_exact.values())))
-        writer.writerow(["mean", _fmt(mean)])
+    output.write_rows(out / "fidelity_table.csv", [
+        ["outcome", *cfg.inputs],
+        *([o.label] + [fid_exact[(l, o.label)] for l in cfg.inputs] for o in protocol.OUTCOMES),
+        ["mean", float(np.mean(list(fid_exact.values())))],
+    ])
 
     # process tomography over the reconstructed outputs, uniform outcome weighting
     chi_payload = {}
@@ -240,12 +238,10 @@ def cmd_simulate(cfg: RunConfig) -> None:
                 "offset": [float(v) for v in bmap.offset],
             },
         }
-        _write_json(out / "chi.json", chi_payload)
-        with open(out / "bloch_map_samples.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["in_x", "in_y", "in_z", "out_x", "out_y", "out_z"])
-            for src, img in tomo.bloch_sphere_samples(bmap):
-                writer.writerow([_fmt(v) for v in (*src.as_array(), *img)])
+        output.write_json(out / "chi.json", chi_payload)
+        samples = np.array([(*src.as_array(), *img) for src, img in tomo.bloch_sphere_samples(bmap)])
+        names = ("in_x", "in_y", "in_z", "out_x", "out_y", "out_z")
+        output.write_table(dict(zip(names, samples.T.tolist())), out / "bloch_map_samples.csv")
 
     budget = channel_mod.BUDGET_WITH_SPP if cfg.calibration == "with_spp" else channel_mod.BUDGET_WITHOUT_SPP
     summary = {
@@ -271,7 +267,7 @@ def cmd_simulate(cfg: RunConfig) -> None:
         "seed": cfg.seed,
         "shots": cfg.shots,
     }
-    _write_json(out / "summary.json", summary)
+    output.write_json(out / "summary.json", summary)
 
 
 # ---------------------------------------------------------------------------
@@ -299,18 +295,17 @@ def cmd_analyze(cfg: RunConfig) -> None:
                               "sigma_vs_local_bound": counts_mod.sigma_violation(s, 2.0, std)}
         stats.append({"statistic": f"chsh_s_{block}", "value": s, "std": std,
                       "sigma_vs_bound": counts_mod.sigma_violation(s, 2.0, std)})
-    _write_json(out / "chsh.json", chsh_payload)
+    output.write_json(out / "chsh.json", chsh_payload)
 
     for block in ("without_spp", "with_spp"):
         table = _load_counts(cfg, "fidelity", block)
         result = counts_mod.fidelity_table(table, mc_trials=cfg.mc_trials, seed=cfg.seed)
-        with open(out / f"fidelity_{block}.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["outcome"] + list(result.inputs))
-            for i, outcome in enumerate(result.outcomes):
-                writer.writerow([outcome] + [_fmt(v) for v in result.fidelities[i]])
-            writer.writerow(["mean", _fmt(result.mean)])
-            writer.writerow(["mean_std", _fmt(result.mean_std)])
+        output.write_rows(out / f"fidelity_{block}.csv", [
+            ["outcome", *result.inputs],
+            *([outcome, *row] for outcome, row in zip(result.outcomes, result.fidelities.tolist())),
+            ["mean", result.mean],
+            ["mean_std", result.mean_std],
+        ])
         stats.append({
             "statistic": f"mean_fidelity_{block}",
             "value": result.mean,
@@ -318,7 +313,7 @@ def cmd_analyze(cfg: RunConfig) -> None:
             "sigma_vs_bound": counts_mod.sigma_violation(
                 result.mean, counts_mod.CLASSICAL_STATE_FIDELITY_BOUND, result.mean_std),
         })
-    _write_json(out / "summary.json", stats)
+    output.write_json(out / "summary.json", stats)
 
 
 # ---------------------------------------------------------------------------
@@ -342,26 +337,27 @@ def cmd_design(cfg: RunConfig) -> None:
     else:
         periods = np.array([cfg.period_nm])
 
-    # one array solve per mode, then rows in period-major order
-    columns = []
-    for mode in cfg.modes:
+    # one array solve per mode; row i * n_modes + j is period i, mode j
+    n_modes = len(cfg.modes)
+    lam = np.empty((len(periods), n_modes))
+    k_spp = np.empty((len(periods), n_modes, 2))
+    for j, mode in enumerate(cfg.modes):
         geom = channel_mod.HoleArrayGeometry(periods, cfg.hole_diameter_nm, mode, cfg.eps_substrate, metal=table)
-        lam = channel_mod.resonance_wavelength(geom, interface="substrate")
-        k_spp = channel_mod.dispersion_match(geom, (0.0, 0.0))
-        # row-wise dot products, the same BLAS dot np.linalg.norm takes for one row
-        k_mag = np.sqrt(k_spp[:, None, :] @ k_spp[:, :, None])[:, 0, 0]
-        columns.append((mode, lam.tolist(), k_spp.tolist(), k_mag.tolist()))
-    rows = [
-        {"period_nm": period, "m1": mode[0], "m2": mode[1], "resonance_nm": lam[i],
-         "k_spp_x": k_spp[i][0], "k_spp_y": k_spp[i][1], "k_spp_mag": k_mag[i]}
-        for i, period in enumerate(periods.tolist()) for mode, lam, k_spp, k_mag in columns
-    ]
-    with open(out / "design.csv", "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: (_fmt(v) if isinstance(v, float) else v) for k, v in row.items()})
-    _write_json(out / "design.json", rows)
+        lam[:, j] = channel_mod.resonance_wavelength(geom, interface="substrate")
+        k_spp[:, j] = channel_mod.dispersion_match(geom, (0.0, 0.0))
+    k_spp = k_spp.reshape(-1, 2)
+    # row-wise dot products, the same BLAS dot np.linalg.norm takes for one row
+    k_mag = np.sqrt(k_spp[:, None, :] @ k_spp[:, :, None])[:, 0, 0]
+    columns = {
+        "period_nm": np.repeat(periods, n_modes).tolist(),
+        "m1": [m1 for m1, _ in cfg.modes] * len(periods),
+        "m2": [m2 for _, m2 in cfg.modes] * len(periods),
+        "resonance_nm": lam.ravel().tolist(),
+        "k_spp_x": k_spp[:, 0].tolist(),
+        "k_spp_y": k_spp[:, 1].tolist(),
+        "k_spp_mag": k_mag.tolist(),
+    }
+    output.write_table(columns, out / "design.csv", out / "design.json")
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ from spp_teleport.channel import (
     resonance_wavelength,
     dispersion_match,
     werner,
-    write_dielectric_csv,
 )
 from spp_teleport.qcore import MixedState, fidelity_pure
 
@@ -111,7 +110,8 @@ class TestDielectricTable:
     def test_csv_round_trip(self, tmp_path):
         table = gold_dielectric_table()
         path = tmp_path / "eps.csv"
-        write_dielectric_csv(path, table)
+        path.write_text("wavelength_nm,eps_re,eps_im\n" + "".join(
+            f"{wl:g},{eps.real:g},{eps.imag:g}\n" for wl, eps in zip(table.wavelengths_nm, table.eps)))
         back = load_dielectric_table(path)
         assert np.allclose(back.wavelengths_nm, table.wavelengths_nm)
         assert np.allclose(back.eps, table.eps)

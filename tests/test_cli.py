@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from spp_teleport import channel, protocol, tomo
 from spp_teleport import counts as counts_mod
-from spp_teleport.cli import ConfigError, RunConfig, _write_json, load_config, main
+from spp_teleport.cli import ConfigError, RunConfig, load_config, main
 from spp_teleport.qcore import complex_matrix_from_json
 
 try:
@@ -173,6 +173,29 @@ period_sweep = 600:700:50
         out = tmp_path / "o"
         assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
         assert not (out / "summary.json").exists()
+
+    def test_repeated_inputs_exit_2(self, tmp_path, capsys):
+        path = write_config(tmp_path, "[simulate]\ninputs = H, H, V\n")
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: inputs must not repeat a label") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, text", [
+        ("simulate", "[channel]\ncontrast_x = nan\n"),
+        ("simulate", "[channel]\ncontrast_z = inf\n"),
+        ("design", "[design]\nperiod_sweep = 600:nan:25\n"),
+        ("design", "[design]\nperiod_sweep = 600:inf:25\n"),
+        ("design", "[design]\neps_substrate = inf\n"),
+    ])
+    def test_non_finite_value_exits_2(self, tmp_path, capsys, command, text):
+        path = write_config(tmp_path, text)
+        out = tmp_path / "o"
+        assert main([command, "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "finite" in err and err.count("\n") == 1
+        assert not out.exists()
 
 
 class TestSimulateCommand:
@@ -412,11 +435,6 @@ class TestDesignCommand:
     def test_missing_dielectric_exits_3(self, tmp_path):
         cfg = write_config(tmp_path, "[design]\ndielectric = /no/such/eps.csv\n")
         assert main(["design", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
-
-
-def test_write_json_rejects_nan(tmp_path):
-    with pytest.raises(ValueError):
-        _write_json(tmp_path / "x.json", {"value": float("nan")})
 
 
 class TestExitCodes:

@@ -1,0 +1,152 @@
+"""The output encoders against the writers they replaced.
+
+The references below are the encoders the commands used before
+``spp_teleport.output`` existed: ``json.dumps`` for JSON, and
+``csv.DictWriter`` / ``csv.writer`` with floats preformatted as ``.12g``.
+"""
+
+import csv
+import io
+import json
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from spp_teleport import channel, output
+from spp_teleport.cli import main
+
+DESIGN_COLUMNS = ["period_nm", "m1", "m2", "resonance_nm", "k_spp_x", "k_spp_y", "k_spp_mag"]
+
+
+def reference_json(rows):
+    return json.dumps(rows, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def reference_csv(fieldnames, rows):
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=fieldnames)
+    writer.writeheader()
+    for row in rows:
+        writer.writerow({k: (f"{v:.12g}" if isinstance(v, float) else v) for k, v in row.items()})
+    return buf.getvalue()
+
+
+def reference_design_rows(periods, modes, eps_substrate):
+    """Rows of ``design`` as they were built before it wrote from columns."""
+    table = channel.gold_dielectric_table()
+    columns = []
+    for mode in modes:
+        geom = channel.HoleArrayGeometry(periods, 200.0, mode, eps_substrate, metal=table)
+        lam = channel.resonance_wavelength(geom, interface="substrate")
+        k_spp = channel.dispersion_match(geom, (0.0, 0.0))
+        k_mag = np.sqrt(k_spp[:, None, :] @ k_spp[:, :, None])[:, 0, 0]
+        columns.append((mode, lam.tolist(), k_spp.tolist(), k_mag.tolist()))
+    return [
+        {"period_nm": period, "m1": mode[0], "m2": mode[1], "resonance_nm": lam[i],
+         "k_spp_x": k_spp[i][0], "k_spp_y": k_spp[i][1], "k_spp_mag": k_mag[i]}
+        for i, period in enumerate(periods.tolist()) for mode, lam, k_spp, k_mag in columns
+    ]
+
+
+# The benchmark's design sweep: 600-800 nm in 0.25 nm steps shifted by an
+# offset below 0.24 nm, modes (1,0) and (1,1), glass substrate.
+@pytest.mark.parametrize("offset", [0.0, 0.1234567, 0.2399])
+def test_design_sweep_matches_reference_writers(tmp_path, offset):
+    start, stop, step = 600.0 + offset, 800.0 + offset, 0.25
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(f"[design]\nperiod_sweep = {start!r}:{stop!r}:{step!r}\nmodes = 1,0;1,1\n"
+                   "eps_substrate = 2.25\n")
+    out = tmp_path / "o"
+    assert main(["design", "--config", str(cfg), "--out", str(out)]) == 0
+    rows = reference_design_rows(np.arange(start, stop + step / 2, step), ((1, 0), (1, 1)), 2.25)
+    assert len(rows) == 1602
+    assert (out / "design.json").read_bytes() == reference_json(rows).encode()
+    assert (out / "design.csv").read_bytes() == reference_csv(DESIGN_COLUMNS, rows).encode()
+
+
+def test_default_design_matches_reference_writers(tmp_path):
+    out = tmp_path / "o"
+    assert main(["design", "--out", str(out)]) == 0
+    rows = reference_design_rows(np.array([700.0]), ((1, 1), (1, 0)), 2.25)
+    assert (out / "design.json").read_bytes() == reference_json(rows).encode()
+    assert (out / "design.csv").read_bytes() == reference_csv(DESIGN_COLUMNS, rows).encode()
+
+
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([-0.0, 5e-324, 1e16, 1e-7, 1e300])
+_INTS = st.integers(min_value=-10**20, max_value=10**20)
+
+
+@st.composite
+def tables(draw):
+    n_rows = draw(st.integers(min_value=0, max_value=6))
+    names = draw(st.lists(st.sampled_from(["period_nm", "m1", "Z", "k_spp_x", "b_2"]),
+                          min_size=1, max_size=4, unique=True))
+    return {name: draw(st.lists(draw(st.sampled_from([_FLOATS, _INTS])), min_size=n_rows, max_size=n_rows))
+            for name in names}
+
+
+@settings(max_examples=50, deadline=None)
+@given(columns=tables())
+@example(columns={"k_spp_x": [-0.0, 5e-324, 1e16, 1e-7, 1e300], "m1": [-3, 0, 5, -10**20, 10**20]})
+def test_table_matches_reference_writers(tmp_path_factory, columns):
+    tmp = tmp_path_factory.getbasetemp() / "tables"
+    tmp.mkdir(exist_ok=True)
+    output.write_table(columns, tmp / "t.csv", tmp / "t.json")
+    rows = [dict(zip(columns, values)) for values in zip(*columns.values())]
+    assert (tmp / "t.json").read_bytes() == reference_json(rows).encode()
+    assert (tmp / "t.csv").read_bytes() == reference_csv(list(columns), rows).encode()
+
+
+def _design_like_columns():
+    return {"period_nm": [600.0, 600.25], "m1": [1, 1], "resonance_nm": [790.5, 791.0],
+            "k_spp_x": [0.0105, 0.0104]}
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("name", ["period_nm", "resonance_nm", "k_spp_x"])
+def test_non_finite_column_writes_neither_file(tmp_path, bad, name):
+    columns = _design_like_columns()
+    columns[name][1] = bad
+    with pytest.raises(ValueError, match="NaN or infinity"):
+        output.write_table(columns, tmp_path / "design.csv", tmp_path / "design.json")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("name, values", [
+    ("period_nm", [600.0, np.float64(600.25)]),
+    ("m1", [True, True]),
+    ("m1", [1, 1.0]),
+    ("resonance_nm", ["790.5", "791.0"]),
+    ("k_spp_x", [0.0105]),
+])
+def test_column_types_and_lengths_are_checked(tmp_path, name, values):
+    columns = _design_like_columns()
+    columns[name] = values
+    with pytest.raises(ValueError):
+        output.write_table(columns, tmp_path / "design.csv", tmp_path / "design.json")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_rows_match_reference_writer(tmp_path):
+    rows = [["outcome", "H", "V"], ["PhiPlus", 0.5, np.float64(1 / 3)], ["PhiMinus", -0.0, 1e-7],
+            ["mean", 0.123456789012345], ["count", 7]]
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    for row in rows:
+        writer.writerow([f"{v:.12g}" if isinstance(v, float) else v for v in row])
+    output.write_rows(tmp_path / "t.csv", rows)
+    assert (tmp_path / "t.csv").read_bytes() == buf.getvalue().encode()
+
+
+@pytest.mark.parametrize("cell", [float("nan"), float("-inf"), "a,b", 'say "x"'])
+def test_rows_reject_non_finite_values_and_quoted_labels(tmp_path, cell):
+    with pytest.raises(ValueError):
+        output.write_rows(tmp_path / "t.csv", [["outcome", cell]])
+    assert not (tmp_path / "t.csv").exists()
+
+
+def test_write_json_rejects_nan(tmp_path):
+    with pytest.raises(ValueError):
+        output.write_json(tmp_path / "x.json", {"value": float("nan")})
