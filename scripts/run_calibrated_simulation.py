@@ -7,11 +7,11 @@ reconstructions.
 """
 
 import argparse
+import sys
 
 import numpy as np
 
 from spp_teleport import channel, protocol, tomo
-from spp_teleport.qcore import MixedState
 
 
 def main():
@@ -27,20 +27,17 @@ def main():
           f"extra_depol={ch.depolarizing_extra:.4f} "
           f"transmittance={ch.transmittance:g}")
 
-    records, estimates = protocol.run_campaign(ch, protocol.INPUT_LABELS, args.shots, args.seed)
+    campaign = protocol.Campaign.run(ch, protocol.INPUT_LABELS, args.shots, args.seed)
     print("\nexact fidelity per (outcome, input):")
     print("        " + "".join(f"{l:>8}" for l in protocol.INPUT_LABELS))
-    for outcome in protocol.OUTCOMES:
-        row = [rec.fidelity for rec in records if rec.outcome is outcome]
-        print(f"{outcome.label:>8}" + "".join(f"{f:8.4f}" for f in row))
-    print(f"mean exact fidelity: {np.mean([rec.fidelity for rec in records]):.4f}")
+    for k, outcome in enumerate(protocol.OUTCOMES):
+        print(f"{outcome.label:>8}" + "".join(f"{f:8.4f}" for f in campaign.fidelities[:, k]))
+    print(f"mean exact fidelity: {np.mean(campaign.fidelities):.4f}")
 
-    pairs = []
-    for label in tomo.QPT_INPUT_LABELS:
-        rho_in = protocol.prepare_input(label).projector()
-        avg = np.mean([rho.matrix for rec, rho in zip(records, estimates) if rec.input == label], axis=0)
-        pairs.append((rho_in, MixedState(avg)))
-    chi = tomo.qpt_reconstruct(pairs)
+    try:
+        chi = campaign.process_matrix()
+    except protocol.NoEstimateError as exc:
+        sys.exit(f"no process tomography: {exc}")
     f_proc = tomo.process_fidelity(chi, tomo.chi_identity())
     print(f"process fidelity (QPT on sampled tomography): {f_proc:.4f}")
 

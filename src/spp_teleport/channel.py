@@ -93,6 +93,13 @@ def werner(visibility: float) -> MixedState:
     return MixedState(mat)
 
 
+def depolarize(mats: np.ndarray, model: ChannelModel) -> np.ndarray:
+    """w rho + (1 - w) I/2, w = model.bloch_shrink, over single-qubit
+    matrices (..., 2, 2); not validated."""
+    w = model.bloch_shrink
+    return w * mats + (1.0 - w) * np.eye(2) / 2.0
+
+
 def apply_channel(rho: MixedState, model: ChannelModel) -> tuple[MixedState, float]:
     """Depolarize a single-qubit state per the channel model.
 
@@ -100,9 +107,7 @@ def apply_channel(rho: MixedState, model: ChannelModel) -> tuple[MixedState, flo
     """
     if rho.dim != 2:
         raise ChannelParameterError("apply_channel acts on single-qubit states")
-    w = model.bloch_shrink
-    out = MixedState(w * rho.matrix + (1.0 - w) * np.eye(2) / 2.0)
-    return out, model.transmittance
+    return MixedState(depolarize(rho.matrix, model)), model.transmittance
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ import numpy as np
 from . import channel as channel_mod
 from . import counts as counts_mod
 from . import output, protocol, tomo
-from .qcore import MixedState, complex_matrix_to_json
+from .qcore import complex_matrix_to_json, expectation
 
 
 class ConfigError(ValueError):
@@ -121,11 +121,11 @@ def _parse_sweep(text: str) -> tuple | None:
     try:
         start, stop, step = (float(x) for x in text.split(":"))
     except ValueError:
-        raise ConfigError("period_sweep must be 'start:stop:step'") from None
+        raise ConfigError("expected 'start:stop:step'") from None
     if not all(map(math.isfinite, (start, stop, step))):
-        raise ConfigError("period_sweep needs finite numbers")
+        raise ConfigError("needs finite numbers")
     if step <= 0 or stop < start:
-        raise ConfigError("period_sweep needs step > 0 and stop >= start")
+        raise ConfigError("needs step > 0 and stop >= start")
     return (start, stop, step)
 
 
@@ -162,7 +162,10 @@ def load_config(path) -> RunConfig:
             for key in parser.options(section):
                 if key not in _CONFIG_KEYS[section]:
                     raise ConfigError(f"unknown config key {key!r} in [{section}]")
-                value = getattr(parser[section], _CONFIG_KEYS[section][key])(key)
+                try:
+                    value = getattr(parser[section], _CONFIG_KEYS[section][key])(key)
+                except ValueError as exc:
+                    raise ConfigError(f"bad value for [{section}] {key}: {exc}") from exc
                 setattr(cfg, _FIELD_NAMES.get(key, key), value)
     except (ValueError, configparser.Error) as exc:
         if isinstance(exc, ConfigError):
@@ -179,69 +182,56 @@ def cmd_simulate(cfg: RunConfig) -> None:
     ch = cfg.build_channel()
     out = cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)
-    records, estimates = protocol.run_campaign(ch, cfg.inputs, cfg.shots, cfg.seed, cfg.max_likelihood)
+    campaign = protocol.Campaign.run(ch, cfg.inputs, cfg.shots, cfg.seed, cfg.max_likelihood)
 
-    records_payload = []
-    tomo_payload = []
-    fid_exact = {}
-    fid_qst = {}
-    n_out = len(protocol.OUTCOMES)
-    recons = {label: estimates[n_out * i:n_out * (i + 1)] for i, label in enumerate(cfg.inputs)}
-    for rec, rho_hat in zip(records, estimates):
-        records_payload.append(
-            {
-                "input": rec.input,
-                "outcome": rec.outcome.label,
-                "port": rec.port,
-                "shots": rec.shots,
-                "density_matrix": complex_matrix_to_json(rec.state.matrix),
-                "fidelity": rec.fidelity,
-            }
-        )
-        fid_exact[(rec.input, rec.outcome.label)] = rec.fidelity
-        target = protocol.prepare_input(rec.input).amplitudes
-        f_hat = float(np.vdot(target, rho_hat.matrix @ target).real)
-        fid_qst[(rec.input, rec.outcome.label)] = f_hat
-        tomo_payload.append(
-            {
-                "input": rec.input,
-                "outcome": rec.outcome.label,
-                "density_matrix": complex_matrix_to_json(rho_hat.matrix),
-                "fidelity": f_hat,
-            }
-        )
-    output.write_json(out / "records.json", records_payload)
-    output.write_json(out / "tomography.json", tomo_payload)
+    targets = np.array([protocol.prepare_input(label).amplitudes for label in cfg.inputs])
+    fid_qst = expectation(campaign.estimates, targets[:, None]).real
+    estimated = campaign.estimated
+    mean_exact = float(np.mean(campaign.fidelities))
+    branches = [(label, outcome) for label in cfg.inputs for outcome in protocol.OUTCOMES]
+    output.write_json(out / "records.json", [
+        {"input": label, "outcome": outcome.label, "port": outcome.port, "shots": n, "density_matrix": rho,
+         "fidelity": f}
+        for (label, outcome), n, rho, f in zip(branches, campaign.shots.ravel().tolist(),
+                                               complex_matrix_to_json(campaign.states.reshape(-1, 2, 2)),
+                                               campaign.fidelities.ravel().tolist())
+    ])
+    # a branch with too few shots for every basis has no estimate
+    output.write_json(out / "tomography.json", [
+        {"input": label, "outcome": outcome.label, "density_matrix": rho if ok else None,
+         "fidelity": f if ok else None}
+        for (label, outcome), ok, rho, f in zip(branches, estimated.ravel().tolist(),
+                                                complex_matrix_to_json(campaign.estimates.reshape(-1, 2, 2)),
+                                                fid_qst.ravel().tolist())
+    ])
 
     output.write_rows(out / "fidelity_table.csv", [
         ["outcome", *cfg.inputs],
-        *([o.label] + [fid_exact[(l, o.label)] for l in cfg.inputs] for o in protocol.OUTCOMES),
-        ["mean", float(np.mean(list(fid_exact.values())))],
+        *([o.label, *campaign.fidelities[:, k].tolist()] for k, o in enumerate(protocol.OUTCOMES)),
+        ["mean", mean_exact],
     ])
 
     # process tomography over the reconstructed outputs, uniform outcome weighting
-    chi_payload = {}
-    if all(l in cfg.inputs for l in tomo.QPT_INPUT_LABELS):
-        pairs = []
-        for label in tomo.QPT_INPUT_LABELS:
-            rho_in = protocol.prepare_input(label).projector()
-            avg = np.mean([r.matrix for r in recons[label]], axis=0)
-            pairs.append((rho_in, MixedState(avg)))
-        chi = tomo.qpt_reconstruct(pairs, cp_projection=cfg.cp_projection)
-        f_proc = tomo.process_fidelity(chi, tomo.chi_identity())
-        bmap = tomo.bloch_map_of(chi)
-        chi_payload = {
-            "chi": complex_matrix_to_json(chi.chi),
-            "process_fidelity": f_proc,
-            "bloch_map": {
-                "linear": [[float(v) for v in row] for row in bmap.linear],
-                "offset": [float(v) for v in bmap.offset],
-            },
-        }
-        output.write_json(out / "chi.json", chi_payload)
-        samples = np.array([(*src.as_array(), *img) for src, img in tomo.bloch_sphere_samples(bmap)])
-        names = ("in_x", "in_y", "in_z", "out_x", "out_y", "out_z")
-        output.write_table(dict(zip(names, samples.T.tolist())), out / "bloch_map_samples.csv")
+    f_proc = None
+    if set(tomo.QPT_INPUT_LABELS) <= set(cfg.inputs):
+        try:
+            chi = campaign.process_matrix(cfg.cp_projection)
+        except protocol.NoEstimateError as exc:
+            print(f"warning: no process tomography: {exc}", file=sys.stderr)
+        else:
+            f_proc = tomo.process_fidelity(chi, tomo.chi_identity())
+            bmap = tomo.bloch_map_of(chi)
+            output.write_json(out / "chi.json", {
+                "chi": complex_matrix_to_json(chi.chi),
+                "process_fidelity": f_proc,
+                "bloch_map": {
+                    "linear": [[float(v) for v in row] for row in bmap.linear],
+                    "offset": [float(v) for v in bmap.offset],
+                },
+            })
+            names = ("in_x", "in_y", "in_z", "out_x", "out_y", "out_z")
+            samples = np.hstack(tomo.bloch_sphere_samples(bmap))
+            output.write_table(dict(zip(names, samples.T.tolist())), out / "bloch_map_samples.csv")
 
     budget = channel_mod.BUDGET_WITH_SPP if cfg.calibration == "with_spp" else channel_mod.BUDGET_WITHOUT_SPP
     summary = {
@@ -261,9 +251,9 @@ def cmd_simulate(cfg: RunConfig) -> None:
             "total_with_spp": channel_mod.fidelity_budget_total(
                 channel_mod.BUDGET_WITH_SPP, with_spp=True),
         },
-        "mean_fidelity_exact": float(np.mean(list(fid_exact.values()))),
-        "mean_fidelity_qst": float(np.mean(list(fid_qst.values()))),
-        "process_fidelity": chi_payload.get("process_fidelity"),
+        "mean_fidelity_exact": mean_exact,
+        "mean_fidelity_qst": float(np.mean(fid_qst[estimated])) if estimated.any() else None,
+        "process_fidelity": f_proc,
         "seed": cfg.seed,
         "shots": cfg.shots,
     }

@@ -16,17 +16,21 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import tomo
-from .channel import ChannelModel, EomModel, apply_channel
+from .channel import ChannelModel, EomModel, depolarize
 from .qcore import (
     MixedState,
     PAULIS,
     PureState,
-    fidelity_pure,
-    tensor,
+    clamp_unit,
+    density_matrices,
+    expectation,
+    strip_global_phase,
+    vector_norms,
 )
 
 SQ2 = math.sqrt(2.0)
@@ -139,23 +143,50 @@ def bsm_matrix() -> np.ndarray:
     )
 
 
+# Bell vectors as (Q0, Q1) matrices, in OUTCOMES order
+_BELL = np.array([BELL_VECTORS[o].amplitudes.reshape(2, 2) for o in OUTCOMES])
+_RESOURCE = swapped_resource().amplitudes
+
+
+def _bell_branches(targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Conditional (pre-correction) Q2 states of inputs `targets` (n, 2).
+
+    Projects |phi>^0 (x) resource^{12} onto the Bell basis of (Q0, Q1).
+    Returns, per input and outcome (OUTCOMES order), the normalized
+    phase-stripped Q2 amplitudes (n, 4, 2) and the branch probabilities
+    (n, 4), exactly 1/4 for any normalized input.
+    """
+    full = (targets[:, :, None] * _RESOURCE).reshape(-1, 8)
+    full = (full / vector_norms(full)[:, None]).reshape(-1, 2, 2, 2)
+    cond = np.einsum("oij,nijk->nok", _BELL.conj(), full)
+    norms = vector_norms(cond)
+    amps = strip_global_phase(cond / norms[..., None])
+    return amps / vector_norms(amps)[..., None], norms**2
+
+
 def bell_decompose(input_state: PureState) -> dict[BellOutcome, tuple[PureState, float]]:
     """Conditional (pre-correction) states of Q2 for each Bell outcome.
 
-    Projects |phi>^0 (x) resource^{12} onto the Bell basis of (Q0, Q1) and
-    returns, per outcome, the normalized phase-stripped Q2 state and the
+    Returns, per outcome, the normalized phase-stripped Q2 state and the
     branch probability (exactly 1/4 for any normalized input).
     """
     if input_state.dim != 2:
         raise ValueError("input must be a single-qubit state")
-    full = tensor(input_state, swapped_resource()).amplitudes.reshape(2, 2, 2)
-    branches = {}
-    for outcome, bell in BELL_VECTORS.items():
-        b = bell.amplitudes.reshape(2, 2)  # (Q0, Q1)
-        cond = np.einsum("ij,ijk->k", b.conj(), full)
-        prob = float(np.linalg.norm(cond) ** 2)
-        branches[outcome] = (PureState(cond).phase_fixed(), prob)
-    return branches
+    amps, probs = _bell_branches(input_state.amplitudes[None])
+    return {o: (PureState(a), p) for o, a, p in zip(OUTCOMES, amps[0], probs[0].tolist())}
+
+
+def _correct(mats: np.ndarray, outcome: BellOutcome, eom: EomModel | None) -> np.ndarray:
+    """Feed-forward correction of a stack (..., 2, 2), not validated."""
+    for label in outcome.corrections:
+        sigma = PAULIS[label].matrix
+        flipped = sigma @ mats @ sigma.conj().T
+        if eom is None:
+            mats = flipped
+        else:
+            eps = eom.epsilon_x if label == "X" else eom.epsilon_z
+            mats = (1.0 - eps) * flipped + eps * mats
+    return mats
 
 
 def apply_correction(state: MixedState, outcome: BellOutcome,
@@ -167,16 +198,28 @@ def apply_correction(state: MixedState, outcome: BellOutcome,
     """
     if state.dim != 2:
         raise ValueError("correction acts on single-qubit states")
-    mat = state.matrix
-    for label in outcome.corrections:
-        sigma = PAULIS[label].matrix
-        flipped = sigma @ mat @ sigma.conj().T
-        if eom is None:
-            mat = flipped
-        else:
-            eps = eom.epsilon_x if label == "X" else eom.epsilon_z
-            mat = (1.0 - eps) * flipped + eps * mat
-    return MixedState(mat)
+    return MixedState(_correct(state.matrix, outcome, eom))
+
+
+def _teleport(targets: np.ndarray, channel: ChannelModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exact teleported states of input states `targets` (n, 2) through the channel.
+
+    Returns the corrected Q2 states (n, 4, 2, 2), validated as one stack,
+    the branch probabilities and the fidelities to the inputs (both
+    (n, 4)), outcomes in OUTCOMES order. For the six INPUT_STATES the
+    projectors and their depolarized images are Hermitian to the bit with
+    no negative eigenvalue, so checking them on their own would change no
+    bit.
+    """
+    amps, probs = _bell_branches(targets)
+    rho = depolarize(amps[..., :, None] * amps.conj()[..., None, :], channel)
+    rho = density_matrices(np.stack([_correct(rho[:, k], o, channel.eom) for k, o in enumerate(OUTCOMES)], axis=1))
+    return rho, probs, clamp_unit(expectation(rho, targets[:, None]).real)
+
+
+def _shot_partition(probs: np.ndarray, shots: int, seed) -> np.ndarray:
+    """Seeded multinomial split of one input's shots over its Bell outcomes."""
+    return np.random.default_rng(seed).multinomial(shots, probs / probs.sum())
 
 
 @dataclass(frozen=True)
@@ -193,6 +236,14 @@ class TeleportationRecord:
         return self.outcome.port
 
 
+def _records(inputs, shots, states, fidelities, probabilities) -> list[TeleportationRecord]:
+    """Input-major records of (n, 4) branch arrays whose states are validated."""
+    branches = [(label, outcome) for label in inputs for outcome in OUTCOMES]
+    return [TeleportationRecord(label, outcome, n, state, f, p) for (label, outcome), n, state, f, p in zip(
+        branches, shots.ravel().tolist(), MixedState.from_validated(states.reshape(-1, 2, 2)),
+        fidelities.ravel().tolist(), probabilities.ravel().tolist())]
+
+
 def run_teleportation(input_label: str, channel: ChannelModel, shots: int,
                       seed: int) -> list[TeleportationRecord]:
     """Full pipeline: prepare, swap, Bell-measure, channel, feed-forward.
@@ -202,48 +253,86 @@ def run_teleportation(input_label: str, channel: ChannelModel, shots: int,
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    target = prepare_input(input_label)
-    branches = bell_decompose(target)
-    probs = np.array([branches[o][1] for o in OUTCOMES])
-    rng = np.random.default_rng(seed)
-    counts = rng.multinomial(shots, probs / probs.sum())
-    records = []
-    for outcome, n in zip(OUTCOMES, counts):
-        pre, prob = branches[outcome]
-        rho, _survival = apply_channel(pre.projector(), channel)
-        rho = apply_correction(rho, outcome, channel.eom)
-        records.append(
-            TeleportationRecord(
-                input=input_label,
-                outcome=outcome,
-                shots=int(n),
-                state=rho,
-                fidelity=fidelity_pure(rho, target),
-                probability=prob,
-            )
-        )
-    return records
+    states, probs, fids = _teleport(prepare_input(input_label).amplitudes[None], channel)
+    return _records((input_label,), _shot_partition(probs[0], shots, seed), states, fids, probs)
+
+
+class NoEstimateError(tomo.TomographyError):
+    """A QPT input has no branch with a state estimate."""
+
+
+class Campaign(NamedTuple):
+    """Every branch of a teleportation campaign, as arrays over (input,
+    outcome): inputs in the order run, outcomes in OUTCOMES order.
+
+    `states` are the exact teleported states and `estimates` their QST
+    reconstructions. A branch with fewer shots than tomography bases has no
+    estimate: NaN in `estimates`, False in `estimated`.
+    """
+
+    inputs: tuple
+    shots: np.ndarray  # (n, 4) sampled shot partition of each input
+    probabilities: np.ndarray  # (n, 4)
+    states: np.ndarray  # (n, 4, 2, 2)
+    fidelities: np.ndarray  # (n, 4) <phi|rho|phi>
+    estimates: np.ndarray  # (n, 4, 2, 2)
+
+    @property
+    def estimated(self) -> np.ndarray:
+        return self.shots // len(tomo.BASES) > 0
+
+    @classmethod
+    def run(cls, channel: ChannelModel, inputs, shots: int, seed: int,
+            max_likelihood: bool = False) -> "Campaign":
+        """Teleport each input and reconstruct every branch's output state by QST.
+
+        The root seed gives 5 sub-seeds per input: one for the shot
+        partition and one for the sampled tomography of each Bell outcome.
+        Each branch is measured with shots // 3 shots per basis, and all
+        branches with at least one are reconstructed as one batch.
+        """
+        if shots < 1:
+            raise ValueError("shots must be >= 1")
+        inputs = tuple(inputs)
+        seeds = np.random.SeedSequence(seed).generate_state(len(inputs) * 5).reshape(-1, 5)
+        states, probs, fids = _teleport(np.array([prepare_input(label).amplitudes for label in inputs]), channel)
+        partition = np.array([_shot_partition(p, shots, int(s)) for p, s in zip(probs, seeds[:, 0])])
+        per_basis = partition // len(tomo.BASES)
+        sampled = per_basis > 0
+        counts = tomo.sample_counts(states[sampled], per_basis[sampled], seeds[:, 1:][sampled])
+        estimates = np.full(states.shape, np.nan, dtype=complex)
+        estimates[sampled] = tomo.qst_reconstruct(counts, max_likelihood=max_likelihood)
+        return cls(inputs, partition, probs, states, fids, estimates)
+
+    def process_matrix(self, cp_projection: bool = False) -> tomo.ProcessMatrix:
+        """Process tomography over the QPT inputs (H, V, D, L).
+
+        Each input's output state is the mean of its estimated branches,
+        weighting the outcomes uniformly. Raises TomographyError if one of
+        those inputs was not run, NoEstimateError if one has no estimated
+        branch.
+        """
+        pairs = []
+        for label in tomo.QPT_INPUT_LABELS:
+            if label not in self.inputs:
+                raise tomo.TomographyError(f"process tomography needs input {label}")
+            i = self.inputs.index(label)
+            if not self.estimated[i].any():
+                raise NoEstimateError(f"input {label} has no Bell outcome with {len(tomo.BASES)} or more shots, "
+                                      f"so no state estimate")
+            avg = np.mean(self.estimates[i][self.estimated[i]], axis=0)
+            pairs.append((prepare_input(label).projector(), MixedState(avg)))
+        return tomo.qpt_reconstruct(pairs, cp_projection=cp_projection)
 
 
 def run_campaign(channel: ChannelModel, inputs, shots: int, seed: int,
-                 max_likelihood: bool = False) -> tuple[list[TeleportationRecord], list[MixedState]]:
-    """Teleport each input and reconstruct every branch's output state by QST.
-
-    The root seed gives 5 sub-seeds per input: one for the teleportation run
-    and one for the sampled tomography of each Bell outcome. Each branch is
-    measured with shots // 3 shots per basis (at least 1), and all branches
-    are reconstructed as one batch. Returns the records, input-major in
-    OUTCOMES order, and the reconstructed state of each.
-    """
-    seeds = np.random.SeedSequence(seed).generate_state(len(inputs) * 5)
-    records, measured = [], []
-    for i, label in enumerate(inputs):
-        recs = run_teleportation(label, channel, shots, seed=int(seeds[5 * i]))
-        for rec, sub in zip(recs, seeds[5 * i + 1:5 * i + 5]):
-            per_basis = max(1, rec.shots // len(tomo.BASES))
-            measured.append(tomo.sample_measurements(rec.state, per_basis, seed=int(sub)))
-        records += recs
-    return records, tomo.qst_reconstruct(measured, max_likelihood=max_likelihood)
+                 max_likelihood: bool = False) -> tuple[list[TeleportationRecord], list[MixedState | None]]:
+    """Campaign.run as objects: the records, input-major in OUTCOMES order,
+    and the reconstructed state of each (None for a branch without one)."""
+    c = Campaign.run(channel, inputs, shots, seed, max_likelihood)
+    estimates = MixedState.from_validated(c.estimates.reshape(-1, 2, 2))
+    return (_records(c.inputs, c.shots, c.states, c.fidelities, c.probabilities),
+            [e if ok else None for e, ok in zip(estimates, c.estimated.ravel())])
 
 
 def average_fidelity(records, weighting: str = "uniform") -> float:

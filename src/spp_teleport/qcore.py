@@ -53,41 +53,75 @@ class PureState:
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 
     def phase_fixed(self) -> "PureState":
-        """Strip the global phase: largest-magnitude amplitude made real positive."""
-        amps = self.amplitudes
-        k = int(np.argmax(np.abs(amps)))
-        phase = amps[k] / abs(amps[k])
-        return PureState(amps / phase)
+        return PureState(strip_global_phase(self.amplitudes))
+
+
+def strip_global_phase(amps: np.ndarray) -> np.ndarray:
+    """Amplitude vectors (..., d) with the largest-magnitude amplitude of
+    each made real positive."""
+    peak = np.take_along_axis(amps, np.abs(amps).argmax(axis=-1)[..., None], axis=-1)
+    return amps / (peak / np.abs(peak))
+
+
+def density_matrices(mat) -> np.ndarray:
+    """Check a density matrix, or a stack of them of shape (..., d, d), in one pass.
+
+    Every matrix must be square, Hermitian to 1e-9 and of unit trace to
+    1e-9, with no eigenvalue below -EIG_ATOL; otherwise InvalidStateError.
+    Returns the Hermitized stack; a matrix with eigenvalues in (-EIG_ATOL, 0)
+    has them clipped to zero and is renormalized. Each matrix comes out with
+    the bits it would get on its own.
+    """
+    mat = np.asarray(mat, dtype=complex)
+    if mat.ndim < 2 or mat.shape[-1] != mat.shape[-2]:
+        raise InvalidStateError(f"not square: {mat.shape}")
+    adjoint = mat.conj().swapaxes(-1, -2)
+    if not np.allclose(mat, adjoint, atol=1e-9):
+        raise InvalidStateError("matrix is not Hermitian")
+    mat = 0.5 * (mat + adjoint)
+    tr = np.trace(mat, axis1=-2, axis2=-1).real
+    off = np.abs(tr - 1.0) > 1e-9
+    if off.any():
+        raise InvalidStateError(f"trace {tr[off][0]} != 1")
+    evals, evecs = np.linalg.eigh(mat)
+    lowest = evals[..., 0]  # eigh sorts ascending
+    if (lowest < -EIG_ATOL).any():
+        raise InvalidStateError(f"negative eigenvalue {lowest.min()}")
+    clip = lowest < 0
+    if clip.any():
+        evals, evecs = np.clip(evals[clip], 0.0, None), evecs[clip]
+        fixed = (evecs * evals[:, None, :]) @ evecs.conj().swapaxes(-1, -2)
+        mat[clip] = fixed / np.trace(fixed, axis1=-2, axis2=-1).real[:, None, None]
+    return mat
 
 
 @dataclass(frozen=True)
 class MixedState:
     """Density matrix: Hermitian, unit trace, positive semidefinite.
 
-    Eigenvalues in (-EIG_ATOL, 0) are clipped to zero and the matrix
-    renormalized; anything more negative raises InvalidStateError.
+    Checked by density_matrices: eigenvalues in (-EIG_ATOL, 0) are clipped
+    to zero and the matrix renormalized; anything more negative raises
+    InvalidStateError.
     """
 
     matrix: np.ndarray
 
     def __post_init__(self):
         mat = np.asarray(self.matrix, dtype=complex)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        if mat.ndim != 2:
             raise InvalidStateError(f"not square: {mat.shape}")
-        if not np.allclose(mat, mat.conj().T, atol=1e-9):
-            raise InvalidStateError("matrix is not Hermitian")
-        mat = 0.5 * (mat + mat.conj().T)
-        tr = np.trace(mat).real
-        if abs(tr - 1.0) > 1e-9:
-            raise InvalidStateError(f"trace {tr} != 1")
-        evals, evecs = np.linalg.eigh(mat)
-        if evals.min() < -EIG_ATOL:
-            raise InvalidStateError(f"negative eigenvalue {evals.min()}")
-        if evals.min() < 0:
-            evals = np.clip(evals, 0.0, None)
-            mat = (evecs * evals) @ evecs.conj().T
-            mat = mat / np.trace(mat).real
-        object.__setattr__(self, "matrix", mat)
+        object.__setattr__(self, "matrix", density_matrices(mat))
+
+    @classmethod
+    def from_validated(cls, mats) -> list["MixedState"]:
+        """One state per matrix of a stack that density_matrices returned,
+        without checking each matrix again."""
+        states = []
+        for mat in mats:
+            state = object.__new__(cls)
+            object.__setattr__(state, "matrix", mat)
+            states.append(state)
+        return states
 
     @property
     def dim(self) -> int:
@@ -121,9 +155,7 @@ class BlochVector:
     z: float
 
     def __post_init__(self):
-        r2 = self.x**2 + self.y**2 + self.z**2
-        if r2 > 1 + 1e-10:
-            raise InvalidStateError(f"Bloch vector length {np.sqrt(r2)} > 1")
+        check_bloch_ball(self.as_array())
 
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y, self.z])
@@ -159,29 +191,64 @@ def partial_trace(rho: MixedState, keep, dims) -> MixedState:
     return MixedState(t.reshape(d_keep, d_keep))
 
 
+def check_bloch_ball(r) -> None:
+    """Raise InvalidStateError if a Bloch vector of shape (..., 3) is longer than 1."""
+    r2 = (np.asarray(r) ** 2).sum(axis=-1)
+    if (r2 > 1 + 1e-10).any():
+        raise InvalidStateError(f"Bloch vector length {np.sqrt(r2.max())} > 1")
+
+
+def vector_norms(x) -> np.ndarray:
+    """Euclidean norm along the last axis, each the bits np.linalg.norm gives
+    for that vector alone (the same BLAS dot products)."""
+    x = np.asarray(x)
+    parts = (x.real, x.imag) if np.iscomplexobj(x) else (x,)
+    return np.sqrt(sum(p[..., None, :] @ p[..., :, None] for p in parts)[..., 0, 0])
+
+
+def expectation(mats, vecs) -> np.ndarray:
+    """<v|M|v> over broadcast stacks of matrices (..., d, d) and vectors (..., d)."""
+    vecs = np.asarray(vecs)[..., :, None]
+    return (vecs.conj().swapaxes(-1, -2) @ (mats @ vecs))[..., 0, 0]
+
+
+def clamp_unit(x):
+    """min(1, max(0, x)) elementwise."""
+    return np.minimum(1.0, np.maximum(0.0, x))
+
+
 def fidelity_pure(rho: MixedState, phi: PureState) -> float:
     """State fidelity <phi|rho|phi>, clamped to [0, 1]."""
     if rho.dim != phi.dim:
         raise DimensionMismatchError(f"{rho.dim} != {phi.dim}")
-    val = np.vdot(phi.amplitudes, rho.matrix @ phi.amplitudes)
-    return float(min(1.0, max(0.0, val.real)))
+    return float(clamp_unit(expectation(rho.matrix, phi.amplitudes).real))
+
+
+def bloch_vectors(mats) -> np.ndarray:
+    """Bloch vectors (Tr rho sx, Tr rho sy, Tr rho sz) of single-qubit
+    matrices (..., 2, 2), as (..., 3); checked to lie in the ball."""
+    r = np.stack([np.trace(mats @ s.matrix, axis1=-2, axis2=-1).real for s in (SIGMA_X, SIGMA_Y, SIGMA_Z)],
+                 axis=-1)
+    check_bloch_ball(r)
+    return r
 
 
 def bloch_of(rho: MixedState) -> BlochVector:
-    """Bloch vector (Tr rho sx, Tr rho sy, Tr rho sz) of a single-qubit state."""
+    """Bloch vector of a single-qubit state."""
     if rho.dim != 2:
         raise DimensionMismatchError(f"need a single qubit, got dim {rho.dim}")
-    return BlochVector(
-        float(np.trace(rho.matrix @ SIGMA_X.matrix).real),
-        float(np.trace(rho.matrix @ SIGMA_Y.matrix).real),
-        float(np.trace(rho.matrix @ SIGMA_Z.matrix).real),
-    )
+    return BlochVector(*bloch_vectors(rho.matrix).tolist())
+
+
+def bloch_matrices(r) -> np.ndarray:
+    """(I + r.sigma)/2 for Bloch vectors of shape (..., 3), not validated."""
+    r = np.asarray(r, dtype=float)[..., None, None]
+    return 0.5 * (np.eye(2, dtype=complex) + r[..., 0, :, :] * SIGMA_X.matrix + r[..., 1, :, :] * SIGMA_Y.matrix
+                  + r[..., 2, :, :] * SIGMA_Z.matrix)
 
 
 def state_from_bloch(r: np.ndarray) -> MixedState:
-    r = np.asarray(r, dtype=float)
-    mat = 0.5 * (np.eye(2, dtype=complex) + r[0] * SIGMA_X.matrix + r[1] * SIGMA_Y.matrix + r[2] * SIGMA_Z.matrix)
-    return MixedState(mat)
+    return MixedState(bloch_matrices(r))
 
 
 def trace_distance(a: MixedState, b: MixedState) -> float:
@@ -192,9 +259,9 @@ def trace_distance(a: MixedState, b: MixedState) -> float:
 
 
 def complex_matrix_to_json(mat: np.ndarray):
-    """Nested lists of [re, im] pairs, row-major."""
+    """Nested lists of [re, im] pairs, row-major; a stack gives one list per matrix."""
     mat = np.asarray(mat, dtype=complex)
-    return [[[float(v.real), float(v.imag)] for v in row] for row in mat]
+    return np.stack([mat.real, mat.imag], axis=-1).tolist()
 
 
 def complex_matrix_from_json(data) -> np.ndarray:

@@ -7,11 +7,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qcore import (
-    BlochVector,
     MixedState,
     PAULI_MATRICES,
-    bloch_of,
-    state_from_bloch,
+    bloch_matrices,
+    bloch_vectors,
+    check_bloch_ball,
+    clamp_unit,
+    density_matrices,
+    expectation,
+    vector_norms,
 )
 
 BASES = ("Z", "X", "Y")
@@ -41,43 +45,48 @@ class MeasurementRecord:
             raise TomographyError("counts must be non-negative")
 
 
+_PLUS_STATES = np.array([_BASIS_STATES[basis][0] for basis in BASES])
+
+
+def sample_counts(states: np.ndarray, shots_per_basis, seeds) -> np.ndarray:
+    """Forward-sample per-basis outcome counts of single-qubit states.
+
+    `states` is an (n, 2, 2) stack; state i is measured with
+    shots_per_basis[i] shots per basis by a generator of its own, seeded by
+    seeds[i], which draws the plus counts of the bases in BASES order.
+    Returns (n, 6) counts, (plus, minus) per basis in BASES order.
+    """
+    probs = clamp_unit(expectation(states[:, None], _PLUS_STATES).real)
+    shots = np.asarray(shots_per_basis, dtype=np.int64).reshape(-1, 1)
+    plus = np.array([np.random.default_rng(int(seed)).binomial(int(n), p)
+                     for seed, n, p in zip(seeds, shots[:, 0], probs)], dtype=np.int64).reshape(-1, len(BASES))
+    return np.stack([plus, shots - plus], axis=-1).reshape(-1, 2 * len(BASES))
+
+
 def sample_measurements(rho: MixedState, shots_per_basis: int, seed: int) -> list[MeasurementRecord]:
     """Forward-sample per-basis outcome counts from a single-qubit state."""
-    rng = np.random.default_rng(seed)
-    records = []
-    for basis in BASES:
-        plus, _ = _BASIS_STATES[basis]
-        p = float(np.vdot(plus, rho.matrix @ plus).real)
-        p = min(1.0, max(0.0, p))
-        n_plus = int(rng.binomial(shots_per_basis, p))
-        records.append(MeasurementRecord(basis, n_plus, shots_per_basis - n_plus))
-    return records
+    counts = sample_counts(rho.matrix[None], [shots_per_basis], [seed])[0].tolist()
+    return [MeasurementRecord(basis, *counts[2 * k:2 * k + 2]) for k, basis in enumerate(BASES)]
 
 
 def qst_reconstruct(records, max_likelihood: bool = False,
-                    ml_tol: float = 1e-10, ml_max_iter: int = 10_000) -> MixedState | list[MixedState]:
+                    ml_tol: float = 1e-10, ml_max_iter: int = 10_000) -> np.ndarray | MixedState | list[MixedState]:
     """Single-qubit state reconstruction from per-basis counts.
 
     Default is linear inversion of the three basis expectation values with
     radial projection back onto the Bloch ball; max_likelihood enables a
-    diluted RrhoR fixed-point refinement. Given one list of records, returns
-    a MixedState; given a sequence of record lists, returns a list of them,
-    reconstructed as one batch.
+    diluted RrhoR fixed-point refinement. Given an (n, 6) array of counts,
+    (plus, minus) per basis in BASES order, returns the (n, 2, 2) stack of
+    estimates; given one list of records, a MixedState; given a sequence of
+    record lists, a list of them. Every estimate of a call is reconstructed
+    and validated as one batch.
     """
+    if isinstance(records, np.ndarray):
+        return density_matrices(_reconstruct(records.astype(float), max_likelihood, ml_tol, ml_max_iter))
     records = list(records)
     single = not records or isinstance(records[0], MeasurementRecord)
     counts = np.array([_basis_counts(recs) for recs in ([records] if single else records)], dtype=float)
-    plus, minus = counts[:, 0::2], counts[:, 1::2]
-    bloch = ((plus - minus) / (plus + minus))[:, [1, 2, 0]]  # BASES order -> (X, Y, Z)
-    states = []
-    for r in bloch:
-        norm = np.linalg.norm(r)
-        if norm > 1.0:
-            r = r / norm  # radial projection, direction preserved
-        states.append(state_from_bloch(r))
-    if max_likelihood:
-        mats = _ml_refine(np.array([rho.matrix for rho in states]), counts, tol=ml_tol, max_iter=ml_max_iter)
-        states = [MixedState(mat) for mat in mats]
+    states = MixedState.from_validated(density_matrices(_reconstruct(counts, max_likelihood, ml_tol, ml_max_iter)))
     return states[0] if single else states
 
 
@@ -87,10 +96,23 @@ def _basis_counts(records) -> list:
     for rec in records:
         totals[rec.basis][0] += rec.plus_counts
         totals[rec.basis][1] += rec.minus_counts
-    for basis in BASES:
-        if sum(totals[basis]) == 0:
-            raise TomographyError(f"no counts for basis {basis}")
     return [n for basis in BASES for n in totals[basis]]
+
+
+def _reconstruct(counts: np.ndarray, max_likelihood: bool, tol: float, max_iter: int) -> np.ndarray:
+    """The (n, 2, 2) estimates of (n, 6) counts, before their final validation."""
+    plus, minus = counts[:, 0::2], counts[:, 1::2]
+    empty = np.argwhere(plus + minus == 0)
+    if empty.size:
+        raise TomographyError(f"no counts for basis {BASES[empty[0, 1]]}")
+    bloch = ((plus - minus) / (plus + minus))[:, [1, 2, 0]]  # BASES order -> (X, Y, Z)
+    norm = vector_norms(bloch)
+    outside = norm > 1.0
+    bloch[outside] = bloch[outside] / norm[outside, None]  # radial projection, direction preserved
+    mats = bloch_matrices(bloch)
+    if max_likelihood:
+        mats = _ml_refine(density_matrices(mats), counts, tol=tol, max_iter=max_iter)
+    return mats
 
 
 # projectors onto the outcomes of _basis_counts, in the same order
@@ -148,11 +170,15 @@ class ProcessMatrix:
         object.__setattr__(self, "chi", 0.5 * (chi + chi.conj().T))
 
     def apply(self, rho: MixedState) -> MixedState:
-        out = np.zeros((2, 2), dtype=complex)
+        return MixedState(self.act(rho.matrix))
+
+    def act(self, mats: np.ndarray) -> np.ndarray:
+        """sum_lk chi_lk s_l rho s_k over a stack (..., 2, 2), not validated."""
+        out = np.zeros(mats.shape, dtype=complex)
         for l in range(4):
             for k in range(4):
-                out += self.chi[l, k] * PAULI_MATRICES[l] @ rho.matrix @ PAULI_MATRICES[k]
-        return MixedState(out)
+                out += self.chi[l, k] * PAULI_MATRICES[l] @ mats @ PAULI_MATRICES[k]
+        return out
 
 
 def chi_identity() -> ProcessMatrix:
@@ -213,33 +239,31 @@ class AffineBlochMap:
     offset: np.ndarray
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
-        return self.linear @ np.asarray(r, dtype=float) + self.offset
+        """Image of a Bloch vector, or of a stack of them (..., 3)."""
+        return (self.linear @ np.asarray(r, dtype=float)[..., None])[..., 0] + self.offset
 
     def compose(self, other: "AffineBlochMap") -> "AffineBlochMap":
         return AffineBlochMap(self.linear @ other.linear, self.linear @ other.offset + self.offset)
 
 
 def bloch_map_of(chi: ProcessMatrix) -> AffineBlochMap:
-    """Affine action of the process on Bloch vectors."""
-    offset_state = chi.apply(MixedState.maximally_mixed(2))
-    offset = bloch_of(offset_state).as_array()
-    cols = []
-    for axis in range(3):
-        e = np.zeros(3)
-        e[axis] = 1.0
-        out = chi.apply(state_from_bloch(e))
-        cols.append(bloch_of(out).as_array() - offset)
-    return AffineBlochMap(np.array(cols).T, offset)
+    """Affine action of the process on Bloch vectors, read off the images of
+    the maximally mixed state and the three Bloch axis states."""
+    inputs = density_matrices(np.concatenate([np.eye(2)[None] / 2, bloch_matrices(np.eye(3))]))
+    images = bloch_vectors(density_matrices(chi.act(inputs)))
+    return AffineBlochMap((images[1:] - images[0]).T, images[0])
 
 
-def bloch_sphere_samples(bmap: AffineBlochMap, n_theta: int = 12, n_phi: int = 24) -> list[tuple[BlochVector, np.ndarray]]:
-    """Images of a Bloch-sphere mesh under the map, for plotting."""
-    out = []
-    for theta in np.linspace(0, np.pi, n_theta):
-        for phi in np.linspace(0, 2 * np.pi, n_phi, endpoint=False):
-            r = np.array([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)])
-            out.append((BlochVector(*r), bmap(r)))
-    return out
+def bloch_sphere_samples(bmap: AffineBlochMap, n_theta: int = 12,
+                         n_phi: int = 24) -> tuple[np.ndarray, np.ndarray]:
+    """A Bloch-sphere mesh and its image under the map, for plotting: two
+    (n_theta * n_phi, 3) arrays, theta-major."""
+    theta = np.linspace(0, np.pi, n_theta)[:, None]
+    phi = np.linspace(0, 2 * np.pi, n_phi, endpoint=False)
+    mesh = np.stack(np.broadcast_arrays(np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)),
+                    axis=-1).reshape(-1, 3)
+    check_bloch_ball(mesh)
+    return mesh, bmap(mesh)
 
 
 def monte_carlo_errors(counts, statistic, trials: int = 1000, seed: int = 0) -> tuple[float, float]:

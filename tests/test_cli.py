@@ -198,6 +198,22 @@ period_sweep = 600:700:50
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("text, message", [
+        ("[channel]\ncontrast_x = nan\n", "bad value for [channel] contrast_x: 'nan' is not a finite number"),
+        ("[simulate]\nshots = many\n",
+         "bad value for [simulate] shots: invalid literal for int() with base 10: 'many'"),
+        ("[tomography]\nmax_likelihood = maybe\n", "bad value for [tomography] max_likelihood: Not a boolean: maybe"),
+        ("[design]\nperiod_sweep = 600:700\n", "bad value for [design] period_sweep: expected 'start:stop:step'"),
+    ])
+    def test_bad_value_names_its_key(self, tmp_path, capsys, text, message):
+        path = write_config(tmp_path, text)
+        with pytest.raises(ConfigError) as info:
+            load_config(path)
+        assert str(info.value) == message
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
+
 class TestSimulateCommand:
     def test_ideal_run_outputs(self, tmp_path):
         out = tmp_path / "res"
@@ -269,6 +285,36 @@ class TestSimulateCommand:
         assert summary["process_fidelity"] is None
         jsonschema.validate(summary, _schema("simulate_summary.json"))
 
+    def test_branches_without_a_shot_per_basis_get_no_estimate(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "[channel]\ncalibration = without_spp\n\n[simulate]\nshots = 3\ninputs = H, D\n")
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(cfg), "--seed", "0", "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        records = json.loads((out / "records.json").read_text())
+        estimates = json.loads((out / "tomography.json").read_text())
+        jsonschema.validate(estimates, _schema("simulate_tomography.json"))
+        assert [r["shots"] for r in records] == [0, 3, 0, 0, 1, 0, 2, 0]
+        assert [e["density_matrix"] is None for e in estimates] == [True, False] + [True] * 6
+        assert [e["fidelity"] is None for e in estimates] == [True, False] + [True] * 6
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["mean_fidelity_qst"] == estimates[1]["fidelity"]
+
+    @pytest.mark.parametrize("shots, seed, bare", [(2, 0, "H"), (5, 0, "D")])
+    def test_qpt_input_without_estimate_skips_chi(self, tmp_path, capsys, shots, seed, bare):
+        cfg = write_config(tmp_path, f"[simulate]\nshots = {shots}\n")
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(cfg), "--seed", str(seed), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == (f"warning: no process tomography: input {bare} has no Bell outcome "
+                                           "with 3 or more shots, so no state estimate\n")
+        assert sorted(p.name for p in out.iterdir()) == ["fidelity_table.csv", "records.json", "summary.json",
+                                                        "tomography.json"]
+        summary = json.loads((out / "summary.json").read_text())
+        jsonschema.validate(summary, _schema("simulate_summary.json"))
+        assert summary["process_fidelity"] is None
+        estimates = json.loads((out / "tomography.json").read_text())
+        fids = [e["fidelity"] for e in estimates if e["fidelity"] is not None]
+        assert summary["mean_fidelity_qst"] == (float(np.mean(fids)) if fids else None)
+
     def test_ml_not_converged_exits_3(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(tomo, "qst_reconstruct", functools.partial(tomo.qst_reconstruct, ml_max_iter=1))
         cfg = write_config(tmp_path, "[tomography]\nmax_likelihood = true\n")
@@ -316,7 +362,16 @@ def test_simulate_configs_exit_0_with_valid_outputs(tmp_path_factory, shots, inp
         assert main(["simulate", "--config", str(cfg), "--seed", str(seed), "--out", str(out)]) == 0
         for path in out.glob("*.json"):
             jsonschema.validate(_strict_json(path), _schema(_SIMULATE_SCHEMAS[path.name]))
-        assert (out / "chi.json").exists() == (set(tomo.QPT_INPUT_LABELS) <= set(inputs))
+        # a branch gets a state estimate iff it has a shot for every basis, and
+        # process tomography needs one for each of its inputs
+        branches = json.loads((out / "records.json").read_text())
+        estimates = json.loads((out / "tomography.json").read_text())
+        has_estimate = [rec["shots"] >= len(tomo.BASES) for rec in branches]
+        assert [est["fidelity"] is not None for est in estimates] == has_estimate
+        estimated = {rec["input"] for rec, ok in zip(branches, has_estimate) if ok}
+        summary = json.loads((out / "summary.json").read_text())
+        assert (summary["mean_fidelity_qst"] is None) == (not estimated)
+        assert (out / "chi.json").exists() == (set(tomo.QPT_INPUT_LABELS) <= estimated)
         records.append((out / "records.json").read_bytes())
     assert records[0] == records[1]
 

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from spp_teleport.channel import ChannelModel, EomModel, werner
+from spp_teleport.channel import ChannelModel, EomModel, calibrated_channel, werner
 from spp_teleport.protocol import (
     BELL_MODE_VECTORS,
     BELL_VECTORS,
     BellOutcome,
+    Campaign,
+    NoEstimateError,
     INPUT_LABELS,
     INPUT_STATES,
     ModeVector,
@@ -32,7 +35,14 @@ from spp_teleport.qcore import (
     trace_distance,
 )
 
-from spp_teleport.tomo import BASES, qst_reconstruct, sample_measurements
+from spp_teleport.tomo import (
+    BASES,
+    QPT_INPUT_LABELS,
+    TomographyError,
+    qpt_reconstruct,
+    qst_reconstruct,
+    sample_measurements,
+)
 
 from conftest import pure_states
 
@@ -292,6 +302,118 @@ class TestRunCampaign:
             assert (rec.input, rec.outcome, rec.shots) == (ref_rec.input, ref_rec.outcome, ref_rec.shots)
             assert np.array_equal(rec.state.matrix, ref_rec.state.matrix)
             assert np.array_equal(est.matrix, ref_est.matrix)
+
+
+def reference_teleport(label, channel):
+    """The per-branch pipeline with one validated state per stage and
+    scalar arithmetic, outcomes in OUTCOMES order: the reference the
+    stacked campaign must match bit for bit. Returns (state, probability,
+    fidelity) per outcome."""
+    target = INPUT_STATES[label].amplitudes
+    full = np.kron(target, swapped_resource().amplitudes)
+    full = (full / np.linalg.norm(full)).reshape(2, 2, 2)
+    branches = []
+    for outcome in OUTCOMES:
+        cond = np.einsum("ij,ijk->k", BELL_VECTORS[outcome].amplitudes.reshape(2, 2).conj(), full)
+        prob = float(np.linalg.norm(cond) ** 2)
+        amps = cond / np.linalg.norm(cond)
+        k = int(np.argmax(np.abs(amps)))
+        amps = amps / (amps[k] / abs(amps[k]))
+        amps = amps / np.linalg.norm(amps)
+        rho = MixedState(np.outer(amps, amps.conj())).matrix
+        w = channel.bloch_shrink
+        rho = MixedState(w * rho + (1.0 - w) * np.eye(2) / 2.0).matrix
+        for label_p in outcome.corrections:
+            sigma = PAULIS[label_p].matrix
+            flipped = sigma @ rho @ sigma.conj().T
+            if channel.eom is None:
+                rho = flipped
+            else:
+                eps = channel.eom.epsilon_x if label_p == "X" else channel.eom.epsilon_z
+                rho = (1.0 - eps) * flipped + eps * rho
+        rho = MixedState(rho).matrix
+        branches.append((rho, prob, float(min(1.0, max(0.0, np.vdot(target, rho @ target).real)))))
+    return branches
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestCampaign:
+    CHANNEL = ChannelModel(werner_visibility=0.9, eom=EomModel(40.0, 20.0))
+
+    @pytest.mark.parametrize("channel", [
+        ChannelModel.ideal(), ChannelModel(werner_visibility=0.83), CHANNEL, ChannelModel(depolarizing_extra=1.0),
+        ChannelModel(werner_visibility=1 - 2**-53), calibrated_channel(with_spp=True),
+        calibrated_channel(with_spp=False),
+    ])
+    def test_stack_equals_per_branch_reference(self, channel):
+        campaign = Campaign.run(channel, INPUT_LABELS, shots=10, seed=0)
+        for i, label in enumerate(INPUT_LABELS):
+            for k, (rho, prob, fid) in enumerate(reference_teleport(label, channel)):
+                assert _same_bits(campaign.states[i, k], rho)
+                assert (campaign.probabilities[i, k], campaign.fidelities[i, k]) == (prob, fid)
+
+    @settings(max_examples=60, deadline=None)
+    @given(visibility=st.floats(0.0, 1.0), extra=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+           contrasts=st.one_of(st.none(), st.tuples(st.floats(1.001, 1e4), st.floats(1.001, 1e4))))
+    def test_stack_equals_per_branch_reference_for_any_channel(self, visibility, extra, contrasts):
+        # the stack checks only its final states; every stage the reference
+        # checks on its own must then be a no-op to the bit
+        channel = ChannelModel(werner_visibility=visibility, depolarizing_extra=extra,
+                               eom=EomModel(*contrasts) if contrasts else None)
+        campaign = Campaign.run(channel, INPUT_LABELS, shots=10, seed=0)
+        for i, label in enumerate(INPUT_LABELS):
+            for k, (rho, _, fid) in enumerate(reference_teleport(label, channel)):
+                assert _same_bits(campaign.states[i, k], rho) and campaign.fidelities[i, k] == fid
+
+    def test_one_input_runs_equal_the_stack(self):
+        # run_teleportation is the one-input call of the stack code
+        campaign = Campaign.run(self.CHANNEL, INPUT_LABELS, shots=100, seed=3)
+        for i, label in enumerate(INPUT_LABELS):
+            for k, rec in enumerate(run_teleportation(label, self.CHANNEL, 100, seed=0)):
+                assert _same_bits(rec.state.matrix, campaign.states[i, k])
+                assert rec.fidelity == campaign.fidelities[i, k]
+                assert rec.probability == campaign.probabilities[i, k]
+
+    def test_objects_view_the_arrays(self):
+        campaign = Campaign.run(self.CHANNEL, ("L", "A"), shots=500, seed=9, max_likelihood=True)
+        records, estimates = run_campaign(self.CHANNEL, ("L", "A"), shots=500, seed=9, max_likelihood=True)
+        assert [(r.input, r.outcome, r.shots) for r in records] == [
+            (label, o, int(n)) for label, row in zip(("L", "A"), campaign.shots) for o, n in zip(OUTCOMES, row)]
+        for rec, est, state, rho_hat in zip(records, estimates, campaign.states.reshape(-1, 2, 2),
+                                            campaign.estimates.reshape(-1, 2, 2)):
+            assert _same_bits(rec.state.matrix, state) and _same_bits(est.matrix, rho_hat)
+
+    def test_branches_without_a_shot_per_basis_get_no_estimate(self):
+        # shots 3 over 4 outcomes: most branches get 0-2 shots
+        ch = ChannelModel(werner_visibility=0.9)
+        campaign = Campaign.run(ch, ("H", "D"), shots=3, seed=0)
+        assert np.array_equal(campaign.estimated, campaign.shots >= len(BASES))
+        assert 0 < campaign.estimated.sum() < campaign.estimated.size
+        assert np.isnan(campaign.estimates[~campaign.estimated]).all()
+        assert not np.isnan(campaign.estimates[campaign.estimated]).any()
+        _, estimates = run_campaign(ch, ("H", "D"), shots=3, seed=0)
+        assert [e is not None for e in estimates] == campaign.estimated.ravel().tolist()
+
+    def test_process_matrix_averages_the_estimated_branches(self):
+        campaign = Campaign.run(self.CHANNEL, INPUT_LABELS, shots=9, seed=0)
+        rows = [INPUT_LABELS.index(label) for label in QPT_INPUT_LABELS]
+        assert campaign.estimated[rows].any(axis=1).all() and not campaign.estimated[rows].all()
+        pairs = [(INPUT_STATES[label].projector(),
+                  MixedState(np.mean([m for m, ok in zip(campaign.estimates[i], campaign.estimated[i]) if ok],
+                                     axis=0)))
+                 for label, i in zip(QPT_INPUT_LABELS, rows)]
+        assert _same_bits(campaign.process_matrix().chi, qpt_reconstruct(pairs).chi)
+
+    def test_process_matrix_needs_an_estimate_per_input(self):
+        campaign = Campaign.run(ChannelModel.ideal(), INPUT_LABELS, shots=2, seed=0)
+        with pytest.raises(NoEstimateError, match="input H has no Bell outcome with 3 or more shots"):
+            campaign.process_matrix()
+        with pytest.raises(TomographyError, match="needs input V"):
+            Campaign.run(ChannelModel.ideal(), ("H", "D", "L"), shots=100, seed=0).process_matrix()
 
 
 class TestAverageFidelity:

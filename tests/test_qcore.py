@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spp_teleport.qcore import (
+    EIG_ATOL,
     DimensionMismatchError,
     InvalidStateError,
     MixedState,
@@ -15,11 +16,14 @@ from spp_teleport.qcore import (
     bloch_of,
     complex_matrix_from_json,
     complex_matrix_to_json,
+    density_matrices,
+    expectation,
     fidelity_pure,
     partial_trace,
     state_from_bloch,
     tensor,
     trace_distance,
+    vector_norms,
 )
 
 from conftest import mixed_states, pure_states, random_mixed, random_pure
@@ -74,6 +78,148 @@ class TestMixedState:
 
     def test_maximally_mixed(self):
         assert np.allclose(MixedState.maximally_mixed(4).matrix, np.eye(4) / 4)
+
+
+def raw_density_matrices(rng, n, dim=2):
+    """Unvalidated density matrices: full-rank, rank-one (whose computed
+    eigenvalues are often slightly negative) and one with an eigenvalue of
+    -1e-11, so the stack takes the clipping path."""
+    mats = []
+    for k in range(n):
+        a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        if k % 2:
+            a[:, 1:] = 0
+        m = a @ a.conj().T
+        mats.append(m / np.trace(m).real)
+    mats.append(np.diag([1.0 + 1e-11, -1e-11] + [0.0] * (dim - 2)))
+    return np.array(mats)
+
+
+def reference_validate(mat):
+    """The per-matrix density-matrix check, written for one matrix: the
+    reference the batched check must match bit for bit."""
+    mat = np.asarray(mat, dtype=complex)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise InvalidStateError(f"not square: {mat.shape}")
+    if not np.allclose(mat, mat.conj().T, atol=1e-9):
+        raise InvalidStateError("matrix is not Hermitian")
+    mat = 0.5 * (mat + mat.conj().T)
+    tr = np.trace(mat).real
+    if abs(tr - 1.0) > 1e-9:
+        raise InvalidStateError(f"trace {tr} != 1")
+    evals, evecs = np.linalg.eigh(mat)
+    if evals.min() < -EIG_ATOL:
+        raise InvalidStateError(f"negative eigenvalue {evals.min()}")
+    if evals.min() < 0:
+        evals = np.clip(evals, 0.0, None)
+        mat = (evecs * evals) @ evecs.conj().T
+        mat = mat / np.trace(mat).real
+    return mat
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@st.composite
+def psd_stacks(draw):
+    """Stacks of raw positive semidefinite unit-trace 2x2 matrices, mixtures
+    of one to three pure states."""
+    mats = []
+    for _ in range(draw(st.integers(1, 8))):
+        n_terms = draw(st.integers(1, 3))
+        weights = draw(st.lists(st.floats(0.05, 1.0), min_size=n_terms, max_size=n_terms))
+        vecs = [draw(pure_states()).amplitudes for _ in range(n_terms)]
+        m = sum(w * np.outer(v, v.conj()) for w, v in zip(weights, vecs))
+        mats.append(m / np.trace(m).real)
+    return np.array(mats)
+
+
+class TestDensityMatrices:
+    def test_stack_equals_single_states_bit_for_bit(self, rng):
+        mats = raw_density_matrices(rng, 40)
+        assert (np.linalg.eigvalsh(mats)[:, 0] < 0).sum() >= 2  # the clipping path is taken
+        out = density_matrices(mats)
+        for raw, got in zip(mats, out):
+            assert same_bits(got, reference_validate(raw))
+            assert same_bits(got, MixedState(raw).matrix)
+        # extra batch axes change nothing
+        assert same_bits(density_matrices(mats[:40].reshape(5, 8, 2, 2)), out[:40].reshape(5, 8, 2, 2))
+
+    def test_clipped_matrix_is_renormalized(self):
+        out = density_matrices(np.array([np.diag([1.0 + 1e-11, -1e-11]), np.eye(2) / 2]))
+        assert np.linalg.eigvalsh(out[0]).min() >= 0
+        assert abs(np.trace(out[0]).real - 1.0) < 1e-12
+        assert same_bits(out[1], np.eye(2, dtype=complex) / 2)
+
+    def test_larger_dimension(self, rng):
+        mats = raw_density_matrices(rng, 6, dim=4)
+        for raw, got in zip(mats, density_matrices(mats)):
+            assert same_bits(got, reference_validate(raw))
+
+    @pytest.mark.parametrize("bad, match", [
+        (np.array([[0.5, 1.0], [0.0, 0.5]]), "not Hermitian"),
+        (np.eye(2), "trace 2.0 != 1"),
+        (np.diag([1.01, -0.01]), "negative eigenvalue"),
+    ])
+    def test_one_bad_matrix_fails_the_stack(self, rng, bad, match):
+        for check in (reference_validate, MixedState):
+            with pytest.raises(InvalidStateError, match=match):
+                check(bad)
+        mats = raw_density_matrices(rng, 6)
+        density_matrices(mats)
+        for k in (0, 3, len(mats) - 1):
+            stack = mats.copy()
+            stack[k] = bad
+            with pytest.raises(InvalidStateError, match=match):
+                density_matrices(stack)
+
+    @pytest.mark.parametrize("shape", [(2,), (2, 3), (4, 2, 3), ()])
+    def test_not_square(self, shape):
+        with pytest.raises(InvalidStateError, match="not square"):
+            density_matrices(np.zeros(shape))
+
+    def test_mixed_state_takes_one_matrix(self):
+        with pytest.raises(InvalidStateError, match="not square"):
+            MixedState(np.array([np.eye(2) / 2, np.eye(2) / 2]))
+
+    def test_empty_stack(self):
+        assert density_matrices(np.zeros((0, 2, 2))).shape == (0, 2, 2)
+
+    def test_from_validated_wraps_without_copying(self, rng):
+        out = density_matrices(raw_density_matrices(rng, 3))
+        states = MixedState.from_validated(out)
+        assert [type(s) for s in states] == [MixedState] * len(out)
+        assert all(np.shares_memory(s.matrix, out) for s in states)
+
+    @settings(max_examples=50, deadline=None)
+    @given(psd_stacks())
+    def test_random_psd_stacks(self, mats):
+        out = density_matrices(mats)
+        for raw, got in zip(mats, out):
+            assert same_bits(got, reference_validate(raw))
+            assert same_bits(got, MixedState(raw).matrix)
+        assert np.allclose(out, out.conj().swapaxes(-1, -2), atol=1e-15)  # a clipped matrix is rebuilt
+        assert np.allclose(np.trace(out, axis1=1, axis2=2), 1.0, atol=1e-9)
+        assert np.linalg.eigvalsh(out).min() >= -EIG_ATOL
+
+
+class TestStackHelpers:
+    @pytest.mark.parametrize("k", [2, 3, 8])
+    def test_vector_norms_equal_single_norms(self, rng, k):
+        # summing squares in another order differs in the last bit for about
+        # a third of these rows; the batched norm must not
+        x = rng.normal(size=(300, k)) + 1j * rng.normal(size=(300, k))
+        for vecs in (x, x.real.copy(), x.reshape(3, 100, k)):
+            norms = vector_norms(vecs)
+            assert same_bits(norms, np.array([np.linalg.norm(v) for v in vecs.reshape(-1, k)]).reshape(norms.shape))
+
+    def test_expectation_equals_vdot(self, rng):
+        mats = rng.normal(size=(5, 4, 2, 2)) + 1j * rng.normal(size=(5, 4, 2, 2))
+        vecs = rng.normal(size=(5, 2)) + 1j * rng.normal(size=(5, 2))
+        got = expectation(mats, vecs[:, None])
+        assert same_bits(got, np.array([[np.vdot(v, m @ v) for m in row] for row, v in zip(mats, vecs)]))
 
 
 class TestTensorAndPartialTrace:

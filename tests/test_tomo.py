@@ -23,6 +23,7 @@ from spp_teleport.tomo import (
     process_fidelity,
     qpt_reconstruct,
     qst_reconstruct,
+    sample_counts,
     sample_measurements,
 )
 
@@ -57,6 +58,13 @@ def amplitude_damping_chi(gamma):
     return ProcessMatrix(np.outer(c0, c0.conj()) + np.outer(c1, c1.conj()))
 
 
+def rotation_chi(angle, axis):
+    # U = exp(-i angle n.sigma / 2) in the Pauli basis: a non-diagonal Bloch map
+    n = np.asarray(axis) / np.linalg.norm(axis)
+    c = np.concatenate([[np.cos(angle / 2)], -1j * np.sin(angle / 2) * n])
+    return ProcessMatrix(np.outer(c, c.conj()))
+
+
 QPT_INPUTS = [
     MixedState(np.array([[1, 0], [0, 0]], dtype=complex)),
     MixedState(np.array([[0, 0], [0, 1]], dtype=complex)),
@@ -87,6 +95,31 @@ class TestSampling:
         recs = {r.basis: r for r in sample_measurements(rho, 500, seed=0)}
         assert recs["Z"].plus_counts == 500
         assert recs["Z"].minus_counts == 0
+
+
+    def test_stack_equals_per_basis_draws(self, rng):
+        states = [random_mixed(rng) for _ in range(6)] + [MixedState(np.diag([1.0, 0.0])),
+                                                          MixedState(np.ones((2, 2)) / 2)]
+        shots = [0, 1, 2, 7, 500, 33_333, 100_000, 40]
+        seeds = [int(s) for s in np.random.SeedSequence(3).generate_state(len(states))]
+        counts = sample_counts(np.array([s.matrix for s in states]), shots, seeds)
+        assert counts.dtype == np.int64 and counts.shape == (len(states), 6)
+        for rho, n, seed, row in zip(states, shots, seeds, counts.tolist()):
+            assert row == reference_sample(rho, n, seed)
+            assert [c for r in sample_measurements(rho, n, seed) for c in (r.plus_counts, r.minus_counts)] == row
+
+
+def reference_sample(rho, shots_per_basis, seed):
+    """The per-basis sampling loop, one scalar binomial draw per basis: the
+    reference the stacked sampler must match draw for draw."""
+    rng = np.random.default_rng(seed)
+    counts = []
+    for basis in BASES:
+        plus = _REF_BASIS_STATES[basis][0]
+        p = min(1.0, max(0.0, float(np.vdot(plus, rho.matrix @ plus).real)))
+        n_plus = int(rng.binomial(shots_per_basis, p))
+        counts += [n_plus, shots_per_basis - n_plus]
+    return counts
 
 
 class TestQst:
@@ -182,6 +215,28 @@ def _records(counts):
     return [MeasurementRecord(b, p, m) for b, (p, m) in zip(BASES, counts)]
 
 
+@st.composite
+def counts_near_bloch_vector(draw, radius):
+    """(plus, minus) counts per basis, BASES order, each basis with at least one
+    count, whose Bloch vector lies within `radius` unless a basis has an odd
+    total n and a component below 1/n.
+
+    Each basis gets the whole counts nearest its expected counts for a
+    drawn vector no longer than `radius`, rounded toward equal counts."""
+    totals = draw(st.lists(st.integers(1, 5000), min_size=3, max_size=3))
+    direction = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3)))
+    length = draw(st.floats(0.0, radius))
+    norm = np.linalg.norm(direction)
+    r = length * direction / norm if norm > 0 else np.zeros(3)
+    counts = []
+    for n, x in zip(totals, r):
+        diff = int(abs(n * x))  # plus - minus, toward zero ...
+        diff = max(diff - (diff - n) % 2, n % 2)  # ... and of the parity of n
+        plus = (n + (diff if x >= 0 else -diff)) // 2
+        counts.append((plus, n - plus))
+    return counts
+
+
 class TestBatchedMaximumLikelihood:
     def mixed_batch(self, rng):
         batch = [
@@ -208,6 +263,19 @@ class TestBatchedMaximumLikelihood:
         batch = self.mixed_batch(rng)
         for records, state in zip(batch, qst_reconstruct(batch)):
             assert np.array_equal(state.matrix, qst_reconstruct(records).matrix)
+
+    @pytest.mark.parametrize("ml", [False, True])
+    def test_count_stack_equals_record_lists(self, rng, ml):
+        batch = self.mixed_batch(rng)
+        counts = np.array([[sum(getattr(r, side) for r in records if r.basis == basis)
+                            for basis in BASES for side in ("plus_counts", "minus_counts")] for records in batch])
+        stack = qst_reconstruct(counts, max_likelihood=ml)
+        assert isinstance(stack, np.ndarray) and stack.shape == (len(batch), 2, 2)
+        for state, mat in zip(qst_reconstruct(batch, max_likelihood=ml), stack):
+            assert state.matrix.tobytes() == mat.tobytes()
+        with pytest.raises(TomographyError, match="no counts for basis Y"):
+            qst_reconstruct(np.array([[5, 5, 5, 5, 0, 0]]))
+        assert qst_reconstruct(counts[:0], max_likelihood=ml).shape == (0, 2, 2)
 
     def test_return_types(self):
         records = _records([(5, 5), (5, 5), (5, 5)])
@@ -239,13 +307,13 @@ class TestBatchedMaximumLikelihood:
             qst_reconstruct([fast, slow], max_likelihood=True, ml_max_iter=2)
 
     @settings(max_examples=100, deadline=None)
-    @given(st.lists(st.tuples(st.integers(0, 5000), st.integers(0, 5000)), min_size=3, max_size=3))
+    @given(counts_near_bloch_vector(0.95))
     def test_ml_equals_linear_inside_ball(self, counts):
         # complete three-basis data: the unconstrained likelihood maximum is the
         # linear-inversion estimate, so inside the ball ML must land on it
-        assume(all(p + m > 0 for p, m in counts))
         records = _records(counts)
         linear = qst_reconstruct(records)
+        # rounding to whole counts can carry a vector drawn near the radius past it
         assume(np.linalg.norm(bloch_of(linear).as_array()) <= 0.95)
         assert trace_distance(qst_reconstruct(records, max_likelihood=True), linear) < 1e-6
 
@@ -406,6 +474,32 @@ class TestBlochMap:
             direct = bloch_of(chi.apply(rho)).as_array()
             assert np.allclose(bmap(r), direct, atol=1e-10)
 
+    @pytest.mark.parametrize("chi", [chi_identity(), depolarizing_chi(0.3), amplitude_damping_chi(0.2),
+                                     rotation_chi(0.7, (1.0, 2.0, 3.0))])
+    def test_map_and_samples_equal_per_state_reference(self, chi):
+        # the old per-state construction, one validated state per input
+        def apply(rho):
+            out = np.zeros((2, 2), dtype=complex)
+            for l in range(4):
+                for k in range(4):
+                    out += chi.chi[l, k] * PAULI_MATRICES[l] @ rho @ PAULI_MATRICES[k]
+            return MixedState(out).matrix
+
+        def bloch(rho):
+            return np.array([np.trace(rho @ p).real for p in PAULI_MATRICES[1:]])
+
+        paulis = PAULI_MATRICES
+        offset = bloch(apply(MixedState(np.eye(2) / 2).matrix))
+        cols = [bloch(apply(MixedState(0.5 * (np.eye(2, dtype=complex) + e[0] * paulis[1] + e[1] * paulis[2]
+                                              + e[2] * paulis[3])).matrix)) - offset for e in np.eye(3)]
+        bmap = bloch_map_of(chi)
+        assert bmap.linear.tobytes() == np.array(cols).T.tobytes() and bmap.offset.tobytes() == offset.tobytes()
+        mesh, images = bloch_sphere_samples(bmap)
+        points = [np.array([np.sin(t) * np.cos(f), np.sin(t) * np.sin(f), np.cos(t)])
+                  for t in np.linspace(0, np.pi, 12) for f in np.linspace(0, 2 * np.pi, 24, endpoint=False)]
+        assert mesh.tobytes() == np.array(points).tobytes()
+        assert images.tobytes() == np.array([bmap.linear @ r + bmap.offset for r in points]).tobytes()
+
     def test_compose(self):
         a = AffineBlochMap(0.5 * np.eye(3), np.array([0.0, 0.0, 0.1]))
         b = AffineBlochMap(np.diag([1.0, -1.0, 1.0]), np.zeros(3))
@@ -413,10 +507,10 @@ class TestBlochMap:
         assert np.allclose(a.compose(b)(r), a(b(r)), atol=1e-14)
 
     def test_sphere_samples_shapes(self):
-        samples = bloch_sphere_samples(bloch_map_of(chi_identity()), n_theta=4, n_phi=6)
-        assert len(samples) == 24
-        for src, img in samples:
-            assert np.allclose(src.as_array(), img, atol=1e-10)
+        mesh, images = bloch_sphere_samples(bloch_map_of(chi_identity()), n_theta=4, n_phi=6)
+        assert mesh.shape == images.shape == (24, 3)
+        assert np.allclose(np.linalg.norm(mesh, axis=1), 1.0, atol=1e-12)
+        assert np.allclose(mesh, images, atol=1e-10)
 
 
 def _fraction(c):
