@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -264,20 +265,17 @@ def cmd_simulate(cfg: RunConfig) -> None:
 # analyze
 
 
-def _load_counts(cfg: RunConfig, kind: str, block: str) -> counts_mod.CountsTable:
-    if cfg.counts_source == "bundled":
-        return counts_mod.load_bundled(kind, block)
-    return counts_mod.load_counts_csv(cfg.counts_source, kind, block)
-
-
 def cmd_analyze(cfg: RunConfig) -> None:
     out = cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)
+    blocks = ("without_spp", "with_spp")
+    path = counts_mod.bundled_counts_path() if cfg.counts_source == "bundled" else cfg.counts_source
+    tables = counts_mod.CountsFile(path, [(kind, block) for kind in ("chsh", "fidelity") for block in blocks])
     stats = []
 
     chsh_payload = {}
-    for block in ("without_spp", "with_spp"):
-        table = _load_counts(cfg, "chsh", block)
+    for block in blocks:
+        table = tables.table("chsh", block)
         s = counts_mod.chsh_s(table)
         _, std = tomo.monte_carlo_errors(counts_mod.chsh_counts(table), counts_mod.chsh_s_values,
                                          trials=cfg.mc_trials, seed=cfg.seed)
@@ -287,8 +285,8 @@ def cmd_analyze(cfg: RunConfig) -> None:
                       "sigma_vs_bound": counts_mod.sigma_violation(s, 2.0, std)})
     output.write_json(out / "chsh.json", chsh_payload)
 
-    for block in ("without_spp", "with_spp"):
-        table = _load_counts(cfg, "fidelity", block)
+    for block in blocks:
+        table = tables.table("fidelity", block)
         result = counts_mod.fidelity_table(table, mc_trials=cfg.mc_trials, seed=cfg.seed)
         output.write_rows(out / f"fidelity_{block}.csv", [
             ["outcome", *result.inputs],
@@ -353,6 +351,7 @@ def cmd_design(cfg: RunConfig) -> None:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="spp-teleport", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)

@@ -71,28 +71,50 @@ class CountsTable:
         raise CountsDataError(f"no row labeled {label!r}")
 
 
+class CountsFile:
+    """The tables of some (kind, block) pairs, read from a counts CSV in one pass.
+
+    Rows of other pairs are skipped unvalidated. A pair's first problem, with
+    its line number, is raised when `table` asks for that pair, so a file
+    read once fails where reading each table on its own would have.
+    """
+
+    def __init__(self, path, keys):
+        self._rows: dict[tuple, dict[str, dict[str, int]]] = {key: {} for key in keys}
+        self._errors: dict[tuple, CountsDataError] = {}
+        with open(path, newline="") as fh:
+            reader = csv.DictReader(fh)
+            required = {"kind", "block", "setting", "outcome", "count"}
+            if reader.fieldnames is None or not required.issubset(reader.fieldnames):
+                raise CountsDataError(f"counts CSV must have columns {sorted(required)}")
+            for i, row in enumerate(reader, start=2):
+                key = (row["kind"], row["block"])
+                if key not in self._rows or key in self._errors:
+                    continue
+                try:
+                    c = int(row["count"])
+                except (TypeError, ValueError):
+                    self._errors[key] = CountsDataError(f"line {i}: count {row['count']!r} is not an integer")
+                    continue
+                setting = self._rows[key].setdefault(row["setting"], {})
+                if row["outcome"] in setting:
+                    self._errors[key] = CountsDataError(
+                        f"line {i}: duplicate row for setting {row['setting']!r}, outcome {row['outcome']!r}")
+                    continue
+                setting[row["outcome"]] = c
+        for (kind, block), rows in self._rows.items():
+            if not rows:
+                self._errors.setdefault((kind, block), CountsDataError(
+                    f"no rows with kind={kind!r}, block={block!r} in {path}"))
+
+    def table(self, kind: str, block: str) -> CountsTable:
+        if (kind, block) in self._errors:
+            raise self._errors[kind, block]
+        return CountsTable(kind=kind, block=block, rows=tuple(self._rows[kind, block].items()))
+
+
 def load_counts_csv(path, kind: str, block: str) -> CountsTable:
-    rows: dict[str, dict[str, int]] = {}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        required = {"kind", "block", "setting", "outcome", "count"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise CountsDataError(f"counts CSV must have columns {sorted(required)}")
-        for i, row in enumerate(reader, start=2):
-            if row["kind"] != kind or row["block"] != block:
-                continue
-            try:
-                c = int(row["count"])
-            except ValueError:
-                raise CountsDataError(f"line {i}: count {row['count']!r} is not an integer") from None
-            setting = rows.setdefault(row["setting"], {})
-            if row["outcome"] in setting:
-                raise CountsDataError(
-                    f"line {i}: duplicate row for setting {row['setting']!r}, outcome {row['outcome']!r}")
-            setting[row["outcome"]] = c
-    if not rows:
-        raise CountsDataError(f"no rows with kind={kind!r}, block={block!r} in {path}")
-    return CountsTable(kind=kind, block=block, rows=tuple(rows.items()))
+    return CountsFile(path, [(kind, block)]).table(kind, block)
 
 
 def bundled_counts_path():

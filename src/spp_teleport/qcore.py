@@ -69,8 +69,8 @@ def density_matrices(mat) -> np.ndarray:
     Every matrix must be square, Hermitian to 1e-9 and of unit trace to
     1e-9, with no eigenvalue below -EIG_ATOL; otherwise InvalidStateError.
     Returns the Hermitized stack; a matrix with eigenvalues in (-EIG_ATOL, 0)
-    has them clipped to zero and is renormalized. Each matrix comes out with
-    the bits it would get on its own.
+    has them clipped to zero and is rebuilt, Hermitized again and
+    renormalized. Each matrix comes out with the bits it would get on its own.
     """
     mat = np.asarray(mat, dtype=complex)
     if mat.ndim < 2 or mat.shape[-1] != mat.shape[-2]:
@@ -91,6 +91,7 @@ def density_matrices(mat) -> np.ndarray:
     if clip.any():
         evals, evecs = np.clip(evals[clip], 0.0, None), evecs[clip]
         fixed = (evecs * evals[:, None, :]) @ evecs.conj().swapaxes(-1, -2)
+        fixed = 0.5 * (fixed + fixed.conj().swapaxes(-1, -2))  # the product is Hermitian only to rounding
         mat[clip] = fixed / np.trace(fixed, axis1=-2, axis2=-1).real[:, None, None]
     return mat
 

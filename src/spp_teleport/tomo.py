@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
+import functools
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -266,13 +269,34 @@ def bloch_sphere_samples(bmap: AffineBlochMap, n_theta: int = 12,
     return mesh, bmap(mesh)
 
 
+# Monte Carlo trials run in this many independently seeded chunks
+_MC_CHUNKS = 32
+
+
+@functools.cache
+def _draw_pool():
+    """The thread pool that draws Monte Carlo chunks, one thread per CPU the
+    process may run on, up to one per chunk; created on first use."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return ThreadPoolExecutor(max_workers=min(cpus, _MC_CHUNKS), thread_name_prefix="mc-draw")
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_draw_pool.cache_clear)  # a forked child has no pool threads
+
+
 def monte_carlo_errors(counts, statistic, trials: int = 1000, seed: int = 0) -> tuple[float, float]:
     """Poissonian resampling of counts; returns (mean, std) of the statistic.
 
     `counts` is a flat array-like of k observed counts; `statistic` maps an
     (n, k) batch of resampled counts to n values. Trials run in a fixed
     number of independently seeded chunks, each drawn as one batch; a batch
-    draws the same stream as n sequential `rng.poisson(counts)` calls.
+    draws the same stream as n sequential `rng.poisson(counts)` calls. The
+    chunks are drawn in parallel on a shared thread pool, each by its own
+    generator, so the result does not depend on the number of threads;
+    `statistic` runs on the calling thread, chunk by chunk in order.
     Raises TomographyError if any resample gives a non-finite value.
     """
     counts = np.asarray(counts, dtype=float)
@@ -280,12 +304,13 @@ def monte_carlo_errors(counts, statistic, trials: int = 1000, seed: int = 0) -> 
         raise ValueError("trials must be >= 100")
     if counts.sum() <= 0:
         raise ValueError("zero total counts")
-    n_chunks = 32
-    bounds = np.linspace(0, trials, n_chunks + 1).astype(int)
-    seeds = np.random.SeedSequence(seed).spawn(n_chunks)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        values = np.concatenate([statistic(np.random.default_rng(ss).poisson(counts, size=(n, counts.size)))
-                                 for ss, n in zip(seeds, np.diff(bounds))])
+    sizes = np.diff(np.linspace(0, trials, _MC_CHUNKS + 1).astype(int))
+    seeds = np.random.SeedSequence(seed).spawn(_MC_CHUNKS)
+    draws = _draw_pool().map(lambda ss, n: np.random.default_rng(ss).poisson(counts, size=(n, counts.size)),
+                             seeds, sizes)
+    # closing cancels the chunks still queued if statistic raises
+    with np.errstate(divide="ignore", invalid="ignore"), contextlib.closing(draws):
+        values = np.concatenate([statistic(batch) for batch in draws])
     if values.shape != (trials,):
         raise ValueError(f"statistic must map an (n, k) batch to n values, got shape {values.shape}")
     bad = int(np.count_nonzero(~np.isfinite(values)))

@@ -2,6 +2,9 @@ import csv
 import functools
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -12,8 +15,10 @@ from hypothesis import strategies as st
 
 from spp_teleport import channel, protocol, tomo
 from spp_teleport import counts as counts_mod
-from spp_teleport.cli import ConfigError, RunConfig, load_config, main
+from spp_teleport.cli import ConfigError, RunConfig, build_parser, load_config, main
 from spp_teleport.qcore import complex_matrix_from_json
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 try:
     from importlib import resources
@@ -427,6 +432,61 @@ class TestAnalyzeCommand:
         cfg = write_config(tmp_path, "[analyze]\ncounts = /no/such/counts.csv\n")
         assert main(["analyze", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
 
+    @pytest.mark.parametrize("kind, block", [("chsh", "without_spp"), ("chsh", "with_spp"),
+                                             ("fidelity", "without_spp"), ("fidelity", "with_spp")])
+    def test_bad_row_in_each_block_exits_3_with_its_line(self, tmp_path, capsys, kind, block):
+        lines = counts_mod.bundled_counts_path().read_text().splitlines()
+        bad = [i for i, line in enumerate(lines) if line.startswith(f"{kind},{block},")][-1]
+        lines[bad] = lines[bad].rsplit(",", 1)[0] + ",many"
+        counts = tmp_path / "counts.csv"
+        counts.write_text("\n".join(lines) + "\n")
+        cfg = write_config(tmp_path, f"[analyze]\ncounts = {counts}\n")
+        assert main(["analyze", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err == f"data error: line {bad + 1}: count 'many' is not an integer\n"
+
+    def test_first_problem_in_use_order_is_reported(self, tmp_path, capsys):
+        # a zero chsh/with_spp setting is met before the bad fidelity row and
+        # the short chsh row of a block analyze does not read
+        lines = counts_mod.bundled_counts_path().read_text().splitlines()
+        lines = [line.rsplit(",", 1)[0] + ",0" if line.startswith("chsh,with_spp,0-22.5,") else line
+                 for line in lines]
+        first_fid = next(i for i, line in enumerate(lines) if line.startswith("fidelity,"))
+        lines[first_fid] = lines[first_fid].rsplit(",", 1)[0] + ",1.5"
+        lines.append("chsh,other_block,0-22.5,++")
+        counts = tmp_path / "counts.csv"
+        counts.write_text("\n".join(lines) + "\n")
+        cfg = write_config(tmp_path, f"[analyze]\ncounts = {counts}\n")
+        assert main(["analyze", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err == "data error: zero total counts\n"
+        assert not (tmp_path / "o" / "chsh.json").exists()
+
+    def test_rows_of_unused_blocks_are_not_validated(self, tmp_path):
+        text = counts_mod.bundled_counts_path().read_text()
+        counts = tmp_path / "counts.csv"
+        counts.write_text(text + "chsh,other_block,0-22.5,++,many\nnotes,with_spp,x,y\n")
+        cfg = write_config(tmp_path, f"[analyze]\ncounts = {counts}\n")
+        for name, argv in (("bundled", []), ("extra", ["--config", str(cfg)])):
+            assert main(["analyze", *argv, "--out", str(tmp_path / name)]) == 0
+        assert _hash_dir(tmp_path / "bundled") == _hash_dir(tmp_path / "extra")
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")
+    def test_outputs_do_not_depend_on_cpu_count(self, tmp_path):
+        # the Monte Carlo chunks are drawn on one thread per CPU the process may use
+        code = ("import os, sys\n"
+                "if sys.argv[1] == 'pin':\n"
+                "    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+                "sys.path.insert(0, sys.argv[2])\n"
+                "from spp_teleport.cli import main\n"
+                "sys.exit(main(['analyze', '--config', sys.argv[3], '--seed', '7', '--out', sys.argv[4]]))\n")
+        cfg = write_config(tmp_path, "[tomography]\nmc_trials = 4000\n")
+        for mode in ("pin", "free"):
+            proc = subprocess.run([sys.executable, "-c", code, mode, str(SRC), str(cfg), str(tmp_path / mode)],
+                                  capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+        assert _hash_dir(tmp_path / "pin") == _hash_dir(tmp_path / "free")
+        assert sorted(p.name for p in (tmp_path / "pin").iterdir()) == [
+            "chsh.json", "fidelity_with_spp.csv", "fidelity_without_spp.csv", "summary.json"]
+
 
 class TestDesignCommand:
     def test_default_design(self, tmp_path):
@@ -490,6 +550,18 @@ class TestDesignCommand:
     def test_missing_dielectric_exits_3(self, tmp_path):
         cfg = write_config(tmp_path, "[design]\ndielectric = /no/such/eps.csv\n")
         assert main(["design", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+
+
+class TestStartup:
+    def test_cli_import_does_not_load_the_thread_pool(self):
+        code = ("import sys\nsys.path.insert(0, sys.argv[1])\nimport spp_teleport.cli\n"
+                "print('concurrent.futures' in sys.modules)\n")
+        proc = subprocess.run([sys.executable, "-c", code, str(SRC)], capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
 
 
 class TestExitCodes:

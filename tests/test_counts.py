@@ -17,6 +17,7 @@ from spp_teleport.counts import (
     fidelity_from_counts,
     fidelity_table,
     load_bundled,
+    CountsFile,
     load_counts_csv,
     sigma_violation,
 )
@@ -203,6 +204,29 @@ class TestLoading:
                         "chsh,x,0-22.5,++,12\nchsh,x,0-22.5,+-,3\nchsh,x,0-22.5,++,13\n")
         with pytest.raises(CountsDataError, match="line 4: duplicate"):
             load_counts_csv(path, "chsh", "x")
+
+    def test_short_row_is_a_data_error(self, tmp_path):
+        path = tmp_path / "c.csv"
+        path.write_text("kind,block,setting,outcome,count\nchsh,x,0-22.5,++,12\nchsh,x,0-22.5,+-\n")
+        with pytest.raises(CountsDataError, match="line 3: count None is not an integer"):
+            load_counts_csv(path, "chsh", "x")
+
+    def test_one_read_gives_each_table_and_its_own_first_problem(self, tmp_path):
+        path = tmp_path / "c.csv"
+        path.write_text("kind,block,setting,outcome,count\n"
+                        "chsh,x,s,++,1\nchsh,y,s,++,oops\nchsh,x,s,+-,2\nchsh,y,s,++,1.5\n"
+                        "chsh,x,s,-+,3\nchsh,x,s,--,4\nfidelity,x,a,phi,many\n")
+        keys = [("chsh", "x"), ("chsh", "y"), ("chsh", "z")]
+        tables = CountsFile(path, keys)
+        assert tables.table("chsh", "x") == load_counts_csv(path, "chsh", "x")
+        assert tables.table("chsh", "x").row("s") == {"++": 1, "+-": 2, "-+": 3, "--": 4}
+        for kind, block in keys[1:]:
+            with pytest.raises(CountsDataError) as single:
+                load_counts_csv(path, kind, block)
+            with pytest.raises(CountsDataError) as batched:
+                tables.table(kind, block)
+            assert str(batched.value) == str(single.value)
+        assert str(single.value).startswith("no rows with kind='chsh', block='z'")
 
     def test_missing_outcome_in_row(self):
         with pytest.raises(CountsDataError):

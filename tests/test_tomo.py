@@ -1,3 +1,8 @@
+import os
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -571,3 +576,96 @@ class TestMonteCarlo:
     def test_statistic_must_return_one_value_per_resample(self):
         with pytest.raises(ValueError, match="statistic must map"):
             monte_carlo_errors([10, 10], lambda c: c, trials=200)
+
+    @pytest.mark.parametrize("trials", [100, 1001, 10_000])
+    @pytest.mark.parametrize("counts", [[0.5, 3.0, 7.0], [2746.0, 120.0, 1e6]])
+    def test_pool_equals_sequential_chunk_loop(self, counts, trials):
+        # reference: the 32 seeded chunks drawn one after another on this thread
+        def stat(c):
+            return (c[:, 0] - 2 * c[:, 1]) / (1.0 + c[:, 2])
+
+        sizes = np.diff(np.linspace(0, trials, 33).astype(int))
+        values = np.concatenate([stat(np.random.default_rng(ss).poisson(counts, size=(n, 3)))
+                                 for ss, n in zip(np.random.SeedSequence(11).spawn(32), sizes)])
+        expected = (float(values.mean()), float(values.std(ddof=1)))
+        assert monte_carlo_errors(counts, stat, trials=trials, seed=11) == expected
+
+    def test_statistic_runs_on_the_calling_thread_in_chunk_order(self):
+        seen = []
+
+        def stat(c):
+            seen.append((threading.get_ident(), c.shape[0], c[0].tolist()))
+            return c[:, 0] / (c[:, 0] + c[:, 1])
+
+        monte_carlo_errors([2746, 120], stat, trials=1000, seed=4)
+        sizes = np.diff(np.linspace(0, 1000, 33).astype(int)).tolist()
+        firsts = [np.random.default_rng(ss).poisson([2746, 120], size=(n, 2))[0].tolist()
+                  for ss, n in zip(np.random.SeedSequence(4).spawn(32), sizes)]
+        assert seen == [(threading.get_ident(), n, first) for n, first in zip(sizes, firsts)]
+
+    def test_concurrent_callers_get_sequential_results(self):
+        # more callers than cores, switching threads often, all on the one shared pool
+        jobs = [([2746, 120], seed) for seed in range(6)] + [([900, 100, 5], seed) for seed in range(6)]
+        n_callers = min(len(jobs), 2 * (os.cpu_count() or 1) + 1)
+
+        def stat(c):
+            return c[:, 0] / c.sum(axis=1)
+
+        expected = [monte_carlo_errors(counts, stat, trials=3000, seed=seed) for counts, seed in jobs]
+        got = [None] * len(jobs)
+        start = threading.Barrier(n_callers)
+
+        def caller(first):
+            start.wait(timeout=60)
+            for k in range(first, len(jobs), n_callers):
+                got[k] = monte_carlo_errors(jobs[k][0], stat, trials=3000, seed=jobs[k][1])
+
+        threads = [threading.Thread(target=caller, args=(first,)) for first in range(n_callers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == expected
+
+    def test_raising_statistic_propagates_and_pool_still_works(self):
+        class Boom(Exception):
+            pass
+
+        calls = []
+
+        def stat(c):
+            calls.append(len(c))
+            if len(calls) == 3:
+                raise Boom("third chunk")
+            return c[:, 0] / (c[:, 0] + c[:, 1])
+
+        with pytest.raises(Boom, match="third chunk"):
+            monte_carlo_errors([2746, 120], stat, trials=10_000, seed=0)
+        assert len(calls) == 3
+        assert monte_carlo_errors([2746, 120], _fraction, trials=1000, seed=3) == \
+            monte_carlo_errors([2746, 120], _fraction, trials=1000, seed=3)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_draws_on_a_pool_of_its_own(self):
+        expected = monte_carlo_errors([2746, 120], _fraction, trials=1000, seed=3)  # the pool exists here
+        pid = os.fork()
+        if pid == 0:  # the pool threads of the parent do not exist in the child
+            code = 2
+            try:
+                code = 0 if monte_carlo_errors([2746, 120], _fraction, trials=1000, seed=3) == expected else 1
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 60
+        while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        if done[0] == 0:
+            os.kill(pid, 9)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child hung drawing Monte Carlo chunks")
+        assert os.waitstatus_to_exitcode(done[1]) == 0
