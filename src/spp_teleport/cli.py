@@ -30,9 +30,11 @@ class ConfigError(ValueError):
     pass
 
 
+_INT64_MAX = 2**63 - 1  # shots are counted in int64
+
+
 @dataclass
 class RunConfig:
-    mode: str = "simulate"
     seed: int = 0
     out_dir: Path = Path("results")
     # channel
@@ -60,10 +62,10 @@ class RunConfig:
     period_sweep: tuple | None = None  # (start, stop, step)
 
     def validate(self):
-        if self.mode not in ("simulate", "analyze", "design"):
-            raise ConfigError(f"mode must be simulate|analyze|design, got {self.mode!r}")
-        if self.shots < 1:
-            raise ConfigError("shots must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if not 1 <= self.shots <= _INT64_MAX:
+            raise ConfigError(f"shots must be in [1, 2**63 - 1], got {self.shots}")
         if self.mc_trials < 100:
             raise ConfigError("mc_trials must be >= 100")
         if self.calibration not in ("none", "with_spp", "without_spp"):
@@ -133,7 +135,7 @@ def _parse_sweep(text: str) -> tuple | None:
 # Every key a config may hold, with the section getter that parses it. A key
 # names its RunConfig field, except where _FIELD_NAMES says otherwise.
 _CONFIG_KEYS = {
-    "run": {"mode": "get", "seed": "getint", "out": "getpath"},
+    "run": {"seed": "getint", "out": "getpath"},
     "channel": {"calibration": "get", "werner_visibility": "getfloat", "transmittance": "getfloat",
                 "depolarizing_extra": "getfloat", "contrast_x": "getfloat", "contrast_z": "getfloat"},
     "simulate": {"inputs": "getinputs", "shots": "getint"},
@@ -189,22 +191,24 @@ def cmd_simulate(cfg: RunConfig) -> None:
     fid_qst = expectation(campaign.estimates, targets[:, None]).real
     estimated = campaign.estimated
     mean_exact = float(np.mean(campaign.fidelities))
-    branches = [(label, outcome) for label in cfg.inputs for outcome in protocol.OUTCOMES]
-    output.write_json(out / "records.json", [
-        {"input": label, "outcome": outcome.label, "port": outcome.port, "shots": n, "density_matrix": rho,
-         "fidelity": f}
-        for (label, outcome), n, rho, f in zip(branches, campaign.shots.ravel().tolist(),
-                                               complex_matrix_to_json(campaign.states.reshape(-1, 2, 2)),
-                                               campaign.fidelities.ravel().tolist())
-    ])
+    # one row per branch, input-major
+    branches = {"input": [label for label in cfg.inputs for _ in protocol.OUTCOMES],
+                "outcome": [outcome.label for outcome in protocol.OUTCOMES] * len(cfg.inputs)}
+    output.write_json_rows(out / "records.json", {
+        **branches,
+        "port": [outcome.port for outcome in protocol.OUTCOMES] * len(cfg.inputs),
+        "shots": campaign.shots.ravel().tolist(),
+        "density_matrix": complex_matrix_to_json(campaign.states.reshape(-1, 2, 2)),
+        "fidelity": campaign.fidelities.ravel().tolist(),
+    })
     # a branch with too few shots for every basis has no estimate
-    output.write_json(out / "tomography.json", [
-        {"input": label, "outcome": outcome.label, "density_matrix": rho if ok else None,
-         "fidelity": f if ok else None}
-        for (label, outcome), ok, rho, f in zip(branches, estimated.ravel().tolist(),
-                                                complex_matrix_to_json(campaign.estimates.reshape(-1, 2, 2)),
-                                                fid_qst.ravel().tolist())
-    ])
+    ok = estimated.ravel().tolist()
+    output.write_json_rows(out / "tomography.json", {
+        **branches,
+        "density_matrix": [rho if has else None
+                           for rho, has in zip(complex_matrix_to_json(campaign.estimates.reshape(-1, 2, 2)), ok)],
+        "fidelity": [f if has else None for f, has in zip(fid_qst.ravel().tolist(), ok)],
+    })
 
     output.write_rows(out / "fidelity_table.csv", [
         ["outcome", *cfg.inputs],
@@ -368,7 +372,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config) if args.config else RunConfig()
-        cfg.mode = args.command
         if args.seed is not None:
             cfg.seed = args.seed
         if args.out is not None:
@@ -378,12 +381,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:
-        if cfg.mode == "simulate":
-            cmd_simulate(cfg)
-        elif cfg.mode == "analyze":
-            cmd_analyze(cfg)
-        else:
-            cmd_design(cfg)
+        {"simulate": cmd_simulate, "analyze": cmd_analyze, "design": cmd_design}[args.command](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -77,8 +77,12 @@ def qst_reconstruct(records, max_likelihood: bool = False,
     """Single-qubit state reconstruction from per-basis counts.
 
     Default is linear inversion of the three basis expectation values with
-    radial projection back onto the Bloch ball; max_likelihood enables a
-    diluted RrhoR fixed-point refinement. Given an (n, 6) array of counts,
+    radial projection back onto the Bloch ball. With max_likelihood, an
+    estimate inside the ball is kept: it already maximizes the likelihood,
+    as each basis term sum n log p peaks at p = n / N and the linear
+    estimate meets all three peaks. Only estimates that left the ball go
+    through the diluted RrhoR fixed point (_ml_refine), and only they count
+    against ml_max_iter. Given an (n, 6) array of counts,
     (plus, minus) per basis in BASES order, returns the (n, 2, 2) stack of
     estimates; given one list of records, a MixedState; given a sequence of
     record lists, a list of them. Every estimate of a call is reconstructed
@@ -113,8 +117,9 @@ def _reconstruct(counts: np.ndarray, max_likelihood: bool, tol: float, max_iter:
     outside = norm > 1.0
     bloch[outside] = bloch[outside] / norm[outside, None]  # radial projection, direction preserved
     mats = bloch_matrices(bloch)
-    if max_likelihood:
-        mats = _ml_refine(density_matrices(mats), counts, tol=tol, max_iter=max_iter)
+    if max_likelihood and outside.any():
+        # inside the ball the linear estimate already maximizes the likelihood
+        mats[outside] = _ml_refine(density_matrices(mats[outside]), counts[outside], tol=tol, max_iter=max_iter)
     return mats
 
 
@@ -126,7 +131,9 @@ def _ml_refine(rho0: np.ndarray, counts: np.ndarray, tol: float, max_iter: int,
                dilution: float = 0.5) -> np.ndarray:
     """Diluted RrhoR maximum-likelihood iteration (Rehacek, Hradil, Knill and
     Lvovsky, quant-ph/0611244) over an (n, 2, 2) stack of starting estimates
-    with (n, 6) outcome counts.
+    with (n, 6) outcome counts. qst_reconstruct calls it only for estimates
+    whose linear Bloch vector lay outside the ball; inside it the linear
+    estimate is the maximum in closed form.
 
     Every state runs its own iteration: it stops at its own first step that
     changes no element by `tol` or more, so a state's result does not depend

@@ -137,7 +137,6 @@ mc_trials = 300
     def test_every_documented_key_loads(self, tmp_path):
         path = write_config(tmp_path, """
 [run]
-mode = design
 seed = 4
 out = elsewhere
 [channel]
@@ -165,13 +164,45 @@ modes = 1,0
 period_sweep = 600:700:50
 """)
         cfg = load_config(path)
-        assert (cfg.mode, cfg.seed, cfg.out_dir) == ("design", 4, Path("elsewhere"))
+        assert (cfg.seed, cfg.out_dir) == (4, Path("elsewhere"))
         assert (cfg.werner_visibility, cfg.transmittance, cfg.depolarizing_extra) == (0.9, 0.5, 0.1)
         assert (cfg.contrast_x, cfg.contrast_z, cfg.inputs, cfg.shots) == (50.0, 20.0, ("H", "D"), 100)
         assert (cfg.max_likelihood, cfg.cp_projection, cfg.mc_trials) == (True, True, 200)
         assert (cfg.counts_source, cfg.dielectric, cfg.period_nm) == ("bundled", "bundled", 710.0)
         assert (cfg.hole_diameter_nm, cfg.eps_substrate, cfg.modes) == (180.0, 2.0, ((1, 0),))
         assert cfg.period_sweep == (600.0, 700.0, 50.0)
+
+    def test_run_mode_key_exits_2(self, tmp_path, capsys):
+        # the subcommand chooses what runs; a [run] mode key would do nothing
+        path = write_config(tmp_path, "[run]\nmode = design\n")
+        out = tmp_path / "o"
+        assert main(["design", "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "config error: unknown config key 'mode' in [run]\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "analyze", "design"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_negative_seed_exits_2(self, tmp_path, capsys, command, source):
+        out = tmp_path / "o"
+        if source == "flag":
+            argv = [command, "--seed", "-1", "--out", str(out)]
+        else:
+            argv = [command, "--config", str(write_config(tmp_path, "[run]\nseed = -1\n")), "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "config error: seed must be >= 0, got -1\n"
+        assert not out.exists()
+
+    def test_shots_must_fit_int64(self, tmp_path, capsys):
+        RunConfig(shots=2**63 - 1).validate()
+        for shots in (2**63, 10**20, 0):
+            with pytest.raises(ConfigError, match=r"^shots must be in \[1, 2\*\*63 - 1\], got "):
+                RunConfig(shots=shots).validate()
+        out = tmp_path / "o"
+        path = write_config(tmp_path, "[simulate]\nshots = 100000000000000000000\n")
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "config error: shots must be in [1, 2**63 - 1], got 100000000000000000000\n"
+        assert not out.exists()
 
     def test_empty_inputs(self, tmp_path):
         path = write_config(tmp_path, "[simulate]\ninputs = ,\n")
@@ -320,7 +351,22 @@ class TestSimulateCommand:
         fids = [e["fidelity"] for e in estimates if e["fidelity"] is not None]
         assert summary["mean_fidelity_qst"] == (float(np.mean(fids)) if fids else None)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2613022947])
+    def test_ml_keeps_estimates_inside_the_ball(self, tmp_path, seed):
+        # the benchmark's simulate-tomo config: every linear estimate lies inside
+        # the ball, where it already is the maximum-likelihood state
+        text = "[channel]\ncalibration = with_spp\n\n[simulate]\nshots = 100000\n\n[tomography]\ncp_projection = true\n"
+        outs = []
+        for ml in ("false", "true"):
+            cfg = write_config(tmp_path, f"{text}max_likelihood = {ml}\n")
+            outs.append(tmp_path / ml)
+            assert main(["simulate", "--config", str(cfg), "--seed", str(seed), "--out", str(outs[-1])]) == 0
+        assert (outs[0] / "tomography.json").read_bytes() == (outs[1] / "tomography.json").read_bytes()
+        assert _hash_dir(outs[0]) == _hash_dir(outs[1])
+
     def test_ml_not_converged_exits_3(self, tmp_path, capsys, monkeypatch):
+        # through the ideal channel every linear estimate lies outside the ball,
+        # so all 24 still iterate
         monkeypatch.setattr(tomo, "qst_reconstruct", functools.partial(tomo.qst_reconstruct, ml_max_iter=1))
         cfg = write_config(tmp_path, "[tomography]\nmax_likelihood = true\n")
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3

@@ -14,8 +14,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spp_teleport import channel, output
-from spp_teleport.cli import main
+from spp_teleport import channel, output, protocol
+from spp_teleport.cli import load_config, main
+from spp_teleport.qcore import complex_matrix_to_json, expectation
 
 DESIGN_COLUMNS = ["period_nm", "m1", "m2", "resonance_nm", "k_spp_x", "k_spp_y", "k_spp_mag"]
 
@@ -150,3 +151,114 @@ def test_rows_reject_non_finite_values_and_quoted_labels(tmp_path, cell):
 def test_write_json_rejects_nan(tmp_path):
     with pytest.raises(ValueError):
         output.write_json(tmp_path / "x.json", {"value": float("nan")})
+
+
+def reference_simulate_rows(config):
+    """``records.json`` and ``tomography.json`` rows of ``simulate`` as it built
+    them before it wrote them from columns."""
+    cfg = load_config(config)
+    campaign = protocol.Campaign.run(cfg.build_channel(), cfg.inputs, cfg.shots, cfg.seed, cfg.max_likelihood)
+    targets = np.array([protocol.prepare_input(label).amplitudes for label in cfg.inputs])
+    fid_qst = expectation(campaign.estimates, targets[:, None]).real
+    branches = [(label, outcome) for label in cfg.inputs for outcome in protocol.OUTCOMES]
+    records = [
+        {"input": label, "outcome": outcome.label, "port": outcome.port, "shots": n, "density_matrix": rho,
+         "fidelity": f}
+        for (label, outcome), n, rho, f in zip(branches, campaign.shots.ravel().tolist(),
+                                               complex_matrix_to_json(campaign.states.reshape(-1, 2, 2)),
+                                               campaign.fidelities.ravel().tolist())
+    ]
+    tomography = [
+        {"input": label, "outcome": outcome.label, "density_matrix": rho if ok else None,
+         "fidelity": f if ok else None}
+        for (label, outcome), ok, rho, f in zip(branches, campaign.estimated.ravel().tolist(),
+                                                complex_matrix_to_json(campaign.estimates.reshape(-1, 2, 2)),
+                                                fid_qst.ravel().tolist())
+    ]
+    return records, tomography
+
+
+# The benchmark's simulate-tomo config (at seed 0 and at the --seed the benchmark
+# derives for its first invocation), and 30-shot runs whose seeds 0 and 2
+# leave a branch with fewer than 3 shots, so without an estimate.
+@pytest.mark.parametrize("text, seed, nulls", [
+    ("[channel]\ncalibration = with_spp\n\n[simulate]\nshots = 100000\n\n"
+     "[tomography]\nmax_likelihood = true\ncp_projection = true\n", 0, 0),
+    ("[channel]\ncalibration = with_spp\n\n[simulate]\nshots = 100000\n\n"
+     "[tomography]\nmax_likelihood = true\ncp_projection = true\n", 2613022947, 0),
+    ("[channel]\ncalibration = without_spp\n\n[simulate]\nshots = 30\n\n[tomography]\nmax_likelihood = true\n",
+     0, 1),
+    ("[simulate]\nshots = 30\n", 2, 1),
+])
+def test_simulate_rows_match_reference_writer(tmp_path, text, seed, nulls):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(f"[run]\nseed = {seed}\n\n{text}")
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    records, tomography = reference_simulate_rows(cfg)
+    assert sum(row["density_matrix"] is None for row in tomography) == nulls
+    assert (out / "records.json").read_bytes() == reference_json(records).encode()
+    assert (out / "tomography.json").read_bytes() == reference_json(tomography).encode()
+
+
+_STATE = [[[0.5, 0.0], [-0.0, -0.5]], [[-0.0, 0.5], [0.5, -0.0]]]
+
+
+def test_json_rows_match_reference_writer(tmp_path):
+    columns = {
+        "density_matrix": [_STATE, None, [[[1.0, -0.0], [5e-324, 1e300]], [[1e16, 1e-7], [-0.0, 0.0]]]],
+        "fidelity": [-0.0, None, 1.0],
+        "input": ["H", "V", 'say "\u00e9" 100%'],
+        "shots": [0, -10**20, 10**20],
+        "empty": [[], None, []],
+        "%s": [None, None, None],
+    }
+    output.write_json_rows(tmp_path / "x.json", columns)
+    rows = [dict(zip(columns, values)) for values in zip(*columns.values())]
+    assert (tmp_path / "x.json").read_bytes() == reference_json(rows).encode()
+    output.write_json_rows(tmp_path / "y.json", {"fidelity": []})
+    assert (tmp_path / "y.json").read_text() == "[]\n"
+
+
+_LEAVES = st.one_of(_FLOATS, st.none())
+
+
+@settings(max_examples=50, deadline=None)
+@given(n_rows=st.integers(0, 5), shape=st.lists(st.integers(0, 3), max_size=3),
+       kinds=st.lists(st.sampled_from(["float", "int", "str", "nested"]), min_size=1, max_size=4), data=st.data())
+def test_json_rows_match_reference_writer_property(tmp_path_factory, n_rows, shape, kinds, data):
+    def nested(depth):
+        if depth == len(shape):
+            return _FLOATS
+        return st.lists(nested(depth + 1), min_size=shape[depth], max_size=shape[depth])
+
+    values = {"float": _FLOATS, "int": _INTS, "str": st.text(max_size=4), "nested": nested(0)}
+    columns = {f"c{i}": data.draw(st.lists(st.one_of(values[kind], st.none()), min_size=n_rows, max_size=n_rows))
+               for i, kind in enumerate(kinds)}
+    path = tmp_path_factory.getbasetemp() / "rows.json"
+    output.write_json_rows(path, columns)
+    rows = [dict(zip(columns, values)) for values in zip(*columns.values())]
+    assert path.read_bytes() == reference_json(rows).encode()
+
+
+@pytest.mark.parametrize("values, match", [
+    ([_STATE, [[[0.5, 0.0], [0.0, 0.5]]]], "different shapes"),
+    ([_STATE, [[[0.5, 0.0], [0.0, 0.5, 0.0]], [[0.0, 0.5], [0.5, 0.0]]]], "different shapes"),
+    ([[[1, 0.0]]], "plain floats"),
+    ([[[True, 0.0]]], "plain floats"),
+    ([[[np.float64(1.0), 0.0]]], "plain floats"),
+    ([[[0.5, float("nan")]]], "NaN or infinity"),
+    ([float("inf"), None], "NaN or infinity"),
+    ([1, 1.0], "plain"),
+    ([True, False], "plain"),
+    ([0.5, [0.5]], "plain"),
+    (["H", 1], "plain"),
+])
+def test_json_rows_are_checked_before_writing(tmp_path, values, match):
+    with pytest.raises(ValueError, match=match):
+        output.write_json_rows(tmp_path / "x.json", {"input": ["H"] * len(values), "v": values})
+    with pytest.raises(ValueError, match="one length"):
+        output.write_json_rows(tmp_path / "x.json", {"input": ["H"], "v": [0.5, 0.5]})
+    with pytest.raises(ValueError, match="one length"):
+        output.write_json_rows(tmp_path / "x.json", {})
+    assert list(tmp_path.iterdir()) == []

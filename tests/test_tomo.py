@@ -1,11 +1,13 @@
+import math
 import os
 import sys
 import threading
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from spp_teleport.qcore import (
@@ -220,6 +222,32 @@ def _records(counts):
     return [MeasurementRecord(b, p, m) for b, (p, m) in zip(BASES, counts)]
 
 
+def linear_bloch_norm(records):
+    """|r| of the linear-inversion Bloch vector, before any projection."""
+    r = [(sum(rec.plus_counts - rec.minus_counts for rec in records if rec.basis == b)
+          / sum(rec.plus_counts + rec.minus_counts for rec in records if rec.basis == b)) for b in BASES]
+    return float(np.linalg.norm(r))
+
+
+def _outcome_probabilities(mat):
+    """Exact Tr(P rho) / Tr(rho) of the six outcomes, (plus, minus) per basis in
+    BASES order, as fractions of the matrix's float entries."""
+    r00, r11 = Fraction(mat[0, 0].real), Fraction(mat[1, 1].real)
+    re, im = Fraction(mat[0, 1].real), Fraction(mat[0, 1].imag)
+    tr = r00 + r11
+    return [p / tr for p in (r00, r11, (tr + 2 * re) / 2, (tr - 2 * re) / 2, (tr - 2 * im) / 2, (tr + 2 * im) / 2)]
+
+
+def log_likelihood_gain(counts, new, old):
+    """log L(new) - log L(old) = sum_k n_k log(p_new_k / p_old_k) over (plus,
+    minus) counts per basis. Each ratio comes from the exact difference of the
+    two probabilities, so the sum resolves gains far below the rounding of a
+    whole log-likelihood."""
+    flat = [n for pair in counts for n in pair]
+    return math.fsum(n * math.log1p(float((p_new - p_old) / p_old))
+                     for n, p_new, p_old in zip(flat, _outcome_probabilities(new), _outcome_probabilities(old)) if n)
+
+
 @st.composite
 def counts_near_bloch_vector(draw, radius):
     """(plus, minus) counts per basis, BASES order, each basis with at least one
@@ -246,6 +274,7 @@ class TestBatchedMaximumLikelihood:
     def mixed_batch(self, rng):
         batch = [
             _records([(500, 0), (260, 240), (251, 249)]),  # pure along Z: one outcome never seen
+            _records([(10, 0), (5, 5), (5, 5)]),  # pure along Z and on the sphere: inside the ball
             _records([(99, 1), (99, 1), (99, 1)]),  # outside the ball, radially projected
             _records([(1, 0), (0, 1), (1, 0)]),  # one count per basis
             exact_records(random_mixed(rng), scale=1000.0),  # non-integer counts
@@ -256,11 +285,14 @@ class TestBatchedMaximumLikelihood:
         return batch
 
     def test_batch_equals_per_state_reference(self, rng):
+        # outside the ball: the per-state loop; inside: the linear estimate
         batch = self.mixed_batch(rng)
+        outside = [linear_bloch_norm(records) > 1 for records in batch]
+        assert 0 < sum(outside) < len(batch)
         states = qst_reconstruct(batch, max_likelihood=True)
         assert len(states) == len(batch)
-        for records, state in zip(batch, states):
-            expected = reference_ml_refine(records).matrix
+        for records, state, out in zip(batch, states, outside):
+            expected = (reference_ml_refine(records) if out else qst_reconstruct(records)).matrix
             assert np.array_equal(state.matrix, expected)
             assert np.array_equal(qst_reconstruct(records, max_likelihood=True).matrix, expected)
 
@@ -295,32 +327,45 @@ class TestBatchedMaximumLikelihood:
             qst_reconstruct([good, _records([(5, 5), (0, 0), (5, 5)])])
 
     def test_not_converged_raises(self, rng):
-        batch = [sample_measurements(random_mixed(rng), 1000, seed=s) for s in range(3)]
+        # only the three estimates outside the ball iterate, and only they are counted
+        outside = [_records(c) for c in ([(99, 1), (99, 1), (99, 1)], [(500, 0), (260, 240), (251, 249)],
+                                         [(1, 0), (0, 1), (1, 0)])]
+        inside = [sample_measurements(random_mixed(rng), 1000, seed=s) for s in range(2)]
+        assert all(linear_bloch_norm(r) > 1 for r in outside) and all(linear_bloch_norm(r) <= 1 for r in inside)
         with pytest.raises(TomographyError, match=r"^3 of 3 maximum-likelihood reconstructions "
                                                   r"did not converge within 1 iterations$"):
-            qst_reconstruct(batch, max_likelihood=True, ml_max_iter=1)
+            qst_reconstruct(inside + outside, max_likelihood=True, ml_max_iter=1)
         with pytest.raises(TomographyError, match="1 of 1 maximum-likelihood"):
-            qst_reconstruct(batch[0], max_likelihood=True, ml_max_iter=1)
+            qst_reconstruct(outside[0], max_likelihood=True, ml_max_iter=1)
+        assert len(qst_reconstruct(inside, max_likelihood=True, ml_max_iter=1)) == 2
 
     def test_converged_states_leave_the_batch(self):
-        # the maximally mixed estimate converges within 2 steps, the projected
-        # one does not: only the state still iterating is counted
-        fast = _records([(10, 10), (10, 10), (10, 10)])
-        slow = _records([(99, 1), (99, 1), (99, 1)])
-        assert isinstance(qst_reconstruct(fast, max_likelihood=True, ml_max_iter=2), MixedState)
-        with pytest.raises(TomographyError, match="1 of 2"):
-            qst_reconstruct([fast, slow], max_likelihood=True, ml_max_iter=2)
+        # both projected estimates iterate; the first converges within 11 steps,
+        # the second does not: only the state still iterating is counted
+        fast = _records([(99, 1), (99, 1), (99, 1)])
+        slow = _records([(500, 0), (260, 240), (251, 249)])
+        inside = _records([(10, 10), (10, 10), (10, 10)])
+        assert linear_bloch_norm(fast) > 1 and linear_bloch_norm(slow) > 1
+        assert isinstance(qst_reconstruct(fast, max_likelihood=True, ml_max_iter=11), MixedState)
+        with pytest.raises(TomographyError, match="^1 of 2 "):
+            qst_reconstruct([fast, slow, inside], max_likelihood=True, ml_max_iter=11)
 
     @settings(max_examples=100, deadline=None)
-    @given(counts_near_bloch_vector(0.95))
+    @given(counts_near_bloch_vector(1.0))
+    @example([(10, 0), (5, 5), (5, 5)])  # a pure state: on the sphere, still inside
+    @example([(1999, 1), (1000, 1000), (1000, 1000)])
     def test_ml_equals_linear_inside_ball(self, counts):
-        # complete three-basis data: the unconstrained likelihood maximum is the
-        # linear-inversion estimate, so inside the ball ML must land on it
+        # complete three-basis data: each basis's likelihood term peaks at the
+        # observed frequencies, which the linear estimate meets whenever it lies
+        # in the ball, so there ML is the linear estimate, bit for bit
         records = _records(counts)
-        linear = qst_reconstruct(records)
         # rounding to whole counts can carry a vector drawn near the radius past it
-        assume(np.linalg.norm(bloch_of(linear).as_array()) <= 0.95)
-        assert trace_distance(qst_reconstruct(records, max_likelihood=True), linear) < 1e-6
+        assume(linear_bloch_norm(records) <= 1)
+        linear = qst_reconstruct(records)
+        ml = qst_reconstruct(records, max_likelihood=True)
+        assert np.array_equal(ml.matrix, linear.matrix)
+        # and it is at least as likely as the iterate the fixed point used to return
+        assert log_likelihood_gain(counts, ml.matrix, reference_ml_refine(records).matrix) >= 0
 
 
 class TestProcessMatrix:
