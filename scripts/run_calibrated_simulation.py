@@ -38,7 +38,7 @@ def main():
         chi = campaign.process_matrix()
     except protocol.NoEstimateError as exc:
         sys.exit(f"no process tomography: {exc}")
-    f_proc = tomo.process_fidelity(chi, tomo.chi_identity())
+    f_proc = tomo.process_fidelity(chi)
     print(f"process fidelity (QPT on sampled tomography): {f_proc:.4f}")
 
 

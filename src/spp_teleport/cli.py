@@ -74,6 +74,8 @@ class RunConfig:
             raise ConfigError(f"inputs must be labels from {protocol.INPUT_LABELS}, got {list(self.inputs)}")
         if len(set(self.inputs)) < len(self.inputs):
             raise ConfigError(f"inputs must not repeat a label, got {list(self.inputs)}")
+        if len(set(self.modes)) < len(self.modes):
+            raise ConfigError(f"modes must not repeat a mode, got {list(self.modes)}")
 
     def build_channel(self) -> channel_mod.ChannelModel:
         try:
@@ -224,7 +226,7 @@ def cmd_simulate(cfg: RunConfig) -> None:
         except protocol.NoEstimateError as exc:
             print(f"warning: no process tomography: {exc}", file=sys.stderr)
         else:
-            f_proc = tomo.process_fidelity(chi, tomo.chi_identity())
+            f_proc = tomo.process_fidelity(chi)
             bmap = tomo.bloch_map_of(chi)
             output.write_json(out / "chi.json", {
                 "chi": complex_matrix_to_json(chi.chi),
@@ -389,6 +391,9 @@ def main(argv=None) -> int:
             channel_mod.ResonanceSolveError, tomo.TomographyError, OSError, UnicodeDecodeError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:  # an array the configured sizes ask for cannot be allocated
+        print(f"config error: out of memory: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -21,6 +21,9 @@ FIDELITY_OUTCOMES = ("phi", "perp")
 # row order of the published fidelity tables
 BELL_LABELS = ("PsiPlus", "PsiMinus", "PhiMinus", "PhiPlus")
 
+# the largest mean numpy's Poisson sampler takes, so the largest count Monte Carlo can resample
+MAX_COUNT = int(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10)
+
 CLASSICAL_STATE_FIDELITY_BOUND = 2.0 / 3.0
 CLASSICAL_PROCESS_FIDELITY_BOUND = 0.5
 
@@ -95,6 +98,9 @@ class CountsFile:
                     c = int(row["count"])
                 except (TypeError, ValueError):
                     self._errors[key] = CountsDataError(f"line {i}: count {row['count']!r} is not an integer")
+                    continue
+                if c > MAX_COUNT:
+                    self._errors[key] = CountsDataError(f"line {i}: count {c} is above the Poisson limit {MAX_COUNT}")
                     continue
                 setting = self._rows[key].setdefault(row["setting"], {})
                 if row["outcome"] in setting:

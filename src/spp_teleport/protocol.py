@@ -312,17 +312,16 @@ class Campaign(NamedTuple):
         those inputs was not run, NoEstimateError if one has no estimated
         branch.
         """
-        pairs = []
+        outputs, estimated = [], self.estimated
         for label in tomo.QPT_INPUT_LABELS:
             if label not in self.inputs:
                 raise tomo.TomographyError(f"process tomography needs input {label}")
             i = self.inputs.index(label)
-            if not self.estimated[i].any():
+            if not estimated[i].any():
                 raise NoEstimateError(f"input {label} has no Bell outcome with {len(tomo.BASES)} or more shots, "
                                       f"so no state estimate")
-            avg = np.mean(self.estimates[i][self.estimated[i]], axis=0)
-            pairs.append((prepare_input(label).projector(), MixedState(avg)))
-        return tomo.qpt_reconstruct(pairs, cp_projection=cp_projection)
+            outputs.append(self.estimates[i][estimated[i]].mean(axis=0))
+        return tomo.qpt_reconstruct(np.array(outputs), cp_projection=cp_projection)
 
 
 def run_campaign(channel: ChannelModel, inputs, shots: int, seed: int,

@@ -225,20 +225,11 @@ def fidelity_pure(rho: MixedState, phi: PureState) -> float:
     return float(clamp_unit(expectation(rho.matrix, phi.amplitudes).real))
 
 
-def bloch_vectors(mats) -> np.ndarray:
-    """Bloch vectors (Tr rho sx, Tr rho sy, Tr rho sz) of single-qubit
-    matrices (..., 2, 2), as (..., 3); checked to lie in the ball."""
-    r = np.stack([np.trace(mats @ s.matrix, axis1=-2, axis2=-1).real for s in (SIGMA_X, SIGMA_Y, SIGMA_Z)],
-                 axis=-1)
-    check_bloch_ball(r)
-    return r
-
-
 def bloch_of(rho: MixedState) -> BlochVector:
-    """Bloch vector of a single-qubit state."""
+    """Bloch vector (Tr rho sx, Tr rho sy, Tr rho sz) of a single-qubit state."""
     if rho.dim != 2:
         raise DimensionMismatchError(f"need a single qubit, got dim {rho.dim}")
-    return BlochVector(*bloch_vectors(rho.matrix).tolist())
+    return BlochVector(*(float(np.trace(rho.matrix @ s.matrix).real) for s in (SIGMA_X, SIGMA_Y, SIGMA_Z)))
 
 
 def bloch_matrices(r) -> np.ndarray:

@@ -13,7 +13,6 @@ from .qcore import (
     MixedState,
     PAULI_MATRICES,
     bloch_matrices,
-    bloch_vectors,
     check_bloch_ball,
     clamp_unit,
     density_matrices,
@@ -163,6 +162,14 @@ def _ml_refine(rho0: np.ndarray, counts: np.ndarray, tol: float, max_iter: int,
                           f"did not converge within {max_iter} iterations")
 
 
+_PAULIS = np.array(PAULI_MATRICES)
+# R = _CHI_TO_PTM @ chi.ravel() is the Pauli transfer matrix R_ij = Tr(s_i L(s_j)) / 2, raveled, of
+# L(rho) = sum_lk chi_lk s_l rho s_k. Its entries are 0, +-1 and +-i, and it is 2 times a unitary,
+# so its inverse is exactly its adjoint over 4.
+_CHI_TO_PTM = 0.5 * np.einsum("iab,lbc,jcd,kda->ijlk", _PAULIS, _PAULIS, _PAULIS, _PAULIS).reshape(16, 16)
+_PTM_TO_CHI = _CHI_TO_PTM.conj().T / 4
+
+
 @dataclass(frozen=True)
 class ProcessMatrix:
     """Process matrix chi in the Pauli basis (I, X, Y, Z)."""
@@ -179,56 +186,37 @@ class ProcessMatrix:
             raise TomographyError(f"Tr(chi) = {np.trace(chi).real} != 1")
         object.__setattr__(self, "chi", 0.5 * (chi + chi.conj().T))
 
-    def apply(self, rho: MixedState) -> MixedState:
-        return MixedState(self.act(rho.matrix))
-
-    def act(self, mats: np.ndarray) -> np.ndarray:
-        """sum_lk chi_lk s_l rho s_k over a stack (..., 2, 2), not validated."""
-        out = np.zeros(mats.shape, dtype=complex)
-        for l in range(4):
-            for k in range(4):
-                out += self.chi[l, k] * PAULI_MATRICES[l] @ mats @ PAULI_MATRICES[k]
-        return out
-
-
-def chi_identity() -> ProcessMatrix:
-    chi = np.zeros((4, 4), dtype=complex)
-    chi[0, 0] = 1.0
-    return ProcessMatrix(chi)
+    @property
+    def ptm(self) -> np.ndarray:
+        """The real 4x4 Pauli transfer matrix R_ij = Tr(s_i L(s_j)) / 2."""
+        return (_CHI_TO_PTM @ self.chi.ravel()).real.reshape(4, 4)
 
 
 # standard informationally complete input set used for process benchmarking
 QPT_INPUT_LABELS = ("H", "V", "D", "L")
 
 
-def qpt_reconstruct(pairs, cp_projection: bool = False) -> ProcessMatrix:
-    """Process matrix from (rho_in, rho_out) pairs.
+def qpt_reconstruct(outputs, cp_projection: bool = False) -> ProcessMatrix:
+    """Process matrix, in closed form, from the (4, 2, 2) stack of output
+    states of the inputs QPT_INPUT_LABELS (Greenbaum, arXiv:1509.02921).
 
-    Solves the linear system rho_out = sum_lk chi_lk s_l rho_in s_k by
-    least squares and Hermitizes. cp_projection makes chi completely
-    positive by mixing in just enough of the completely depolarizing channel
-    (chi = I/4) to lift its lowest eigenvalue to zero; unlike clipping the
-    negative eigenvalues, this keeps a trace-preserving estimate (unit-trace
-    outputs of four spanning inputs) trace preserving.
+    The outputs give the action on the Pauli basis, whose Pauli transfer
+    matrix gives chi, which is Hermitized. cp_projection makes chi
+    completely positive by mixing in just enough of the completely
+    depolarizing channel (chi = I/4) to lift its lowest eigenvalue to zero;
+    unlike clipping the negative eigenvalues, this keeps the estimate trace
+    preserving. Raises TomographyError on a stack of another shape.
     """
-    pairs = list(pairs)
-    if len(pairs) < 4:
-        raise TomographyError("need at least 4 input/output pairs")
-    rows, rhs = [], []
-    for rho_in, rho_out in pairs:
-        basis_action = [
-            (PAULI_MATRICES[l] @ rho_in.matrix @ PAULI_MATRICES[k]).ravel()
-            for l in range(4)
-            for k in range(4)
-        ]
-        rows.append(np.array(basis_action).T)  # (4, 16) per matrix element
-        rhs.append(rho_out.matrix.ravel())
-    a = np.vstack(rows)
-    b = np.concatenate(rhs)
-    sol, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
-    if rank < 16:
-        raise TomographyError(f"input set is rank-deficient (rank {rank} < 16)")
-    chi = sol.reshape(4, 4)
+    outputs = np.asarray(outputs)
+    if outputs.shape != (len(QPT_INPUT_LABELS), 2, 2):
+        raise TomographyError(f"need a (4, 2, 2) stack of the output states of {QPT_INPUT_LABELS}, "
+                              f"got shape {outputs.shape}")
+    h, v, d, l = density_matrices(outputs)
+    ident = h + v
+    # H, V, D, L are (I + Z)/2, (I - Z)/2, (I + X)/2, (I + Y)/2; these are L(s_j) for s_j in (I, X, Y, Z)
+    images = np.array([ident, 2 * d - ident, 2 * l - ident, h - v])
+    ptm = 0.5 * np.einsum("iab,jba->ij", _PAULIS, images).real
+    chi = (_PTM_TO_CHI @ ptm.ravel()).reshape(4, 4)
     chi = 0.5 * (chi + chi.conj().T)
     if cp_projection:
         evals, evecs = np.linalg.eigh(chi)
@@ -238,9 +226,9 @@ def qpt_reconstruct(pairs, cp_projection: bool = False) -> ProcessMatrix:
     return ProcessMatrix(chi)
 
 
-def process_fidelity(chi: ProcessMatrix, chi_ideal: ProcessMatrix) -> float:
-    val = np.trace(chi_ideal.chi @ chi.chi).real
-    return float(min(1.0, max(0.0, val)))
+def process_fidelity(chi: ProcessMatrix) -> float:
+    """Process fidelity with the identity channel, chi_00, clamped to [0, 1]."""
+    return float(min(1.0, max(0.0, chi.chi[0, 0].real)))
 
 
 @dataclass(frozen=True)
@@ -252,16 +240,16 @@ class AffineBlochMap:
         """Image of a Bloch vector, or of a stack of them (..., 3)."""
         return (self.linear @ np.asarray(r, dtype=float)[..., None])[..., 0] + self.offset
 
-    def compose(self, other: "AffineBlochMap") -> "AffineBlochMap":
-        return AffineBlochMap(self.linear @ other.linear, self.linear @ other.offset + self.offset)
-
 
 def bloch_map_of(chi: ProcessMatrix) -> AffineBlochMap:
-    """Affine action of the process on Bloch vectors, read off the images of
-    the maximally mixed state and the three Bloch axis states."""
-    inputs = density_matrices(np.concatenate([np.eye(2)[None] / 2, bloch_matrices(np.eye(3))]))
-    images = bloch_vectors(density_matrices(chi.act(inputs)))
-    return AffineBlochMap((images[1:] - images[0]).T, images[0])
+    """Affine action of the process on Bloch vectors, read off its Pauli
+    transfer matrix R: r -> R[1:, 1:] r + R[1:, 0]. Raises InvalidStateError
+    if the image of the maximally mixed state or of a Bloch axis state
+    leaves the ball."""
+    ptm = chi.ptm
+    bmap = AffineBlochMap(ptm[1:, 1:], ptm[1:, 0])
+    check_bloch_ball(bmap(np.eye(4, 3, -1)))  # the origin and the three axes
+    return bmap
 
 
 def bloch_sphere_samples(bmap: AffineBlochMap, n_theta: int = 12,

@@ -1,0 +1,85 @@
+"""Direct constructions that the closed-form process tomography is tested against.
+
+- `lstsq_qpt`: least-squares process tomography over any set of
+  (rho_in, rho_out) pairs, solving the 16-unknown linear system for chi;
+- `chi_act`: the 16-term action sum_lk chi_lk s_l rho s_k of a process matrix;
+- `per_state_bloch_map`: the affine Bloch map read off the validated images
+  of the maximally mixed state and the three Bloch axis states, one state
+  at a time;
+- `kraus_chi`: the process matrix of a channel given by Kraus operators.
+"""
+
+import numpy as np
+
+from spp_teleport.qcore import PAULI_MATRICES, MixedState
+from spp_teleport.tomo import ProcessMatrix
+
+
+def chi_identity() -> ProcessMatrix:
+    chi = np.zeros((4, 4), dtype=complex)
+    chi[0, 0] = 1.0
+    return ProcessMatrix(chi)
+
+
+def kraus_chi(kraus) -> ProcessMatrix:
+    """chi_lk = sum_m c_ml conj(c_mk) for K_m = sum_l c_ml s_l, c_ml = Tr(s_l K_m) / 2."""
+    c = np.array([[np.trace(s @ k) / 2 for s in PAULI_MATRICES] for k in kraus])
+    return ProcessMatrix(c.T @ c.conj())
+
+
+def random_kraus(values, n_ops):
+    """n_ops Kraus operators of a trace-preserving channel from 8 * n_ops
+    reals: the 2 columns of a (2 n_ops, 2) isometry, split into 2x2 blocks."""
+    a = np.asarray(values, dtype=float).reshape(2, 2 * n_ops, 2)
+    q, _ = np.linalg.qr(a[0] + 1j * a[1])
+    return q.reshape(n_ops, 2, 2)
+
+
+def chi_act(chi: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """sum_lk chi_lk s_l rho s_k over a stack (..., 2, 2), not validated."""
+    out = np.zeros(np.shape(mats), dtype=complex)
+    for l in range(4):
+        for k in range(4):
+            out = out + chi[l, k] * PAULI_MATRICES[l] @ mats @ PAULI_MATRICES[k]
+    return out
+
+
+def lstsq_qpt(pairs, cp_projection: bool = False) -> np.ndarray:
+    """chi of (rho_in, rho_out) MixedState pairs: the least-squares solution of
+    rho_out = sum_lk chi_lk s_l rho_in s_k, Hermitized; cp_projection admixes
+    the least weight of chi = I/4 that makes it positive semidefinite."""
+    pairs = list(pairs)
+    if len(pairs) < 4:
+        raise ValueError("need at least 4 input/output pairs")
+    rows, rhs = [], []
+    for rho_in, rho_out in pairs:
+        basis_action = [(PAULI_MATRICES[l] @ rho_in.matrix @ PAULI_MATRICES[k]).ravel()
+                        for l in range(4) for k in range(4)]
+        rows.append(np.array(basis_action).T)  # (4, 16) per matrix element
+        rhs.append(rho_out.matrix.ravel())
+    sol, _, rank, _ = np.linalg.lstsq(np.vstack(rows), np.concatenate(rhs), rcond=None)
+    if rank < 16:
+        raise ValueError(f"input set is rank-deficient (rank {rank} < 16)")
+    chi = sol.reshape(4, 4)
+    chi = 0.5 * (chi + chi.conj().T)
+    if cp_projection:
+        evals, evecs = np.linalg.eigh(chi)
+        shift = max(0.0, -evals.min())
+        chi = (evecs * (evals + shift)) @ evecs.conj().T / (1 + 4 * shift)
+        chi /= np.trace(chi).real
+    return chi
+
+
+def per_state_bloch_map(chi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(linear, offset) of the Bloch map of chi: the image of I/2 is the
+    offset, the images of the +x, +y, +z states less the offset are the
+    columns of the linear part; every input and image is a validated state."""
+    def bloch(rho):
+        return np.array([np.trace(rho @ s).real for s in PAULI_MATRICES[1:]])
+
+    def image(r):
+        rho = MixedState(0.5 * (PAULI_MATRICES[0] + sum(x * s for x, s in zip(r, PAULI_MATRICES[1:]))))
+        return bloch(MixedState(chi_act(chi, rho.matrix)).matrix)
+
+    offset = image(np.zeros(3))
+    return np.array([image(e) - offset for e in np.eye(3)]).T, offset

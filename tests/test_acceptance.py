@@ -15,6 +15,7 @@ from spp_teleport.qcore import MixedState, trace_distance
 
 import conftest
 from conftest import random_mixed
+from reference import chi_act
 from test_protocol import brute_force_teleport
 from test_tomo import depolarizing_chi, exact_records
 
@@ -138,13 +139,8 @@ def test_08_tomography_round_trip():
         worst_qst = max(worst_qst, trace_distance(rec, rho))
     worst_qpt = 0.0
     for p in (0.0, 0.1, 0.3, 0.7, 1.0):
-        ref = depolarizing_chi(p)
-        pairs = [
-            (protocol.prepare_input(lbl).projector(),
-             ref.apply(protocol.prepare_input(lbl).projector()))
-            for lbl in tomo.QPT_INPUT_LABELS
-        ]
-        chi = tomo.qpt_reconstruct(pairs)
+        inputs = np.array([protocol.prepare_input(lbl).projector().matrix for lbl in tomo.QPT_INPUT_LABELS])
+        chi = tomo.qpt_reconstruct(chi_act(depolarizing_chi(p).chi, inputs))
         diag = np.diag(chi.chi).real
         expected = np.array([1 - 3 * p / 4, p / 4, p / 4, p / 4])
         worst_qpt = max(worst_qpt, float(np.abs(diag - expected).max()))

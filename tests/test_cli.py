@@ -218,6 +218,27 @@ period_sweep = 600:700:50
         assert err.startswith("config error: inputs must not repeat a label") and err.count("\n") == 1
         assert not out.exists()
 
+    def test_repeated_modes_exit_2(self, tmp_path, capsys):
+        path = write_config(tmp_path, "[design]\nmodes = 1,1;1,1\n")
+        out = tmp_path / "o"
+        assert main(["design", "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "config error: modes must not repeat a mode, got [(1, 1), (1, 1)]\n"
+        assert not out.exists()
+
+    # sizes whose first allocation is EiB or PiB, so it fails at once and never allocates
+    @pytest.mark.parametrize("command, text, size", [
+        ("design", "[design]\nperiod_sweep = 1:1e18:1\n", "EiB"),
+        ("analyze", "[tomography]\nmc_trials = 1000000000000000\n", "PiB"),
+    ])
+    def test_unallocatable_size_exits_2(self, tmp_path, capsys, command, text, size):
+        path = write_config(tmp_path, text)
+        out = tmp_path / "o"
+        assert main([command, "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: out of memory: Unable to allocate") and size in err
+        assert err.count("\n") == 1
+        assert [p.name for p in out.iterdir()] == []
+
     @pytest.mark.parametrize("command, text", [
         ("simulate", "[channel]\ncontrast_x = nan\n"),
         ("simulate", "[channel]\ncontrast_z = inf\n"),
@@ -489,6 +510,18 @@ class TestAnalyzeCommand:
         cfg = write_config(tmp_path, f"[analyze]\ncounts = {counts}\n")
         assert main(["analyze", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
         assert capsys.readouterr().err == f"data error: line {bad + 1}: count 'many' is not an integer\n"
+
+    @pytest.mark.parametrize("count", [str(10**30), str(counts_mod.MAX_COUNT + 1)])
+    def test_count_above_the_poisson_limit_exits_3_with_its_line(self, tmp_path, capsys, count):
+        lines = counts_mod.bundled_counts_path().read_text().splitlines()
+        bad = next(i for i, line in enumerate(lines) if line.startswith("fidelity,with_spp,"))
+        lines[bad] = lines[bad].rsplit(",", 1)[0] + "," + count
+        counts = tmp_path / "counts.csv"
+        counts.write_text("\n".join(lines) + "\n")
+        cfg = write_config(tmp_path, f"[analyze]\ncounts = {counts}\n")
+        assert main(["analyze", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err == (f"data error: line {bad + 1}: count {count} is above the Poisson limit "
+                                           f"{counts_mod.MAX_COUNT}\n")
 
     def test_first_problem_in_use_order_is_reported(self, tmp_path, capsys):
         # a zero chsh/with_spp setting is met before the bad fidelity row and

@@ -11,6 +11,7 @@ from spp_teleport.counts import (
     CountsDataError,
     CountsTable,
     INPUT_LABELS,
+    MAX_COUNT,
     cell_fidelity_std,
     chsh_s,
     correlation,
@@ -197,6 +198,19 @@ class TestLoading:
         path.write_text("kind,block,setting,outcome,count\nchsh,x,0-22.5,++,12.5\n")
         with pytest.raises(CountsDataError):
             load_counts_csv(path, "chsh", "x")
+
+    def test_max_count_is_the_poisson_limit(self, tmp_path):
+        path = tmp_path / "c.csv"
+        path.write_text(f"kind,block,setting,outcome,count\n"
+                        f"fidelity,x,PsiPlus/H,phi,{MAX_COUNT}\nfidelity,x,PsiPlus/H,perp,{MAX_COUNT + 1}\n")
+        with pytest.raises(CountsDataError, match=f"^line 3: count {MAX_COUNT + 1} is above the Poisson limit"):
+            load_counts_csv(path, "fidelity", "x")
+        path.write_text(path.read_text().replace(str(MAX_COUNT + 1), "1"))
+        table = load_counts_csv(path, "fidelity", "x")
+        mean, std = cell_fidelity_std(table, "PsiPlus", "H", mc_trials=100)
+        assert np.isfinite([mean, std]).all()
+        with pytest.raises(ValueError, match="lam value too large"):
+            np.random.default_rng(0).poisson(np.nextafter(float(MAX_COUNT), np.inf))
 
     def test_duplicate_row(self, tmp_path):
         path = tmp_path / "c.csv"

@@ -10,22 +10,25 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from spp_teleport.channel import calibrated_channel
+from spp_teleport.protocol import INPUT_LABELS, Campaign
 from spp_teleport.qcore import (
+    InvalidStateError,
     MixedState,
     PAULI_MATRICES,
     bloch_of,
+    density_matrices,
     state_from_bloch,
     trace_distance,
 )
 from spp_teleport.tomo import (
-    AffineBlochMap,
     BASES,
+    QPT_INPUT_LABELS,
     MeasurementRecord,
     ProcessMatrix,
     TomographyError,
     bloch_map_of,
     bloch_sphere_samples,
-    chi_identity,
     monte_carlo_errors,
     process_fidelity,
     qpt_reconstruct,
@@ -35,6 +38,7 @@ from spp_teleport.tomo import (
 )
 
 from conftest import mixed_states, random_mixed, random_pure
+from reference import chi_act, chi_identity, kraus_chi, lstsq_qpt, per_state_bloch_map, random_kraus
 
 
 def exact_records(rho, scale=1.0):
@@ -368,6 +372,30 @@ class TestBatchedMaximumLikelihood:
         assert log_likelihood_gain(counts, ml.matrix, reference_ml_refine(records).matrix) >= 0
 
 
+def qpt_outputs(chi):
+    """The (4, 2, 2) stack of validated images of QPT_INPUTS under chi."""
+    return density_matrices(chi_act(chi, np.array([rho.matrix for rho in QPT_INPUTS])))
+
+
+def assert_matches_references(outputs, cp_projection):
+    """The closed form against least squares over the same, one by one
+    validated, pairs, and its Bloch map against the per-state construction,
+    both to 1e-12."""
+    chi = qpt_reconstruct(outputs, cp_projection=cp_projection)
+    expected = lstsq_qpt([(rho, MixedState(out)) for rho, out in zip(QPT_INPUTS, outputs)], cp_projection)
+    assert np.abs(chi.chi - expected).max() < 1e-12
+    linear, offset = per_state_bloch_map(expected)
+    bmap = bloch_map_of(chi)
+    assert np.abs(bmap.linear - linear).max() < 1e-12 and np.abs(bmap.offset - offset).max() < 1e-12
+
+
+@st.composite
+def cptp_kraus(draw):
+    n_ops = draw(st.integers(min_value=1, max_value=4))
+    values = draw(st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=8 * n_ops, max_size=8 * n_ops))
+    return random_kraus(values, n_ops)
+
+
 class TestProcessMatrix:
     def test_validation(self):
         with pytest.raises(TomographyError):
@@ -376,62 +404,91 @@ class TestProcessMatrix:
             ProcessMatrix(np.eye(4))  # trace 4
 
     def test_identity_apply(self, rng):
-        rho = random_mixed(rng)
-        out = chi_identity().apply(rho)
-        assert trace_distance(out, rho) < 1e-12
+        r = bloch_of(random_mixed(rng)).as_array()
+        # the trace distance of two states is half the distance of their Bloch vectors
+        assert np.linalg.norm(bloch_map_of(chi_identity())(r) - r) / 2 < 1e-12
 
     def test_depolarizing_apply(self, rng):
         p = 0.3
         rho = random_mixed(rng)
-        out = depolarizing_chi(p).apply(rho)
         ref = MixedState((1 - p) * rho.matrix + p * np.eye(2) / 2)
-        assert trace_distance(out, ref) < 1e-12
+        out = bloch_map_of(depolarizing_chi(p))(bloch_of(rho).as_array())
+        assert np.linalg.norm(out - bloch_of(ref).as_array()) / 2 < 1e-12
+
+    @settings(max_examples=50, deadline=None)
+    @given(cptp_kraus())
+    def test_ptm_is_the_pauli_action(self, kraus):
+        chi = kraus_chi(kraus)
+        images = chi_act(chi.chi, np.array(PAULI_MATRICES))
+        expected = np.array([[np.trace(s @ image).real / 2 for image in images] for s in PAULI_MATRICES])
+        assert np.abs(chi.ptm - expected).max() < 1e-12
 
 
 class TestQpt:
     def test_identity_channel(self):
-        pairs = [(rho, rho) for rho in QPT_INPUTS]
-        chi = qpt_reconstruct(pairs)
+        chi = qpt_reconstruct(np.array([rho.matrix for rho in QPT_INPUTS]))
         assert np.allclose(chi.chi, chi_identity().chi, atol=1e-10)
 
     def test_pure_x_channel(self):
         sx = PAULI_MATRICES[1]
-        pairs = [(rho, MixedState(sx @ rho.matrix @ sx)) for rho in QPT_INPUTS]
-        chi = qpt_reconstruct(pairs)
+        chi = qpt_reconstruct(np.array([sx @ rho.matrix @ sx for rho in QPT_INPUTS]))
         expected = np.zeros((4, 4))
         expected[1, 1] = 1
         assert np.allclose(chi.chi, expected, atol=1e-10)
 
     @pytest.mark.parametrize("p", [0.05, 0.2, 0.6])
     def test_depolarizing_diagonals(self, p):
-        ref = depolarizing_chi(p)
-        pairs = [(rho, ref.apply(rho)) for rho in QPT_INPUTS]
-        chi = qpt_reconstruct(pairs)
+        chi = qpt_reconstruct(qpt_outputs(depolarizing_chi(p).chi))
         diag = np.diag(chi.chi).real
         assert np.allclose(diag, [1 - 3 * p / 4, p / 4, p / 4, p / 4], atol=1e-9)
 
-    def test_rank_deficient_inputs(self):
-        pairs = [(QPT_INPUTS[0], QPT_INPUTS[0])] * 4
-        with pytest.raises(TomographyError):
-            qpt_reconstruct(pairs)
+    @pytest.mark.parametrize("shape", [(1, 2, 2), (3, 2, 2), (5, 2, 2), (4, 3, 3), (4, 4), (2, 2)],
+                             ids=["one_output", "three_outputs", "five_outputs", "qutrits", "flat", "one_matrix"])
+    def test_wrong_shape_stack(self, shape):
+        # one output per input of QPT_INPUT_LABELS, no more and no fewer
+        mats = np.broadcast_to(np.eye(shape[-1]) / shape[-1], shape)
+        with pytest.raises(TomographyError, match="stack"):
+            qpt_reconstruct(mats)
 
-    def test_too_few_pairs(self):
-        with pytest.raises(TomographyError):
-            qpt_reconstruct([(QPT_INPUTS[0], QPT_INPUTS[0])])
+    @pytest.mark.parametrize("bad, match", [
+        (np.diag([1.0, 1.0]), "trace"),
+        (np.diag([1.1, -0.1]), "negative eigenvalue"),
+        (np.array([[0.5, 0.5], [0.0, 0.5]]), "not Hermitian"),
+    ])
+    def test_outputs_are_validated(self, bad, match):
+        outputs = np.array([rho.matrix for rho in QPT_INPUTS])
+        outputs[2] = bad
+        with pytest.raises(InvalidStateError, match=match):
+            qpt_reconstruct(outputs)
 
     def test_cp_projection_clips(self):
         # slightly unphysical outputs produce small negative chi eigenvalues
-        ref = depolarizing_chi(0.1)
-        pairs = []
-        for i, rho in enumerate(QPT_INPUTS):
-            out = ref.apply(rho).matrix
+        outputs = qpt_outputs(depolarizing_chi(0.1).chi)
+        for i, out in enumerate(outputs):
             bump = 0.004 if i % 2 else -0.004
-            out = (1 - abs(bump)) * out + abs(bump) * np.eye(2) / 2
-            if i == 0:
-                out = 0.996 * out + 0.004 * np.array([[0, 0], [0, 1.0]])
-            pairs.append((rho, MixedState(out)))
-        chi = qpt_reconstruct(pairs, cp_projection=True)
+            outputs[i] = (1 - abs(bump)) * out + abs(bump) * np.eye(2) / 2
+        outputs[0] = 0.996 * outputs[0] + 0.004 * np.array([[0, 0], [0, 1.0]])
+        chi = qpt_reconstruct(outputs, cp_projection=True)
         assert np.linalg.eigvalsh(chi.chi).min() >= -1e-12
+        assert_matches_references(outputs, cp_projection=True)
+
+    @pytest.mark.parametrize("cp_projection", [False, True])
+    @settings(max_examples=50, deadline=None)
+    @given(kraus=cptp_kraus())
+    def test_random_channels_match_references(self, kraus, cp_projection):
+        assert_matches_references(qpt_outputs(kraus_chi(kraus).chi), cp_projection)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_campaign_outputs_match_references(self, seed):
+        # the simulate configuration of the benchmark: with-SPP channel, 1e5 shots, ML tomography
+        campaign = Campaign.run(calibrated_channel(with_spp=True), INPUT_LABELS, shots=100_000, seed=seed,
+                                max_likelihood=True)
+        outputs = np.array([campaign.estimates[INPUT_LABELS.index(label)].mean(axis=0)
+                            for label in QPT_INPUT_LABELS])
+        for cp_projection in (False, True):
+            assert_matches_references(outputs, cp_projection)
+            assert campaign.process_matrix(cp_projection).chi.tobytes() == \
+                qpt_reconstruct(outputs, cp_projection).chi.tobytes()
 
 
 def _tp_residual(chi):
@@ -441,58 +498,58 @@ def _tp_residual(chi):
 
 
 class TestCpProjection:
-    def non_cp_pairs(self):
+    def non_cp_outputs(self):
         # pure outputs that no unitary produces: H is tilted, V, D and L are not;
         # clipping the negative eigenvalue of this chi breaks trace preservation
         tilted = np.array([0.1, 0.0, 0.99])
-        outs = [state_from_bloch(tilted / np.linalg.norm(tilted))] + QPT_INPUTS[1:]
-        return list(zip(QPT_INPUTS, outs))
+        return np.array([state_from_bloch(tilted / np.linalg.norm(tilted)).matrix]
+                        + [rho.matrix for rho in QPT_INPUTS[1:]])
 
     def test_result_is_completely_positive_and_trace_preserving(self):
-        pairs = self.non_cp_pairs()
-        raw = qpt_reconstruct(pairs)
+        outputs = self.non_cp_outputs()
+        raw = qpt_reconstruct(outputs)
         assert np.linalg.eigvalsh(raw.chi).min() < -1e-3
-        chi = qpt_reconstruct(pairs, cp_projection=True)
+        chi = qpt_reconstruct(outputs, cp_projection=True)
         assert np.linalg.eigvalsh(chi.chi).min() >= -1e-12
         assert _tp_residual(chi.chi) < 1e-12
         for rho in QPT_INPUTS:
-            assert np.trace(chi.apply(rho).matrix).real == pytest.approx(1.0, abs=1e-12)
-        bloch_map_of(chi)  # applies chi to validated states
+            assert np.trace(chi_act(chi.chi, rho.matrix)).real == pytest.approx(1.0, abs=1e-12)
+        bloch_map_of(chi)  # its images of the origin and the axes lie in the ball
+        for cp_projection in (False, True):
+            assert_matches_references(outputs, cp_projection)
 
     def test_admixes_the_depolarizing_channel(self):
-        pairs = self.non_cp_pairs()
-        raw = qpt_reconstruct(pairs).chi
+        outputs = self.non_cp_outputs()
+        raw = qpt_reconstruct(outputs).chi
         lowest = np.linalg.eigvalsh(raw).min()
         expected = (raw - lowest * np.eye(4)) / (1 - 4 * lowest)
-        assert np.allclose(qpt_reconstruct(pairs, cp_projection=True).chi, expected, atol=1e-12)
+        assert np.allclose(qpt_reconstruct(outputs, cp_projection=True).chi, expected, atol=1e-12)
 
     def test_completely_positive_input_unchanged(self):
         ref = depolarizing_chi(0.1)
-        pairs = [(rho, ref.apply(rho)) for rho in QPT_INPUTS]
-        chi = qpt_reconstruct(pairs, cp_projection=True)
+        chi = qpt_reconstruct(qpt_outputs(ref.chi), cp_projection=True)
         assert np.allclose(chi.chi, ref.chi, atol=1e-10)
 
 
 class TestProcessFidelity:
     def test_identity_perfect(self):
-        assert process_fidelity(chi_identity(), chi_identity()) == 1.0
+        assert process_fidelity(chi_identity()) == 1.0
 
     @pytest.mark.parametrize("p", [0.0, 0.25, 1.0])
     def test_depolarizing(self, p):
-        assert process_fidelity(depolarizing_chi(p), chi_identity()) == pytest.approx(
-            1 - 3 * p / 4, abs=1e-12)
+        assert process_fidelity(depolarizing_chi(p)) == pytest.approx(1 - 3 * p / 4, abs=1e-12)
 
     def test_average_fidelity_relation(self):
         # for Pauli-diagonal channels F_avg = (2 F_proc + 1) / 3
         p = 0.4
         chi = depolarizing_chi(p)
-        f_proc = process_fidelity(chi, chi_identity())
+        f_proc = process_fidelity(chi)
         fids = []
         for rho in QPT_INPUTS:
             evals, evecs = np.linalg.eigh(rho.matrix)
             phi = evecs[:, np.argmax(evals)]
-            out = chi.apply(rho)
-            fids.append(np.vdot(phi, out.matrix @ phi).real)
+            out = chi_act(chi.chi, rho.matrix)
+            fids.append(np.vdot(phi, out @ phi).real)
         assert np.mean(fids) == pytest.approx((2 * f_proc + 1) / 3, abs=1e-10)
 
 
@@ -521,40 +578,25 @@ class TestBlochMap:
         for _ in range(10):
             rho = random_mixed(rng)
             r = bloch_of(rho).as_array()
-            direct = bloch_of(chi.apply(rho)).as_array()
+            direct = bloch_of(MixedState(chi_act(chi.chi, rho.matrix))).as_array()
             assert np.allclose(bmap(r), direct, atol=1e-10)
 
     @pytest.mark.parametrize("chi", [chi_identity(), depolarizing_chi(0.3), amplitude_damping_chi(0.2),
                                      rotation_chi(0.7, (1.0, 2.0, 3.0))])
     def test_map_and_samples_equal_per_state_reference(self, chi):
-        # the old per-state construction, one validated state per input
-        def apply(rho):
-            out = np.zeros((2, 2), dtype=complex)
-            for l in range(4):
-                for k in range(4):
-                    out += chi.chi[l, k] * PAULI_MATRICES[l] @ rho @ PAULI_MATRICES[k]
-            return MixedState(out).matrix
-
-        def bloch(rho):
-            return np.array([np.trace(rho @ p).real for p in PAULI_MATRICES[1:]])
-
-        paulis = PAULI_MATRICES
-        offset = bloch(apply(MixedState(np.eye(2) / 2).matrix))
-        cols = [bloch(apply(MixedState(0.5 * (np.eye(2, dtype=complex) + e[0] * paulis[1] + e[1] * paulis[2]
-                                              + e[2] * paulis[3])).matrix)) - offset for e in np.eye(3)]
+        linear, offset = per_state_bloch_map(chi.chi)
         bmap = bloch_map_of(chi)
-        assert bmap.linear.tobytes() == np.array(cols).T.tobytes() and bmap.offset.tobytes() == offset.tobytes()
+        assert np.abs(bmap.linear - linear).max() < 1e-12 and np.abs(bmap.offset - offset).max() < 1e-12
         mesh, images = bloch_sphere_samples(bmap)
         points = [np.array([np.sin(t) * np.cos(f), np.sin(t) * np.sin(f), np.cos(t)])
                   for t in np.linspace(0, np.pi, 12) for f in np.linspace(0, 2 * np.pi, 24, endpoint=False)]
         assert mesh.tobytes() == np.array(points).tobytes()
         assert images.tobytes() == np.array([bmap.linear @ r + bmap.offset for r in points]).tobytes()
 
-    def test_compose(self):
-        a = AffineBlochMap(0.5 * np.eye(3), np.array([0.0, 0.0, 0.1]))
-        b = AffineBlochMap(np.diag([1.0, -1.0, 1.0]), np.zeros(3))
-        r = np.array([0.2, -0.3, 0.4])
-        assert np.allclose(a.compose(b)(r), a(b(r)), atol=1e-14)
+    def test_image_outside_the_ball_raises(self):
+        # trace one and Hermitian, but not positive: 1.5 rho - 0.5 X rho X sends |H> to z = 2
+        with pytest.raises(InvalidStateError, match="Bloch vector length"):
+            bloch_map_of(ProcessMatrix(np.diag([1.5, -0.5, 0.0, 0.0])))
 
     def test_sphere_samples_shapes(self):
         mesh, images = bloch_sphere_samples(bloch_map_of(chi_identity()), n_theta=4, n_phi=6)
