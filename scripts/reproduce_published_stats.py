@@ -16,6 +16,8 @@ def main():
                         help="Monte Carlo resampling trials for error bars")
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
+    if args.mc_trials < 100:
+        parser.exit(2, f"{parser.prog}: error: --mc-trials must be >= 100, got {args.mc_trials}\n")
 
     for block in ("without_spp", "with_spp"):
         tag = block.replace("_", " ")

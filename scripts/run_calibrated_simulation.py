@@ -21,6 +21,8 @@ def main():
     parser.add_argument("--shots", type=int, default=100_000)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
+    if args.shots < 1:
+        parser.exit(2, f"{parser.prog}: error: --shots must be >= 1, got {args.shots}\n")
 
     ch = channel.calibrated_channel(with_spp=args.with_spp)
     print(f"channel: visibility={ch.werner_visibility:.4f} "

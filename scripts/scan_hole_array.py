@@ -22,10 +22,15 @@ def main():
     parser.add_argument("--modes", default="1,1;1,0",
                         help="semicolon-separated m1,m2 pairs")
     args = parser.parse_args()
+    if args.period_step <= 0:
+        parser.exit(2, f"{parser.prog}: error: --period-step must be > 0, got {args.period_step:g}\n")
 
     modes = []
     for part in args.modes.split(";"):
-        m1, m2 = (int(x) for x in part.split(","))
+        try:
+            m1, m2 = (int(x) for x in part.split(","))
+        except ValueError:
+            parser.exit(2, f"{parser.prog}: error: bad mode {part!r} in --modes, expected 'm1,m2'\n")
         modes.append((m1, m2))
 
     table = channel.gold_dielectric_table()
@@ -33,13 +38,16 @@ def main():
     for period in np.arange(args.period_start, args.period_stop + args.period_step / 2,
                             args.period_step):
         for mode in modes:
-            geom = channel.HoleArrayGeometry(
-                period_nm=float(period),
-                hole_diameter_nm=args.hole_diameter,
-                mode=mode,
-                eps_substrate=args.eps_substrate,
-                metal=table,
-            )
+            try:
+                geom = channel.HoleArrayGeometry(
+                    period_nm=float(period),
+                    hole_diameter_nm=args.hole_diameter,
+                    mode=mode,
+                    eps_substrate=args.eps_substrate,
+                    metal=table,
+                )
+            except channel.ChannelParameterError as exc:
+                parser.exit(2, f"{parser.prog}: error: {exc}\n")
             try:
                 lam = channel.resonance_wavelength(geom, interface="substrate")
             except channel.ResonanceSolveError as exc:

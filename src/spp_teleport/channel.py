@@ -1,9 +1,9 @@
 """Physical models of the plasmonic link.
 
-Covers the white-noise (Werner) model of the entangled source, heralded
-loss, the hole-array resonance and momentum-matching calculators, the
-exponential propagation-decay fit, and the multiplicative fidelity budget
-used to account for the measured teleportation fidelities.
+Covers the white-noise (Werner) weight of the entangled source, heralded
+loss, the hole-array resonance and momentum-matching calculators, and the
+multiplicative fidelity budget used to account for the measured
+teleportation fidelities.
 """
 
 from __future__ import annotations
@@ -15,9 +15,7 @@ from importlib import resources
 
 import numpy as np
 
-from .qcore import InvalidStateError, MixedState, PureState
-
-SINGLET = PureState(np.array([0, 1, -1, 0]) / math.sqrt(2))
+from .qcore import MixedState
 
 
 class ChannelParameterError(ValueError):
@@ -75,22 +73,10 @@ class ChannelModel:
         if not 0.0 <= self.depolarizing_extra <= 1.0:
             raise ChannelParameterError(f"depolarizing_extra {self.depolarizing_extra} not in [0,1]")
 
-    @classmethod
-    def ideal(cls) -> "ChannelModel":
-        return cls()
-
     @property
     def bloch_shrink(self) -> float:
         """Combined depolarizing weight acting on the teleported qubit."""
         return self.werner_visibility * (1.0 - self.depolarizing_extra)
-
-
-def werner(visibility: float) -> MixedState:
-    """Two-qubit Werner state v |psi-><psi-| + (1-v) I/4."""
-    if not 0.0 <= visibility <= 1.0:
-        raise ChannelParameterError(f"visibility {visibility} not in [0,1]")
-    mat = visibility * SINGLET.projector().matrix + (1.0 - visibility) * np.eye(4) / 4.0
-    return MixedState(mat)
 
 
 def depolarize(mats: np.ndarray, model: ChannelModel) -> np.ndarray:
@@ -244,32 +230,6 @@ def dispersion_match(geom: HoleArrayGeometry, k_parallel) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# propagation decay
-
-
-def decay_profile(decay_length_um: float, positions_um) -> np.ndarray:
-    """Exponential intensity profile I0 exp(-x / L), I0 = 1."""
-    x = np.asarray(positions_um, dtype=float)
-    if decay_length_um <= 0:
-        raise ChannelParameterError("decay length must be positive")
-    return np.exp(-x / decay_length_um)
-
-
-def fit_decay(positions_um, intensities) -> float:
-    """1/e decay length from a least-squares line fit to log intensity."""
-    x = np.asarray(positions_um, dtype=float)
-    y = np.asarray(intensities, dtype=float)
-    if np.any(y <= 0):
-        raise ChannelParameterError("intensities must be positive for the log fit")
-    if np.any(np.diff(x) <= 0):
-        raise ChannelParameterError("positions must be strictly increasing")
-    slope, _ = np.polyfit(x, np.log(y), 1)
-    if slope >= 0:
-        raise ChannelParameterError("intensity does not decay with distance")
-    return -1.0 / slope
-
-
-# ---------------------------------------------------------------------------
 # fidelity budget
 
 
@@ -299,7 +259,6 @@ BUDGET_WITH_SPP = FidelityBudget(
 )
 
 SPP_TRANSMITTANCE = 0.008
-SPP_DECAY_LENGTH_UM = 4.48
 
 
 def fidelity_budget_total(budget: FidelityBudget, with_spp: bool) -> float:

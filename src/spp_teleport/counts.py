@@ -17,6 +17,9 @@ from .protocol import INPUT_LABELS
 from .tomo import monte_carlo_errors
 
 CHSH_OUTCOMES = ("++", "+-", "-+", "--")
+# analyser angles in degrees, (theta1, theta2), (theta1, theta2'), (theta1', theta2),
+# (theta1', theta2') with theta1 = 0, theta1' = 45, theta2 = 22.5, theta2' = 67.5
+CHSH_SETTINGS = ("0-22.5", "0-67.5", "45-22.5", "45-67.5")
 FIDELITY_OUTCOMES = ("phi", "perp")
 # row order of the published fidelity tables
 BELL_LABELS = ("PsiPlus", "PsiMinus", "PhiMinus", "PhiPlus")
@@ -30,25 +33,6 @@ CLASSICAL_PROCESS_FIDELITY_BOUND = 0.5
 
 class CountsDataError(ValueError):
     """Malformed or incomplete count table."""
-
-
-@dataclass(frozen=True)
-class ChshSettings:
-    theta1: float = 0.0
-    theta1_prime: float = 45.0
-    theta2: float = 22.5
-    theta2_prime: float = 67.5
-
-    def setting_labels(self) -> tuple[str, str, str, str]:
-        def lbl(a, b):
-            return f"{a:g}-{b:g}"
-
-        return (
-            lbl(self.theta1, self.theta2),
-            lbl(self.theta1, self.theta2_prime),
-            lbl(self.theta1_prime, self.theta2),
-            lbl(self.theta1_prime, self.theta2_prime),
-        )
 
 
 @dataclass(frozen=True)
@@ -148,10 +132,9 @@ def correlation(counts: dict) -> float:
     return float(_correlations(c))
 
 
-def chsh_counts(table: CountsTable, settings: ChshSettings = ChshSettings()) -> np.ndarray:
-    """The 16 counts `chsh_s_values` takes: settings in `setting_labels` order, each by CHSH_OUTCOMES."""
-    return np.array([table.row(lbl)[o] for lbl in settings.setting_labels() for o in CHSH_OUTCOMES],
-                    dtype=float)
+def chsh_counts(table: CountsTable) -> np.ndarray:
+    """The 16 counts `chsh_s_values` takes: CHSH_SETTINGS in order, each by CHSH_OUTCOMES."""
+    return np.array([table.row(lbl)[o] for lbl in CHSH_SETTINGS for o in CHSH_OUTCOMES], dtype=float)
 
 
 def chsh_s_values(counts) -> np.ndarray:
@@ -161,9 +144,9 @@ def chsh_s_values(counts) -> np.ndarray:
     return np.abs(e[..., 0] - e[..., 1] + e[..., 2] + e[..., 3])
 
 
-def chsh_s(table: CountsTable, settings: ChshSettings = ChshSettings()) -> float:
+def chsh_s(table: CountsTable) -> float:
     """|S| of a CHSH count table."""
-    counts = chsh_counts(table, settings)
+    counts = chsh_counts(table)
     if (counts.reshape(-1, len(CHSH_OUTCOMES)).sum(axis=1) <= 0).any():
         raise CountsDataError("zero total counts")
     return float(chsh_s_values(counts))
@@ -214,14 +197,6 @@ def fidelity_table(table: CountsTable, mc_trials: int = 1000, seed: int = 0) -> 
         mean=float(fids.mean()),
         mean_std=std,
     )
-
-
-def cell_fidelity_std(table: CountsTable, outcome: str, inp: str,
-                      mc_trials: int = 1000, seed: int = 0) -> tuple[float, float]:
-    """Monte Carlo (mean, std) of one cell's fidelity."""
-    row = table.row(f"{outcome}/{inp}")
-    counts = np.array([row["phi"], row["perp"]], dtype=float)
-    return monte_carlo_errors(counts, _phi_fraction, trials=mc_trials, seed=seed)
 
 
 def sigma_violation(value: float, bound: float, std: float) -> float:

@@ -4,11 +4,6 @@ Qubit roles: Q0 is the polarization of photon A (the input state), Q1 its
 path after the first beam displacer, Q2 the polarization of photon B. The
 Bell measurement acts on (Q0, Q1); Q2 emerges, up to a Pauli, in the input
 state and is recovered by the feed-forward correction.
-
-Six-mode vectors are ordered (path1 H, path1 V, path2 H, path2 V,
-path3 H, path3 V); path2/path3 are the left/right interferometer arms and
-path1 collects the displaced output ports, so the Bell-state and port
-vectors used by the mode-matrix analysis hold verbatim in this ordering.
 """
 
 from __future__ import annotations
@@ -55,15 +50,6 @@ def prepare_input(label: str) -> PureState:
         raise ValueError(f"unknown input label {label!r}, expected one of {INPUT_LABELS}") from None
 
 
-def swapped_resource() -> PureState:
-    """Entangled (path of A) x (polarization of B) resource after the swap.
-
-    Basis order (l H, l V, r H, r V); the factored-out |V> of qubit 0 is
-    not included.
-    """
-    return PureState(np.array([0, 1, -1, 0]) / SQ2)
-
-
 class BellOutcome(enum.Enum):
     """Bell-measurement outcome with its exit port and Pauli correction."""
 
@@ -89,63 +75,11 @@ BELL_VECTORS: dict[BellOutcome, PureState] = {
 }
 
 
-@dataclass(frozen=True)
-class ModeVector:
-    """Amplitudes over the six optical modes; sub-normalized vectors are
-    post-selected branches."""
-
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex).ravel()
-        if amps.size != 6:
-            raise ValueError(f"need 6 mode amplitudes, got {amps.size}")
-        if np.linalg.norm(amps) > 1 + 1e-12:
-            raise ValueError("mode vector norm exceeds 1")
-        object.__setattr__(self, "amplitudes", amps)
-
-
-# Bell states and exit ports as six-mode vectors
-BELL_MODE_VECTORS: dict[BellOutcome, ModeVector] = {
-    BellOutcome.PHI_PLUS: ModeVector(np.array([0, 0, 1, 0, 0, 1]) / SQ2),
-    BellOutcome.PHI_MINUS: ModeVector(np.array([0, 0, 1, 0, 0, -1]) / SQ2),
-    BellOutcome.PSI_PLUS: ModeVector(np.array([0, 0, 0, 1, 1, 0]) / SQ2),
-    BellOutcome.PSI_MINUS: ModeVector(np.array([0, 0, 0, 1, -1, 0]) / SQ2),
-}
-
-PORT_MODE_INDEX = {"CH1": 2, "CH2": 3, "CH3": 0, "CH4": 1}
-
-
-def port_vector(port: str) -> ModeVector:
-    amps = np.zeros(6)
-    amps[PORT_MODE_INDEX[port]] = 1.0
-    return ModeVector(amps)
-
-
-def bsm_matrix() -> np.ndarray:
-    """Mode transformation of the Bell analyser (a partial isometry).
-
-    The two all-zero rows correspond to the unused interferometer arms;
-    the matrix is an isometry only on the Bell subspace because element
-    phases are dropped.
-    """
-    s = 1.0 / SQ2
-    return np.array(
-        [
-            [0, 0, 0, s, -s, 0],
-            [0, 0, 0, -s, -s, 0],
-            [0, 0, -s, 0, 0, -s],
-            [0, 0, s, 0, 0, -s],
-            [0, 0, 0, 0, 0, 0],
-            [0, 0, 0, 0, 0, 0],
-        ],
-        dtype=complex,
-    )
-
-
 # Bell vectors as (Q0, Q1) matrices, in OUTCOMES order
 _BELL = np.array([BELL_VECTORS[o].amplitudes.reshape(2, 2) for o in OUTCOMES])
-_RESOURCE = swapped_resource().amplitudes
+# the entangled (path of A) x (polarization of B) resource after the swap,
+# basis (l H, l V, r H, r V); the factored-out |V> of qubit 0 is not included
+SWAPPED_RESOURCE = PureState(np.array([0, 1, -1, 0]) / SQ2).amplitudes
 
 
 def _bell_branches(targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -156,7 +90,7 @@ def _bell_branches(targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     phase-stripped Q2 amplitudes (n, 4, 2) and the branch probabilities
     (n, 4), exactly 1/4 for any normalized input.
     """
-    full = (targets[:, :, None] * _RESOURCE).reshape(-1, 8)
+    full = (targets[:, :, None] * SWAPPED_RESOURCE).reshape(-1, 8)
     full = (full / vector_norms(full)[:, None]).reshape(-1, 2, 2, 2)
     cond = np.einsum("oij,nijk->nok", _BELL.conj(), full)
     norms = vector_norms(cond)
@@ -179,7 +113,7 @@ def bell_decompose(input_state: PureState) -> dict[BellOutcome, tuple[PureState,
 def _correct(mats: np.ndarray, outcome: BellOutcome, eom: EomModel | None) -> np.ndarray:
     """Feed-forward correction of a stack (..., 2, 2), not validated."""
     for label in outcome.corrections:
-        sigma = PAULIS[label].matrix
+        sigma = PAULIS[label]
         flipped = sigma @ mats @ sigma.conj().T
         if eom is None:
             mats = flipped
@@ -231,18 +165,6 @@ class TeleportationRecord:
     fidelity: float
     probability: float
 
-    @property
-    def port(self) -> str:
-        return self.outcome.port
-
-
-def _records(inputs, shots, states, fidelities, probabilities) -> list[TeleportationRecord]:
-    """Input-major records of (n, 4) branch arrays whose states are validated."""
-    branches = [(label, outcome) for label in inputs for outcome in OUTCOMES]
-    return [TeleportationRecord(label, outcome, n, state, f, p) for (label, outcome), n, state, f, p in zip(
-        branches, shots.ravel().tolist(), MixedState.from_validated(states.reshape(-1, 2, 2)),
-        fidelities.ravel().tolist(), probabilities.ravel().tolist())]
-
 
 def run_teleportation(input_label: str, channel: ChannelModel, shots: int,
                       seed: int) -> list[TeleportationRecord]:
@@ -254,7 +176,9 @@ def run_teleportation(input_label: str, channel: ChannelModel, shots: int,
     if shots < 1:
         raise ValueError("shots must be >= 1")
     states, probs, fids = _teleport(prepare_input(input_label).amplitudes[None], channel)
-    return _records((input_label,), _shot_partition(probs[0], shots, seed), states, fids, probs)
+    partition = _shot_partition(probs[0], shots, seed).tolist()
+    return [TeleportationRecord(input_label, o, n, state, f, p) for o, n, state, f, p in zip(
+        OUTCOMES, partition, MixedState.from_validated(states[0]), fids[0].tolist(), probs[0].tolist())]
 
 
 class NoEstimateError(tomo.TomographyError):
@@ -322,29 +246,3 @@ class Campaign(NamedTuple):
                                       f"so no state estimate")
             outputs.append(self.estimates[i][estimated[i]].mean(axis=0))
         return tomo.qpt_reconstruct(np.array(outputs), cp_projection=cp_projection)
-
-
-def run_campaign(channel: ChannelModel, inputs, shots: int, seed: int,
-                 max_likelihood: bool = False) -> tuple[list[TeleportationRecord], list[MixedState | None]]:
-    """Campaign.run as objects: the records, input-major in OUTCOMES order,
-    and the reconstructed state of each (None for a branch without one)."""
-    c = Campaign.run(channel, inputs, shots, seed, max_likelihood)
-    estimates = MixedState.from_validated(c.estimates.reshape(-1, 2, 2))
-    return (_records(c.inputs, c.shots, c.states, c.fidelities, c.probabilities),
-            [e if ok else None for e, ok in zip(estimates, c.estimated.ravel())])
-
-
-def average_fidelity(records, weighting: str = "uniform") -> float:
-    """Mean output fidelity over records.
-
-    weighting="uniform" assumes the ideal 1/4 outcome probabilities;
-    "counts" weights by the sampled shot partition.
-    """
-    if weighting == "uniform":
-        return float(np.mean([r.fidelity for r in records]))
-    if weighting == "counts":
-        total = sum(r.shots for r in records)
-        if total == 0:
-            raise ValueError("no shots recorded")
-        return float(sum(r.fidelity * r.shots for r in records) / total)
-    raise ValueError(f"unknown weighting {weighting!r}")

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-ATOL = 1e-12
 EIG_ATOL = 1e-10
 
 
@@ -44,16 +43,6 @@ class PureState:
     def dim(self) -> int:
         return self.amplitudes.size
 
-    def projector(self) -> "MixedState":
-        return MixedState(np.outer(self.amplitudes, self.amplitudes.conj()))
-
-    def overlap(self, other: "PureState") -> complex:
-        if self.dim != other.dim:
-            raise DimensionMismatchError(f"{self.dim} != {other.dim}")
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
-    def phase_fixed(self) -> "PureState":
-        return PureState(strip_global_phase(self.amplitudes))
 
 
 def strip_global_phase(amps: np.ndarray) -> np.ndarray:
@@ -128,38 +117,10 @@ class MixedState:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    @classmethod
-    def maximally_mixed(cls, dim: int) -> "MixedState":
-        return cls(np.eye(dim) / dim)
 
-
-# Pauli operators in the (|H>, |V>) basis.
-@dataclass(frozen=True)
-class PauliOp:
-    label: str
-    matrix: np.ndarray
-
-
-IDENTITY = PauliOp("I", np.eye(2, dtype=complex))
-SIGMA_X = PauliOp("X", np.array([[0, 1], [1, 0]], dtype=complex))
-SIGMA_Y = PauliOp("Y", np.array([[0, -1j], [1j, 0]], dtype=complex))
-SIGMA_Z = PauliOp("Z", np.array([[1, 0], [0, -1]], dtype=complex))
-
-PAULIS = {p.label: p for p in (IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z)}
-PAULI_MATRICES = [IDENTITY.matrix, SIGMA_X.matrix, SIGMA_Y.matrix, SIGMA_Z.matrix]
-
-
-@dataclass(frozen=True)
-class BlochVector:
-    x: float
-    y: float
-    z: float
-
-    def __post_init__(self):
-        check_bloch_ball(self.as_array())
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z])
+# Pauli operators I, X, Y, Z in the (|H>, |V>) basis
+PAULI_MATRICES = np.array([np.eye(2), [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex)
+PAULIS = dict(zip("IXYZ", PAULI_MATRICES))
 
 
 def tensor(a, b):
@@ -169,27 +130,6 @@ def tensor(a, b):
     if isinstance(a, MixedState) and isinstance(b, MixedState):
         return MixedState(np.kron(a.matrix, b.matrix))
     raise TypeError("tensor operands must both be PureState or both MixedState")
-
-
-def partial_trace(rho: MixedState, keep, dims) -> MixedState:
-    """Trace out all subsystems not listed in `keep`.
-
-    `dims` gives the dimension of every subsystem, most significant first.
-    """
-    dims = list(dims)
-    if int(np.prod(dims)) != rho.dim:
-        raise DimensionMismatchError(f"prod({dims}) != {rho.dim}")
-    keep = sorted(keep)
-    if any(k < 0 or k >= len(dims) for k in keep):
-        raise DimensionMismatchError(f"keep={keep} out of range for {len(dims)} subsystems")
-    n = len(dims)
-    t = rho.matrix.reshape(dims + dims)
-    # contract traced-out row/column index pairs, highest axis first
-    traced = [i for i in range(n) if i not in keep]
-    for i in sorted(traced, reverse=True):
-        t = np.trace(t, axis1=i, axis2=i + t.ndim // 2)
-    d_keep = int(np.prod([dims[k] for k in keep])) if keep else 1
-    return MixedState(t.reshape(d_keep, d_keep))
 
 
 def check_bloch_ball(r) -> None:
@@ -225,36 +165,28 @@ def fidelity_pure(rho: MixedState, phi: PureState) -> float:
     return float(clamp_unit(expectation(rho.matrix, phi.amplitudes).real))
 
 
-def bloch_of(rho: MixedState) -> BlochVector:
-    """Bloch vector (Tr rho sx, Tr rho sy, Tr rho sz) of a single-qubit state."""
+def bloch_of(rho: MixedState) -> np.ndarray:
+    """Bloch vector (Tr rho sx, Tr rho sy, Tr rho sz) of a single-qubit state,
+    checked to lie in the ball."""
     if rho.dim != 2:
         raise DimensionMismatchError(f"need a single qubit, got dim {rho.dim}")
-    return BlochVector(*(float(np.trace(rho.matrix @ s.matrix).real) for s in (SIGMA_X, SIGMA_Y, SIGMA_Z)))
+    r = np.array([float(np.trace(rho.matrix @ s).real) for s in PAULI_MATRICES[1:]])
+    check_bloch_ball(r)
+    return r
 
 
 def bloch_matrices(r) -> np.ndarray:
     """(I + r.sigma)/2 for Bloch vectors of shape (..., 3), not validated."""
     r = np.asarray(r, dtype=float)[..., None, None]
-    return 0.5 * (np.eye(2, dtype=complex) + r[..., 0, :, :] * SIGMA_X.matrix + r[..., 1, :, :] * SIGMA_Y.matrix
-                  + r[..., 2, :, :] * SIGMA_Z.matrix)
+    _, sx, sy, sz = PAULI_MATRICES
+    return 0.5 * (np.eye(2, dtype=complex) + r[..., 0, :, :] * sx + r[..., 1, :, :] * sy + r[..., 2, :, :] * sz)
 
 
 def state_from_bloch(r: np.ndarray) -> MixedState:
     return MixedState(bloch_matrices(r))
 
 
-def trace_distance(a: MixedState, b: MixedState) -> float:
-    if a.dim != b.dim:
-        raise DimensionMismatchError(f"{a.dim} != {b.dim}")
-    evals = np.linalg.eigvalsh(a.matrix - b.matrix)
-    return 0.5 * float(np.abs(evals).sum())
-
-
 def complex_matrix_to_json(mat: np.ndarray):
     """Nested lists of [re, im] pairs, row-major; a stack gives one list per matrix."""
     mat = np.asarray(mat, dtype=complex)
     return np.stack([mat.real, mat.imag], axis=-1).tolist()
-
-
-def complex_matrix_from_json(data) -> np.ndarray:
-    return np.array([[complex(re, im) for re, im in row] for row in data])

@@ -31,20 +31,7 @@ _BASIS_STATES = {
 
 
 class TomographyError(ValueError):
-    """Measurement records are insufficient or inconsistent."""
-
-
-@dataclass(frozen=True)
-class MeasurementRecord:
-    basis: str
-    plus_counts: int
-    minus_counts: int
-
-    def __post_init__(self):
-        if self.basis not in BASES:
-            raise TomographyError(f"basis must be one of {BASES}, got {self.basis!r}")
-        if self.plus_counts < 0 or self.minus_counts < 0:
-            raise TomographyError("counts must be non-negative")
+    """Measurement counts are insufficient or inconsistent."""
 
 
 _PLUS_STATES = np.array([_BASIS_STATES[basis][0] for basis in BASES])
@@ -65,14 +52,13 @@ def sample_counts(states: np.ndarray, shots_per_basis, seeds) -> np.ndarray:
     return np.stack([plus, shots - plus], axis=-1).reshape(-1, 2 * len(BASES))
 
 
-def sample_measurements(rho: MixedState, shots_per_basis: int, seed: int) -> list[MeasurementRecord]:
-    """Forward-sample per-basis outcome counts from a single-qubit state."""
-    counts = sample_counts(rho.matrix[None], [shots_per_basis], [seed])[0].tolist()
-    return [MeasurementRecord(basis, *counts[2 * k:2 * k + 2]) for k, basis in enumerate(BASES)]
+def sample_measurements(rho: MixedState, shots_per_basis: int, seed: int) -> np.ndarray:
+    """The (6,) counts sample_counts draws for one state."""
+    return sample_counts(rho.matrix[None], [shots_per_basis], [seed])[0]
 
 
-def qst_reconstruct(records, max_likelihood: bool = False,
-                    ml_tol: float = 1e-10, ml_max_iter: int = 10_000) -> np.ndarray | MixedState | list[MixedState]:
+def qst_reconstruct(counts: np.ndarray, max_likelihood: bool = False,
+                    ml_tol: float = 1e-10, ml_max_iter: int = 10_000) -> np.ndarray:
     """Single-qubit state reconstruction from per-basis counts.
 
     Default is linear inversion of the three basis expectation values with
@@ -81,28 +67,11 @@ def qst_reconstruct(records, max_likelihood: bool = False,
     as each basis term sum n log p peaks at p = n / N and the linear
     estimate meets all three peaks. Only estimates that left the ball go
     through the diluted RrhoR fixed point (_ml_refine), and only they count
-    against ml_max_iter. Given an (n, 6) array of counts,
-    (plus, minus) per basis in BASES order, returns the (n, 2, 2) stack of
-    estimates; given one list of records, a MixedState; given a sequence of
-    record lists, a list of them. Every estimate of a call is reconstructed
-    and validated as one batch.
+    against ml_max_iter. Takes an (n, 6) array of counts, (plus, minus)
+    per basis in BASES order, and returns the (n, 2, 2) stack of estimates,
+    reconstructed and validated as one batch.
     """
-    if isinstance(records, np.ndarray):
-        return density_matrices(_reconstruct(records.astype(float), max_likelihood, ml_tol, ml_max_iter))
-    records = list(records)
-    single = not records or isinstance(records[0], MeasurementRecord)
-    counts = np.array([_basis_counts(recs) for recs in ([records] if single else records)], dtype=float)
-    states = MixedState.from_validated(density_matrices(_reconstruct(counts, max_likelihood, ml_tol, ml_max_iter)))
-    return states[0] if single else states
-
-
-def _basis_counts(records) -> list:
-    """(plus, minus) counts summed per basis, flattened in BASES order."""
-    totals = {b: [0, 0] for b in BASES}
-    for rec in records:
-        totals[rec.basis][0] += rec.plus_counts
-        totals[rec.basis][1] += rec.minus_counts
-    return [n for basis in BASES for n in totals[basis]]
+    return density_matrices(_reconstruct(counts.astype(float), max_likelihood, ml_tol, ml_max_iter))
 
 
 def _reconstruct(counts: np.ndarray, max_likelihood: bool, tol: float, max_iter: int) -> np.ndarray:
@@ -122,7 +91,7 @@ def _reconstruct(counts: np.ndarray, max_likelihood: bool, tol: float, max_iter:
     return mats
 
 
-# projectors onto the outcomes of _basis_counts, in the same order
+# projectors onto the six outcomes of the counts, in the same order
 _PROJECTORS = np.array([np.outer(v, v.conj()) for basis in BASES for v in _BASIS_STATES[basis]])
 
 
@@ -162,11 +131,10 @@ def _ml_refine(rho0: np.ndarray, counts: np.ndarray, tol: float, max_iter: int,
                           f"did not converge within {max_iter} iterations")
 
 
-_PAULIS = np.array(PAULI_MATRICES)
 # R = _CHI_TO_PTM @ chi.ravel() is the Pauli transfer matrix R_ij = Tr(s_i L(s_j)) / 2, raveled, of
 # L(rho) = sum_lk chi_lk s_l rho s_k. Its entries are 0, +-1 and +-i, and it is 2 times a unitary,
 # so its inverse is exactly its adjoint over 4.
-_CHI_TO_PTM = 0.5 * np.einsum("iab,lbc,jcd,kda->ijlk", _PAULIS, _PAULIS, _PAULIS, _PAULIS).reshape(16, 16)
+_CHI_TO_PTM = 0.5 * np.einsum("iab,lbc,jcd,kda->ijlk", *[PAULI_MATRICES] * 4).reshape(16, 16)
 _PTM_TO_CHI = _CHI_TO_PTM.conj().T / 4
 
 
@@ -215,7 +183,7 @@ def qpt_reconstruct(outputs, cp_projection: bool = False) -> ProcessMatrix:
     ident = h + v
     # H, V, D, L are (I + Z)/2, (I - Z)/2, (I + X)/2, (I + Y)/2; these are L(s_j) for s_j in (I, X, Y, Z)
     images = np.array([ident, 2 * d - ident, 2 * l - ident, h - v])
-    ptm = 0.5 * np.einsum("iab,jba->ij", _PAULIS, images).real
+    ptm = 0.5 * np.einsum("iab,jba->ij", PAULI_MATRICES, images).real
     chi = (_PTM_TO_CHI @ ptm.ravel()).reshape(4, 4)
     chi = 0.5 * (chi + chi.conj().T)
     if cp_projection:

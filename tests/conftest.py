@@ -5,6 +5,10 @@ from hypothesis import strategies as st
 from spp_teleport.qcore import MixedState, PureState
 
 
+def projector(state: PureState) -> MixedState:
+    return MixedState(np.outer(state.amplitudes, state.amplitudes.conj()))
+
+
 @st.composite
 def pure_states(draw, dim=2):
     parts = draw(
@@ -27,7 +31,7 @@ def mixed_states(draw, dim=2):
         st.lists(st.floats(min_value=0.05, max_value=1.0), min_size=n_terms, max_size=n_terms)
     )
     states = [draw(pure_states(dim=dim)) for _ in range(n_terms)]
-    mat = sum(w * s.projector().matrix for w, s in zip(weights, states))
+    mat = sum(w * projector(s).matrix for w, s in zip(weights, states))
     return MixedState(mat / np.trace(mat).real)
 
 

@@ -6,12 +6,17 @@
 - `per_state_bloch_map`: the affine Bloch map read off the validated images
   of the maximally mixed state and the three Bloch axis states, one state
   at a time;
-- `kraus_chi`: the process matrix of a channel given by Kraus operators.
+- `kraus_chi`: the process matrix of a channel given by Kraus operators;
+- `werner`: the two-qubit Werner state of the source, for the brute-force
+  teleportation oracle;
+- `trace_distance` between two density matrices.
 """
 
 import numpy as np
 
-from spp_teleport.qcore import PAULI_MATRICES, MixedState
+from spp_teleport.qcore import PAULI_MATRICES, MixedState, PureState, density_matrices
+
+SINGLET = PureState(np.array([0, 1, -1, 0]) / np.sqrt(2)).amplitudes
 from spp_teleport.tomo import ProcessMatrix
 
 
@@ -83,3 +88,14 @@ def per_state_bloch_map(chi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     offset = image(np.zeros(3))
     return np.array([image(e) - offset for e in np.eye(3)]).T, offset
+
+
+def werner(v: float) -> np.ndarray:
+    """v |psi-><psi-| + (1 - v) I/4, each term validated as a density matrix."""
+    singlet = density_matrices(np.outer(SINGLET, SINGLET.conj()))
+    return density_matrices(v * singlet + (1.0 - v) * np.eye(4) / 4.0)
+
+
+def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """Half the trace norm of a - b."""
+    return 0.5 * float(np.abs(np.linalg.eigvalsh(a - b)).sum())

@@ -11,13 +11,13 @@ import time
 import numpy as np
 
 from spp_teleport import channel, cli, counts, protocol, tomo
-from spp_teleport.qcore import MixedState, trace_distance
+from spp_teleport.qcore import MixedState
 
 import conftest
 from conftest import random_mixed
-from reference import chi_act
-from test_protocol import brute_force_teleport
-from test_tomo import depolarizing_chi, exact_records
+from reference import chi_act, trace_distance, werner
+from test_protocol import BELL_MODE_VECTORS, BSM_MATRIX, PORT_MODE_INDEX, brute_force_teleport
+from test_tomo import depolarizing_chi, exact_counts
 
 
 def _report(num, description, ok, detail):
@@ -86,12 +86,13 @@ def test_04_sigma_violations():
 
 
 def test_05_bsm_routing():
-    u = protocol.bsm_matrix()
+    # the analyser's mode matrix sends each Bell state to the port the package
+    # names for its outcome, the port written to records.json
     worst = 1.0
     routed = True
     for outcome in protocol.OUTCOMES:
-        image = u @ protocol.BELL_MODE_VECTORS[outcome].amplitudes
-        idx = protocol.PORT_MODE_INDEX[outcome.port]
+        image = BSM_MATRIX @ BELL_MODE_VECTORS[outcome.label]
+        idx = PORT_MODE_INDEX[outcome.port]
         worst = min(worst, abs(image[idx]) ** 2)
         others = np.delete(image, idx)
         routed = routed and np.max(np.abs(others)) < 1e-12
@@ -103,7 +104,7 @@ def test_05_bsm_routing():
 def test_06_ideal_teleportation_identity():
     t0 = time.perf_counter()
     worst = 1.0
-    ch = channel.ChannelModel.ideal()
+    ch = channel.ChannelModel()
     for label in protocol.INPUT_LABELS:
         for rec in protocol.run_teleportation(label, ch, shots=10, seed=0):
             worst = min(worst, rec.fidelity)
@@ -119,12 +120,11 @@ def test_07_werner_channel_oracle():
         ch = channel.ChannelModel(werner_visibility=v)
         expected = (1 + v) / 2
         for label in protocol.INPUT_LABELS:
-            oracle = brute_force_teleport(
-                protocol.INPUT_STATES[label].amplitudes, channel.werner(v).matrix)
+            oracle = brute_force_teleport(protocol.INPUT_STATES[label].amplitudes, werner(v))
             for rec in protocol.run_teleportation(label, ch, shots=10, seed=0):
                 worst = max(worst, abs(rec.fidelity - expected))
                 _, rho_ref = oracle[rec.outcome.label]
-                worst = max(worst, trace_distance(rec.state, MixedState(rho_ref)))
+                worst = max(worst, trace_distance(rec.state.matrix, MixedState(rho_ref).matrix))
     ok = worst <= 1e-9
     _report(7, "Werner(v) gives per-outcome fidelity (1+v)/2 vs brute force, 1e-9", ok,
             f"worst deviation {worst:.2e}")
@@ -135,11 +135,11 @@ def test_08_tomography_round_trip():
     worst_qst = 0.0
     for _ in range(100):
         rho = random_mixed(rng)
-        rec = tomo.qst_reconstruct(exact_records(rho))
-        worst_qst = max(worst_qst, trace_distance(rec, rho))
+        rec = tomo.qst_reconstruct(exact_counts(rho)[None])[0]
+        worst_qst = max(worst_qst, trace_distance(rec, rho.matrix))
     worst_qpt = 0.0
     for p in (0.0, 0.1, 0.3, 0.7, 1.0):
-        inputs = np.array([protocol.prepare_input(lbl).projector().matrix for lbl in tomo.QPT_INPUT_LABELS])
+        inputs = np.array([conftest.projector(protocol.prepare_input(lbl)).matrix for lbl in tomo.QPT_INPUT_LABELS])
         chi = tomo.qpt_reconstruct(chi_act(depolarizing_chi(p).chi, inputs))
         diag = np.diag(chi.chi).real
         expected = np.array([1 - 3 * p / 4, p / 4, p / 4, p / 4])
@@ -164,8 +164,9 @@ def test_09_process_fidelity_bracket(tmp_path):
 
 
 def test_10_monte_carlo_error_calibration():
-    table = counts.load_bundled("fidelity", "without_spp")
-    _, std = counts.cell_fidelity_std(table, "PsiPlus", "H", mc_trials=4000)
+    row = counts.load_bundled("fidelity", "without_spp").row("PsiPlus/H")
+    _, std = tomo.monte_carlo_errors([row["phi"], row["perp"]], lambda c: c[:, 0] / (c[:, 0] + c[:, 1]),
+                                     trials=4000)
     target = 0.0027
     rel = abs(std - target) / std
     ok = rel <= 0.30

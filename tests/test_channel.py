@@ -13,23 +13,19 @@ from spp_teleport.channel import (
     FidelityBudget,
     HoleArrayGeometry,
     ResonanceSolveError,
-    SINGLET,
-    SPP_DECAY_LENGTH_UM,
     SPP_TRANSMITTANCE,
     apply_channel,
     calibrated_channel,
-    decay_profile,
     fidelity_budget_total,
-    fit_decay,
     gold_dielectric_table,
     load_dielectric_table,
     resonance_wavelength,
     dispersion_match,
-    werner,
 )
-from spp_teleport.qcore import MixedState, fidelity_pure
+from spp_teleport.qcore import MixedState, PureState, fidelity_pure
 
 from conftest import random_mixed
+from reference import SINGLET, werner
 
 
 class TestEomModel:
@@ -44,23 +40,21 @@ class TestEomModel:
 
 
 class TestWerner:
+    """The Werner state the brute-force teleportation oracle starts from."""
+
     def test_eigenvalues(self):
         v = 0.9
-        evals = np.sort(np.linalg.eigvalsh(werner(v).matrix))
+        evals = np.sort(np.linalg.eigvalsh(werner(v)))
         assert np.allclose(evals[:3], (1 - v) / 4, atol=1e-12)
         assert evals[3] == pytest.approx((1 + 3 * v) / 4, abs=1e-12)
 
     def test_singlet_fidelity(self):
         v = 0.9734
-        assert fidelity_pure(werner(v), SINGLET) == pytest.approx(0.98005, abs=1e-12)
+        assert fidelity_pure(MixedState(werner(v)), PureState(SINGLET)) == pytest.approx(0.98005, abs=1e-12)
 
     def test_endpoints(self):
-        assert np.allclose(werner(1.0).matrix, SINGLET.projector().matrix, atol=1e-12)
-        assert np.allclose(werner(0.0).matrix, np.eye(4) / 4, atol=1e-12)
-
-    def test_range(self):
-        with pytest.raises(ChannelParameterError):
-            werner(1.1)
+        assert np.allclose(werner(1.0), np.outer(SINGLET, SINGLET), atol=1e-12)
+        assert np.allclose(werner(0.0), np.eye(4) / 4, atol=1e-12)
 
 
 class TestChannelModel:
@@ -74,7 +68,7 @@ class TestChannelModel:
 
     def test_ideal_passthrough(self, rng):
         rho = random_mixed(rng)
-        out, t = apply_channel(rho, ChannelModel.ideal())
+        out, t = apply_channel(rho, ChannelModel())
         assert np.allclose(out.matrix, rho.matrix, atol=1e-12)
         assert t == 1.0
 
@@ -257,29 +251,6 @@ class TestDispersion:
         geom = HoleArrayGeometry(700, 200, (1, 0), 2.25)
         with pytest.raises(ChannelParameterError):
             dispersion_match(geom, (0.0, 0.0, 0.0))
-
-
-class TestDecay:
-    def test_fit_recovers_length(self):
-        x = np.linspace(0, 20, 40)
-        y = decay_profile(SPP_DECAY_LENGTH_UM, x)
-        assert fit_decay(x, y) == pytest.approx(SPP_DECAY_LENGTH_UM, rel=1e-9)
-
-    def test_one_over_e_point(self):
-        assert decay_profile(4.48, [4.48])[0] == pytest.approx(1 / math.e, rel=1e-12)
-
-    def test_fit_with_noise(self, rng):
-        x = np.linspace(0, 15, 60)
-        y = decay_profile(4.48, x) * np.exp(rng.normal(scale=0.01, size=x.size))
-        assert fit_decay(x, y) == pytest.approx(4.48, rel=0.05)
-
-    def test_rejects_growth(self):
-        with pytest.raises(ChannelParameterError):
-            fit_decay([0, 1, 2], [1.0, 2.0, 4.0])
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ChannelParameterError):
-            fit_decay([0, 1], [1.0, 0.0])
 
 
 class TestBudget:

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from spp_teleport import channel, protocol, tomo
 from spp_teleport import counts as counts_mod
 from spp_teleport.cli import ConfigError, RunConfig, build_parser, load_config, main
-from spp_teleport.qcore import complex_matrix_from_json
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -38,6 +37,11 @@ def _hash_dir(path):
         digest.update(p.name.encode())
         digest.update(p.read_bytes())
     return digest.hexdigest()
+
+
+def complex_matrix_from_json(data):
+    """The complex matrix of nested [re, im] pairs."""
+    return np.array(data) @ [1, 1j]
 
 
 def write_config(tmp_path, text):

@@ -6,13 +6,12 @@ from hypothesis import strategies as st
 from spp_teleport.counts import (
     BELL_LABELS,
     CHSH_OUTCOMES,
+    CHSH_SETTINGS,
     CLASSICAL_STATE_FIDELITY_BOUND,
-    ChshSettings,
     CountsDataError,
     CountsTable,
     INPUT_LABELS,
     MAX_COUNT,
-    cell_fidelity_std,
     chsh_s,
     correlation,
     fidelity_from_counts,
@@ -22,8 +21,9 @@ from spp_teleport.counts import (
     load_counts_csv,
     sigma_violation,
 )
+from spp_teleport.tomo import monte_carlo_errors
 
-from conftest import random_pure
+from conftest import projector, random_pure
 
 # Published per-cell fidelities (percent), row order PsiPlus, PsiMinus,
 # PhiMinus, PhiPlus; column order H, V, D, A, R, L.
@@ -60,6 +60,18 @@ def _chsh_probabilities(rho4, theta1_deg, theta2_deg):
     return probs
 
 
+def _analytic_chsh_table(rho4):
+    """A CHSH table of exact outcome probabilities at the angles each setting label names."""
+    rows = tuple((lbl, _chsh_probabilities(rho4, *map(float, lbl.split("-")))) for lbl in CHSH_SETTINGS)
+    return CountsTable(kind="chsh", block="analytic", rows=rows)
+
+
+def cell_fidelity_std(table, cell, mc_trials):
+    """Monte Carlo (mean, std) of one cell's phi / (phi + perp)."""
+    row = table.row(cell)
+    return monte_carlo_errors([row["phi"], row["perp"]], lambda c: c[:, 0] / (c[:, 0] + c[:, 1]), trials=mc_trials)
+
+
 class TestCorrelation:
     def test_perfect_correlation(self):
         assert correlation({"++": 50, "+-": 0, "-+": 0, "--": 50}) == 1.0
@@ -88,41 +100,19 @@ class TestCorrelation:
 
 class TestChsh:
     def test_setting_labels(self):
-        assert ChshSettings().setting_labels() == ("0-22.5", "0-67.5", "45-22.5", "45-67.5")
+        assert CHSH_SETTINGS == ("0-22.5", "0-67.5", "45-22.5", "45-67.5")
 
     def test_singlet_reaches_tsirelson(self):
-        singlet = np.zeros((4, 4))
         vec = np.array([0, 1, -1, 0]) / np.sqrt(2)
-        singlet = np.outer(vec, vec)
-        s = ChshSettings()
-        rows = tuple(
-            (lbl, _chsh_probabilities(singlet, t1, t2))
-            for lbl, (t1, t2) in zip(
-                s.setting_labels(),
-                [(s.theta1, s.theta2), (s.theta1, s.theta2_prime),
-                 (s.theta1_prime, s.theta2), (s.theta1_prime, s.theta2_prime)],
-            )
-        )
-        table = CountsTable(kind="chsh", block="analytic", rows=rows)
-        assert chsh_s(table) == pytest.approx(2 * np.sqrt(2), abs=1e-12)
+        assert chsh_s(_analytic_chsh_table(np.outer(vec, vec))) == pytest.approx(2 * np.sqrt(2), abs=1e-12)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     def test_product_states_stay_classical(self, seed):
         rng = np.random.default_rng(seed)
         a, b = random_pure(rng), random_pure(rng)
-        rho = np.kron(a.projector().matrix, b.projector().matrix)
-        s = ChshSettings()
-        rows = tuple(
-            (lbl, _chsh_probabilities(rho, t1, t2))
-            for lbl, (t1, t2) in zip(
-                s.setting_labels(),
-                [(s.theta1, s.theta2), (s.theta1, s.theta2_prime),
-                 (s.theta1_prime, s.theta2), (s.theta1_prime, s.theta2_prime)],
-            )
-        )
-        table = CountsTable(kind="chsh", block="analytic", rows=rows)
-        assert chsh_s(table) <= 2.0 + 1e-10
+        rho = np.kron(projector(a).matrix, projector(b).matrix)
+        assert chsh_s(_analytic_chsh_table(rho)) <= 2.0 + 1e-10
 
     @pytest.mark.parametrize("block", ["without_spp", "with_spp"])
     def test_bundled_reproduces_published(self, block):
@@ -166,8 +156,7 @@ class TestBundledFidelityTables:
         assert 0.0 < result.mean_std < 0.0032
 
     def test_cell_std_psiplus_h(self):
-        mean, std = cell_fidelity_std(load_bundled("fidelity", "without_spp"),
-                                      "PsiPlus", "H", mc_trials=4000)
+        mean, std = cell_fidelity_std(load_bundled("fidelity", "without_spp"), "PsiPlus/H", mc_trials=4000)
         assert mean == pytest.approx(2746 / 2866, abs=3 * std)
         assert 0.002 < std < 0.006
 
@@ -207,7 +196,7 @@ class TestLoading:
             load_counts_csv(path, "fidelity", "x")
         path.write_text(path.read_text().replace(str(MAX_COUNT + 1), "1"))
         table = load_counts_csv(path, "fidelity", "x")
-        mean, std = cell_fidelity_std(table, "PsiPlus", "H", mc_trials=100)
+        mean, std = cell_fidelity_std(table, "PsiPlus/H", mc_trials=100)
         assert np.isfinite([mean, std]).all()
         with pytest.raises(ValueError, match="lam value too large"):
             np.random.default_rng(0).poisson(np.nextafter(float(MAX_COUNT), np.inf))

@@ -3,36 +3,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spp_teleport.channel import ChannelModel, EomModel, calibrated_channel, werner
+from spp_teleport.channel import ChannelModel, EomModel, calibrated_channel
 from spp_teleport.protocol import (
-    BELL_MODE_VECTORS,
     BELL_VECTORS,
+    SWAPPED_RESOURCE,
     BellOutcome,
     Campaign,
     NoEstimateError,
     INPUT_LABELS,
     INPUT_STATES,
-    ModeVector,
     OUTCOMES,
-    PORT_MODE_INDEX,
     apply_correction,
-    average_fidelity,
     bell_decompose,
-    bsm_matrix,
-    port_vector,
     prepare_input,
-    run_campaign,
     run_teleportation,
-    swapped_resource,
 )
 from spp_teleport.qcore import (
     MixedState,
     PAULIS,
     PureState,
     fidelity_pure,
-    partial_trace,
-    tensor,
-    trace_distance,
 )
 
 from spp_teleport.tomo import (
@@ -44,7 +34,8 @@ from spp_teleport.tomo import (
     sample_measurements,
 )
 
-from conftest import pure_states
+from conftest import projector, pure_states
+from reference import trace_distance, werner
 
 SQ2 = np.sqrt(2.0)
 
@@ -52,8 +43,6 @@ SQ2 = np.sqrt(2.0)
 # ---------------------------------------------------------------------------
 # independent brute-force propagation used as the oracle for the pipeline
 
-
-_PAULI = {k: PAULIS[k].matrix for k in "IXYZ"}
 
 # Bell vectors over (Q0, Q1) written out from the projective definitions,
 # on purpose not imported from the package.
@@ -88,10 +77,37 @@ def brute_force_teleport(input_amps, resource_matrix):
         prob = np.trace(cond).real
         rho = cond / prob
         for pauli in _ORACLE_CORRECTIONS[label]:
-            s = _PAULI[pauli]
+            s = PAULIS[pauli]
             rho = s @ rho @ s.conj().T
         out[label] = (float(prob), rho)
     return out
+
+
+# The Bell analyser as six-mode optics, modes ordered (path1 H, path1 V,
+# path2 H, path2 V, path3 H, path3 V): path2/path3 are the left/right
+# interferometer arms and path1 collects the displaced output ports. The
+# matrix is a partial isometry: the two zero rows are the unused arms, and it
+# is an isometry only on the Bell subspace because element phases are dropped.
+_S = 1 / SQ2
+BSM_MATRIX = np.array([
+    [0, 0, 0, _S, -_S, 0],
+    [0, 0, 0, -_S, -_S, 0],
+    [0, 0, -_S, 0, 0, -_S],
+    [0, 0, _S, 0, 0, -_S],
+    [0, 0, 0, 0, 0, 0],
+    [0, 0, 0, 0, 0, 0],
+], dtype=complex)
+BELL_MODE_VECTORS = {
+    "PhiPlus": np.array([0, 0, 1, 0, 0, 1]) / SQ2,
+    "PhiMinus": np.array([0, 0, 1, 0, 0, -1]) / SQ2,
+    "PsiPlus": np.array([0, 0, 0, 1, 1, 0]) / SQ2,
+    "PsiMinus": np.array([0, 0, 0, 1, -1, 0]) / SQ2,
+}
+PORT_MODE_INDEX = {"CH1": 2, "CH2": 3, "CH3": 0, "CH4": 1}
+
+
+def _overlap(a, b):
+    return abs(np.vdot(a.amplitudes, b.amplitudes))
 
 
 # ---------------------------------------------------------------------------
@@ -103,8 +119,7 @@ class TestInputs:
 
     def test_pairwise_orthogonality(self):
         for a, b in (("H", "V"), ("D", "A"), ("R", "L")):
-            ov = INPUT_STATES[a].overlap(INPUT_STATES[b])
-            assert abs(ov) < 1e-12
+            assert _overlap(INPUT_STATES[a], INPUT_STATES[b]) < 1e-12
 
     def test_unknown_label(self):
         with pytest.raises(ValueError):
@@ -113,13 +128,12 @@ class TestInputs:
 
 class TestResource:
     def test_amplitudes(self):
-        assert np.allclose(swapped_resource().amplitudes, np.array([0, 1, -1, 0]) / SQ2)
+        assert np.allclose(SWAPPED_RESOURCE, np.array([0, 1, -1, 0]) / SQ2)
 
     def test_marginals_maximally_mixed(self):
-        rho = swapped_resource().projector()
-        for keep in (0, 1):
-            red = partial_trace(rho, [keep], [2, 2])
-            assert np.allclose(red.matrix, np.eye(2) / 2, atol=1e-12)
+        amps = SWAPPED_RESOURCE.reshape(2, 2)  # (path of A, polarization of B)
+        for red in (amps @ amps.conj().T, amps.T @ amps.conj()):
+            assert np.allclose(red, np.eye(2) / 2, atol=1e-12)
 
 
 class TestBellBasis:
@@ -135,30 +149,17 @@ class TestBellBasis:
 
 class TestBsmMatrix:
     def test_routing(self):
-        u = bsm_matrix()
         for outcome in OUTCOMES:
-            image = u @ BELL_MODE_VECTORS[outcome].amplitudes
+            image = BSM_MATRIX @ BELL_MODE_VECTORS[outcome.label]
             port_idx = PORT_MODE_INDEX[outcome.port]
             assert abs(image[port_idx]) ** 2 == pytest.approx(1.0, abs=1e-12)
             other = np.delete(image, port_idx)
             assert np.max(np.abs(other)) < 1e-12
 
     def test_isometry_on_bell_subspace(self):
-        u = bsm_matrix()
-        vecs = [BELL_MODE_VECTORS[o].amplitudes for o in OUTCOMES]
-        gram = np.array([[np.vdot(u @ a, u @ b) for b in vecs] for a in vecs])
+        vecs = [BELL_MODE_VECTORS[o.label] for o in OUTCOMES]
+        gram = np.array([[np.vdot(BSM_MATRIX @ a, BSM_MATRIX @ b) for b in vecs] for a in vecs])
         assert np.allclose(np.abs(gram), np.eye(4), atol=1e-12)
-
-    def test_mode_vector_validation(self):
-        with pytest.raises(ValueError):
-            ModeVector(np.ones(5))
-        with pytest.raises(ValueError):
-            ModeVector(np.ones(6))
-
-    def test_port_vectors_unit(self):
-        for port in PORT_MODE_INDEX:
-            v = port_vector(port).amplitudes
-            assert np.linalg.norm(v) == pytest.approx(1.0)
 
 
 class TestBellDecompose:
@@ -171,12 +172,12 @@ class TestBellDecompose:
     def test_h_input_branch_states(self):
         branches = bell_decompose(INPUT_STATES["H"])
         # pre-correction: PsiMinus passes H through, PhiMinus flips it
-        assert abs(branches[BellOutcome.PSI_MINUS][0].overlap(INPUT_STATES["H"])) == pytest.approx(1.0, abs=1e-12)
-        assert abs(branches[BellOutcome.PHI_MINUS][0].overlap(INPUT_STATES["V"])) == pytest.approx(1.0, abs=1e-12)
+        assert _overlap(branches[BellOutcome.PSI_MINUS][0], INPUT_STATES["H"]) == pytest.approx(1.0, abs=1e-12)
+        assert _overlap(branches[BellOutcome.PHI_MINUS][0], INPUT_STATES["V"]) == pytest.approx(1.0, abs=1e-12)
 
     def test_d_input_psi_plus_is_antidiagonal(self):
         branches = bell_decompose(INPUT_STATES["D"])
-        assert abs(branches[BellOutcome.PSI_PLUS][0].overlap(INPUT_STATES["A"])) == pytest.approx(1.0, abs=1e-12)
+        assert _overlap(branches[BellOutcome.PSI_PLUS][0], INPUT_STATES["A"]) == pytest.approx(1.0, abs=1e-12)
 
     @settings(max_examples=50)
     @given(pure_states())
@@ -190,45 +191,45 @@ class TestBellDecompose:
     def test_corrected_branches_recover_input(self, s):
         branches = bell_decompose(s)
         for outcome, (pre, _) in branches.items():
-            rho = apply_correction(pre.projector(), outcome)
+            rho = apply_correction(projector(pre), outcome)
             assert fidelity_pure(rho, s) == pytest.approx(1.0, abs=1e-10)
 
     def test_rejects_two_qubit_input(self):
         with pytest.raises(ValueError):
-            bell_decompose(swapped_resource())
+            bell_decompose(PureState(SWAPPED_RESOURCE))
 
 
 class TestCorrection:
     def test_perfect_flip(self):
-        rho = apply_correction(INPUT_STATES["V"].projector(), BellOutcome.PHI_MINUS)
+        rho = apply_correction(projector(INPUT_STATES["V"]), BellOutcome.PHI_MINUS)
         assert fidelity_pure(rho, INPUT_STATES["H"]) == pytest.approx(1.0, abs=1e-12)
 
     def test_eom_failure_mixture(self):
         eom = EomModel(contrast_x=77.5, contrast_z=29.7)
-        rho = apply_correction(INPUT_STATES["V"].projector(), BellOutcome.PHI_MINUS, eom=eom)
+        rho = apply_correction(projector(INPUT_STATES["V"]), BellOutcome.PHI_MINUS, eom=eom)
         # a failed X flip leaves |V>, so the H fidelity is exactly 1 - eps_x
         assert fidelity_pure(rho, INPUT_STATES["H"]) == pytest.approx(1.0 - 1.0 / 78.5, abs=1e-12)
 
     def test_no_correction_branch_untouched(self):
-        rho_in = INPUT_STATES["R"].projector()
+        rho_in = projector(INPUT_STATES["R"])
         rho = apply_correction(rho_in, BellOutcome.PSI_MINUS, eom=EomModel(2.0, 2.0))
-        assert trace_distance(rho, rho_in) < 1e-12
+        assert trace_distance(rho.matrix, rho_in.matrix) < 1e-12
 
 
 class TestRunTeleportation:
     def test_ideal_identity_all_cells(self):
-        ch = ChannelModel.ideal()
+        ch = ChannelModel()
         for label in INPUT_LABELS:
             for rec in run_teleportation(label, ch, shots=100, seed=7):
                 assert rec.fidelity == pytest.approx(1.0, abs=1e-12)
 
     def test_shot_partition_matches_total(self):
-        recs = run_teleportation("D", ChannelModel.ideal(), shots=1234, seed=3)
+        recs = run_teleportation("D", ChannelModel(), shots=1234, seed=3)
         assert sum(r.shots for r in recs) == 1234
 
     def test_deterministic_partition(self):
-        a = run_teleportation("L", ChannelModel.ideal(), shots=5000, seed=11)
-        b = run_teleportation("L", ChannelModel.ideal(), shots=5000, seed=11)
+        a = run_teleportation("L", ChannelModel(), shots=5000, seed=11)
+        b = run_teleportation("L", ChannelModel(), shots=5000, seed=11)
         assert [r.shots for r in a] == [r.shots for r in b]
 
     @pytest.mark.parametrize("v", [0.0, 0.5, 0.9, 1.0])
@@ -237,26 +238,26 @@ class TestRunTeleportation:
         expected = (1.0 + v) / 2.0
         for label in INPUT_LABELS:
             recs = run_teleportation(label, ch, shots=10, seed=0)
-            oracle = brute_force_teleport(INPUT_STATES[label].amplitudes, werner(v).matrix)
+            oracle = brute_force_teleport(INPUT_STATES[label].amplitudes, werner(v))
             for rec in recs:
                 assert rec.fidelity == pytest.approx(expected, abs=1e-9)
                 prob, rho_ref = oracle[rec.outcome.label]
                 assert prob == pytest.approx(rec.probability, abs=1e-12)
-                assert trace_distance(rec.state, MixedState(rho_ref)) < 1e-9
+                assert trace_distance(rec.state.matrix, MixedState(rho_ref).matrix) < 1e-9
 
     def test_pipeline_matches_oracle_random_inputs(self, rng):
         v = 0.83
         ch = ChannelModel(werner_visibility=v)
         for _ in range(20):
             amps = rng.normal(size=2) + 1j * rng.normal(size=2)
-            oracle = brute_force_teleport(amps, werner(v).matrix)
+            oracle = brute_force_teleport(amps, werner(v))
             branches = bell_decompose(PureState(amps))
             for outcome, (pre, prob) in branches.items():
-                rho = MixedState(v * pre.projector().matrix + (1 - v) * np.eye(2) / 2)
+                rho = MixedState(v * projector(pre).matrix + (1 - v) * np.eye(2) / 2)
                 rho = apply_correction(rho, outcome)
                 p_ref, rho_ref = oracle[outcome.label]
                 assert prob == pytest.approx(p_ref, abs=1e-12)
-                assert trace_distance(rho, MixedState(rho_ref)) < 1e-9
+                assert trace_distance(rho.matrix, MixedState(rho_ref).matrix) < 1e-9
 
     def test_eom_lowers_fidelity_monotonically(self):
         f_good = run_teleportation("R", ChannelModel(eom=EomModel(100.0, 100.0)), 10, 0)
@@ -277,11 +278,11 @@ class TestRunTeleportation:
         lossy = run_teleportation("D", ChannelModel(transmittance=0.008), 10, 0)
         clean = run_teleportation("D", ChannelModel(), 10, 0)
         for a, b in zip(lossy, clean):
-            assert trace_distance(a.state, b.state) < 1e-12
+            assert trace_distance(a.state.matrix, b.state.matrix) < 1e-12
 
     def test_invalid_shots(self):
         with pytest.raises(ValueError):
-            run_teleportation("H", ChannelModel.ideal(), shots=0, seed=0)
+            run_teleportation("H", ChannelModel(), shots=0, seed=0)
 
 
 class TestRunCampaign:
@@ -289,19 +290,18 @@ class TestRunCampaign:
         # reference: the per-input loop with 5 sub-seeds per input, one QST per branch
         ch = ChannelModel(werner_visibility=0.9, eom=EomModel(40.0, 20.0))
         inputs = ("D", "H", "L")
-        records, estimates = run_campaign(ch, inputs, shots=300, seed=42, max_likelihood=True)
+        campaign = Campaign.run(ch, inputs, shots=300, seed=42, max_likelihood=True)
+        assert campaign.estimated.all()
         seeds = np.random.SeedSequence(42).generate_state(len(inputs) * 5)
-        expected = []
         for i, label in enumerate(inputs):
             recs = run_teleportation(label, ch, 300, seed=int(seeds[5 * i]))
-            for rec, sub in zip(recs, seeds[5 * i + 1:5 * i + 5]):
-                measured = sample_measurements(rec.state, max(1, rec.shots // len(BASES)), seed=int(sub))
-                expected.append((rec, qst_reconstruct(measured, max_likelihood=True)))
-        assert len(records) == len(estimates) == len(expected) == 12
-        for rec, est, (ref_rec, ref_est) in zip(records, estimates, expected):
-            assert (rec.input, rec.outcome, rec.shots) == (ref_rec.input, ref_rec.outcome, ref_rec.shots)
-            assert np.array_equal(rec.state.matrix, ref_rec.state.matrix)
-            assert np.array_equal(est.matrix, ref_est.matrix)
+            assert [(rec.input, rec.outcome) for rec in recs] == [(label, o) for o in OUTCOMES]
+            for k, (rec, sub) in enumerate(zip(recs, seeds[5 * i + 1:5 * i + 5])):
+                measured = sample_measurements(rec.state, rec.shots // len(BASES), seed=int(sub))
+                assert rec.shots == campaign.shots[i, k]
+                assert np.array_equal(rec.state.matrix, campaign.states[i, k])
+                assert np.array_equal(qst_reconstruct(measured[None], max_likelihood=True)[0],
+                                      campaign.estimates[i, k])
 
 
 def reference_teleport(label, channel):
@@ -310,7 +310,7 @@ def reference_teleport(label, channel):
     stacked campaign must match bit for bit. Returns (state, probability,
     fidelity) per outcome."""
     target = INPUT_STATES[label].amplitudes
-    full = np.kron(target, swapped_resource().amplitudes)
+    full = np.kron(target, SWAPPED_RESOURCE)
     full = (full / np.linalg.norm(full)).reshape(2, 2, 2)
     branches = []
     for outcome in OUTCOMES:
@@ -324,7 +324,7 @@ def reference_teleport(label, channel):
         w = channel.bloch_shrink
         rho = MixedState(w * rho + (1.0 - w) * np.eye(2) / 2.0).matrix
         for label_p in outcome.corrections:
-            sigma = PAULIS[label_p].matrix
+            sigma = PAULIS[label_p]
             flipped = sigma @ rho @ sigma.conj().T
             if channel.eom is None:
                 rho = flipped
@@ -345,7 +345,7 @@ class TestCampaign:
     CHANNEL = ChannelModel(werner_visibility=0.9, eom=EomModel(40.0, 20.0))
 
     @pytest.mark.parametrize("channel", [
-        ChannelModel.ideal(), ChannelModel(werner_visibility=0.83), CHANNEL, ChannelModel(depolarizing_extra=1.0),
+        ChannelModel(), ChannelModel(werner_visibility=0.83), CHANNEL, ChannelModel(depolarizing_extra=1.0),
         ChannelModel(werner_visibility=1 - 2**-53), calibrated_channel(with_spp=True),
         calibrated_channel(with_spp=False),
     ])
@@ -378,15 +378,6 @@ class TestCampaign:
                 assert rec.fidelity == campaign.fidelities[i, k]
                 assert rec.probability == campaign.probabilities[i, k]
 
-    def test_objects_view_the_arrays(self):
-        campaign = Campaign.run(self.CHANNEL, ("L", "A"), shots=500, seed=9, max_likelihood=True)
-        records, estimates = run_campaign(self.CHANNEL, ("L", "A"), shots=500, seed=9, max_likelihood=True)
-        assert [(r.input, r.outcome, r.shots) for r in records] == [
-            (label, o, int(n)) for label, row in zip(("L", "A"), campaign.shots) for o, n in zip(OUTCOMES, row)]
-        for rec, est, state, rho_hat in zip(records, estimates, campaign.states.reshape(-1, 2, 2),
-                                            campaign.estimates.reshape(-1, 2, 2)):
-            assert _same_bits(rec.state.matrix, state) and _same_bits(est.matrix, rho_hat)
-
     def test_branches_without_a_shot_per_basis_get_no_estimate(self):
         # shots 3 over 4 outcomes: most branches get 0-2 shots
         ch = ChannelModel(werner_visibility=0.9)
@@ -395,8 +386,6 @@ class TestCampaign:
         assert 0 < campaign.estimated.sum() < campaign.estimated.size
         assert np.isnan(campaign.estimates[~campaign.estimated]).all()
         assert not np.isnan(campaign.estimates[campaign.estimated]).any()
-        _, estimates = run_campaign(ch, ("H", "D"), shots=3, seed=0)
-        assert [e is not None for e in estimates] == campaign.estimated.ravel().tolist()
 
     def test_process_matrix_averages_the_estimated_branches(self):
         campaign = Campaign.run(self.CHANNEL, INPUT_LABELS, shots=9, seed=0)
@@ -407,22 +396,8 @@ class TestCampaign:
         assert _same_bits(campaign.process_matrix().chi, qpt_reconstruct(np.array(outputs)).chi)
 
     def test_process_matrix_needs_an_estimate_per_input(self):
-        campaign = Campaign.run(ChannelModel.ideal(), INPUT_LABELS, shots=2, seed=0)
+        campaign = Campaign.run(ChannelModel(), INPUT_LABELS, shots=2, seed=0)
         with pytest.raises(NoEstimateError, match="input H has no Bell outcome with 3 or more shots"):
             campaign.process_matrix()
         with pytest.raises(TomographyError, match="needs input V"):
-            Campaign.run(ChannelModel.ideal(), ("H", "D", "L"), shots=100, seed=0).process_matrix()
-
-
-class TestAverageFidelity:
-    def test_uniform_vs_counts(self):
-        recs = run_teleportation("D", ChannelModel(werner_visibility=0.9), shots=100_000, seed=1)
-        uni = average_fidelity(recs, weighting="uniform")
-        cnt = average_fidelity(recs, weighting="counts")
-        assert uni == pytest.approx(0.95, abs=1e-9)
-        assert cnt == pytest.approx(uni, abs=1e-3)
-
-    def test_unknown_weighting(self):
-        recs = run_teleportation("H", ChannelModel.ideal(), 10, 0)
-        with pytest.raises(ValueError):
-            average_fidelity(recs, weighting="bogus")
+            Campaign.run(ChannelModel(), ("H", "D", "L"), shots=100, seed=0).process_matrix()

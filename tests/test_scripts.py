@@ -70,3 +70,17 @@ def test_reproduce_published_stats_matches_package():
         result = counts.fidelity_table(counts.load_bundled("fidelity", block), mc_trials=1000, seed=0)
         assert any(line.startswith(f"mean = {100 * result.mean:.2f} +- {100 * result.mean_std:.2f} %")
                    for line in lines)
+
+
+@pytest.mark.parametrize("name, args, message", [
+    ("scan_hole_array.py", ["--modes", "1"], "bad mode '1' in --modes, expected 'm1,m2'"),
+    ("scan_hole_array.py", ["--period-step", "0"], "--period-step must be > 0, got 0"),
+    ("run_calibrated_simulation.py", ["--shots", "0"], "--shots must be >= 1, got 0"),
+    ("reproduce_published_stats.py", ["--mc-trials", "0"], "--mc-trials must be >= 100, got 0"),
+])
+def test_bad_argument_exits_2_with_one_line(name, args, message):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                                      os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"{name}: error: {message}\n")

@@ -1,0 +1,104 @@
+"""Guards on the package's surface: nothing the benchmark traces goes missing,
+and nothing that no command, script or traced span reaches comes back."""
+
+import ast
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE_DIR = ROOT / "src" / "spp_teleport"
+
+# Run in a fresh interpreter that imports the package as perfbench/worker.py
+# does, so only what that import loads is there for the tracer to wrap.
+_TRACED_PROBE = """\
+import inspect, json, sys
+sys.path.insert(0, sys.argv[1])
+from spp_teleport import cli
+sys.path.insert(0, sys.argv[2])
+import tracer
+
+absent, unresolved = [], []
+for module, path, _ in tracer.SPANS + tracer.COUNTED:
+    name = f"{tracer.PACKAGE}.{module}"
+    if name not in sys.modules:
+        absent.append(name)
+        continue
+    owner, attr = tracer._resolve(sys.modules[name], path)
+    if owner is None or attr not in vars(owner):
+        unresolved.append(f"{module}.{path}")
+tomo = sys.modules[tracer.PACKAGE + ".tomo"]
+print(json.dumps({
+    "absent": absent,
+    "unresolved": unresolved,
+    "parameters": {fn: list(inspect.signature(getattr(tomo, fn)).parameters)
+                   for fn in ("monte_carlo_errors", "qst_reconstruct")},
+}))
+"""
+
+
+def test_every_traced_name_exists_after_the_cli_import():
+    # perfbench skips a traced name it cannot find and prints fewer metrics;
+    # a traced name may be neither deleted nor renamed
+    out = subprocess.run([sys.executable, "-c", _TRACED_PROBE, str(ROOT / "src"), str(ROOT / "perfbench")],
+                         capture_output=True, text=True, check=True).stdout
+    probe = json.loads(out)
+    assert probe["absent"] == []
+    assert probe["unresolved"] == []
+    # the tracer reads these parameters by name
+    assert {"trials", "statistic"} <= set(probe["parameters"]["monte_carlo_errors"])
+    assert "max_likelihood" in probe["parameters"]["qst_reconstruct"]
+
+
+# Top-level names kept although nothing in src/ or scripts/ reads them, each with its reason.
+ALLOWED_UNREFERENCED = {
+    "__version__": "package metadata, read by tools",
+    "CLASSICAL_PROCESS_FIDELITY_BOUND": "the published process-fidelity bound that analyze is to report against",
+}
+
+
+def _defined_names(stmt) -> list:
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target] if isinstance(stmt, ast.AnnAssign) else []
+    return [node.id for target in targets for node in ast.walk(target) if isinstance(node, ast.Name)]
+
+
+def _referenced_names(tree) -> set:
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+def _traced_top_level_names() -> set:
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
+    names = set()
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Assign) and any(getattr(t, "id", None) in ("SPANS", "COUNTED") for t in stmt.targets):
+            names |= {path.split(".")[0] for _, path, _ in ast.literal_eval(stmt.value)}
+    return names
+
+
+def test_every_top_level_name_is_referenced():
+    # a name counts as used when a statement other than its own definition, in
+    # src/ or scripts/, reads it (by name or as an attribute), or a traced span names it
+    statements = [stmt for path in [*PACKAGE_DIR.glob("*.py"), *(ROOT / "scripts").glob("*.py")]
+                  for stmt in ast.parse(path.read_text()).body]
+    references = [_referenced_names(stmt) for stmt in statements]
+    traced = _traced_top_level_names()
+    unreferenced = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            own = _referenced_names(stmt)
+            for name in _defined_names(stmt):
+                used = sum(name in refs for refs in references) > (name in own)
+                if not (used or name in traced or name in ALLOWED_UNREFERENCED):
+                    unreferenced.append(f"{path.name}: {name}")
+    assert not unreferenced, f"referenced nowhere: {unreferenced}"

@@ -19,12 +19,10 @@ from spp_teleport.qcore import (
     bloch_of,
     density_matrices,
     state_from_bloch,
-    trace_distance,
 )
 from spp_teleport.tomo import (
     BASES,
     QPT_INPUT_LABELS,
-    MeasurementRecord,
     ProcessMatrix,
     TomographyError,
     bloch_map_of,
@@ -38,18 +36,21 @@ from spp_teleport.tomo import (
 )
 
 from conftest import mixed_states, random_mixed, random_pure
-from reference import chi_act, chi_identity, kraus_chi, lstsq_qpt, per_state_bloch_map, random_kraus
+from reference import (chi_act, chi_identity, kraus_chi, lstsq_qpt, per_state_bloch_map, random_kraus,
+                       trace_distance)
 
 
-def exact_records(rho, scale=1.0):
-    """Noise-free measurement records: counts proportional to the exact
-    outcome probabilities."""
-    x, y, z = bloch_of(rho).as_array()
+def exact_counts(rho, scale=1.0):
+    """Noise-free (6,) counts, (plus, minus) per basis in BASES order,
+    proportional to the exact outcome probabilities."""
+    x, y, z = bloch_of(rho)
     by_axis = {"X": x, "Y": y, "Z": z}
-    return [
-        MeasurementRecord(b, scale * (1 + by_axis[b]) / 2, scale * (1 - by_axis[b]) / 2)
-        for b in BASES
-    ]
+    return np.array([scale * (1 + sign * by_axis[b]) / 2 for b in BASES for sign in (1, -1)])
+
+
+def reconstruct_one(counts, **kwargs):
+    """The estimate of one (6,) row of counts."""
+    return qst_reconstruct(np.asarray(counts)[None], **kwargs)[0]
 
 
 def depolarizing_chi(p):
@@ -84,29 +85,17 @@ QPT_INPUTS = [
 ]
 
 
-class TestMeasurementRecord:
-    def test_bad_basis(self):
-        with pytest.raises(TomographyError):
-            MeasurementRecord("W", 1, 1)
-
-    def test_negative_counts(self):
-        with pytest.raises(TomographyError):
-            MeasurementRecord("Z", -1, 1)
-
-
 class TestSampling:
     def test_deterministic(self):
         rho = random_mixed(np.random.default_rng(0))
         a = sample_measurements(rho, 1000, seed=42)
         b = sample_measurements(rho, 1000, seed=42)
-        assert a == b
+        assert a.shape == (6,) and np.array_equal(a, b)
 
     def test_pure_h_counts(self):
         rho = MixedState(np.diag([1.0, 0.0]))
-        recs = {r.basis: r for r in sample_measurements(rho, 500, seed=0)}
-        assert recs["Z"].plus_counts == 500
-        assert recs["Z"].minus_counts == 0
-
+        z = 2 * BASES.index("Z")
+        assert sample_measurements(rho, 500, seed=0)[z:z + 2].tolist() == [500, 0]
 
     def test_stack_equals_per_basis_draws(self, rng):
         states = [random_mixed(rng) for _ in range(6)] + [MixedState(np.diag([1.0, 0.0])),
@@ -117,7 +106,7 @@ class TestSampling:
         assert counts.dtype == np.int64 and counts.shape == (len(states), 6)
         for rho, n, seed, row in zip(states, shots, seeds, counts.tolist()):
             assert row == reference_sample(rho, n, seed)
-            assert [c for r in sample_measurements(rho, n, seed) for c in (r.plus_counts, r.minus_counts)] == row
+            assert sample_measurements(rho, n, seed).tolist() == row
 
 
 def reference_sample(rho, shots_per_basis, seed):
@@ -136,52 +125,45 @@ def reference_sample(rho, shots_per_basis, seed):
 class TestQst:
     def test_exact_pure(self):
         rho = MixedState(np.diag([1.0, 0.0]))
-        assert trace_distance(qst_reconstruct(exact_records(rho)), rho) < 1e-12
+        assert trace_distance(reconstruct_one(exact_counts(rho)), rho.matrix) < 1e-12
 
     def test_exact_mixed(self):
-        rho = MixedState.maximally_mixed(2)
-        assert trace_distance(qst_reconstruct(exact_records(rho)), rho) < 1e-12
+        rho = MixedState(np.eye(2) / 2)
+        assert trace_distance(reconstruct_one(exact_counts(rho)), rho.matrix) < 1e-12
 
     def test_exact_random_states(self, rng):
         for _ in range(100):
             rho = random_mixed(rng)
-            rec = qst_reconstruct(exact_records(rho))
-            assert trace_distance(rec, rho) < 1e-10
+            assert trace_distance(reconstruct_one(exact_counts(rho)), rho.matrix) < 1e-10
 
     def test_radial_projection(self):
         # inconsistent over-complete counts land outside the Bloch ball and
         # must come back along the same direction
-        recs = [
-            MeasurementRecord("X", 99, 1),
-            MeasurementRecord("Y", 99, 1),
-            MeasurementRecord("Z", 99, 1),
-        ]
-        rho = qst_reconstruct(recs)
-        r = bloch_of(rho).as_array()
+        r = bloch_of(MixedState(reconstruct_one([99, 1] * 3)))
         assert np.linalg.norm(r) <= 1 + 1e-12
         assert np.allclose(r / np.linalg.norm(r), np.ones(3) / np.sqrt(3), atol=1e-10)
 
     def test_missing_basis(self):
         with pytest.raises(TomographyError):
-            qst_reconstruct([MeasurementRecord("Z", 10, 10)])
+            reconstruct_one([10, 10, 0, 0, 0, 0])
 
     def test_ml_close_to_linear_inversion(self, rng):
         rho = random_mixed(rng)
-        recs = sample_measurements(rho, 200_000, seed=5)
-        lin = qst_reconstruct(recs)
-        ml = qst_reconstruct(recs, max_likelihood=True)
+        counts = sample_measurements(rho, 200_000, seed=5)
+        lin = reconstruct_one(counts)
+        ml = reconstruct_one(counts, max_likelihood=True)
         assert trace_distance(lin, ml) < 5e-3
-        assert trace_distance(ml, rho) < 1e-2
+        assert trace_distance(ml, rho.matrix) < 1e-2
 
     def test_sampled_converges(self, rng):
         rho = random_mixed(rng)
-        recs = sample_measurements(rho, 1_000_000, seed=9)
-        assert trace_distance(qst_reconstruct(recs), rho) < 5e-3
+        counts = sample_measurements(rho, 1_000_000, seed=9)
+        assert trace_distance(reconstruct_one(counts), rho.matrix) < 5e-3
 
     @settings(max_examples=40)
     @given(mixed_states())
     def test_exact_round_trip_property(self, rho):
-        assert trace_distance(qst_reconstruct(exact_records(rho)), rho) < 1e-9
+        assert trace_distance(reconstruct_one(exact_counts(rho)), rho.matrix) < 1e-9
 
 
 # Per-outcome basis vectors in BASES order, for the reference below.
@@ -192,20 +174,14 @@ _REF_BASIS_STATES = {
 }
 
 
-def reference_ml_refine(records, tol=1e-10, max_iter=10_000, dilution=0.5):
-    """One state's diluted RrhoR loop, written per state: the reference the
-    batched solve must match bit for bit."""
-    rho0 = qst_reconstruct(records)
-    projectors, counts = [], []
-    for basis in BASES:
-        plus, minus = _REF_BASIS_STATES[basis]
-        projectors.append(np.outer(plus, plus.conj()))
-        counts.append(sum(r.plus_counts for r in records if r.basis == basis))
-        projectors.append(np.outer(minus, minus.conj()))
-        counts.append(sum(r.minus_counts for r in records if r.basis == basis))
-    counts = np.array(counts, dtype=float)
+def reference_ml_refine(counts, tol=1e-10, max_iter=10_000, dilution=0.5):
+    """One state's diluted RrhoR loop over its (6,) counts, written per state:
+    the reference the batched solve must match bit for bit."""
+    rho0 = reconstruct_one(counts)
+    projectors = [np.outer(v, v.conj()) for basis in BASES for v in _REF_BASIS_STATES[basis]]
+    counts = np.asarray(counts, dtype=float)
     total = counts.sum()
-    mat = rho0.matrix + 1e-6 * np.eye(2)
+    mat = rho0 + 1e-6 * np.eye(2)
     mat /= np.trace(mat).real
     eye = np.eye(2)
     for _ in range(max_iter):
@@ -219,18 +195,18 @@ def reference_ml_refine(records, tol=1e-10, max_iter=10_000, dilution=0.5):
             mat = new
             break
         mat = new
-    return MixedState(mat)
+    return MixedState(mat).matrix
 
 
-def _records(counts):
-    return [MeasurementRecord(b, p, m) for b, (p, m) in zip(BASES, counts)]
+def _counts(pairs):
+    """(6,) counts of (plus, minus) pairs given in BASES order."""
+    return np.array(pairs).ravel()
 
 
-def linear_bloch_norm(records):
+def linear_bloch_norm(counts):
     """|r| of the linear-inversion Bloch vector, before any projection."""
-    r = [(sum(rec.plus_counts - rec.minus_counts for rec in records if rec.basis == b)
-          / sum(rec.plus_counts + rec.minus_counts for rec in records if rec.basis == b)) for b in BASES]
-    return float(np.linalg.norm(r))
+    plus, minus = np.asarray(counts, dtype=float).reshape(-1, 2).T
+    return float(np.linalg.norm((plus - minus) / (plus + minus)))
 
 
 def _outcome_probabilities(mat):
@@ -277,82 +253,70 @@ def counts_near_bloch_vector(draw, radius):
 class TestBatchedMaximumLikelihood:
     def mixed_batch(self, rng):
         batch = [
-            _records([(500, 0), (260, 240), (251, 249)]),  # pure along Z: one outcome never seen
-            _records([(10, 0), (5, 5), (5, 5)]),  # pure along Z and on the sphere: inside the ball
-            _records([(99, 1), (99, 1), (99, 1)]),  # outside the ball, radially projected
-            _records([(1, 0), (0, 1), (1, 0)]),  # one count per basis
-            exact_records(random_mixed(rng), scale=1000.0),  # non-integer counts
+            _counts([(500, 0), (260, 240), (251, 249)]),  # pure along Z: one outcome never seen
+            _counts([(10, 0), (5, 5), (5, 5)]),  # pure along Z and on the sphere: inside the ball
+            _counts([(99, 1), (99, 1), (99, 1)]),  # outside the ball, radially projected
+            _counts([(1, 0), (0, 1), (1, 0)]),  # one count per basis
+            exact_counts(random_mixed(rng), scale=1000.0),  # non-integer counts
         ]
         for seed in range(6):
             batch.append(sample_measurements(random_mixed(rng), 100_000 // 3, seed=seed))
-        batch.append(batch[1] + batch[0])  # several records per basis
-        return batch
+        batch.append(batch[1] + batch[0])  # two measurement runs pooled
+        return np.array(batch)
 
     def test_batch_equals_per_state_reference(self, rng):
         # outside the ball: the per-state loop; inside: the linear estimate
         batch = self.mixed_batch(rng)
-        outside = [linear_bloch_norm(records) > 1 for records in batch]
+        outside = [linear_bloch_norm(counts) > 1 for counts in batch]
         assert 0 < sum(outside) < len(batch)
         states = qst_reconstruct(batch, max_likelihood=True)
         assert len(states) == len(batch)
-        for records, state, out in zip(batch, states, outside):
-            expected = (reference_ml_refine(records) if out else qst_reconstruct(records)).matrix
-            assert np.array_equal(state.matrix, expected)
-            assert np.array_equal(qst_reconstruct(records, max_likelihood=True).matrix, expected)
+        for counts, state, out in zip(batch, states, outside):
+            expected = reference_ml_refine(counts) if out else reconstruct_one(counts)
+            assert np.array_equal(state, expected)
+            assert np.array_equal(reconstruct_one(counts, max_likelihood=True), expected)
 
     def test_linear_batch_equals_single_calls(self, rng):
         batch = self.mixed_batch(rng)
-        for records, state in zip(batch, qst_reconstruct(batch)):
-            assert np.array_equal(state.matrix, qst_reconstruct(records).matrix)
-
-    @pytest.mark.parametrize("ml", [False, True])
-    def test_count_stack_equals_record_lists(self, rng, ml):
-        batch = self.mixed_batch(rng)
-        counts = np.array([[sum(getattr(r, side) for r in records if r.basis == basis)
-                            for basis in BASES for side in ("plus_counts", "minus_counts")] for records in batch])
-        stack = qst_reconstruct(counts, max_likelihood=ml)
-        assert isinstance(stack, np.ndarray) and stack.shape == (len(batch), 2, 2)
-        for state, mat in zip(qst_reconstruct(batch, max_likelihood=ml), stack):
-            assert state.matrix.tobytes() == mat.tobytes()
-        with pytest.raises(TomographyError, match="no counts for basis Y"):
-            qst_reconstruct(np.array([[5, 5, 5, 5, 0, 0]]))
-        assert qst_reconstruct(counts[:0], max_likelihood=ml).shape == (0, 2, 2)
-
-    def test_return_types(self):
-        records = _records([(5, 5), (5, 5), (5, 5)])
-        assert isinstance(qst_reconstruct(records), MixedState)
-        assert isinstance(qst_reconstruct(tuple(records), max_likelihood=True), MixedState)
-        states = qst_reconstruct([records], max_likelihood=True)
-        assert isinstance(states, list) and len(states) == 1
+        for ml in (False, True):
+            stack = qst_reconstruct(batch, max_likelihood=ml)
+            assert isinstance(stack, np.ndarray) and stack.shape == (len(batch), 2, 2)
+            assert qst_reconstruct(batch[:0], max_likelihood=ml).shape == (0, 2, 2)
+        # integer counts give the bits their float values give
+        ints = batch[np.all(batch == np.round(batch), axis=1)].astype(np.int64)
+        assert qst_reconstruct(ints).tobytes() == qst_reconstruct(ints.astype(float)).tobytes()
+        for counts, state in zip(batch, qst_reconstruct(batch)):
+            assert np.array_equal(state, reconstruct_one(counts))
 
     def test_missing_basis_in_batch(self):
-        good = _records([(5, 5), (5, 5), (5, 5)])
-        with pytest.raises(TomographyError, match="no counts for basis X"):
-            qst_reconstruct([good, _records([(5, 5), (0, 0), (5, 5)])])
+        good = _counts([(5, 5), (5, 5), (5, 5)])
+        for counts, basis in (([5, 5, 0, 0, 5, 5], "X"), ([5, 5, 5, 5, 0, 0], "Y")):
+            with pytest.raises(TomographyError, match=f"no counts for basis {basis}"):
+                qst_reconstruct(np.array([good, counts]))
 
     def test_not_converged_raises(self, rng):
         # only the three estimates outside the ball iterate, and only they are counted
-        outside = [_records(c) for c in ([(99, 1), (99, 1), (99, 1)], [(500, 0), (260, 240), (251, 249)],
-                                         [(1, 0), (0, 1), (1, 0)])]
+        outside = [_counts(c) for c in ([(99, 1), (99, 1), (99, 1)], [(500, 0), (260, 240), (251, 249)],
+                                        [(1, 0), (0, 1), (1, 0)])]
         inside = [sample_measurements(random_mixed(rng), 1000, seed=s) for s in range(2)]
-        assert all(linear_bloch_norm(r) > 1 for r in outside) and all(linear_bloch_norm(r) <= 1 for r in inside)
+        assert all(linear_bloch_norm(c) > 1 for c in outside) and all(linear_bloch_norm(c) <= 1 for c in inside)
         with pytest.raises(TomographyError, match=r"^3 of 3 maximum-likelihood reconstructions "
                                                   r"did not converge within 1 iterations$"):
-            qst_reconstruct(inside + outside, max_likelihood=True, ml_max_iter=1)
+            qst_reconstruct(np.array(inside + outside), max_likelihood=True, ml_max_iter=1)
         with pytest.raises(TomographyError, match="1 of 1 maximum-likelihood"):
-            qst_reconstruct(outside[0], max_likelihood=True, ml_max_iter=1)
-        assert len(qst_reconstruct(inside, max_likelihood=True, ml_max_iter=1)) == 2
+            reconstruct_one(outside[0], max_likelihood=True, ml_max_iter=1)
+        assert len(qst_reconstruct(np.array(inside), max_likelihood=True, ml_max_iter=1)) == 2
 
     def test_converged_states_leave_the_batch(self):
         # both projected estimates iterate; the first converges within 11 steps,
         # the second does not: only the state still iterating is counted
-        fast = _records([(99, 1), (99, 1), (99, 1)])
-        slow = _records([(500, 0), (260, 240), (251, 249)])
-        inside = _records([(10, 10), (10, 10), (10, 10)])
+        fast = _counts([(99, 1), (99, 1), (99, 1)])
+        slow = _counts([(500, 0), (260, 240), (251, 249)])
+        inside = _counts([(10, 10), (10, 10), (10, 10)])
         assert linear_bloch_norm(fast) > 1 and linear_bloch_norm(slow) > 1
-        assert isinstance(qst_reconstruct(fast, max_likelihood=True, ml_max_iter=11), MixedState)
+        reconstruct_one(fast, max_likelihood=True, ml_max_iter=11)
         with pytest.raises(TomographyError, match="^1 of 2 "):
-            qst_reconstruct([fast, slow, inside], max_likelihood=True, ml_max_iter=11)
+            qst_reconstruct(np.array([fast, slow, inside]), max_likelihood=True, ml_max_iter=11)
 
     @settings(max_examples=100, deadline=None)
     @given(counts_near_bloch_vector(1.0))
@@ -362,14 +326,14 @@ class TestBatchedMaximumLikelihood:
         # complete three-basis data: each basis's likelihood term peaks at the
         # observed frequencies, which the linear estimate meets whenever it lies
         # in the ball, so there ML is the linear estimate, bit for bit
-        records = _records(counts)
+        flat = _counts(counts)
         # rounding to whole counts can carry a vector drawn near the radius past it
-        assume(linear_bloch_norm(records) <= 1)
-        linear = qst_reconstruct(records)
-        ml = qst_reconstruct(records, max_likelihood=True)
-        assert np.array_equal(ml.matrix, linear.matrix)
+        assume(linear_bloch_norm(flat) <= 1)
+        linear = reconstruct_one(flat)
+        ml = reconstruct_one(flat, max_likelihood=True)
+        assert np.array_equal(ml, linear)
         # and it is at least as likely as the iterate the fixed point used to return
-        assert log_likelihood_gain(counts, ml.matrix, reference_ml_refine(records).matrix) >= 0
+        assert log_likelihood_gain(counts, ml, reference_ml_refine(flat)) >= 0
 
 
 def qpt_outputs(chi):
@@ -404,7 +368,7 @@ class TestProcessMatrix:
             ProcessMatrix(np.eye(4))  # trace 4
 
     def test_identity_apply(self, rng):
-        r = bloch_of(random_mixed(rng)).as_array()
+        r = bloch_of(random_mixed(rng))
         # the trace distance of two states is half the distance of their Bloch vectors
         assert np.linalg.norm(bloch_map_of(chi_identity())(r) - r) / 2 < 1e-12
 
@@ -412,8 +376,8 @@ class TestProcessMatrix:
         p = 0.3
         rho = random_mixed(rng)
         ref = MixedState((1 - p) * rho.matrix + p * np.eye(2) / 2)
-        out = bloch_map_of(depolarizing_chi(p))(bloch_of(rho).as_array())
-        assert np.linalg.norm(out - bloch_of(ref).as_array()) / 2 < 1e-12
+        out = bloch_map_of(depolarizing_chi(p))(bloch_of(rho))
+        assert np.linalg.norm(out - bloch_of(ref)) / 2 < 1e-12
 
     @settings(max_examples=50, deadline=None)
     @given(cptp_kraus())
@@ -577,8 +541,8 @@ class TestBlochMap:
         bmap = bloch_map_of(chi)
         for _ in range(10):
             rho = random_mixed(rng)
-            r = bloch_of(rho).as_array()
-            direct = bloch_of(MixedState(chi_act(chi.chi, rho.matrix))).as_array()
+            r = bloch_of(rho)
+            direct = bloch_of(MixedState(chi_act(chi.chi, rho.matrix)))
             assert np.allclose(bmap(r), direct, atol=1e-10)
 
     @pytest.mark.parametrize("chi", [chi_identity(), depolarizing_chi(0.3), amplitude_damping_chi(0.2),
