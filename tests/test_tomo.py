@@ -278,15 +278,33 @@ class TestBatchedMaximumLikelihood:
 
     def test_linear_batch_equals_single_calls(self, rng):
         batch = self.mixed_batch(rng)
-        for ml in (False, True):
-            stack = qst_reconstruct(batch, max_likelihood=ml)
-            assert isinstance(stack, np.ndarray) and stack.shape == (len(batch), 2, 2)
-            assert qst_reconstruct(batch[:0], max_likelihood=ml).shape == (0, 2, 2)
-        # integer counts give the bits their float values give
-        ints = batch[np.all(batch == np.round(batch), axis=1)].astype(np.int64)
-        assert qst_reconstruct(ints).tobytes() == qst_reconstruct(ints.astype(float)).tobytes()
         for counts, state in zip(batch, qst_reconstruct(batch)):
             assert np.array_equal(state, reconstruct_one(counts))
+
+    @pytest.mark.parametrize("ml", [False, True])
+    def test_count_stack_equals_record_lists(self, rng, ml):
+        # the stack of all rows gives the bits of one call per row, and
+        # integer counts give the bits their float values give
+        batch = self.mixed_batch(rng)
+        stack = qst_reconstruct(batch, max_likelihood=ml)
+        assert isinstance(stack, np.ndarray) and stack.shape == (len(batch), 2, 2)
+        for counts, mat in zip(batch, stack):
+            assert reconstruct_one(counts, max_likelihood=ml).tobytes() == mat.tobytes()
+        ints = batch[np.all(batch == np.round(batch), axis=1)].astype(np.int64)
+        assert len(ints) > 0
+        assert (qst_reconstruct(ints, max_likelihood=ml).tobytes()
+                == qst_reconstruct(ints.astype(float), max_likelihood=ml).tobytes())
+        with pytest.raises(TomographyError, match="no counts for basis Y"):
+            qst_reconstruct(np.array([[5, 5, 5, 5, 0, 0]]), max_likelihood=ml)
+        assert qst_reconstruct(batch[:0], max_likelihood=ml).shape == (0, 2, 2)
+
+    def test_return_types(self):
+        counts = _counts([(5, 5), (5, 5), (5, 5)])
+        for rows in (np.array([counts]), np.array([counts, counts], dtype=float)):
+            for ml in (False, True):
+                states = qst_reconstruct(rows, max_likelihood=ml)
+                assert isinstance(states, np.ndarray) and states.dtype == complex
+                assert states.shape == (len(rows), 2, 2)
 
     def test_missing_basis_in_batch(self):
         good = _counts([(5, 5), (5, 5), (5, 5)])
