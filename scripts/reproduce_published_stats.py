@@ -18,6 +18,8 @@ def main():
     args = parser.parse_args()
     if args.mc_trials < 100:
         parser.exit(2, f"{parser.prog}: error: --mc-trials must be >= 100, got {args.mc_trials}\n")
+    if args.seed < 0:
+        parser.exit(2, f"{parser.prog}: error: --seed must be >= 0, got {args.seed}\n")
 
     for block in ("without_spp", "with_spp"):
         tag = block.replace("_", " ")

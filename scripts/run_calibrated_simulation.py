@@ -23,6 +23,10 @@ def main():
     args = parser.parse_args()
     if args.shots < 1:
         parser.exit(2, f"{parser.prog}: error: --shots must be >= 1, got {args.shots}\n")
+    if args.shots > 2**63 - 1:  # shots are counted in int64
+        parser.exit(2, f"{parser.prog}: error: --shots must be <= 2**63 - 1, got {args.shots}\n")
+    if args.seed < 0:
+        parser.exit(2, f"{parser.prog}: error: --seed must be >= 0, got {args.seed}\n")
 
     ch = channel.calibrated_channel(with_spp=args.with_spp)
     print(f"channel: visibility={ch.werner_visibility:.4f} "

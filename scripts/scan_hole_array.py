@@ -34,20 +34,16 @@ def main():
         modes.append((m1, m2))
 
     table = channel.gold_dielectric_table()
+    periods = np.arange(args.period_start, args.period_stop + args.period_step / 2, args.period_step)
+    try:  # every geometry is checked before the table starts
+        geoms = [[channel.HoleArrayGeometry(period_nm=float(period), hole_diameter_nm=args.hole_diameter,
+                                            mode=mode, eps_substrate=args.eps_substrate, metal=table)
+                  for mode in modes] for period in periods]
+    except channel.ChannelParameterError as exc:
+        parser.exit(2, f"{parser.prog}: error: {exc}\n")
     print(f"{'period_nm':>10} {'mode':>7} {'lambda_nm':>10} {'k_spp (rad/nm)':>15}")
-    for period in np.arange(args.period_start, args.period_stop + args.period_step / 2,
-                            args.period_step):
-        for mode in modes:
-            try:
-                geom = channel.HoleArrayGeometry(
-                    period_nm=float(period),
-                    hole_diameter_nm=args.hole_diameter,
-                    mode=mode,
-                    eps_substrate=args.eps_substrate,
-                    metal=table,
-                )
-            except channel.ChannelParameterError as exc:
-                parser.exit(2, f"{parser.prog}: error: {exc}\n")
+    for period, row in zip(periods, geoms):
+        for mode, geom in zip(modes, row):
             try:
                 lam = channel.resonance_wavelength(geom, interface="substrate")
             except channel.ResonanceSolveError as exc:

@@ -28,11 +28,16 @@ MANIFEST = Path(__file__).with_name("manifest.json")
 # the simulate-tomo config of the benchmark (perfbench/workloads.py)
 _SIMULATE_TOMO = ("[channel]\ncalibration = with_spp\n\n[simulate]\nshots = 100000\n\n"
                   "[tomography]\nmax_likelihood = true\ncp_projection = true\n")
+# the analyze-mc config of the benchmark on its counts CSV at workload seed 0
+# (perfbench/workloads.py write_resampled_counts), stored beside this file
+_ANALYZE_MC = ("[tomography]\nmc_trials = 10000\n\n"
+               f"[analyze]\ncounts = {MANIFEST.with_name('analyze_mc_counts_seed_0.csv')}\n")
 
 # name -> (subcommand, INI text or None for the defaults, seed)
 RUNS = {
     "simulate-default": ("simulate", None, 0),
     "analyze-default": ("analyze", None, 0),
+    "analyze-mc-counts-seed-0": ("analyze", _ANALYZE_MC, 0),
     "design-default": ("design", None, 0),
     **{f"simulate-tomo-seed-{seed}": ("simulate", _SIMULATE_TOMO, seed) for seed in range(3)},
     # at seed 0 one branch gets fewer than 3 shots, so its estimate is null

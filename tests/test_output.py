@@ -91,6 +91,10 @@ def tables(draw):
 @settings(max_examples=50, deadline=None)
 @given(columns=tables())
 @example(columns={"k_spp_x": [-0.0, 5e-324, 1e16, 1e-7, 1e300], "m1": [-3, 0, 5, -10**20, 10**20]})
+@example(columns={"k_spp_x": [0.0, -0.0, 0.0], "k_spp_y": [-0.0, 0.0, -0.0]})  # 0.0 == -0.0, bits differ
+@example(columns={"period_nm": [700.0, 1.5, 700.0], "resonance_nm": [1.5, 700.0, 0.1]})  # shared across columns
+@example(columns={"m1": [1, -2, 1], "Z": [0, 10**20, 0]})
+@example(columns={"period_nm": [], "m1": []})
 def test_table_matches_reference_writers(tmp_path_factory, columns):
     tmp = tmp_path_factory.getbasetemp() / "tables"
     tmp.mkdir(exist_ok=True)

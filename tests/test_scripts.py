@@ -77,6 +77,14 @@ def test_reproduce_published_stats_matches_package():
     ("scan_hole_array.py", ["--period-step", "0"], "--period-step must be > 0, got 0"),
     ("run_calibrated_simulation.py", ["--shots", "0"], "--shots must be >= 1, got 0"),
     ("reproduce_published_stats.py", ["--mc-trials", "0"], "--mc-trials must be >= 100, got 0"),
+    ("reproduce_published_stats.py", ["--seed", "-1"], "--seed must be >= 0, got -1"),
+    ("run_calibrated_simulation.py", ["--seed", "-1"], "--seed must be >= 0, got -1"),
+    ("run_calibrated_simulation.py", ["--shots", str(2**63)], f"--shots must be <= 2**63 - 1, got {2**63}"),
+    ("run_calibrated_simulation.py", ["--shots", "10000000000000000000"],
+     "--shots must be <= 2**63 - 1, got 10000000000000000000"),
+    # geometries HoleArrayGeometry rejects: checked before the table header is printed
+    ("scan_hole_array.py", ["--modes", "0,0"], "mode (0, 0) does not excite a plasmon"),
+    ("scan_hole_array.py", ["--period-start", "100"], "need period > hole diameter > 0"),
 ])
 def test_bad_argument_exits_2_with_one_line(name, args, message):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"),
