@@ -67,7 +67,7 @@ class RunConfig:
         if not 1 <= self.shots <= _INT64_MAX:
             raise ConfigError(f"shots must be in [1, 2**63 - 1], got {self.shots}")
         if self.mc_trials < 100:
-            raise ConfigError("mc_trials must be >= 100")
+            raise ConfigError(f"mc_trials must be >= 100, got {self.mc_trials}")
         if self.calibration not in ("none", "with_spp", "without_spp"):
             raise ConfigError(f"unknown calibration {self.calibration!r}")
         if not self.inputs or not set(self.inputs) <= set(protocol.INPUT_LABELS):
@@ -335,8 +335,12 @@ def cmd_design(cfg: RunConfig) -> None:
     n_modes = len(cfg.modes)
     lam = np.empty((len(periods), n_modes))
     k_spp = np.empty((len(periods), n_modes, 2))
-    for j, mode in enumerate(cfg.modes):
-        geom = channel_mod.HoleArrayGeometry(periods, cfg.hole_diameter_nm, mode, cfg.eps_substrate, metal=table)
+    try:  # every geometry comes from the config and is checked before the first solve
+        geoms = [channel_mod.HoleArrayGeometry(periods, cfg.hole_diameter_nm, mode, cfg.eps_substrate, metal=table)
+                 for mode in cfg.modes]
+    except channel_mod.ChannelParameterError as exc:
+        raise ConfigError(str(exc)) from exc
+    for j, geom in enumerate(geoms):
         lam[:, j] = channel_mod.resonance_wavelength(geom, interface="substrate")
         k_spp[:, j] = channel_mod.dispersion_match(geom, (0.0, 0.0))
     k_spp = k_spp.reshape(-1, 2)
@@ -357,10 +361,15 @@ def cmd_design(cfg: RunConfig) -> None:
 # ---------------------------------------------------------------------------
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message):  # one stderr line, like every other exit 2
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="spp-teleport", description=__doc__,
-                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser = _ArgumentParser(prog="spp-teleport", description=__doc__,
+                             formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("simulate", "analyze", "design"):
         p = sub.add_parser(name)

@@ -111,10 +111,6 @@ def bundled_counts_path():
     return resources.files("spp_teleport.data") / "coincidence_counts.csv"
 
 
-def load_bundled(kind: str, block: str) -> CountsTable:
-    return load_counts_csv(bundled_counts_path(), kind, block)
-
-
 def _correlations(c: np.ndarray) -> np.ndarray:
     """E = (N++ - N+- - N-+ + N--) / total over a last axis ordered as CHSH_OUTCOMES."""
     npp, npm, nmp, nmm = (c[..., i] for i in range(len(CHSH_OUTCOMES)))

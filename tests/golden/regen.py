@@ -33,6 +33,9 @@ _SIMULATE_TOMO = ("[channel]\ncalibration = with_spp\n\n[simulate]\nshots = 1000
 _ANALYZE_MC = ("[tomography]\nmc_trials = 10000\n\n"
                f"[analyze]\ncounts = {MANIFEST.with_name('analyze_mc_counts_seed_0.csv')}\n")
 
+# the configs README.md runs from examples/
+_EXAMPLES = MANIFEST.parents[2] / "examples"
+
 # name -> (subcommand, INI text or None for the defaults, seed)
 RUNS = {
     "simulate-default": ("simulate", None, 0),
@@ -43,6 +46,9 @@ RUNS = {
     # at seed 0 one branch gets fewer than 3 shots, so its estimate is null
     "simulate-ml-30-shots": ("simulate", "[simulate]\nshots = 30\n\n[tomography]\nmax_likelihood = true\n", 0),
     "design-two-mode-sweep": ("design", "[design]\nperiod_sweep = 600:700:25\nmodes = 1,0;1,1\n", 0),
+    "example-simulate-with-spp": ("simulate", (_EXAMPLES / "simulate_with_spp.ini").read_text(), 0),
+    "example-simulate-without-spp": ("simulate", (_EXAMPLES / "simulate_without_spp.ini").read_text(), 0),
+    "example-design-scan": ("design", (_EXAMPLES / "design_scan.ini").read_text(), 0),
 }
 
 

@@ -30,8 +30,8 @@ def _report(num, description, ok, detail):
 
 def test_01_chsh_reproduction():
     t0 = time.perf_counter()
-    s_wo = counts.chsh_s(counts.load_bundled("chsh", "without_spp"))
-    s_w = counts.chsh_s(counts.load_bundled("chsh", "with_spp"))
+    s_wo = counts.chsh_s(counts.load_counts_csv(counts.bundled_counts_path(), "chsh", "without_spp"))
+    s_w = counts.chsh_s(counts.load_counts_csv(counts.bundled_counts_path(), "chsh", "with_spp"))
     elapsed = time.perf_counter() - t0
     ok = (abs(s_wo - 2.551) <= 1e-3 and abs(s_w - 2.281) <= 1e-3 and elapsed < 1.0)
     _report(1, "CHSH |S| = 2.551 / 2.281 within 1e-3, < 1 s", ok,
@@ -44,9 +44,9 @@ def test_02_fidelity_table_reproduction():
     t0 = time.perf_counter()
     results = {
         "without_spp": counts.fidelity_table(
-            counts.load_bundled("fidelity", "without_spp"), mc_trials=200),
+            counts.load_counts_csv(counts.bundled_counts_path(), "fidelity", "without_spp"), mc_trials=200),
         "with_spp": counts.fidelity_table(
-            counts.load_bundled("fidelity", "with_spp"), mc_trials=200),
+            counts.load_counts_csv(counts.bundled_counts_path(), "fidelity", "with_spp"), mc_trials=200),
     }
     elapsed = time.perf_counter() - t0
     published = {"without_spp": PUBLISHED_WITHOUT_SPP, "with_spp": PUBLISHED_WITH_SPP}
@@ -164,7 +164,7 @@ def test_09_process_fidelity_bracket(tmp_path):
 
 
 def test_10_monte_carlo_error_calibration():
-    row = counts.load_bundled("fidelity", "without_spp").row("PsiPlus/H")
+    row = counts.load_counts_csv(counts.bundled_counts_path(), "fidelity", "without_spp").row("PsiPlus/H")
     _, std = tomo.monte_carlo_errors([row["phi"], row["perp"]], lambda c: c[:, 0] / (c[:, 0] + c[:, 1]),
                                      trials=4000)
     target = 0.0027

@@ -208,6 +208,13 @@ period_sweep = 600:700:50
         assert err == "config error: shots must be in [1, 2**63 - 1], got 100000000000000000000\n"
         assert not out.exists()
 
+    def test_mc_trials_below_100_exits_2(self, tmp_path, capsys):
+        path = write_config(tmp_path, "[tomography]\nmc_trials = 0\n")
+        out = tmp_path / "o"
+        assert main(["analyze", "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "config error: mc_trials must be >= 100, got 0\n"
+        assert not out.exists()
+
     def test_empty_inputs(self, tmp_path):
         path = write_config(tmp_path, "[simulate]\ninputs = ,\n")
         out = tmp_path / "o"
@@ -630,6 +637,18 @@ class TestDesignCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"data error: dielectric CSV line 3: {problem}") and err.count("\n") == 1
 
+    # HoleArrayGeometry's checks: every mode is checked before the first solve
+    @pytest.mark.parametrize("text, message", [
+        ("[design]\nmodes = 1,1;0,0\n", "mode (0, 0) does not excite a plasmon"),
+        ("[design]\nperiod_nm = 100\n", "need period > hole diameter > 0"),
+    ])
+    def test_geometry_rejected_by_the_hole_array_exits_2(self, tmp_path, capsys, text, message):
+        cfg = write_config(tmp_path, text)
+        out = tmp_path / "o"
+        assert main(["design", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (out / "design.json").exists()
+
     def test_missing_dielectric_exits_3(self, tmp_path):
         cfg = write_config(tmp_path, "[design]\ndielectric = /no/such/eps.csv\n")
         assert main(["design", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
@@ -667,6 +686,20 @@ class TestExitCodes:
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
         err = capsys.readouterr().err
         assert err.startswith("data error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, problem", [
+        (["design", "--seed", "x"], "argument --seed: invalid int value: 'x'"),
+        ([], "the following arguments are required: command"),
+        (["design", "--bogus"], "unrecognized arguments: --bogus"),
+    ])
+    def test_bad_command_line_exits_2_with_one_line(self, capsys, argv, problem):
+        # argparse's own errors, without the usage line it prints by default
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("spp-teleport") and err.endswith(f": error: {problem}\n")
 
     def test_unknown_calibration_exit_2(self, tmp_path):
         cfg = write_config(tmp_path, "[channel]\ncalibration = maybe\n")

@@ -16,8 +16,8 @@ from spp_teleport.counts import (
     correlation,
     fidelity_from_counts,
     fidelity_table,
-    load_bundled,
     CountsFile,
+    bundled_counts_path,
     load_counts_csv,
     sigma_violation,
 )
@@ -116,7 +116,7 @@ class TestChsh:
 
     @pytest.mark.parametrize("block", ["without_spp", "with_spp"])
     def test_bundled_reproduces_published(self, block):
-        table = load_bundled("chsh", block)
+        table = load_counts_csv(bundled_counts_path(), "chsh", block)
         assert chsh_s(table) == pytest.approx(PUBLISHED_S[block], abs=1e-3)
 
 
@@ -140,7 +140,7 @@ class TestBundledFidelityTables:
          ("with_spp", PUBLISHED_WITH_SPP, 88.91)],
     )
     def test_all_cells_and_mean(self, block, published, mean):
-        result = fidelity_table(load_bundled("fidelity", block), mc_trials=200)
+        result = fidelity_table(load_counts_csv(bundled_counts_path(), "fidelity", block), mc_trials=200)
         assert result.outcomes == BELL_LABELS
         assert result.inputs == INPUT_LABELS
         for i in range(4):
@@ -150,13 +150,14 @@ class TestBundledFidelityTables:
         assert 100 * result.mean == pytest.approx(mean, abs=0.01)
 
     def test_mean_std_scale(self):
-        result = fidelity_table(load_bundled("fidelity", "without_spp"), mc_trials=1000)
+        result = fidelity_table(load_counts_csv(bundled_counts_path(), "fidelity", "without_spp"), mc_trials=1000)
         # the published mean carries +-0.32%; the count-only resampling std
         # must come out positive and not larger than that
         assert 0.0 < result.mean_std < 0.0032
 
     def test_cell_std_psiplus_h(self):
-        mean, std = cell_fidelity_std(load_bundled("fidelity", "without_spp"), "PsiPlus/H", mc_trials=4000)
+        table = load_counts_csv(bundled_counts_path(), "fidelity", "without_spp")
+        mean, std = cell_fidelity_std(table, "PsiPlus/H", mc_trials=4000)
         assert mean == pytest.approx(2746 / 2866, abs=3 * std)
         assert 0.002 < std < 0.006
 
@@ -174,7 +175,7 @@ class TestSigmaViolation:
 class TestLoading:
     def test_missing_block(self):
         with pytest.raises(CountsDataError):
-            load_bundled("chsh", "no_such_block")
+            load_counts_csv(bundled_counts_path(), "chsh", "no_such_block")
 
     def test_bad_csv(self, tmp_path):
         path = tmp_path / "c.csv"
@@ -236,7 +237,7 @@ class TestLoading:
             CountsTable(kind="chsh", block="b", rows=(("0-22.5", {"++": 1}),))
 
     def test_row_lookup(self):
-        table = load_bundled("fidelity", "with_spp")
+        table = load_counts_csv(bundled_counts_path(), "fidelity", "with_spp")
         row = table.row("PsiPlus/H")
         assert set(row) == {"phi", "perp"}
         with pytest.raises(CountsDataError):

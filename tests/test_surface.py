@@ -1,5 +1,5 @@
 """Guards on the package's surface: nothing the benchmark traces goes missing,
-and nothing that no command, script or traced span reaches comes back."""
+and nothing that no command or traced span reaches comes back."""
 
 import ast
 import json
@@ -51,7 +51,7 @@ def test_every_traced_name_exists_after_the_cli_import():
     assert "max_likelihood" in probe["parameters"]["qst_reconstruct"]
 
 
-# Top-level names kept although nothing in src/ or scripts/ reads them, each with its reason.
+# Top-level names kept although nothing in src/ reads them, each with its reason.
 ALLOWED_UNREFERENCED = {
     "__version__": "package metadata, read by tools",
     "CLASSICAL_PROCESS_FIDELITY_BOUND": "the published process-fidelity bound that analyze is to report against",
@@ -88,9 +88,8 @@ def _traced_top_level_names() -> set:
 
 def test_every_top_level_name_is_referenced():
     # a name counts as used when a statement other than its own definition, in
-    # src/ or scripts/, reads it (by name or as an attribute), or a traced span names it
-    statements = [stmt for path in [*PACKAGE_DIR.glob("*.py"), *(ROOT / "scripts").glob("*.py")]
-                  for stmt in ast.parse(path.read_text()).body]
+    # src/, reads it (by name or as an attribute), or a traced span names it
+    statements = [stmt for path in PACKAGE_DIR.glob("*.py") for stmt in ast.parse(path.read_text()).body]
     references = [_referenced_names(stmt) for stmt in statements]
     traced = _traced_top_level_names()
     unreferenced = []
