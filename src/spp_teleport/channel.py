@@ -136,7 +136,7 @@ class DielectricTable:
 
 def load_dielectric_table(path) -> DielectricTable:
     """Read a CSV with header wavelength_nm, eps_re, eps_im."""
-    wl, eps = [], []
+    eps = {}  # by wavelength, in file order
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         required = {"wavelength_nm", "eps_re", "eps_im"}
@@ -150,11 +150,10 @@ def load_dielectric_table(path) -> DielectricTable:
                 raise ChannelParameterError(f"{where}: non-numeric value") from None
             if not all(map(math.isfinite, (w, re, im))):
                 raise ChannelParameterError(f"{where}: non-finite value")
-            if w in wl:
+            if w in eps:
                 raise ChannelParameterError(f"{where}: repeated wavelength {w:g} nm")
-            wl.append(w)
-            eps.append(complex(re, im))
-    return DielectricTable(wl, eps)
+            eps[w] = complex(re, im)
+    return DielectricTable(list(eps), list(eps.values()))
 
 
 def gold_dielectric_table() -> DielectricTable:

@@ -185,14 +185,26 @@ def load_config(path) -> RunConfig:
 
 def cmd_simulate(cfg: RunConfig) -> None:
     ch = cfg.build_channel()
-    out = cfg.out_dir
-    out.mkdir(parents=True, exist_ok=True)
     campaign = protocol.Campaign.run(ch, cfg.inputs, cfg.shots, cfg.seed, cfg.max_likelihood)
 
     targets = np.array([protocol.prepare_input(label).amplitudes for label in cfg.inputs])
     fid_qst = expectation(campaign.estimates, targets[:, None]).real
     estimated = campaign.estimated
     mean_exact = float(np.mean(campaign.fidelities))
+    # process tomography over the reconstructed outputs, uniform outcome weighting
+    chi = f_proc = None
+    if set(tomo.QPT_INPUT_LABELS) <= set(cfg.inputs):
+        try:
+            chi = campaign.process_matrix(cfg.cp_projection)
+        except protocol.NoEstimateError as exc:
+            print(f"warning: no process tomography: {exc}", file=sys.stderr)
+        else:
+            f_proc = tomo.process_fidelity(chi)
+            bmap = tomo.bloch_map_of(chi)
+            samples = np.hstack(tomo.bloch_sphere_samples(bmap))
+
+    out = cfg.out_dir
+    out.mkdir(parents=True, exist_ok=True)
     # one row per branch, input-major
     branches = {"input": [label for label in cfg.inputs for _ in protocol.OUTCOMES],
                 "outcome": [outcome.label for outcome in protocol.OUTCOMES] * len(cfg.inputs)}
@@ -218,27 +230,17 @@ def cmd_simulate(cfg: RunConfig) -> None:
         ["mean", mean_exact],
     ])
 
-    # process tomography over the reconstructed outputs, uniform outcome weighting
-    f_proc = None
-    if set(tomo.QPT_INPUT_LABELS) <= set(cfg.inputs):
-        try:
-            chi = campaign.process_matrix(cfg.cp_projection)
-        except protocol.NoEstimateError as exc:
-            print(f"warning: no process tomography: {exc}", file=sys.stderr)
-        else:
-            f_proc = tomo.process_fidelity(chi)
-            bmap = tomo.bloch_map_of(chi)
-            output.write_json(out / "chi.json", {
-                "chi": complex_matrix_to_json(chi.chi),
-                "process_fidelity": f_proc,
-                "bloch_map": {
-                    "linear": [[float(v) for v in row] for row in bmap.linear],
-                    "offset": [float(v) for v in bmap.offset],
-                },
-            })
-            names = ("in_x", "in_y", "in_z", "out_x", "out_y", "out_z")
-            samples = np.hstack(tomo.bloch_sphere_samples(bmap))
-            output.write_table(dict(zip(names, samples.T.tolist())), out / "bloch_map_samples.csv")
+    if chi is not None:
+        output.write_json(out / "chi.json", {
+            "chi": complex_matrix_to_json(chi.chi),
+            "process_fidelity": f_proc,
+            "bloch_map": {
+                "linear": [[float(v) for v in row] for row in bmap.linear],
+                "offset": [float(v) for v in bmap.offset],
+            },
+        })
+        names = ("in_x", "in_y", "in_z", "out_x", "out_y", "out_z")
+        output.write_table(dict(zip(names, samples.T.tolist())), out / "bloch_map_samples.csv")
 
     budget = channel_mod.BUDGET_WITH_SPP if cfg.calibration == "with_spp" else channel_mod.BUDGET_WITHOUT_SPP
     summary = {
@@ -272,42 +274,41 @@ def cmd_simulate(cfg: RunConfig) -> None:
 
 
 def cmd_analyze(cfg: RunConfig) -> None:
-    out = cfg.out_dir
-    out.mkdir(parents=True, exist_ok=True)
     blocks = ("without_spp", "with_spp")
     path = counts_mod.bundled_counts_path() if cfg.counts_source == "bundled" else cfg.counts_source
     tables = counts_mod.CountsFile(path, [(kind, block) for kind in ("chsh", "fidelity") for block in blocks])
-    stats = []
-
-    chsh_payload = {}
+    values, parts = [], []  # of the four statistics, in use order
     for block in blocks:
         table = tables.table("chsh", block)
-        s = counts_mod.chsh_s(table)
-        _, std = tomo.monte_carlo_errors(counts_mod.chsh_counts(table), counts_mod.chsh_s_values,
-                                         trials=cfg.mc_trials, seed=cfg.seed)
-        chsh_payload[block] = {"S": s, "std": std,
-                              "sigma_vs_local_bound": counts_mod.sigma_violation(s, 2.0, std)}
-        stats.append({"statistic": f"chsh_s_{block}", "value": s, "std": std,
-                      "sigma_vs_bound": counts_mod.sigma_violation(s, 2.0, std)})
-    output.write_json(out / "chsh.json", chsh_payload)
+        values.append(counts_mod.chsh_s(table))
+        parts.append(counts_mod.chsh_counts(table))
+    fids = [counts_mod.fidelity_table(tables.table("fidelity", block)) for block in blocks]
+    values += [result.mean for result in fids]
+    parts += [result.counts for result in fids]
+    # one Monte Carlo pass: each statistic reads its own slice of one resampled count vector
+    edges = np.cumsum([0, *map(len, parts)])
+    stats = [counts_mod.chsh_s_values] * len(blocks) + [counts_mod.mean_fidelity_values] * len(blocks)
+    stds = tomo.monte_carlo_errors(
+        np.concatenate(parts), lambda batch: np.stack(
+            [f(batch[:, lo:hi]) for f, lo, hi in zip(stats, edges[:-1], edges[1:])], axis=1),
+        trials=cfg.mc_trials, seed=cfg.seed)[1].tolist()
+    sigmas = [counts_mod.sigma_violation(v, bound, std) for v, bound, std in
+              zip(values, [2.0] * len(blocks) + [counts_mod.CLASSICAL_STATE_FIDELITY_BOUND] * len(blocks), stds)]
 
-    for block in blocks:
-        table = tables.table("fidelity", block)
-        result = counts_mod.fidelity_table(table, mc_trials=cfg.mc_trials, seed=cfg.seed)
+    out = cfg.out_dir
+    out.mkdir(parents=True, exist_ok=True)
+    output.write_json(out / "chsh.json", {block: {"S": v, "std": std, "sigma_vs_local_bound": sigma}
+                                          for block, v, std, sigma in zip(blocks, values, stds, sigmas)})
+    for block, result, std in zip(blocks, fids, stds[len(blocks):]):
         output.write_rows(out / f"fidelity_{block}.csv", [
             ["outcome", *result.inputs],
             *([outcome, *row] for outcome, row in zip(result.outcomes, result.fidelities.tolist())),
             ["mean", result.mean],
-            ["mean_std", result.mean_std],
+            ["mean_std", std],
         ])
-        stats.append({
-            "statistic": f"mean_fidelity_{block}",
-            "value": result.mean,
-            "std": result.mean_std,
-            "sigma_vs_bound": counts_mod.sigma_violation(
-                result.mean, counts_mod.CLASSICAL_STATE_FIDELITY_BOUND, result.mean_std),
-        })
-    output.write_json(out / "summary.json", stats)
+    names = [f"{kind}_{block}" for kind in ("chsh_s", "mean_fidelity") for block in blocks]
+    output.write_json(out / "summary.json", [{"statistic": name, "value": v, "std": std, "sigma_vs_bound": sigma}
+                                             for name, v, std, sigma in zip(names, values, stds, sigmas)])
 
 
 # ---------------------------------------------------------------------------
@@ -315,8 +316,6 @@ def cmd_analyze(cfg: RunConfig) -> None:
 
 
 def cmd_design(cfg: RunConfig) -> None:
-    out = cfg.out_dir
-    out.mkdir(parents=True, exist_ok=True)
     if cfg.dielectric == "bundled":
         table = channel_mod.gold_dielectric_table()
     else:
@@ -355,7 +354,8 @@ def cmd_design(cfg: RunConfig) -> None:
         "k_spp_y": k_spp[:, 1].tolist(),
         "k_spp_mag": k_mag.tolist(),
     }
-    output.write_table(columns, out / "design.csv", out / "design.json")
+    cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    output.write_table(columns, cfg.out_dir / "design.csv", cfg.out_dir / "design.json")
 
 
 # ---------------------------------------------------------------------------

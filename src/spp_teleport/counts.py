@@ -14,7 +14,6 @@ from importlib import resources
 import numpy as np
 
 from .protocol import INPUT_LABELS
-from .tomo import monte_carlo_errors
 
 CHSH_OUTCOMES = ("++", "+-", "-+", "--")
 # analyser angles in degrees, (theta1, theta2), (theta1, theta2'), (theta1', theta2),
@@ -111,39 +110,47 @@ def bundled_counts_path():
     return resources.files("spp_teleport.data") / "coincidence_counts.csv"
 
 
-def _correlations(c: np.ndarray) -> np.ndarray:
-    """E = (N++ - N+- - N-+ + N--) / total over a last axis ordered as CHSH_OUTCOMES."""
-    npp, npm, nmp, nmm = (c[..., i] for i in range(len(CHSH_OUTCOMES)))
-    return (npp - npm - nmp + nmm) / (npp + npm + nmp + nmm)
+def _correlations(pooled: np.ndarray) -> np.ndarray:
+    """E = (A - B) / (A + B) over a last axis of (A, B) pairs, A = N++ + N-- and B = N+- + N-+."""
+    a, b = pooled[..., 0::2], pooled[..., 1::2]
+    return (a - b) / (a + b)
 
 
 def correlation(counts: dict) -> float:
     """Correlation E for one setting."""
     try:
-        c = np.array([counts[o] for o in CHSH_OUTCOMES], dtype=float)
+        pooled = np.array([counts["++"] + counts["--"], counts["+-"] + counts["-+"]], dtype=float)
     except KeyError as exc:
         raise CountsDataError(f"missing outcome {exc}") from None
-    if c.sum() <= 0:
+    if pooled.sum() <= 0:
         raise CountsDataError("zero total counts")
-    return float(_correlations(c))
+    return float(_correlations(pooled)[0])
 
 
 def chsh_counts(table: CountsTable) -> np.ndarray:
-    """The 16 counts `chsh_s_values` takes: CHSH_SETTINGS in order, each by CHSH_OUTCOMES."""
-    return np.array([table.row(lbl)[o] for lbl in CHSH_SETTINGS for o in CHSH_OUTCOMES], dtype=float)
+    """The 8 counts `chsh_s_values` takes: (N++ + N--, N+- + N-+) per setting, CHSH_SETTINGS in order.
+    Sums of independent Poisson counts are Poisson: resampling them gives S the law the 16 counts give it."""
+    pooled = []
+    for label in CHSH_SETTINGS:
+        row = table.row(label)
+        for n in (row["++"] + row["--"], row["+-"] + row["-+"]):
+            if n > MAX_COUNT:
+                raise CountsDataError(f"chsh block {table.block!r}, setting {label!r}: pooled count {n} "
+                                      f"is above the Poisson limit {MAX_COUNT}")
+            pooled.append(n)
+    return np.array(pooled, dtype=float)
 
 
 def chsh_s_values(counts) -> np.ndarray:
-    """|S| = |E(t1,t2) - E(t1,t2') + E(t1',t2) + E(t1',t2')| for counts shaped (..., 16)."""
-    counts = np.asarray(counts, dtype=float)
-    e = _correlations(counts.reshape(*counts.shape[:-1], -1, len(CHSH_OUTCOMES)))
+    """|S| = |E(t1,t2) - E(t1,t2') + E(t1',t2) + E(t1',t2')| for chsh_counts shaped (..., 8)."""
+    e = _correlations(np.asarray(counts, dtype=float))
     return np.abs(e[..., 0] - e[..., 1] + e[..., 2] + e[..., 3])
 
 
 def chsh_s(table: CountsTable) -> float:
     """|S| of a CHSH count table."""
     counts = chsh_counts(table)
-    if (counts.reshape(-1, len(CHSH_OUTCOMES)).sum(axis=1) <= 0).any():
+    if (counts[0::2] + counts[1::2] <= 0).any():
         raise CountsDataError("zero total counts")
     return float(chsh_s_values(counts))
 
@@ -158,9 +165,10 @@ def fidelity_from_counts(n_phi: int, n_perp: int) -> float:
     return n_phi / total
 
 
-def _phi_fraction(c: np.ndarray) -> np.ndarray:
-    """phi / (phi + perp) over a last axis of (phi, perp) counts."""
-    return c[..., 0] / (c[..., 0] + c[..., 1])
+def mean_fidelity_values(counts) -> np.ndarray:
+    """Unweighted mean of phi / (phi + perp) over counts shaped (..., 2 * cells), cell by cell (phi, perp)."""
+    c = np.asarray(counts, dtype=float)
+    return np.mean(c[..., 0::2] / (c[..., 0::2] + c[..., 1::2]), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -169,30 +177,18 @@ class FidelityTableResult:
     inputs: tuple
     fidelities: np.ndarray  # shape (4, 6)
     mean: float
-    mean_std: float
+    counts: np.ndarray  # shape (48,): (phi, perp) per cell, row-major, as mean_fidelity_values takes them
 
 
-def fidelity_table(table: CountsTable, mc_trials: int = 1000, seed: int = 0) -> FidelityTableResult:
-    """Per-cell fidelities, unweighted mean, and Monte Carlo std of the mean."""
-    fids = np.empty((len(BELL_LABELS), len(INPUT_LABELS)))
-    raw = np.empty((len(BELL_LABELS), len(INPUT_LABELS), 2))
-    for i, outcome in enumerate(BELL_LABELS):
-        for j, inp in enumerate(INPUT_LABELS):
-            row = table.row(f"{outcome}/{inp}")
-            raw[i, j] = (row["phi"], row["perp"])
-            fids[i, j] = fidelity_from_counts(row["phi"], row["perp"])
-
-    def mean_stat(c):
-        return np.mean(_phi_fraction(c.reshape(len(c), -1, 2)), axis=-1)
-
-    _, std = monte_carlo_errors(raw.ravel(), mean_stat, trials=mc_trials, seed=seed)
-    return FidelityTableResult(
-        outcomes=BELL_LABELS,
-        inputs=INPUT_LABELS,
-        fidelities=fids,
-        mean=float(fids.mean()),
-        mean_std=std,
-    )
+def fidelity_table(table: CountsTable) -> FidelityTableResult:
+    """Per-cell fidelities, their unweighted mean, and the (phi, perp) counts whose
+    resampling through `mean_fidelity_values` gives the mean's Monte Carlo error."""
+    rows = (table.row(f"{outcome}/{inp}") for outcome in BELL_LABELS for inp in INPUT_LABELS)
+    cells = np.array([(row["phi"], row["perp"], fidelity_from_counts(row["phi"], row["perp"])) for row in rows],
+                     dtype=float)
+    fids = cells[:, 2].reshape(len(BELL_LABELS), len(INPUT_LABELS))
+    return FidelityTableResult(outcomes=BELL_LABELS, inputs=INPUT_LABELS, fidelities=fids,
+                               mean=float(fids.mean()), counts=cells[:, :2].ravel())
 
 
 def sigma_violation(value: float, bound: float, std: float) -> float:

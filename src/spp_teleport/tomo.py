@@ -250,17 +250,20 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_draw_pool.cache_clear)  # a forked child has no pool threads
 
 
-def monte_carlo_errors(counts, statistic, trials: int = 1000, seed: int = 0) -> tuple[float, float]:
+def monte_carlo_errors(counts, statistic, trials: int = 1000, seed: int = 0):
     """Poissonian resampling of counts; returns (mean, std) of the statistic.
 
     `counts` is a flat array-like of k observed counts; `statistic` maps an
-    (n, k) batch of resampled counts to n values. Trials run in a fixed
-    number of independently seeded chunks, each drawn as one batch; a batch
-    draws the same stream as n sequential `rng.poisson(counts)` calls. The
-    chunks are drawn in parallel on a shared thread pool, each by its own
-    generator, so the result does not depend on the number of threads;
-    `statistic` runs on the calling thread, chunk by chunk in order.
-    Raises TomographyError if any resample gives a non-finite value.
+    (n, k) batch of resampled counts to n values, or to an (n, m) block of m
+    statistics that share the resamples. Returns floats for the first and
+    (m,) arrays for the second, whose entry j has the bits of a call with
+    column j alone. Trials run in a fixed number of independently seeded
+    chunks, each drawn as one batch; a batch draws the same stream as n
+    sequential `rng.poisson(counts)` calls. The chunks are drawn in
+    parallel on a shared thread pool, each by its own generator, so the
+    result does not depend on the number of threads; `statistic` runs on
+    the calling thread, chunk by chunk in order. Raises TomographyError if
+    any resample gives a non-finite value.
     """
     counts = np.asarray(counts, dtype=float)
     if trials < 100:
@@ -274,9 +277,11 @@ def monte_carlo_errors(counts, statistic, trials: int = 1000, seed: int = 0) -> 
     # closing cancels the chunks still queued if statistic raises
     with np.errstate(divide="ignore", invalid="ignore"), contextlib.closing(draws):
         values = np.concatenate([statistic(batch) for batch in draws])
-    if values.shape != (trials,):
-        raise ValueError(f"statistic must map an (n, k) batch to n values, got shape {values.shape}")
-    bad = int(np.count_nonzero(~np.isfinite(values)))
+    if values.shape[:1] != (trials,) or values.ndim > 2:
+        raise ValueError(f"statistic must map an (n, k) batch to n values or (n, m) values, got shape {values.shape}")
+    columns = np.ascontiguousarray(values.reshape(trials, -1).T)  # each reduced as a 1-D statistic is
+    bad = int(np.count_nonzero(~np.isfinite(columns).all(axis=0)))
     if bad:
         raise TomographyError(f"{bad} of {trials} Monte Carlo resamples gave a non-finite statistic")
-    return float(values.mean()), float(values.std(ddof=1))
+    mean, std = columns.mean(axis=1), columns.std(axis=1, ddof=1)
+    return (float(mean[0]), float(std[0])) if values.ndim == 1 else (mean, std)

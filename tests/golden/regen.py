@@ -5,7 +5,9 @@ Run from the repository root:
     PYTHONPATH=src python tests/golden/regen.py
 
 It rewrites ``manifest.json`` next to this file, recording with each run the
-numpy version and machine it was made on. ``tests/test_golden.py`` compares
+numpy version and machine it was made on, and prints ``run: file`` for each
+file whose hash is not the one the old manifest held (new and vanished files
+included). ``tests/test_golden.py`` compares
 fresh runs with it byte for byte. A change that reruns this script changes
 test data: name each changed file in CHANGES.md and say why. Never rerun it
 to hide a defect.
@@ -70,10 +72,15 @@ def file_hashes(name: str, work: Path) -> dict:
 
 
 def main() -> None:
+    old = json.loads(MANIFEST.read_text()) if MANIFEST.exists() else {}
     runs = {}
     for name in RUNS:
         with tempfile.TemporaryDirectory() as tmp:
             runs[name] = {**environment(), "files": file_hashes(name, Path(tmp))}
+        before, after = old.get(name, {}).get("files", {}), runs[name]["files"]
+        for file in sorted(before.keys() | after.keys()):
+            if before.get(file) != after.get(file):
+                print(f"{name}: {file}")
     MANIFEST.write_text(json.dumps(runs, indent=2, sort_keys=True) + "\n")
 
 

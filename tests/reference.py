@@ -9,7 +9,10 @@
 - `kraus_chi`: the process matrix of a channel given by Kraus operators;
 - `werner`: the two-qubit Werner state of the source, for the brute-force
   teleportation oracle;
-- `trace_distance` between two density matrices.
+- `trace_distance` between two density matrices;
+- `chsh_s_16`: CHSH |S| from all 16 counts, each setting's correlation
+  taken from its four outcomes, the formula the pooled
+  `counts.chsh_s_values` is tested against.
 """
 
 import numpy as np
@@ -99,3 +102,12 @@ def werner(v: float) -> np.ndarray:
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Half the trace norm of a - b."""
     return 0.5 * float(np.abs(np.linalg.eigvalsh(a - b)).sum())
+
+
+def chsh_s_16(counts) -> np.ndarray:
+    """|S| of counts shaped (..., 16): (N++, N+-, N-+, N--) per setting, CHSH_SETTINGS in order,
+    with E = (N++ - N+- - N-+ + N--) / (N++ + N+- + N-+ + N--) per setting."""
+    c = np.asarray(counts, dtype=float)
+    npp, npm, nmp, nmm = (c[..., i::4] for i in range(4))
+    e = (npp - npm - nmp + nmm) / (npp + npm + nmp + nmm)
+    return np.abs(e[..., 0] - e[..., 1] + e[..., 2] + e[..., 3])

@@ -44,9 +44,9 @@ def test_02_fidelity_table_reproduction():
     t0 = time.perf_counter()
     results = {
         "without_spp": counts.fidelity_table(
-            counts.load_counts_csv(counts.bundled_counts_path(), "fidelity", "without_spp"), mc_trials=200),
+            counts.load_counts_csv(counts.bundled_counts_path(), "fidelity", "without_spp")),
         "with_spp": counts.fidelity_table(
-            counts.load_counts_csv(counts.bundled_counts_path(), "fidelity", "with_spp"), mc_trials=200),
+            counts.load_counts_csv(counts.bundled_counts_path(), "fidelity", "with_spp")),
     }
     elapsed = time.perf_counter() - t0
     published = {"without_spp": PUBLISHED_WITHOUT_SPP, "with_spp": PUBLISHED_WITH_SPP}

@@ -129,6 +129,12 @@ class TestDielectricTable:
         with pytest.raises(ChannelParameterError, match=f"line 3: {problem}"):
             load_dielectric_table(path)
 
+    def test_csv_repeat_in_the_last_row_names_its_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("wavelength_nm,eps_re,eps_im\n600,-9,1.5\n700,-15,1\n800,-20,1.2\n700.0,-15,1\n")
+        with pytest.raises(ChannelParameterError, match=r"^dielectric CSV line 5: repeated wavelength 700 nm$"):
+            load_dielectric_table(path)
+
     def test_array_lookup_equals_scalar_calls(self):
         table = gold_dielectric_table()
         wl = np.concatenate([np.linspace(500, 1300, 321), [517.3, 1299.999]])

@@ -248,7 +248,7 @@ period_sweep = 600:700:50
         err = capsys.readouterr().err
         assert err.startswith("config error: out of memory: Unable to allocate") and size in err
         assert err.count("\n") == 1
-        assert [p.name for p in out.iterdir()] == []
+        assert not out.exists()
 
     @pytest.mark.parametrize("command, text", [
         ("simulate", "[channel]\ncontrast_x = nan\n"),
@@ -550,6 +550,22 @@ class TestAnalyzeCommand:
         assert capsys.readouterr().err == "data error: zero total counts\n"
         assert not (tmp_path / "o" / "chsh.json").exists()
 
+    def test_pooled_count_above_the_poisson_limit_exits_3(self, tmp_path, capsys):
+        # each count is within the limit, but N++ + N-- of one setting is not
+        lines = counts_mod.bundled_counts_path().read_text().splitlines()
+        lines = [line.rsplit(",", 1)[0] + f",{counts_mod.MAX_COUNT}"
+                 if line.startswith(("chsh,with_spp,45-67.5,++,", "chsh,with_spp,45-67.5,--,")) else line
+                 for line in lines]
+        counts = tmp_path / "counts.csv"
+        counts.write_text("\n".join(lines) + "\n")
+        cfg = write_config(tmp_path, f"[analyze]\ncounts = {counts}\n")
+        out = tmp_path / "o"
+        assert main(["analyze", "--config", str(cfg), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            f"data error: chsh block 'with_spp', setting '45-67.5': pooled count {2 * counts_mod.MAX_COUNT} "
+            f"is above the Poisson limit {counts_mod.MAX_COUNT}\n")
+        assert not out.exists()
+
     def test_rows_of_unused_blocks_are_not_validated(self, tmp_path):
         text = counts_mod.bundled_counts_path().read_text()
         counts = tmp_path / "counts.csv"
@@ -667,6 +683,30 @@ class TestStartup:
 
 
 class TestExitCodes:
+    # every command makes all its checks and computations before it makes its output directory
+    @pytest.mark.parametrize("case", ["modes 0,0", "non-numeric dielectric row", "bad fidelity row",
+                                      "no resonance at 740 nm, mode (2,1)"])
+    def test_failed_run_leaves_no_output_directory(self, tmp_path, capsys, case):
+        eps = tmp_path / "eps.csv"
+        eps.write_text("wavelength_nm,eps_re,eps_im\n1300,-71.5,6.7\n500,abc,1\n900,-30,1.2\n")
+        lines = counts_mod.bundled_counts_path().read_text().splitlines()
+        first_fid = next(i for i, line in enumerate(lines) if line.startswith("fidelity,"))
+        lines[first_fid] = lines[first_fid].rsplit(",", 1)[0] + ",1.5"
+        counts = tmp_path / "counts.csv"
+        counts.write_text("\n".join(lines) + "\n")
+        command, text, code = {
+            "modes 0,0": ("design", "[design]\nmodes = 0,0\n", 2),
+            "non-numeric dielectric row": ("design", f"[design]\ndielectric = {eps}\n", 3),
+            "bad fidelity row": ("analyze", f"[analyze]\ncounts = {counts}\n", 3),
+            "no resonance at 740 nm, mode (2,1)": (
+                "design", "[design]\nperiod_nm = 740\nmodes = 2,1\neps_substrate = 2.25\n", 3),
+        }[case]
+        cfg = write_config(tmp_path, text)
+        out = tmp_path / "o"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == code
+        assert capsys.readouterr().err.count("\n") == 1
+        assert not out.exists()
+
     def test_config_error_exit_2(self, tmp_path):
         cfg = write_config(tmp_path, "[simulate]\nshots = 0\n")
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2

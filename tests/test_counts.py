@@ -18,12 +18,16 @@ from spp_teleport.counts import (
     fidelity_table,
     CountsFile,
     bundled_counts_path,
+    chsh_counts,
+    chsh_s_values,
     load_counts_csv,
+    mean_fidelity_values,
     sigma_violation,
 )
 from spp_teleport.tomo import monte_carlo_errors
 
 from conftest import projector, random_pure
+from reference import chsh_s_16
 
 # Published per-cell fidelities (percent), row order PsiPlus, PsiMinus,
 # PhiMinus, PhiPlus; column order H, V, D, A, R, L.
@@ -120,6 +124,61 @@ class TestChsh:
         assert chsh_s(table) == pytest.approx(PUBLISHED_S[block], abs=1e-3)
 
 
+def _chsh_table(counts16, block="b"):
+    """A CHSH table of 16 counts, (N++, N+-, N-+, N--) per setting in CHSH_SETTINGS order."""
+    rows = [(label, dict(zip(CHSH_OUTCOMES, counts16[4 * i:4 * i + 4]))) for i, label in enumerate(CHSH_SETTINGS)]
+    return CountsTable(kind="chsh", block=block, rows=tuple(rows))
+
+
+class TestPooledChsh:
+    # every per-setting total, and so every partial sum of either formula, is an integer below 2**53
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.integers(0, 50), st.integers(0, 2**51 - 1)), min_size=16, max_size=16))
+    def test_pooled_counts_give_the_16_count_bits(self, counts16):
+        for i in range(0, 16, 4):
+            if sum(counts16[i:i + 4]) == 0:
+                counts16[i] = 1
+        table = _chsh_table(counts16)
+        want = chsh_s_16(np.array(counts16, dtype=float))
+        assert chsh_s_values(chsh_counts(table)).tobytes() == want.tobytes()
+        assert chsh_s(table) == float(want)
+
+    def test_pooled_batch_gives_the_16_count_bits(self):
+        # the Monte Carlo path: int64 Poisson resamples, pooled before the float conversion
+        table = load_counts_csv(bundled_counts_path(), "chsh", "with_spp")
+        c16 = np.random.default_rng(7).poisson([table.row(lbl)[o] for lbl in CHSH_SETTINGS for o in CHSH_OUTCOMES],
+                                               size=(500, 16))
+        pooled = np.stack([c16[:, 0::4] + c16[:, 3::4], c16[:, 1::4] + c16[:, 2::4]], axis=-1).reshape(500, 8)
+        assert chsh_s_values(pooled).tobytes() == chsh_s_16(c16).tobytes()
+
+    def test_pooled_counts_follow_the_settings(self):
+        table = _chsh_table(list(range(1, 17)))
+        assert chsh_counts(table).tolist() == [5, 5, 13, 13, 21, 21, 29, 29]
+
+    @pytest.mark.parametrize("block", ["without_spp", "with_spp"])
+    def test_pooled_std_matches_16_count_std_and_delta_method(self, block):
+        table = load_counts_csv(bundled_counts_path(), "chsh", block)
+        c16 = np.array([table.row(lbl)[o] for lbl in CHSH_SETTINGS for o in CHSH_OUTCOMES], dtype=float)
+        _, std16 = monte_carlo_errors(c16, chsh_s_16, trials=20_000, seed=1)
+        _, std8 = monte_carlo_errors(chsh_counts(table), chsh_s_values, trials=20_000, seed=2)
+        total = c16.reshape(4, 4).sum(axis=1)
+        e = (c16[0::4] - c16[1::4] - c16[2::4] + c16[3::4]) / total
+        delta = np.sqrt(np.sum((1 - e**2) / total))  # delta method, Poisson counts
+        assert std8 == pytest.approx(std16, rel=0.03)
+        assert std8 == pytest.approx(delta, rel=0.05)
+        assert std16 == pytest.approx(delta, rel=0.05)
+
+    def test_pooled_count_above_the_poisson_limit_names_block_and_setting(self):
+        counts16 = [10] * 16
+        counts16[12], counts16[15] = MAX_COUNT, 1  # 45-67.5: N++ + N-- = MAX_COUNT + 1
+        table = _chsh_table(counts16, block="with_spp")
+        with pytest.raises(CountsDataError, match=(r"^chsh block 'with_spp', setting '45-67.5': pooled count "
+                                                   rf"{MAX_COUNT + 1} is above the Poisson limit {MAX_COUNT}$")):
+            chsh_counts(table)
+        counts16[15] = 0
+        assert chsh_counts(_chsh_table(counts16))[6] == float(MAX_COUNT)
+
+
 class TestFidelityFromCounts:
     def test_basic(self):
         assert fidelity_from_counts(2746, 120) == pytest.approx(2746 / 2866, abs=1e-15)
@@ -140,7 +199,7 @@ class TestBundledFidelityTables:
          ("with_spp", PUBLISHED_WITH_SPP, 88.91)],
     )
     def test_all_cells_and_mean(self, block, published, mean):
-        result = fidelity_table(load_counts_csv(bundled_counts_path(), "fidelity", block), mc_trials=200)
+        result = fidelity_table(load_counts_csv(bundled_counts_path(), "fidelity", block))
         assert result.outcomes == BELL_LABELS
         assert result.inputs == INPUT_LABELS
         for i in range(4):
@@ -150,10 +209,19 @@ class TestBundledFidelityTables:
         assert 100 * result.mean == pytest.approx(mean, abs=0.01)
 
     def test_mean_std_scale(self):
-        result = fidelity_table(load_counts_csv(bundled_counts_path(), "fidelity", "without_spp"), mc_trials=1000)
+        result = fidelity_table(load_counts_csv(bundled_counts_path(), "fidelity", "without_spp"))
+        mean, std = monte_carlo_errors(result.counts, mean_fidelity_values, trials=1000)
         # the published mean carries +-0.32%; the count-only resampling std
         # must come out positive and not larger than that
-        assert 0.0 < result.mean_std < 0.0032
+        assert mean == pytest.approx(result.mean, abs=3 * std)
+        assert 0.0 < std < 0.0032
+
+    def test_counts_are_the_cells_phi_perp_pairs(self):
+        table = load_counts_csv(bundled_counts_path(), "fidelity", "with_spp")
+        result = fidelity_table(table)
+        want = [table.row(f"{o}/{i}")[k] for o in BELL_LABELS for i in INPUT_LABELS for k in ("phi", "perp")]
+        assert result.counts.tolist() == want
+        assert mean_fidelity_values(result.counts) == result.mean
 
     def test_cell_std_psiplus_h(self):
         table = load_counts_csv(bundled_counts_path(), "fidelity", "without_spp")

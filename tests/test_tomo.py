@@ -643,8 +643,30 @@ class TestMonteCarlo:
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
     def test_statistic_must_return_one_value_per_resample(self):
-        with pytest.raises(ValueError, match="statistic must map"):
-            monte_carlo_errors([10, 10], lambda c: c, trials=200)
+        # one value or one row of m values per resample: (n + 1,) and (n, m, 2) are neither
+        for statistic in (lambda c: np.ones(len(c) + 1), lambda c: np.ones((len(c), 3, 2))):
+            with pytest.raises(ValueError, match=r"statistic must map .* got shape \(2\d\d,"):
+                monte_carlo_errors([10, 10], statistic, trials=200)
+
+    @pytest.mark.parametrize("trials", [100, 1001, 10_000])
+    def test_block_statistic_gives_the_bits_of_one_call_per_column(self, trials):
+        counts = [2746.0, 120.0, 900.0, 5.0, 3.0]
+        columns = (_fraction,
+                   lambda c: (c[:, 2] - c[:, 3]) / (c[:, 2] + c[:, 3]),
+                   lambda c: 1e-3 * c.sum(axis=1) + np.sqrt(c[:, 4]))
+        mean, std = monte_carlo_errors(counts, lambda c: np.stack([f(c) for f in columns], axis=1),
+                                       trials=trials, seed=5)
+        assert mean.shape == std.shape == (len(columns),)
+        for j, f in enumerate(columns):
+            assert (float(mean[j]), float(std[j])) == monte_carlo_errors(counts, f, trials=trials, seed=5)
+
+    def test_block_statistic_counts_each_non_finite_resample_once(self):
+        # column 0 is 0/0 whenever both counts resample to 0, column 1 as well, on the same resamples
+        with pytest.raises(TomographyError) as single:
+            monte_carlo_errors([1, 0], _fraction, trials=1000, seed=0)
+        with pytest.raises(TomographyError) as block:
+            monte_carlo_errors([1, 0], lambda c: np.stack([_fraction(c), -_fraction(c)], axis=1), trials=1000, seed=0)
+        assert str(block.value) == str(single.value)
 
     @pytest.mark.parametrize("trials", [100, 1001, 10_000])
     @pytest.mark.parametrize("counts", [[0.5, 3.0, 7.0], [2746.0, 120.0, 1e6]])
