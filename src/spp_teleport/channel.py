@@ -15,7 +15,7 @@ from importlib import resources
 
 import numpy as np
 
-from .qcore import MixedState
+from .qcore import MixedState, bloch_of, state_from_bloch
 
 
 class ChannelParameterError(ValueError):
@@ -79,21 +79,15 @@ class ChannelModel:
         return self.werner_visibility * (1.0 - self.depolarizing_extra)
 
 
-def depolarize(mats: np.ndarray, model: ChannelModel) -> np.ndarray:
-    """w rho + (1 - w) I/2, w = model.bloch_shrink, over single-qubit
-    matrices (..., 2, 2); not validated."""
-    w = model.bloch_shrink
-    return w * mats + (1.0 - w) * np.eye(2) / 2.0
-
-
 def apply_channel(rho: MixedState, model: ChannelModel) -> tuple[MixedState, float]:
-    """Depolarize a single-qubit state per the channel model.
+    """Depolarize a single-qubit state: the Pauli transfer matrix
+    diag(1, w, w, w), w = model.bloch_shrink, shrinks its Bloch vector by w.
 
     Returns the post-selected (heralded) state and the survival probability.
     """
     if rho.dim != 2:
         raise ChannelParameterError("apply_channel acts on single-qubit states")
-    return MixedState(depolarize(rho.matrix, model)), model.transmittance
+    return state_from_bloch(model.bloch_shrink * bloch_of(rho)), model.transmittance
 
 
 # ---------------------------------------------------------------------------

@@ -81,16 +81,13 @@ class RunConfig:
         try:
             if self.calibration != "none":
                 return channel_mod.calibrated_channel(with_spp=self.calibration == "with_spp")
-            eom = None
-            if self.contrast_x is not None or self.contrast_z is not None:
-                eom = channel_mod.EomModel(
-                    contrast_x=self.contrast_x if self.contrast_x is not None else 77.5,
-                    contrast_z=self.contrast_z if self.contrast_z is not None else 29.7,
-                )
+            # EomModel owns the default of a contrast the config leaves unset
+            contrasts = {key: value for key, value in (("contrast_x", self.contrast_x), ("contrast_z", self.contrast_z))
+                         if value is not None}
             return channel_mod.ChannelModel(
                 werner_visibility=self.werner_visibility,
                 transmittance=self.transmittance,
-                eom=eom,
+                eom=channel_mod.EomModel(**contrasts) if contrasts else None,
                 depolarizing_extra=self.depolarizing_extra,
             )
         except channel_mod.ChannelParameterError as exc:
@@ -200,8 +197,8 @@ def cmd_simulate(cfg: RunConfig) -> None:
             print(f"warning: no process tomography: {exc}", file=sys.stderr)
         else:
             f_proc = tomo.process_fidelity(chi)
-            bmap = tomo.bloch_map_of(chi)
-            samples = np.hstack(tomo.bloch_sphere_samples(bmap))
+            ptm = tomo.bloch_map_of(chi)
+            samples = np.hstack(tomo.bloch_sphere_samples(ptm))
 
     out = cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)
@@ -234,10 +231,7 @@ def cmd_simulate(cfg: RunConfig) -> None:
         output.write_json(out / "chi.json", {
             "chi": complex_matrix_to_json(chi.chi),
             "process_fidelity": f_proc,
-            "bloch_map": {
-                "linear": [[float(v) for v in row] for row in bmap.linear],
-                "offset": [float(v) for v in bmap.offset],
-            },
+            "bloch_map": {"linear": ptm[1:, 1:].tolist(), "offset": ptm[1:, 0].tolist()},
         })
         names = ("in_x", "in_y", "in_z", "out_x", "out_y", "out_z")
         output.write_table(dict(zip(names, samples.T.tolist())), out / "bloch_map_samples.csv")

@@ -13,15 +13,13 @@ from importlib import resources
 
 import numpy as np
 
-from .protocol import INPUT_LABELS
+from .protocol import INPUT_LABELS, OUTCOMES
 
 CHSH_OUTCOMES = ("++", "+-", "-+", "--")
 # analyser angles in degrees, (theta1, theta2), (theta1, theta2'), (theta1', theta2),
 # (theta1', theta2') with theta1 = 0, theta1' = 45, theta2 = 22.5, theta2' = 67.5
 CHSH_SETTINGS = ("0-22.5", "0-67.5", "45-22.5", "45-67.5")
 FIDELITY_OUTCOMES = ("phi", "perp")
-# row order of the published fidelity tables
-BELL_LABELS = ("PsiPlus", "PsiMinus", "PhiMinus", "PhiPlus")
 
 # the largest mean numpy's Poisson sampler takes, so the largest count Monte Carlo can resample
 MAX_COUNT = int(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10)
@@ -45,16 +43,19 @@ class CountsTable:
         for label, counts in self.rows:
             missing = set(expected) - set(counts)
             if missing:
-                raise CountsDataError(f"row {label!r} missing outcomes {sorted(missing)}")
+                raise CountsDataError(f"{self.where(label)}: missing outcomes {sorted(missing)}")
             for out, c in counts.items():
                 if c < 0:
-                    raise CountsDataError(f"negative count in row {label!r}, outcome {out!r}")
+                    raise CountsDataError(f"{self.where(label)}: negative count for outcome {out!r}")
+
+    def where(self, label: str) -> str:  # names a setting (chsh) or cell (fidelity) in a message
+        return f"{self.kind} block {self.block!r}, {'setting' if self.kind == 'chsh' else 'cell'} {label!r}"
 
     def row(self, label: str) -> dict:
         for lbl, counts in self.rows:
             if lbl == label:
                 return counts
-        raise CountsDataError(f"no row labeled {label!r}")
+        raise CountsDataError(f"{self.where(label)}: no row")
 
 
 class CountsFile:
@@ -135,7 +136,7 @@ def chsh_counts(table: CountsTable) -> np.ndarray:
         row = table.row(label)
         for n in (row["++"] + row["--"], row["+-"] + row["-+"]):
             if n > MAX_COUNT:
-                raise CountsDataError(f"chsh block {table.block!r}, setting {label!r}: pooled count {n} "
+                raise CountsDataError(f"{table.where(label)}: pooled count {n} "
                                       f"is above the Poisson limit {MAX_COUNT}")
             pooled.append(n)
     return np.array(pooled, dtype=float)
@@ -150,8 +151,9 @@ def chsh_s_values(counts) -> np.ndarray:
 def chsh_s(table: CountsTable) -> float:
     """|S| of a CHSH count table."""
     counts = chsh_counts(table)
-    if (counts[0::2] + counts[1::2] <= 0).any():
-        raise CountsDataError("zero total counts")
+    zero = np.flatnonzero(counts[0::2] + counts[1::2] <= 0)
+    if zero.size:
+        raise CountsDataError(f"{table.where(CHSH_SETTINGS[zero[0]])}: zero total counts")
     return float(chsh_s_values(counts))
 
 
@@ -181,13 +183,17 @@ class FidelityTableResult:
 
 
 def fidelity_table(table: CountsTable) -> FidelityTableResult:
-    """Per-cell fidelities, their unweighted mean, and the (phi, perp) counts whose
-    resampling through `mean_fidelity_values` gives the mean's Monte Carlo error."""
-    rows = (table.row(f"{outcome}/{inp}") for outcome in BELL_LABELS for inp in INPUT_LABELS)
-    cells = np.array([(row["phi"], row["perp"], fidelity_from_counts(row["phi"], row["perp"])) for row in rows],
-                     dtype=float)
-    fids = cells[:, 2].reshape(len(BELL_LABELS), len(INPUT_LABELS))
-    return FidelityTableResult(outcomes=BELL_LABELS, inputs=INPUT_LABELS, fidelities=fids,
+    """Per-cell fidelities (OUTCOMES by INPUT_LABELS), their unweighted mean, and the (phi, perp)
+    counts whose resampling through `mean_fidelity_values` gives the mean's Monte Carlo error."""
+    cells = []  # read in use order, so the first problem met is the one reported
+    for label in (f"{outcome.label}/{inp}" for outcome in OUTCOMES for inp in INPUT_LABELS):
+        row = table.row(label)
+        if row["phi"] + row["perp"] <= 0:
+            raise CountsDataError(f"{table.where(label)}: zero total counts")
+        cells.append((row["phi"], row["perp"], fidelity_from_counts(row["phi"], row["perp"])))
+    cells = np.array(cells, dtype=float)
+    fids = cells[:, 2].reshape(len(OUTCOMES), len(INPUT_LABELS))
+    return FidelityTableResult(outcomes=tuple(o.label for o in OUTCOMES), inputs=INPUT_LABELS, fidelities=fids,
                                mean=float(fids.mean()), counts=cells[:, :2].ravel())
 
 

@@ -16,14 +16,16 @@ from typing import NamedTuple
 import numpy as np
 
 from . import tomo
-from .channel import ChannelModel, EomModel, depolarize
+from .channel import ChannelModel, EomModel
 from .qcore import (
     MixedState,
-    PAULIS,
     PureState,
+    bloch_matrices,
+    bloch_of,
     clamp_unit,
     density_matrices,
     expectation,
+    state_from_bloch,
     strip_global_phase,
     vector_norms,
 )
@@ -110,17 +112,18 @@ def bell_decompose(input_state: PureState) -> dict[BellOutcome, tuple[PureState,
     return {o: (PureState(a), p) for o, a, p in zip(OUTCOMES, amps[0], probs[0].tolist())}
 
 
-def _correct(mats: np.ndarray, outcome: BellOutcome, eom: EomModel | None) -> np.ndarray:
-    """Feed-forward correction of a stack (..., 2, 2), not validated."""
+# Bloch-vector signs of the Pauli flips: the diagonals of their Pauli transfer matrices, less the leading 1
+_FLIP_SIGNS = {"X": np.array([1.0, -1.0, -1.0]), "Z": np.array([-1.0, -1.0, 1.0])}
+
+
+def _correction_diagonal(outcome: BellOutcome, eom: EomModel | None) -> np.ndarray:
+    """The (3,) diagonal by which the feed-forward scales Bloch vectors: each flip with signs s
+    that fails with probability epsilon contributes (1 - epsilon) s + epsilon."""
+    diag = np.ones(3)
     for label in outcome.corrections:
-        sigma = PAULIS[label]
-        flipped = sigma @ mats @ sigma.conj().T
-        if eom is None:
-            mats = flipped
-        else:
-            eps = eom.epsilon_x if label == "X" else eom.epsilon_z
-            mats = (1.0 - eps) * flipped + eps * mats
-    return mats
+        eps = 0.0 if eom is None else eom.epsilon_x if label == "X" else eom.epsilon_z
+        diag = diag * ((1.0 - eps) * _FLIP_SIGNS[label] + eps)
+    return diag
 
 
 def apply_correction(state: MixedState, outcome: BellOutcome,
@@ -130,9 +133,7 @@ def apply_correction(state: MixedState, outcome: BellOutcome,
     With an EomModel, each required flip succeeds with probability
     1 - epsilon and otherwise leaves the state untouched.
     """
-    if state.dim != 2:
-        raise ValueError("correction acts on single-qubit states")
-    return MixedState(_correct(state.matrix, outcome, eom))
+    return state_from_bloch(_correction_diagonal(outcome, eom) * bloch_of(state))
 
 
 def _teleport(targets: np.ndarray, channel: ChannelModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -140,14 +141,14 @@ def _teleport(targets: np.ndarray, channel: ChannelModel) -> tuple[np.ndarray, n
 
     Returns the corrected Q2 states (n, 4, 2, 2), validated as one stack,
     the branch probabilities and the fidelities to the inputs (both
-    (n, 4)), outcomes in OUTCOMES order. For the six INPUT_STATES the
-    projectors and their depolarized images are Hermitian to the bit with
-    no negative eigenvalue, so checking them on their own would change no
-    bit.
+    (n, 4)), outcomes in OUTCOMES order. The channel and the correction are
+    diagonal Pauli transfer matrices, applied to the conditional Bloch vectors.
     """
     amps, probs = _bell_branches(targets)
-    rho = depolarize(amps[..., :, None] * amps.conj()[..., None, :], channel)
-    rho = density_matrices(np.stack([_correct(rho[:, k], o, channel.eom) for k, o in enumerate(OUTCOMES)], axis=1))
+    cross, weights = 2.0 * amps[..., 0].conj() * amps[..., 1], amps.real**2 + amps.imag**2
+    bloch = np.stack([cross.real, cross.imag, weights[..., 0] - weights[..., 1]], axis=-1)
+    diags = np.array([_correction_diagonal(o, channel.eom) for o in OUTCOMES])
+    rho = density_matrices(bloch_matrices(channel.bloch_shrink * bloch * diags))
     return rho, probs, clamp_unit(expectation(rho, targets[:, None]).real)
 
 

@@ -120,7 +120,6 @@ class MixedState:
 
 # Pauli operators I, X, Y, Z in the (|H>, |V>) basis
 PAULI_MATRICES = np.array([np.eye(2), [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex)
-PAULIS = dict(zip("IXYZ", PAULI_MATRICES))
 
 
 def tensor(a, b):

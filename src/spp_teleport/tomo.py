@@ -199,37 +199,32 @@ def process_fidelity(chi: ProcessMatrix) -> float:
     return float(min(1.0, max(0.0, chi.chi[0, 0].real)))
 
 
-@dataclass(frozen=True)
-class AffineBlochMap:
-    linear: np.ndarray
-    offset: np.ndarray
-
-    def __call__(self, r: np.ndarray) -> np.ndarray:
-        """Image of a Bloch vector, or of a stack of them (..., 3)."""
-        return (self.linear @ np.asarray(r, dtype=float)[..., None])[..., 0] + self.offset
+def _bloch_image(ptm: np.ndarray, r) -> np.ndarray:
+    """R[1:, 1:] r + R[1:, 0], the image under the Pauli transfer matrix R of
+    a Bloch vector, or of a stack of them (..., 3)."""
+    return (ptm[1:, 1:] @ np.asarray(r, dtype=float)[..., None])[..., 0] + ptm[1:, 0]
 
 
-def bloch_map_of(chi: ProcessMatrix) -> AffineBlochMap:
-    """Affine action of the process on Bloch vectors, read off its Pauli
-    transfer matrix R: r -> R[1:, 1:] r + R[1:, 0]. Raises InvalidStateError
-    if the image of the maximally mixed state or of a Bloch axis state
-    leaves the ball."""
+def bloch_map_of(chi: ProcessMatrix) -> np.ndarray:
+    """The Pauli transfer matrix R of the process, checked as a map of the
+    Bloch ball: r -> R[1:, 1:] r + R[1:, 0]. Raises InvalidStateError if the
+    image of the maximally mixed state or of a Bloch axis state leaves the
+    ball."""
     ptm = chi.ptm
-    bmap = AffineBlochMap(ptm[1:, 1:], ptm[1:, 0])
-    check_bloch_ball(bmap(np.eye(4, 3, -1)))  # the origin and the three axes
-    return bmap
+    check_bloch_ball(_bloch_image(ptm, np.eye(4, 3, -1)))  # the origin and the three axes
+    return ptm
 
 
-def bloch_sphere_samples(bmap: AffineBlochMap, n_theta: int = 12,
+def bloch_sphere_samples(ptm: np.ndarray, n_theta: int = 12,
                          n_phi: int = 24) -> tuple[np.ndarray, np.ndarray]:
-    """A Bloch-sphere mesh and its image under the map, for plotting: two
-    (n_theta * n_phi, 3) arrays, theta-major."""
+    """A Bloch-sphere mesh and its image under the Pauli transfer matrix
+    `ptm`, for plotting: two (n_theta * n_phi, 3) arrays, theta-major."""
     theta = np.linspace(0, np.pi, n_theta)[:, None]
     phi = np.linspace(0, 2 * np.pi, n_phi, endpoint=False)
     mesh = np.stack(np.broadcast_arrays(np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)),
                     axis=-1).reshape(-1, 3)
     check_bloch_ball(mesh)
-    return mesh, bmap(mesh)
+    return mesh, _bloch_image(ptm, mesh)
 
 
 # Monte Carlo trials run in this many independently seeded chunks

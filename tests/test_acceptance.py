@@ -39,7 +39,7 @@ def test_01_chsh_reproduction():
 
 
 def test_02_fidelity_table_reproduction():
-    from test_counts import PUBLISHED_WITH_SPP, PUBLISHED_WITHOUT_SPP
+    from test_counts import PUBLISHED_WITH_SPP, PUBLISHED_WITHOUT_SPP, published_in_outcome_order
 
     t0 = time.perf_counter()
     results = {
@@ -52,7 +52,7 @@ def test_02_fidelity_table_reproduction():
     published = {"without_spp": PUBLISHED_WITHOUT_SPP, "with_spp": PUBLISHED_WITH_SPP}
     worst = 0.0
     for block, res in results.items():
-        diff = np.abs(100 * res.fidelities - np.array(published[block]))
+        diff = np.abs(100 * res.fidelities - published_in_outcome_order(published[block]))
         worst = max(worst, float(diff.max()))
     mean_wo = 100 * results["without_spp"].mean
     mean_w = 100 * results["with_spp"].mean

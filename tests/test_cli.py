@@ -547,8 +547,38 @@ class TestAnalyzeCommand:
         counts.write_text("\n".join(lines) + "\n")
         cfg = write_config(tmp_path, f"[analyze]\ncounts = {counts}\n")
         assert main(["analyze", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
-        assert capsys.readouterr().err == "data error: zero total counts\n"
+        assert capsys.readouterr().err == "data error: chsh block 'with_spp', setting '0-22.5': zero total counts\n"
         assert not (tmp_path / "o" / "chsh.json").exists()
+
+    @pytest.mark.parametrize("edit,message", [
+        ({"fidelity,with_spp,PhiPlus/D,phi,": "0", "fidelity,with_spp,PhiPlus/D,perp,": "0"},
+         "fidelity block 'with_spp', cell 'PhiPlus/D': zero total counts"),
+        ({f"chsh,with_spp,45-67.5,{o},": "0" for o in counts_mod.CHSH_OUTCOMES},
+         "chsh block 'with_spp', setting '45-67.5': zero total counts"),
+        ({"fidelity,with_spp,PsiMinus/L,phi,": None, "fidelity,with_spp,PsiMinus/L,perp,": None},
+         "fidelity block 'with_spp', cell 'PsiMinus/L': no row"),
+        ({"fidelity,with_spp,PsiMinus/L,phi,": None},
+         "fidelity block 'with_spp', cell 'PsiMinus/L': missing outcomes ['phi']"),
+        ({"fidelity,with_spp,PsiMinus/L,phi,": "-1"},
+         "fidelity block 'with_spp', cell 'PsiMinus/L': negative count for outcome 'phi'"),
+        ({"chsh,without_spp,0-67.5,+-,": "-5"},
+         "chsh block 'without_spp', setting '0-67.5': negative count for outcome '+-'"),
+    ], ids=["zero-cell", "zero-setting", "missing-row", "missing-outcome", "negative-cell", "negative-setting"])
+    def test_counts_problem_names_its_kind_block_and_setting_or_cell(self, tmp_path, capsys, edit, message):
+        # each edit maps a row prefix to its new count, or to None to delete the row
+        lines = []
+        for line in counts_mod.bundled_counts_path().read_text().splitlines():
+            prefix = line.rsplit(",", 1)[0] + ","
+            if prefix not in edit:
+                lines.append(line)
+            elif edit[prefix] is not None:
+                lines.append(prefix + edit[prefix])
+        counts = tmp_path / "counts.csv"
+        counts.write_text("\n".join(lines) + "\n")
+        cfg = write_config(tmp_path, f"[analyze]\ncounts = {counts}\n")
+        assert main(["analyze", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err == f"data error: {message}\n"
+        assert not (tmp_path / "o").exists()
 
     def test_pooled_count_above_the_poisson_limit_exits_3(self, tmp_path, capsys):
         # each count is within the limit, but N++ + N-- of one setting is not

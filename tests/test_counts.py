@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spp_teleport.counts import (
-    BELL_LABELS,
     CHSH_OUTCOMES,
     CHSH_SETTINGS,
     CLASSICAL_STATE_FIDELITY_BOUND,
@@ -24,13 +23,15 @@ from spp_teleport.counts import (
     mean_fidelity_values,
     sigma_violation,
 )
+from spp_teleport.protocol import OUTCOMES
 from spp_teleport.tomo import monte_carlo_errors
 
 from conftest import projector, random_pure
 from reference import chsh_s_16
 
-# Published per-cell fidelities (percent), row order PsiPlus, PsiMinus,
-# PhiMinus, PhiPlus; column order H, V, D, A, R, L.
+# Published per-cell fidelities (percent), row order PUBLISHED_ROWS; column
+# order H, V, D, A, R, L.
+PUBLISHED_ROWS = ("PsiPlus", "PsiMinus", "PhiMinus", "PhiPlus")
 PUBLISHED_WITHOUT_SPP = [
     [95.81, 97.22, 95.17, 95.90, 95.20, 97.98],
     [88.22, 91.25, 92.71, 88.37, 93.99, 96.85],
@@ -43,6 +44,12 @@ PUBLISHED_WITH_SPP = [
     [86.94, 89.04, 88.64, 81.09, 88.98, 88.88],
     [85.85, 84.66, 95.67, 97.04, 85.58, 89.31],
 ]
+
+
+def published_in_outcome_order(published):
+    """The rows of a published table in OUTCOMES order, the order fidelity_table gives."""
+    return np.array([published[PUBLISHED_ROWS.index(outcome.label)] for outcome in OUTCOMES])
+
 
 PUBLISHED_S = {"without_spp": 2.551, "with_spp": 2.281}
 PUBLISHED_MEAN = {"without_spp": 92.67, "with_spp": 88.91}
@@ -200,8 +207,9 @@ class TestBundledFidelityTables:
     )
     def test_all_cells_and_mean(self, block, published, mean):
         result = fidelity_table(load_counts_csv(bundled_counts_path(), "fidelity", block))
-        assert result.outcomes == BELL_LABELS
+        assert result.outcomes == tuple(outcome.label for outcome in OUTCOMES)
         assert result.inputs == INPUT_LABELS
+        published = published_in_outcome_order(published)
         for i in range(4):
             for j in range(6):
                 assert 100 * result.fidelities[i, j] == pytest.approx(
@@ -216,10 +224,20 @@ class TestBundledFidelityTables:
         assert mean == pytest.approx(result.mean, abs=3 * std)
         assert 0.0 < std < 0.0032
 
+    def test_rows_follow_the_protocol_outcome_order(self):
+        table = load_counts_csv(bundled_counts_path(), "fidelity", "with_spp")
+        result = fidelity_table(table)
+        assert result.outcomes == ("PhiPlus", "PhiMinus", "PsiMinus", "PsiPlus")
+        assert result.outcomes == tuple(outcome.label for outcome in OUTCOMES)
+        for k, outcome in enumerate(result.outcomes):
+            for j, inp in enumerate(INPUT_LABELS):
+                row = table.row(f"{outcome}/{inp}")
+                assert result.fidelities[k, j] == row["phi"] / (row["phi"] + row["perp"])
+
     def test_counts_are_the_cells_phi_perp_pairs(self):
         table = load_counts_csv(bundled_counts_path(), "fidelity", "with_spp")
         result = fidelity_table(table)
-        want = [table.row(f"{o}/{i}")[k] for o in BELL_LABELS for i in INPUT_LABELS for k in ("phi", "perp")]
+        want = [table.row(f"{o.label}/{i}")[k] for o in OUTCOMES for i in INPUT_LABELS for k in ("phi", "perp")]
         assert result.counts.tolist() == want
         assert mean_fidelity_values(result.counts) == result.mean
 

@@ -19,9 +19,11 @@ from spp_teleport.protocol import (
     run_teleportation,
 )
 from spp_teleport.qcore import (
+    PAULI_MATRICES,
     MixedState,
-    PAULIS,
     PureState,
+    bloch_matrices,
+    check_bloch_ball,
     fidelity_pure,
 )
 
@@ -38,6 +40,7 @@ from conftest import projector, pure_states
 from reference import trace_distance, werner
 
 SQ2 = np.sqrt(2.0)
+PAULIS = dict(zip("IXYZ", PAULI_MATRICES))
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +213,10 @@ class TestCorrection:
         # a failed X flip leaves |V>, so the H fidelity is exactly 1 - eps_x
         assert fidelity_pure(rho, INPUT_STATES["H"]) == pytest.approx(1.0 - 1.0 / 78.5, abs=1e-12)
 
+    def test_rejects_two_qubit_state(self):
+        with pytest.raises(ValueError):
+            apply_correction(MixedState(np.eye(4) / 4), BellOutcome.PHI_MINUS)
+
     def test_no_correction_branch_untouched(self):
         rho_in = projector(INPUT_STATES["R"])
         rho = apply_correction(rho_in, BellOutcome.PSI_MINUS, eom=EomModel(2.0, 2.0))
@@ -304,22 +311,68 @@ class TestRunCampaign:
                                       campaign.estimates[i, k])
 
 
-def reference_teleport(label, channel):
-    """The per-branch pipeline with one validated state per stage and
-    scalar arithmetic, outcomes in OUTCOMES order: the reference the
-    stacked campaign must match bit for bit. Returns (state, probability,
-    fidelity) per outcome."""
-    target = INPUT_STATES[label].amplitudes
+# Bloch-vector signs of the Pauli flips, written out: X keeps x and flips y
+# and z, Z keeps z and flips x and y
+_FLIP_SIGNS = {"X": (1.0, -1.0, -1.0), "Z": (-1.0, -1.0, 1.0)}
+# Bloch vectors of the six inputs, written out
+_INPUT_BLOCH = {"H": (0, 0, 1), "V": (0, 0, -1), "D": (1, 0, 0), "A": (-1, 0, 0), "R": (0, -1, 0), "L": (0, 1, 0)}
+
+
+def _conditional_amplitudes(target, outcome):
+    """Normalized, phase-stripped Q2 amplitudes of one Bell outcome, and its probability."""
     full = np.kron(target, SWAPPED_RESOURCE)
     full = (full / np.linalg.norm(full)).reshape(2, 2, 2)
+    cond = np.einsum("ij,ijk->k", BELL_VECTORS[outcome].amplitudes.reshape(2, 2).conj(), full)
+    prob = float(np.linalg.norm(cond) ** 2)
+    amps = cond / np.linalg.norm(cond)
+    k = int(np.argmax(np.abs(amps)))
+    amps = amps / (amps[k] / abs(amps[k]))
+    return amps / np.linalg.norm(amps), prob
+
+
+def _clamped_fidelity(target, rho):
+    return float(min(1.0, max(0.0, np.vdot(target, rho @ target).real)))
+
+
+def reference_teleport(label, channel):
+    """The per-branch pipeline in Pauli-transfer-matrix arithmetic, one
+    branch at a time with scalar arithmetic, outcomes in OUTCOMES order: the
+    conditional state's Bloch vector, shrunk by the channel, then scaled by
+    the product of the flips' diagonals. Each stage's Bloch vector is checked
+    to lie in the ball and the final state is validated on its own. The
+    reference the stacked campaign must match bit for bit. Returns (state,
+    probability, fidelity) per outcome."""
+    target = INPUT_STATES[label].amplitudes
+    eom = channel.eom
     branches = []
     for outcome in OUTCOMES:
-        cond = np.einsum("ij,ijk->k", BELL_VECTORS[outcome].amplitudes.reshape(2, 2).conj(), full)
-        prob = float(np.linalg.norm(cond) ** 2)
-        amps = cond / np.linalg.norm(cond)
-        k = int(np.argmax(np.abs(amps)))
-        amps = amps / (amps[k] / abs(amps[k]))
-        amps = amps / np.linalg.norm(amps)
+        (a, b), prob = _conditional_amplitudes(target, outcome)
+        cross = 2.0 * a.conjugate() * b
+        r = [cross.real, cross.imag, (a.real**2 + a.imag**2) - (b.real**2 + b.imag**2)]
+        check_bloch_ball(r)
+        r = [channel.bloch_shrink * x for x in r]
+        check_bloch_ball(r)
+        diag = [1.0, 1.0, 1.0]
+        for flip in outcome.corrections:
+            eps = 0.0 if eom is None else eom.epsilon_x if flip == "X" else eom.epsilon_z
+            diag = [d * ((1.0 - eps) * sign + eps) for d, sign in zip(diag, _FLIP_SIGNS[flip])]
+        r = [x * d for x, d in zip(r, diag)]
+        check_bloch_ball(r)
+        rho = MixedState(bloch_matrices(r)).matrix
+        branches.append((rho, prob, _clamped_fidelity(target, rho)))
+    return branches
+
+
+def matrix_teleport(label, channel):
+    """The per-branch pipeline on density matrices, one validated state per
+    stage: depolarizing as w rho + (1 - w) I/2, and each correction as a
+    Pauli conjugation mixed with the unflipped state by the EOM's failure
+    probability. An oracle independent of the Bloch-vector arithmetic.
+    Returns (state, fidelity) per outcome."""
+    target = INPUT_STATES[label].amplitudes
+    branches = []
+    for outcome in OUTCOMES:
+        amps, _ = _conditional_amplitudes(target, outcome)
         rho = MixedState(np.outer(amps, amps.conj())).matrix
         w = channel.bloch_shrink
         rho = MixedState(w * rho + (1.0 - w) * np.eye(2) / 2.0).matrix
@@ -332,8 +385,23 @@ def reference_teleport(label, channel):
                 eps = channel.eom.epsilon_x if label_p == "X" else channel.eom.epsilon_z
                 rho = (1.0 - eps) * flipped + eps * rho
         rho = MixedState(rho).matrix
-        branches.append((rho, prob, float(min(1.0, max(0.0, np.vdot(target, rho @ target).real)))))
+        branches.append((rho, _clamped_fidelity(target, rho)))
     return branches
+
+
+def closed_form_fidelity(label, outcome, channel):
+    """F = (1 + w sum_k r_k^2 prod_flips((1 - eps) + eps s_k)) / 2 for the input's Bloch vector r:
+    the outcome's Pauli maps r to s * r and its correction undoes the sign, except where a flip
+    fails with probability eps."""
+    eom = channel.eom
+    total = 0.0
+    for k, r_k in enumerate(_INPUT_BLOCH[label]):
+        factor = 1.0
+        for flip in _ORACLE_CORRECTIONS[outcome.label]:
+            eps = 0.0 if eom is None else eom.epsilon_x if flip == "X" else eom.epsilon_z
+            factor *= (1.0 - eps) + eps * _FLIP_SIGNS[flip][k]
+        total += r_k**2 * factor
+    return (1.0 + channel.bloch_shrink * total) / 2.0
 
 
 def _same_bits(a, b):
@@ -368,6 +436,29 @@ class TestCampaign:
         for i, label in enumerate(INPUT_LABELS):
             for k, (rho, _, fid) in enumerate(reference_teleport(label, channel)):
                 assert _same_bits(campaign.states[i, k], rho) and campaign.fidelities[i, k] == fid
+
+    @pytest.mark.parametrize("channel", [
+        ChannelModel(), ChannelModel(werner_visibility=0.83), CHANNEL, ChannelModel(depolarizing_extra=1.0),
+        calibrated_channel(with_spp=True), calibrated_channel(with_spp=False),
+    ])
+    def test_stack_agrees_with_the_matrix_form(self, channel):
+        campaign = Campaign.run(channel, INPUT_LABELS, shots=10, seed=0)
+        for i, label in enumerate(INPUT_LABELS):
+            for k, (rho, fid) in enumerate(matrix_teleport(label, channel)):
+                assert np.abs(campaign.states[i, k] - rho).max() <= 1e-15
+                assert abs(campaign.fidelities[i, k] - fid) <= 1e-15
+
+    @settings(max_examples=200, deadline=None)
+    @given(visibility=st.floats(0.0, 1.0), extra=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+           contrasts=st.one_of(st.none(), st.tuples(st.floats(1.001, 1e4), st.floats(1.001, 1e4))))
+    def test_fidelities_equal_the_closed_form(self, visibility, extra, contrasts):
+        # every step is a diagonal Pauli transfer matrix, so each branch's
+        # fidelity has a closed form (Greenbaum, arXiv:1509.02921)
+        channel = ChannelModel(werner_visibility=visibility, depolarizing_extra=extra,
+                               eom=EomModel(*contrasts) if contrasts else None)
+        campaign = Campaign.run(channel, INPUT_LABELS, shots=10, seed=0)
+        want = [[closed_form_fidelity(label, o, channel) for o in OUTCOMES] for label in INPUT_LABELS]
+        assert np.abs(campaign.fidelities - np.array(want)).max() <= 1e-15
 
     def test_one_input_runs_equal_the_stack(self):
         # run_teleportation is the one-input call of the stack code

@@ -354,6 +354,11 @@ class TestBatchedMaximumLikelihood:
         assert log_likelihood_gain(counts, ml, reference_ml_refine(flat)) >= 0
 
 
+def bloch_image(ptm, r):
+    """R[1:, 1:] r + R[1:, 0]: the image of one Bloch vector under a Pauli transfer matrix."""
+    return ptm[1:, 1:] @ r + ptm[1:, 0]
+
+
 def qpt_outputs(chi):
     """The (4, 2, 2) stack of validated images of QPT_INPUTS under chi."""
     return density_matrices(chi_act(chi, np.array([rho.matrix for rho in QPT_INPUTS])))
@@ -367,8 +372,8 @@ def assert_matches_references(outputs, cp_projection):
     expected = lstsq_qpt([(rho, MixedState(out)) for rho, out in zip(QPT_INPUTS, outputs)], cp_projection)
     assert np.abs(chi.chi - expected).max() < 1e-12
     linear, offset = per_state_bloch_map(expected)
-    bmap = bloch_map_of(chi)
-    assert np.abs(bmap.linear - linear).max() < 1e-12 and np.abs(bmap.offset - offset).max() < 1e-12
+    ptm = bloch_map_of(chi)
+    assert np.abs(ptm[1:, 1:] - linear).max() < 1e-12 and np.abs(ptm[1:, 0] - offset).max() < 1e-12
 
 
 @st.composite
@@ -388,13 +393,13 @@ class TestProcessMatrix:
     def test_identity_apply(self, rng):
         r = bloch_of(random_mixed(rng))
         # the trace distance of two states is half the distance of their Bloch vectors
-        assert np.linalg.norm(bloch_map_of(chi_identity())(r) - r) / 2 < 1e-12
+        assert np.linalg.norm(bloch_image(bloch_map_of(chi_identity()), r) - r) / 2 < 1e-12
 
     def test_depolarizing_apply(self, rng):
         p = 0.3
         rho = random_mixed(rng)
         ref = MixedState((1 - p) * rho.matrix + p * np.eye(2) / 2)
-        out = bloch_map_of(depolarizing_chi(p))(bloch_of(rho))
+        out = bloch_image(bloch_map_of(depolarizing_chi(p)), bloch_of(rho))
         assert np.linalg.norm(out - bloch_of(ref)) / 2 < 1e-12
 
     @settings(max_examples=50, deadline=None)
@@ -537,43 +542,43 @@ class TestProcessFidelity:
 
 class TestBlochMap:
     def test_identity(self):
-        bmap = bloch_map_of(chi_identity())
-        assert np.allclose(bmap.linear, np.eye(3), atol=1e-10)
-        assert np.allclose(bmap.offset, 0, atol=1e-10)
+        ptm = bloch_map_of(chi_identity())
+        assert np.allclose(ptm[1:, 1:], np.eye(3), atol=1e-10)
+        assert np.allclose(ptm[1:, 0], 0, atol=1e-10)
 
     def test_depolarizing_shrink(self):
         p = 0.35
-        bmap = bloch_map_of(depolarizing_chi(p))
-        assert np.allclose(bmap.linear, (1 - p) * np.eye(3), atol=1e-10)
-        assert np.allclose(bmap.offset, 0, atol=1e-10)
+        ptm = bloch_map_of(depolarizing_chi(p))
+        assert np.allclose(ptm[1:, 1:], (1 - p) * np.eye(3), atol=1e-10)
+        assert np.allclose(ptm[1:, 0], 0, atol=1e-10)
 
     def test_amplitude_damping_offset(self):
         gamma = 0.3
-        bmap = bloch_map_of(amplitude_damping_chi(gamma))
+        ptm = bloch_map_of(amplitude_damping_chi(gamma))
         s = np.sqrt(1 - gamma)
-        assert np.allclose(bmap.linear, np.diag([s, s, 1 - gamma]), atol=1e-10)
-        assert np.allclose(bmap.offset, [0, 0, gamma], atol=1e-10)
+        assert np.allclose(ptm[1:, 1:], np.diag([s, s, 1 - gamma]), atol=1e-10)
+        assert np.allclose(ptm[1:, 0], [0, 0, gamma], atol=1e-10)
 
     def test_map_matches_apply(self, rng):
         chi = amplitude_damping_chi(0.2)
-        bmap = bloch_map_of(chi)
+        ptm = bloch_map_of(chi)
         for _ in range(10):
             rho = random_mixed(rng)
             r = bloch_of(rho)
             direct = bloch_of(MixedState(chi_act(chi.chi, rho.matrix)))
-            assert np.allclose(bmap(r), direct, atol=1e-10)
+            assert np.allclose(bloch_image(ptm, r), direct, atol=1e-10)
 
     @pytest.mark.parametrize("chi", [chi_identity(), depolarizing_chi(0.3), amplitude_damping_chi(0.2),
                                      rotation_chi(0.7, (1.0, 2.0, 3.0))])
     def test_map_and_samples_equal_per_state_reference(self, chi):
         linear, offset = per_state_bloch_map(chi.chi)
-        bmap = bloch_map_of(chi)
-        assert np.abs(bmap.linear - linear).max() < 1e-12 and np.abs(bmap.offset - offset).max() < 1e-12
-        mesh, images = bloch_sphere_samples(bmap)
+        ptm = bloch_map_of(chi)
+        assert np.abs(ptm[1:, 1:] - linear).max() < 1e-12 and np.abs(ptm[1:, 0] - offset).max() < 1e-12
+        mesh, images = bloch_sphere_samples(ptm)
         points = [np.array([np.sin(t) * np.cos(f), np.sin(t) * np.sin(f), np.cos(t)])
                   for t in np.linspace(0, np.pi, 12) for f in np.linspace(0, 2 * np.pi, 24, endpoint=False)]
         assert mesh.tobytes() == np.array(points).tobytes()
-        assert images.tobytes() == np.array([bmap.linear @ r + bmap.offset for r in points]).tobytes()
+        assert images.tobytes() == np.array([ptm[1:, 1:] @ r + ptm[1:, 0] for r in points]).tobytes()
 
     def test_image_outside_the_ball_raises(self):
         # trace one and Hermitian, but not positive: 1.5 rho - 0.5 X rho X sends |H> to z = 2
