@@ -105,14 +105,7 @@ class DielectricTable:
         order = np.argsort(wl)
         self.wavelengths_nm = wl[order]
         self.eps = eps[order]
-
-    @property
-    def wl_min(self) -> float:
-        return float(self.wavelengths_nm[0])
-
-    @property
-    def wl_max(self) -> float:
-        return float(self.wavelengths_nm[-1])
+        self.wl_min, self.wl_max = float(self.wavelengths_nm[0]), float(self.wavelengths_nm[-1])
 
     def __call__(self, wavelength_nm):
         """Interpolated permittivity: complex for a scalar, a complex array for an array."""
@@ -158,11 +151,12 @@ def gold_dielectric_table() -> DielectricTable:
 
 @dataclass(frozen=True)
 class HoleArrayGeometry:
-    """Square hole array; `period_nm` is one period or a 1-D array of periods."""
+    """Square hole array; `period_nm` is one period or a 1-D array of periods, and
+    `mode` one (m1, m2) pair or an (n, 2) integer array of one mode per period."""
 
     period_nm: float | np.ndarray
     hole_diameter_nm: float
-    mode: tuple[int, int]
+    mode: tuple[int, int] | np.ndarray
     eps_substrate: float
     eps_air: float = 1.0
     metal: DielectricTable = field(default_factory=gold_dielectric_table)
@@ -171,7 +165,10 @@ class HoleArrayGeometry:
         period = np.asarray(self.period_nm, dtype=float)
         if period.ndim > 1 or not (np.all(period > self.hole_diameter_nm) and self.hole_diameter_nm > 0):
             raise ChannelParameterError("need period > hole diameter > 0")
-        if self.mode == (0, 0):
+        mode = np.asarray(self.mode)
+        if mode.dtype.kind not in "iu" or mode.shape not in ((2,), (*period.shape, 2)):
+            raise ChannelParameterError("mode must be an integer pair, or one integer pair per period")
+        if not mode.any(axis=-1).all():
             raise ChannelParameterError("mode (0, 0) does not excite a plasmon")
 
 
@@ -181,10 +178,10 @@ def resonance_wavelength(geom: HoleArrayGeometry, interface: str = "substrate",
 
     The wavelength enters both sides through the metal dielectric function,
     so lambda = P/|m| sqrt(eps_d eps_m / (eps_d + eps_m)) is solved by
-    fixed-point iteration over the table, for all periods at once: each
-    period stops at its own first step that moves less than `tol_nm`.
-    Returns a float for a scalar period and an array for an array of periods.
-    """
+    fixed-point iteration over the table, for all periods (each with its own
+    mode, if the geometry has one per period) at once: each stops at its own
+    first step that moves less than `tol_nm`. Returns a float for a scalar
+    period and an array for an array of periods."""
     if interface == "substrate":
         eps_d = geom.eps_substrate
     elif interface == "air":
@@ -192,7 +189,8 @@ def resonance_wavelength(geom: HoleArrayGeometry, interface: str = "substrate",
     else:
         raise ChannelParameterError(f"interface must be substrate or air, got {interface!r}")
     table = geom.metal
-    scale = np.atleast_1d(geom.period_nm) / math.hypot(*geom.mode)
+    mode = np.asarray(geom.mode).reshape(-1, 2)  # |m| by math.hypot: np.hypot differs on some, such as (47, 28)
+    scale = np.atleast_1d(geom.period_nm) / np.frompyfunc(math.hypot, 2, 1)(mode[:, 0], mode[:, 1]).astype(float)
     lam = np.full(scale.shape, 0.5 * (table.wl_min + table.wl_max))
     active = np.arange(lam.size)  # periods still iterating
     for _ in range(max_iter):
@@ -200,7 +198,8 @@ def resonance_wavelength(geom: HoleArrayGeometry, interface: str = "substrate",
         denom = eps_d + eps_m
         if np.any(denom == 0):
             raise ResonanceSolveError("degenerate dielectric/metal combination")
-        factor = eps_d * eps_m / denom
+        with np.errstate(over="ignore"):  # an infinite factor leaves the table on the next step
+            factor = eps_d * eps_m / denom
         if np.any(factor < 0):
             raise ResonanceSolveError("no bound surface mode for these dielectric constants")
         nxt = scale[active] * np.sqrt(factor)
@@ -218,8 +217,7 @@ def dispersion_match(geom: HoleArrayGeometry, k_parallel) -> np.ndarray:
     if k_par.shape != (2,):
         raise ChannelParameterError("k_parallel must be a 2-vector")
     g = 2.0 * math.pi / np.asarray(geom.period_nm, dtype=float)
-    m1, m2 = geom.mode
-    return k_par + np.stack([m1 * g, m2 * g], axis=-1)
+    return k_par + np.asarray(geom.mode) * g[..., None]
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ class ConfigError(ValueError):
     pass
 
 
-_INT64_MAX = 2**63 - 1  # shots are counted in int64
+_INT64_MAX = 2**63 - 1  # shots and mode components are int64
 
 
 @dataclass
@@ -68,6 +68,8 @@ class RunConfig:
             raise ConfigError(f"shots must be in [1, 2**63 - 1], got {self.shots}")
         if self.mc_trials < 100:
             raise ConfigError(f"mc_trials must be >= 100, got {self.mc_trials}")
+        if self.mc_trials > tomo.MAX_TRIALS:
+            raise ConfigError(f"mc_trials must be <= 2**53, got {self.mc_trials}")
         if self.calibration not in ("none", "with_spp", "without_spp"):
             raise ConfigError(f"unknown calibration {self.calibration!r}")
         if not self.inputs or not set(self.inputs) <= set(protocol.INPUT_LABELS):
@@ -111,6 +113,8 @@ def _parse_modes(text: str) -> tuple:
             m1, m2 = (int(x) for x in part.split(","))
         except ValueError:
             raise ConfigError(f"bad mode spec {part!r}, expected 'm1,m2'") from None
+        if not -2**63 <= min(m1, m2) <= max(m1, m2) <= _INT64_MAX:
+            raise ConfigError(f"bad mode spec {part!r}, components must fit in int64")
         modes.append((m1, m2))
     if not modes:
         raise ConfigError("empty mode list")
@@ -128,6 +132,8 @@ def _parse_sweep(text: str) -> tuple | None:
         raise ConfigError("needs finite numbers")
     if step <= 0 or stop < start:
         raise ConfigError("needs step > 0 and stop >= start")
+    if not (stop + step / 2 - start) / step < 2**62:  # the length of the np.arange of cmd_design
+        raise ConfigError("needs fewer than 2**62 periods")
     return (start, stop, step)
 
 
@@ -234,7 +240,7 @@ def cmd_simulate(cfg: RunConfig) -> None:
             "bloch_map": {"linear": ptm[1:, 1:].tolist(), "offset": ptm[1:, 0].tolist()},
         })
         names = ("in_x", "in_y", "in_z", "out_x", "out_y", "out_z")
-        output.write_table(dict(zip(names, samples.T.tolist())), out / "bloch_map_samples.csv")
+        output.write_table(dict(zip(names, samples.T)), out / "bloch_map_samples.csv")
 
     budget = channel_mod.BUDGET_WITH_SPP if cfg.calibration == "with_spp" else channel_mod.BUDGET_WITHOUT_SPP
     summary = {
@@ -310,44 +316,24 @@ def cmd_analyze(cfg: RunConfig) -> None:
 
 
 def cmd_design(cfg: RunConfig) -> None:
-    if cfg.dielectric == "bundled":
-        table = channel_mod.gold_dielectric_table()
-    else:
-        path = Path(cfg.dielectric)
-        if not path.exists():
-            raise channel_mod.ChannelParameterError(f"dielectric table {path} not found")
-        table = channel_mod.load_dielectric_table(path)
-
-    if cfg.period_sweep:
-        start, stop, step = cfg.period_sweep
-        periods = np.arange(start, stop + step / 2, step)
-    else:
-        periods = np.array([cfg.period_nm])
-
-    # one array solve per mode; row i * n_modes + j is period i, mode j
-    n_modes = len(cfg.modes)
-    lam = np.empty((len(periods), n_modes))
-    k_spp = np.empty((len(periods), n_modes, 2))
-    try:  # every geometry comes from the config and is checked before the first solve
-        geoms = [channel_mod.HoleArrayGeometry(periods, cfg.hole_diameter_nm, mode, cfg.eps_substrate, metal=table)
-                 for mode in cfg.modes]
+    # a missing file is an OSError, as for analyze's counts
+    table = (channel_mod.gold_dielectric_table() if cfg.dielectric == "bundled"
+             else channel_mod.load_dielectric_table(cfg.dielectric))
+    sweep = cfg.period_sweep  # (start, stop, step)
+    periods = np.arange(sweep[0], sweep[1] + sweep[2] / 2, sweep[2]) if sweep else np.array([cfg.period_nm])
+    # one solve over every row; row i * n_modes + j is period i, mode j
+    modes = np.array(cfg.modes, dtype=np.int64)
+    try:  # the geometry comes from the config and is checked before the solve
+        geom = channel_mod.HoleArrayGeometry(np.repeat(periods, len(modes)), cfg.hole_diameter_nm,
+                                             np.tile(modes, (len(periods), 1)), cfg.eps_substrate, metal=table)
     except channel_mod.ChannelParameterError as exc:
         raise ConfigError(str(exc)) from exc
-    for j, geom in enumerate(geoms):
-        lam[:, j] = channel_mod.resonance_wavelength(geom, interface="substrate")
-        k_spp[:, j] = channel_mod.dispersion_match(geom, (0.0, 0.0))
-    k_spp = k_spp.reshape(-1, 2)
+    lam = channel_mod.resonance_wavelength(geom, interface="substrate")
+    k_spp = channel_mod.dispersion_match(geom, (0.0, 0.0))
     # row-wise dot products, the same BLAS dot np.linalg.norm takes for one row
     k_mag = np.sqrt(k_spp[:, None, :] @ k_spp[:, :, None])[:, 0, 0]
-    columns = {
-        "period_nm": np.repeat(periods, n_modes).tolist(),
-        "m1": [m1 for m1, _ in cfg.modes] * len(periods),
-        "m2": [m2 for _, m2 in cfg.modes] * len(periods),
-        "resonance_nm": lam.ravel().tolist(),
-        "k_spp_x": k_spp[:, 0].tolist(),
-        "k_spp_y": k_spp[:, 1].tolist(),
-        "k_spp_mag": k_mag.tolist(),
-    }
+    columns = {"period_nm": geom.period_nm, "m1": geom.mode[:, 0], "m2": geom.mode[:, 1], "resonance_nm": lam,
+               "k_spp_x": k_spp[:, 0], "k_spp_y": k_spp[:, 1], "k_spp_mag": k_mag}
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     output.write_table(columns, cfg.out_dir / "design.csv", cfg.out_dir / "design.json")
 

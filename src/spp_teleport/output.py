@@ -6,10 +6,13 @@ CSV: floats as ``%.12g``, ints as ``str``, labels as they are, ``\\r\\n``
 line ends.
 
 A table of equal-length columns (``write_table``, ``write_json_rows``) is
-encoded directly from its columns, one ``%``-template per row, giving the
-bytes ``json.dumps`` and ``csv.writer`` would give for the same rows at a
-fraction of their cost. A JSON table (``write_table``) formats each distinct
-float once, keyed by its 64 bits, so ``0.0`` and ``-0.0`` stay apart.
+encoded directly from its columns, giving the bytes ``json.dumps`` and
+``csv.writer`` would give for the same rows at a fraction of their cost.
+``write_table`` takes float64 and int64 numpy columns, checks them by dtype
+and one ``np.isfinite``, formats each distinct value once per format, keyed
+by its 64 bits, so ``0.0`` and ``-0.0`` stay apart, and joins the cells
+with their separators in one pass. ``write_json_rows`` fills one
+``%``-template per row.
 """
 
 from __future__ import annotations
@@ -45,57 +48,70 @@ def _csv_cell(value) -> str:
     return _CSV_FLOAT % value
 
 
-def _write_csv(path: Path, lines) -> None:
-    Path(path).write_text("\r\n".join(lines) + "\r\n", newline="")
-
-
 def write_rows(path: Path, rows) -> None:
     """CSV of rows (of any lengths) holding labels, ints and finite floats."""
-    _write_csv(path, (",".join(map(_csv_cell, row)) for row in rows))
+    Path(path).write_text("".join(",".join(map(_csv_cell, row)) + "\r\n" for row in rows), newline="")
+
+
+def _interleave(cells: np.ndarray, seps) -> str:
+    """The (column, row) texts ``cells`` row by row, each followed by its column's separator in ``seps``."""
+    grid = np.empty((cells.shape[1], 2 * len(seps)), dtype=object)
+    grid[:, 0::2] = cells.T
+    grid[:, 1::2] = seps
+    return "".join(grid.ravel().tolist())
+
+
+def _write_json_objects(path: Path, names, cells: np.ndarray) -> None:
+    """JSON list of one object per row: sorted keys ``names``, each holding the
+    JSON texts of its row of ``cells``, as ``write_json`` lays them out."""
+    if not cells.shape[1]:
+        Path(path).write_text("[]\n")
+        return
+    keys = [f"    {json.dumps(name)}: " for name in names]
+    between = "\n  },\n  {\n" + keys[0]  # closes one object and opens the next
+    body = _interleave(cells, [",\n" + key for key in keys[1:]] + [between])
+    Path(path).write_text("[\n  {\n" + keys[0] + body.removesuffix(between) + "\n  }\n]\n")
 
 
 def write_table(columns: dict, csv_path: Path, json_path: Path | None = None) -> None:
-    """One row per index of ``columns`` (name -> list): CSV in column order and,
-    with ``json_path``, a JSON list of one object per row.
+    """One row per index of ``columns`` (name -> 1-D float64 or int64 numpy
+    array): CSV in column order and, with ``json_path``, a JSON list of one
+    object per row.
 
-    Every column holds only plain ``float`` or only plain ``int``, all of equal
-    length, and every float is finite; this is checked before either file is
-    opened, and a violation raises ``ValueError``.
+    There is at least one column, every column is a 1-D array of one of those
+    two dtypes, all of equal length, and every float is finite; this is
+    checked before either file is opened, and a violation raises ``ValueError``.
     """
-    if len({len(col) for col in columns.values()}) > 1:
-        raise ValueError("table columns differ in length")
-    is_float = {}
     for name, col in columns.items():
-        kinds = set(map(type, col))
-        if len(kinds) > 1 or not kinds <= {float, int}:
-            raise ValueError(f"column {name!r} must hold only plain floats or only plain ints, "
-                             f"got {sorted(k.__name__ for k in kinds)}")
-        is_float[name] = float in kinds
-        if is_float[name] and not all(map(math.isfinite, col)):
-            raise ValueError(f"column {name!r} holds NaN or infinity")
+        if not isinstance(col, np.ndarray) or col.ndim != 1 or col.dtype not in (np.float64, np.int64):
+            got = f"a {col.ndim}-D {col.dtype} array" if isinstance(col, np.ndarray) else type(col).__name__
+            raise ValueError(f"column {name!r} must be a 1-D float64 or int64 array, got {got}")
+    if len({col.size for col in columns.values()}) != 1:
+        raise ValueError("table columns differ in length, or there are none")
+    names = list(columns)
+    is_float = np.array([col.dtype == np.float64 for col in columns.values()])
+    bits = np.array([col.view(np.int64) for col in columns.values()])
+    bad = is_float & ~np.isfinite(bits.view(np.float64)).all(axis=1)
+    if bad.any():
+        raise ValueError(f"column {names[bad.argmax()]!r} holds NaN or infinity")
+    header = ",".join(map(_label, names)) + "\r\n"
+    # Each distinct value of a kind is formatted once per format, keyed by its
+    # 64 bits: a key of the float would merge -0.0 into 0.0.
+    kinds = [(of_kind, dtype, *np.unique(bits[of_kind], return_inverse=True))
+             for of_kind, dtype in ((is_float, np.float64), (~is_float, np.int64))]
 
-    csv_row = ",".join(_CSV_FLOAT if is_float[name] else "%d" for name in columns)
-    _write_csv(csv_path, [",".join(map(_label, columns)), *map(csv_row.__mod__, zip(*columns.values()))])
-    if json_path is None:
-        return
-    names = sorted(columns)
-    # float.__repr__, as in json.dumps, once per distinct bit pattern: a dict keyed
-    # by the float would merge -0.0 into 0.0. Ints stay on %r, int.__repr__.
-    floats = [name for name in names if is_float[name]]
-    block = np.array([columns[name] for name in floats], dtype=np.float64)
-    bits, index = np.unique(block.view(np.int64), return_inverse=True)
-    reprs = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
-    text = dict(zip(floats, reprs[index.reshape(block.shape)].tolist()))
-    json_row = _object_template(names, ["%s" if is_float[name] else "%r" for name in names])
-    cells = zip(*(text.get(name, columns[name]) for name in names))
-    _write_json_list(json_path, map(json_row.__mod__, cells))
+    def text(float_format) -> np.ndarray:  # the (column, row) cell texts, ints as str
+        cells = np.empty(bits.shape, dtype=object)
+        for (of_kind, dtype, keys, index), fmt in zip(kinds, (float_format, str)):
+            formatted = np.array(list(map(fmt, keys.view(dtype).tolist())), dtype=object)
+            cells[of_kind] = formatted[index.reshape(np.count_nonzero(of_kind), bits.shape[1])]
+        return cells
 
-
-def _object_template(names, values) -> str:
-    """%-template of one object of a top-level JSON list: sorted keys ``names``
-    holding the value templates ``values``."""
-    return "  {\n" + ",\n".join(f"    {json.dumps(name).replace('%', '%%')}: {value}"
-                                for name, value in zip(names, values)) + "\n  }"
+    seps = [","] * (len(names) - 1) + ["\r\n"]
+    Path(csv_path).write_text(header + _interleave(text(_CSV_FLOAT.__mod__), seps), newline="")
+    if json_path is not None:
+        order = sorted(range(len(names)), key=names.__getitem__)
+        _write_json_objects(json_path, [names[j] for j in order], text(repr)[order])  # float.__repr__, as in json
 
 
 def _nested_template(shape, depth: int) -> str:
@@ -109,21 +125,13 @@ def _nested_template(shape, depth: int) -> str:
     return "[" + pad + ("," + pad).join([item] * shape[0]) + "\n" + "  " * depth + "]"
 
 
-def _write_json_list(path: Path, objects) -> None:
-    body = ",\n".join(objects)
-    Path(path).write_text(f"[\n{body}\n]\n" if body else "[]\n")
-
-
-def _json_column(name: str, col: list) -> tuple[str, list]:
-    """The value template of a ``write_json_rows`` column and, per row, the
-    tuple of values that fill it (None for a null)."""
+def _json_column(name: str, col: list) -> list:
+    """The JSON text of each value of a ``write_json_rows`` column."""
     present = [v for v in col if v is not None]
     kinds = set(map(type, present))
-    if kinds == {str}:
-        encoded = {text: json.dumps(text) for text in set(present)}
-        return "%s", [None if v is None else (encoded[v],) for v in col]
-    if kinds == {int}:
-        return "%r", [None if v is None else (v,) for v in col]
+    if kinds <= {str} or kinds == {int}:
+        encode = str if kinds == {int} else json.encoder.encode_basestring_ascii  # each as json.dumps writes it
+        return ["null" if v is None else encode(v) for v in col]
     leaves, shape = present, []  # floats, or nested lists of them, one level at a time
     while leaves and set(map(type, leaves)) == {list}:
         lengths = set(map(len, leaves))
@@ -137,9 +145,9 @@ def _json_column(name: str, col: list) -> tuple[str, list]:
                          f"or nested lists of them, got {sorted(k.__name__ for k in leaf_kinds)}")
     if not all(map(math.isfinite, leaves)):
         raise ValueError(f"column {name!r} holds NaN or infinity")
-    size = math.prod(shape)
-    cells = iter([tuple(leaves[i * size:(i + 1) * size]) for i in range(len(present))])
-    return _nested_template(shape, 2), [None if v is None else next(cells) for v in col]
+    size, template = math.prod(shape), _nested_template(shape, 2)
+    texts = iter([template % tuple(leaves[i * size:(i + 1) * size]) for i in range(len(present))])
+    return ["null" if v is None else next(texts) for v in col]
 
 
 def write_json_rows(path: Path, columns: dict) -> None:
@@ -150,20 +158,12 @@ def write_json_rows(path: Path, columns: dict) -> None:
     nested lists of plain floats of one shape, and None (null) may stand in
     for any value. Every float is finite, and all columns are of one length.
     This is checked before the file is opened, and a violation raises
-    ``ValueError``. The rows with nulls in the same places share one
-    %-template.
+    ``ValueError``.
     """
     if not columns or len({len(col) for col in columns.values()}) > 1:
         raise ValueError("need columns of one length")
     names = sorted(columns)
-    templates, cells = zip(*(_json_column(name, columns[name]) for name in names))
-    row_templates = {}  # where a row's nulls are (the types of its cells) -> its template
-
-    def fill(row):
-        layout = tuple(map(type, row))
-        if layout not in row_templates:
-            row_templates[layout] = _object_template(names, ["null" if cell is None else template
-                                                             for cell, template in zip(row, templates)])
-        return row_templates[layout] % tuple(itertools.chain.from_iterable(filter(None, row)))
-
-    _write_json_list(path, map(fill, zip(*cells)))
+    cells = np.empty((len(names), len(columns[names[0]])), dtype=object)
+    for i, name in enumerate(names):
+        cells[i] = _json_column(name, columns[name])
+    _write_json_objects(path, names, cells)

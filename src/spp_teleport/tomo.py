@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import os
 from dataclasses import dataclass
@@ -227,18 +226,22 @@ def bloch_sphere_samples(ptm: np.ndarray, n_theta: int = 12,
     return mesh, _bloch_image(ptm, mesh)
 
 
-# Monte Carlo trials run in this many independently seeded chunks
+# Monte Carlo trials run in this many independently seeded chunks, sized in
+# float64, which counts every trial exactly up to MAX_TRIALS
 _MC_CHUNKS = 32
+MAX_TRIALS = 2**53
 
 
 @functools.cache
 def _draw_pool():
     """The thread pool that draws Monte Carlo chunks, one thread per CPU the
-    process may run on, up to one per chunk; created on first use."""
+    process may run on, up to one per chunk, and its number of threads;
+    created on first use."""
     from concurrent.futures import ThreadPoolExecutor
 
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    return ThreadPoolExecutor(max_workers=min(cpus, _MC_CHUNKS), thread_name_prefix="mc-draw")
+    workers = min(cpus, _MC_CHUNKS)
+    return ThreadPoolExecutor(max_workers=workers, thread_name_prefix="mc-draw"), workers
 
 
 if hasattr(os, "register_at_fork"):
@@ -257,21 +260,34 @@ def monte_carlo_errors(counts, statistic, trials: int = 1000, seed: int = 0):
     sequential `rng.poisson(counts)` calls. The chunks are drawn in
     parallel on a shared thread pool, each by its own generator, so the
     result does not depend on the number of threads; `statistic` runs on
-    the calling thread, chunk by chunk in order. Raises TomographyError if
+    the calling thread, chunk by chunk in order, and the pool draws at most
+    one chunk per thread, plus one, ahead of it. Raises TomographyError if
     any resample gives a non-finite value.
     """
     counts = np.asarray(counts, dtype=float)
-    if trials < 100:
-        raise ValueError("trials must be >= 100")
+    if not 100 <= trials <= MAX_TRIALS:
+        raise ValueError("trials must be in [100, 2**53]")
     if counts.sum() <= 0:
         raise ValueError("zero total counts")
     sizes = np.diff(np.linspace(0, trials, _MC_CHUNKS + 1).astype(int))
     seeds = np.random.SeedSequence(seed).spawn(_MC_CHUNKS)
-    draws = _draw_pool().map(lambda ss, n: np.random.default_rng(ss).poisson(counts, size=(n, counts.size)),
-                             seeds, sizes)
-    # closing cancels the chunks still queued if statistic raises
-    with np.errstate(divide="ignore", invalid="ignore"), contextlib.closing(draws):
-        values = np.concatenate([statistic(batch) for batch in draws])
+    pool, workers = _draw_pool()
+
+    def draw(k):
+        return np.random.default_rng(seeds[k]).poisson(counts, size=(sizes[k], counts.size))
+
+    ahead = {k: pool.submit(draw, k) for k in range(min(workers + 1, _MC_CHUNKS))}
+    batches = []
+    try:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for k in range(_MC_CHUNKS):
+                if k + workers + 1 < _MC_CHUNKS:
+                    ahead[k + workers + 1] = pool.submit(draw, k + workers + 1)
+                batches.append(statistic(ahead.pop(k).result()))
+    finally:  # cancels the chunks still queued if statistic raises
+        for future in ahead.values():
+            future.cancel()
+    values = np.concatenate(batches)
     if values.shape[:1] != (trials,) or values.ndim > 2:
         raise ValueError(f"statistic must map an (n, k) batch to n values or (n, m) values, got shape {values.shape}")
     columns = np.ascontiguousarray(values.reshape(trials, -1).T)  # each reduced as a 1-D statistic is

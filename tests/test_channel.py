@@ -213,6 +213,60 @@ class TestResonance:
                 assert value == resonance_wavelength(HoleArrayGeometry(float(period), 200, mode, eps,
                                                                        metal=table))
 
+    # a period range per mode with its resonance inside the bundled table
+    PER_ROW_MODES = {(1, 0): (560.0, 760.0), (1, 1): (700.0, 900.0), (47, 28): (26000.0, 36000.0)}
+
+    def _per_row_geometry(self, n=40):
+        """One geometry whose rows cycle through PER_ROW_MODES, and the period
+        array of each mode's rows."""
+        table = gold_dielectric_table()
+        spans = {mode: np.linspace(lo, hi, n) for mode, (lo, hi) in self.PER_ROW_MODES.items()}
+        periods = np.stack(list(spans.values()), axis=1).ravel()  # row i * 3 + j: period i of mode j
+        modes = np.tile(np.array(list(self.PER_ROW_MODES), dtype=np.int64), (n, 1))
+        return HoleArrayGeometry(periods, 200, modes, 2.25, metal=table), spans
+
+    def test_per_row_modes_equal_per_mode_solves(self):
+        geom, spans = self._per_row_geometry()
+        lam = resonance_wavelength(geom)
+        k = dispersion_match(geom, (0.001, -0.002))
+        assert lam.shape == (120,) and k.shape == (120, 2)
+        for j, (mode, periods) in enumerate(spans.items()):
+            alone = HoleArrayGeometry(periods, 200, mode, 2.25, metal=geom.metal)
+            assert np.array_equal(lam[j::3], resonance_wavelength(alone))
+            assert np.array_equal(k[j::3], dispersion_match(alone, (0.001, -0.002)))
+            assert lam[j] == resonance_wavelength(HoleArrayGeometry(float(periods[0]), 200, mode, 2.25,
+                                                                    metal=geom.metal))
+
+    def test_mode_norm_is_math_hypot(self):
+        # np.hypot(47, 28) is one ulp below math.hypot(47, 28); with a constant
+        # permittivity the fixed point is P / |m| * sqrt(eps_d eps_m / (eps_d + eps_m))
+        assert np.hypot(47, 28) != math.hypot(47, 28)
+        table = DielectricTable([300, 2000], [-25.0, -25.0])
+        geom = HoleArrayGeometry(np.array([700.0, 40000.0]), 200, np.array([[1, 1], [47, 28]]), 2.25, metal=table)
+        factor = math.sqrt(2.25 * -25.0 / (2.25 - 25.0))
+        assert resonance_wavelength(geom).tolist() == [700.0 / math.hypot(1, 1) * factor,
+                                                       40000.0 / math.hypot(47, 28) * factor]
+
+    @pytest.mark.parametrize("row", [0, 1, 119])
+    def test_zero_mode_in_any_row_is_rejected(self, row):
+        geom, _ = self._per_row_geometry()
+        modes = geom.mode.copy()
+        modes[row] = 0
+        with pytest.raises(ChannelParameterError, match=r"mode \(0, 0\) does not excite a plasmon"):
+            HoleArrayGeometry(geom.period_nm, 200, modes, 2.25, metal=geom.metal)
+
+    @pytest.mark.parametrize("period, mode", [
+        (700.0, np.array([[1, 1]])),  # one mode per period needs an array of periods
+        (np.array([700.0, 710.0]), np.array([[1, 1]])),
+        (np.array([700.0, 710.0]), np.array([[1, 1], [1, 0], [1, 2]])),
+        (np.array([700.0, 710.0]), np.array([1.0, 1.0])),
+        (700.0, (1, 1, 0)),
+        (700.0, (10**30, 0)),
+    ])
+    def test_mode_shape_and_type_are_checked(self, period, mode):
+        with pytest.raises(ChannelParameterError, match="mode must be an integer pair"):
+            HoleArrayGeometry(period, 200, mode, 2.25)
+
     def test_scalar_period_returns_float(self):
         assert isinstance(resonance_wavelength(HoleArrayGeometry(700.0, 200, (1, 1), 2.25)), float)
 

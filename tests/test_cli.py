@@ -1,10 +1,13 @@
+import contextlib
 import csv
 import functools
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import jsonschema
@@ -15,7 +18,7 @@ from hypothesis import strategies as st
 
 from spp_teleport import channel, protocol, tomo
 from spp_teleport import counts as counts_mod
-from spp_teleport.cli import ConfigError, RunConfig, build_parser, load_config, main
+from spp_teleport.cli import _CONFIG_KEYS, ConfigError, RunConfig, build_parser, load_config, main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -112,6 +115,24 @@ mc_trials = 300
         with pytest.raises(ConfigError):
             load_config(path)
 
+    @pytest.mark.parametrize("mode", ["1" + "0" * 400 + ",0", "99999999999999999999,0", "0,-9223372036854775809",
+                                      "9223372036854775808,1"])
+    def test_mode_outside_int64_exits_2(self, tmp_path, capsys, mode):
+        path = write_config(tmp_path, f"[design]\nmodes = 1,1;{mode}\n")
+        out = tmp_path / "o"
+        assert main(["design", "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (f"config error: bad value for [design] modes: bad mode spec {mode!r}, "
+                                           "components must fit in int64\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode", ["9223372036854775807,0", "-9223372036854775808,-9223372036854775808"])
+    def test_int64_extreme_mode_has_no_resonance_in_the_table(self, tmp_path, capsys, mode):
+        path = write_config(tmp_path, f"[design]\nmodes = {mode}\n")
+        out = tmp_path / "o"
+        assert main(["design", "--config", str(path), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == "data error: wavelength 0.0 nm outside table range [500, 1300]\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("sweep", ["600:700:0", "600:700:-5", "700:600:10"])
     def test_bad_period_sweep(self, tmp_path, sweep):
         path = write_config(tmp_path, f"[design]\nperiod_sweep = {sweep}\n")
@@ -206,6 +227,23 @@ period_sweep = 600:700:50
         assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err == "config error: shots must be in [1, 2**63 - 1], got 100000000000000000000\n"
+        assert not out.exists()
+
+    # beyond what numpy can even index: a config error, not a traceback
+    @pytest.mark.parametrize("command, text, message", [
+        ("analyze", "[tomography]\nmc_trials = 9007199254740993\n", "mc_trials must be <= 2**53, got 9007199254740993"),
+        ("analyze", "[tomography]\nmc_trials = 99999999999999999999\n",
+         "mc_trials must be <= 2**53, got 99999999999999999999"),
+        ("design", "[design]\nperiod_sweep = 600:700:1e-300\n",
+         "bad value for [design] period_sweep: needs fewer than 2**62 periods"),
+        ("design", "[design]\nperiod_sweep = 600:1.7e308:1e308\n",
+         "bad value for [design] period_sweep: needs fewer than 2**62 periods"),
+    ])
+    def test_unindexable_size_exits_2(self, tmp_path, capsys, command, text, message):
+        path = write_config(tmp_path, text)
+        out = tmp_path / "o"
+        assert main([command, "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
         assert not out.exists()
 
     def test_mc_trials_below_100_exits_2(self, tmp_path, capsys):
@@ -457,6 +495,59 @@ def test_simulate_configs_exit_0_with_valid_outputs(tmp_path_factory, shots, inp
         assert (out / "chi.json").exists() == (set(tomo.QPT_INPUT_LABELS) <= estimated)
         records.append((out / "records.json").read_bytes())
     assert records[0] == records[1]
+
+
+_OUTPUT_SCHEMAS = {"simulate": _SIMULATE_SCHEMAS,
+                   "analyze": {"chsh.json": "analyze_chsh.json", "summary.json": "analyze_summary.json"},
+                   "design": {"design.json": "design_output.json"}}
+# valid, invalid, extreme and empty values, for every key; {dir} is a directory
+# holding bad.csv, a CSV of neither counts nor permittivities
+_FUZZ_VALUES = (
+    "", "0", "1", "2", "-1", "30", "99", "100", "1000", "0.5", "1.5", "-0.0", "2.25", "700", "1e308", "5e-324",
+    "nan", "inf", "abc", "true", "false", "9223372036854775807", "9223372036854775808", "-9223372036854775808",
+    "99999999999999999999", "1" + "0" * 400, "1,1", "1,0;1,1", "0,0", "2,1", "1,1;1,1", "47,28;1,0",
+    "1" + "0" * 400 + ",0", "99999999999999999999,0", "9223372036854775807,0", "-9223372036854775808,1",
+    "600:700:25", "500:1300:5", "600:700:0", "700:600:10", "600:700:1e-300", "1:1e18:1", "H,V,D,A,R,L", "H",
+    "H,H", "X", "with_spp", "without_spp", "none", "bundled", "{dir}", "{dir}/bad.csv", "{dir}/missing.csv",
+)
+# and a valid value of each key, so that more runs get past the config
+_FUZZ_VALID = {
+    "seed": "7", "out": "{dir}/elsewhere", "calibration": "with_spp", "werner_visibility": "0.9",
+    "transmittance": "0.008", "depolarizing_extra": "0.1", "contrast_x": "77.5", "contrast_z": "29.7",
+    "inputs": "H, D, R", "shots": "300", "max_likelihood": "true", "cp_projection": "true", "mc_trials": "200",
+    "counts": "bundled", "dielectric": "bundled", "period_nm": "800", "hole_diameter_nm": "250",
+    "eps_substrate": "1.0", "modes": "1,0;2,1", "period_sweep": "650:750:10",
+}
+_FUZZ_ENTRY = st.sampled_from([(section, key) for section, keys in _CONFIG_KEYS.items() for key in keys]).flatmap(
+    lambda entry: st.tuples(st.just(entry), st.sampled_from(_FUZZ_VALUES) | st.just(_FUZZ_VALID[entry[1]])))
+
+
+@settings(max_examples=100, deadline=None)
+@given(command=st.sampled_from(["simulate", "analyze", "design"]),
+       entries=st.lists(_FUZZ_ENTRY, max_size=5, unique_by=lambda entry: entry[0]))
+def test_fuzzed_config_exits_0_2_or_3_and_keeps_the_contract(tmp_path_factory, command, entries):
+    root = tmp_path_factory.mktemp("fuzz")
+    (root / "bad.csv").write_text("a,b\n1,2\n")
+    sections = {}
+    for (section, key), value in entries:
+        sections.setdefault(section, []).append(f"{key} = {value.format(dir=root)}")
+    cfg = write_config(root, "".join(f"[{name}]\n" + "\n".join(lines) + "\n" for name, lines in sections.items()))
+    out = root / "o"
+    stderr = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(stderr):
+        warnings.simplefilter("always")
+        code = main([command, "--config", str(cfg), "--out", str(out)])
+    assert code in (0, 2, 3)
+    assert not caught, [str(w.message) for w in caught]  # each would be one more stderr line
+    if code:
+        assert stderr.getvalue().count("\n") == 1 and stderr.getvalue().endswith("\n")
+        assert not out.exists()
+        return
+    for path in out.iterdir():
+        if path.suffix == ".json":
+            jsonschema.validate(_strict_json(path), _schema(_OUTPUT_SCHEMAS[command][path.name]))
+        else:
+            assert not {"nan", "inf"} & set(path.read_text().lower().replace(",", "\n").split())
 
 
 class TestAnalyzeCommand:

@@ -77,6 +77,7 @@ def test_default_design_matches_reference_writers(tmp_path):
 
 _FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([-0.0, 5e-324, 1e16, 1e-7, 1e300])
 _INTS = st.integers(min_value=-10**20, max_value=10**20)
+_INT64 = st.integers(min_value=-2**63, max_value=2**63 - 1)
 
 
 @st.composite
@@ -84,29 +85,40 @@ def tables(draw):
     n_rows = draw(st.integers(min_value=0, max_value=6))
     names = draw(st.lists(st.sampled_from(["period_nm", "m1", "Z", "k_spp_x", "b_2"]),
                           min_size=1, max_size=4, unique=True))
-    return {name: draw(st.lists(draw(st.sampled_from([_FLOATS, _INTS])), min_size=n_rows, max_size=n_rows))
-            for name in names}
+    kinds = {name: draw(st.sampled_from([(_FLOATS, np.float64), (_INT64, np.int64)])) for name in names}
+    return {name: np.array(draw(st.lists(values, min_size=n_rows, max_size=n_rows)), dtype=dtype)
+            for name, (values, dtype) in kinds.items()}
+
+
+def _f64(*values):
+    return np.array(values, dtype=np.float64)
+
+
+def _i64(*values):
+    return np.array(values, dtype=np.int64)
 
 
 @settings(max_examples=50, deadline=None)
 @given(columns=tables())
-@example(columns={"k_spp_x": [-0.0, 5e-324, 1e16, 1e-7, 1e300], "m1": [-3, 0, 5, -10**20, 10**20]})
-@example(columns={"k_spp_x": [0.0, -0.0, 0.0], "k_spp_y": [-0.0, 0.0, -0.0]})  # 0.0 == -0.0, bits differ
-@example(columns={"period_nm": [700.0, 1.5, 700.0], "resonance_nm": [1.5, 700.0, 0.1]})  # shared across columns
-@example(columns={"m1": [1, -2, 1], "Z": [0, 10**20, 0]})
-@example(columns={"period_nm": [], "m1": []})
+@example(columns={"k_spp_x": _f64(-0.0, 5e-324, 1e16, 1e-7, 1e300), "m1": _i64(-3, 0, 5, -2**63, 2**63 - 1)})
+@example(columns={"k_spp_x": _f64(0.0, -0.0, 0.0), "k_spp_y": _f64(-0.0, 0.0, -0.0)})  # 0.0 == -0.0, bits differ
+@example(columns={"period_nm": _f64(700.0, 1.5, 700.0), "resonance_nm": _f64(1.5, 700.0, 0.1)})  # shared
+@example(columns={"m1": _i64(1, -2, 1), "Z": _i64(0, 2**63 - 1, 0)})
+@example(columns={"m1": _i64(0, 1), "k_spp_x": _f64(0.0, 5e-324)})  # an int and a float with the same bits
+@example(columns={"period_nm": _f64(), "m1": _i64()})
+@example(columns={"b_2": np.arange(12.0).reshape(3, 4).T[1], "m1": np.arange(6)[::2]})  # strided views
 def test_table_matches_reference_writers(tmp_path_factory, columns):
     tmp = tmp_path_factory.getbasetemp() / "tables"
     tmp.mkdir(exist_ok=True)
     output.write_table(columns, tmp / "t.csv", tmp / "t.json")
-    rows = [dict(zip(columns, values)) for values in zip(*columns.values())]
+    rows = [dict(zip(columns, values)) for values in zip(*(col.tolist() for col in columns.values()))]
     assert (tmp / "t.json").read_bytes() == reference_json(rows).encode()
     assert (tmp / "t.csv").read_bytes() == reference_csv(list(columns), rows).encode()
 
 
 def _design_like_columns():
-    return {"period_nm": [600.0, 600.25], "m1": [1, 1], "resonance_nm": [790.5, 791.0],
-            "k_spp_x": [0.0105, 0.0104]}
+    return {"period_nm": _f64(600.0, 600.25), "m1": _i64(1, 1), "resonance_nm": _f64(790.5, 791.0),
+            "k_spp_x": _f64(0.0105, 0.0104)}
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
@@ -114,22 +126,26 @@ def _design_like_columns():
 def test_non_finite_column_writes_neither_file(tmp_path, bad, name):
     columns = _design_like_columns()
     columns[name][1] = bad
-    with pytest.raises(ValueError, match="NaN or infinity"):
+    with pytest.raises(ValueError, match=f"column '{name}' holds NaN or infinity"):
         output.write_table(columns, tmp_path / "design.csv", tmp_path / "design.json")
     assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("name, values", [
-    ("period_nm", [600.0, np.float64(600.25)]),
-    ("m1", [True, True]),
-    ("m1", [1, 1.0]),
-    ("resonance_nm", ["790.5", "791.0"]),
-    ("k_spp_x", [0.0105]),
+    ("period_nm", [600.0, 600.25]),
+    ("m1", np.array([True, True])),
+    ("m1", np.array([1.0, 1.0], dtype=np.float32)),
+    ("resonance_nm", np.array([790.5, 791.0], dtype=object)),
+    ("k_spp_x", _f64(0.0105)),
+    ("k_spp_x", _f64(0.0105, 0.0104)[None]),
+    ("m1", np.array([1, 1], dtype=np.int32)),
+    ("period_nm", _f64(600.0, 600.25).astype(">f8")),
+    ("m1", np.int64(1)),
 ])
 def test_column_types_and_lengths_are_checked(tmp_path, name, values):
     columns = _design_like_columns()
     columns[name] = values
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=rf"column '{name}' must be a 1-D float64 or int64 array|differ in length"):
         output.write_table(columns, tmp_path / "design.csv", tmp_path / "design.json")
     assert list(tmp_path.iterdir()) == []
 

@@ -25,6 +25,7 @@ from spp_teleport.tomo import (
     QPT_INPUT_LABELS,
     ProcessMatrix,
     TomographyError,
+    _draw_pool,
     bloch_map_of,
     bloch_sphere_samples,
     monte_carlo_errors,
@@ -746,6 +747,44 @@ class TestMonteCarlo:
         assert len(calls) == 3
         assert monte_carlo_errors([2746, 120], _fraction, trials=1000, seed=3) == \
             monte_carlo_errors([2746, 120], _fraction, trials=1000, seed=3)
+
+    @pytest.mark.parametrize("raises_at", [None, 3])
+    def test_draws_run_a_bounded_number_of_chunks_ahead_of_the_statistic(self, monkeypatch, raises_at):
+        # the statistic stalls on its first calls, so an unbounded pool would draw all 32 chunks meanwhile
+        _, workers = _draw_pool()
+        lock = threading.Lock()
+        started = []  # one entry per chunk whose draw has begun
+        rng = np.random.default_rng
+
+        def counting_rng(seed):
+            with lock:
+                started.append(seed)
+            return rng(seed)
+
+        seen = []  # chunks begun, at each call of the statistic
+
+        def stat(c):
+            time.sleep(0.05 if len(seen) < 4 else 0.0)
+            with lock:
+                seen.append(len(started))
+            if len(seen) == raises_at:
+                raise ValueError("stop")
+            return _fraction(c)
+
+        monkeypatch.setattr(np.random, "default_rng", counting_rng)
+        if raises_at is None:
+            result = monte_carlo_errors([2746, 120], stat, trials=1000, seed=3)
+        else:
+            with pytest.raises(ValueError, match="stop"):
+                monte_carlo_errors([2746, 120], stat, trials=1000, seed=3)
+            time.sleep(0.1)  # cancelled chunks never start
+            assert len(started) <= raises_at + workers + 1
+        monkeypatch.undo()
+        # chunk k is with the statistic, and at most workers + 1 more have begun
+        assert all(n <= k + 1 + workers + 1 for k, n in enumerate(seen))
+        assert len(seen) == (32 if raises_at is None else raises_at)
+        if raises_at is None:
+            assert result == monte_carlo_errors([2746, 120], _fraction, trials=1000, seed=3)
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_forked_child_draws_on_a_pool_of_its_own(self):
