@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
@@ -95,35 +95,34 @@ def apply_channel(rho: MixedState, model: ChannelModel) -> tuple[MixedState, flo
 
 
 class DielectricTable:
-    """Tabulated metal dielectric function, linear interpolation in wavelength."""
+    """Re(eps) of a tabulated metal dielectric function, linear interpolation in wavelength."""
 
-    def __init__(self, wavelengths_nm, eps):
+    def __init__(self, wavelengths_nm, eps_re):
         wl = np.asarray(wavelengths_nm, dtype=float)
-        eps = np.asarray(eps, dtype=complex)
-        if wl.size < 2 or wl.size != eps.size:
+        eps_re = np.asarray(eps_re, dtype=float)
+        if wl.size < 2 or wl.size != eps_re.size:
             raise ChannelParameterError("dielectric table needs >= 2 matching rows")
         order = np.argsort(wl)
         self.wavelengths_nm = wl[order]
-        self.eps = eps[order]
+        self.eps_re = eps_re[order]
         self.wl_min, self.wl_max = float(self.wavelengths_nm[0]), float(self.wavelengths_nm[-1])
 
     def __call__(self, wavelength_nm):
-        """Interpolated permittivity: complex for a scalar, a complex array for an array."""
+        """Interpolated Re(eps): a float for a scalar, a float array for an array."""
         wl = np.asarray(wavelength_nm, dtype=float)
         outside = ~((self.wl_min <= wl) & (wl <= self.wl_max))
         if outside.any():
             raise ResonanceSolveError(
-                f"wavelength {wl[outside][0]:.1f} nm outside table range "
+                f"wavelength {wl[outside][0]:.6g} nm outside table range "
                 f"[{self.wl_min:.0f}, {self.wl_max:.0f}]"
             )
-        re = np.interp(wl, self.wavelengths_nm, self.eps.real)
-        im = np.interp(wl, self.wavelengths_nm, self.eps.imag)
-        return complex(re, im) if wl.ndim == 0 else re + 1j * im
+        re = np.interp(wl, self.wavelengths_nm, self.eps_re)
+        return float(re) if wl.ndim == 0 else re
 
 
 def load_dielectric_table(path) -> DielectricTable:
-    """Read a CSV with header wavelength_nm, eps_re, eps_im."""
-    eps = {}  # by wavelength, in file order
+    """Read a CSV with header wavelength_nm, eps_re, eps_im, all finite; keeps eps_re only."""
+    eps_re = {}  # by wavelength, in file order
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         required = {"wavelength_nm", "eps_re", "eps_im"}
@@ -137,10 +136,10 @@ def load_dielectric_table(path) -> DielectricTable:
                 raise ChannelParameterError(f"{where}: non-numeric value") from None
             if not all(map(math.isfinite, (w, re, im))):
                 raise ChannelParameterError(f"{where}: non-finite value")
-            if w in eps:
+            if w in eps_re:
                 raise ChannelParameterError(f"{where}: repeated wavelength {w:g} nm")
-            eps[w] = complex(re, im)
-    return DielectricTable(list(eps), list(eps.values()))
+            eps_re[w] = re
+    return DielectricTable(list(eps_re), list(eps_re.values()))
 
 
 def gold_dielectric_table() -> DielectricTable:
@@ -151,15 +150,15 @@ def gold_dielectric_table() -> DielectricTable:
 
 @dataclass(frozen=True)
 class HoleArrayGeometry:
-    """Square hole array; `period_nm` is one period or a 1-D array of periods, and
-    `mode` one (m1, m2) pair or an (n, 2) integer array of one mode per period."""
+    """Square hole array in `metal` on a substrate of permittivity `eps_substrate`, lit at normal
+    incidence; `period_nm` is one period or a 1-D array of periods, and `mode` one
+    (m1, m2) pair or an (n, 2) integer array of one mode per period."""
 
     period_nm: float | np.ndarray
     hole_diameter_nm: float
     mode: tuple[int, int] | np.ndarray
     eps_substrate: float
-    eps_air: float = 1.0
-    metal: DielectricTable = field(default_factory=gold_dielectric_table)
+    metal: DielectricTable
 
     def __post_init__(self):
         period = np.asarray(self.period_nm, dtype=float)
@@ -172,29 +171,28 @@ class HoleArrayGeometry:
             raise ChannelParameterError("mode (0, 0) does not excite a plasmon")
 
 
-def resonance_wavelength(geom: HoleArrayGeometry, interface: str = "substrate",
-                         tol_nm: float = 1e-6, max_iter: int = 500) -> float | np.ndarray:
-    """Self-consistent resonance wavelength of the (m1, m2) hole-array mode.
+RESONANCE_TOL_NM = 1e-6
+RESONANCE_MAX_ITER = 500
+
+
+def resonance_wavelength(geom: HoleArrayGeometry) -> float | np.ndarray:
+    """Self-consistent resonance wavelength of the (m1, m2) mode at the
+    metal-substrate interface.
 
     The wavelength enters both sides through the metal dielectric function,
     so lambda = P/|m| sqrt(eps_d eps_m / (eps_d + eps_m)) is solved by
     fixed-point iteration over the table, for all periods (each with its own
     mode, if the geometry has one per period) at once: each stops at its own
-    first step that moves less than `tol_nm`. Returns a float for a scalar
-    period and an array for an array of periods."""
-    if interface == "substrate":
-        eps_d = geom.eps_substrate
-    elif interface == "air":
-        eps_d = geom.eps_air
-    else:
-        raise ChannelParameterError(f"interface must be substrate or air, got {interface!r}")
-    table = geom.metal
+    first step that moves less than RESONANCE_TOL_NM, and a period still
+    moving after RESONANCE_MAX_ITER steps raises ResonanceSolveError.
+    Returns a float for a scalar period and an array for an array of periods."""
+    eps_d, table = geom.eps_substrate, geom.metal
     mode = np.asarray(geom.mode).reshape(-1, 2)  # |m| by math.hypot: np.hypot differs on some, such as (47, 28)
     scale = np.atleast_1d(geom.period_nm) / np.frompyfunc(math.hypot, 2, 1)(mode[:, 0], mode[:, 1]).astype(float)
     lam = np.full(scale.shape, 0.5 * (table.wl_min + table.wl_max))
     active = np.arange(lam.size)  # periods still iterating
-    for _ in range(max_iter):
-        eps_m = table(lam[active]).real
+    for _ in range(RESONANCE_MAX_ITER):
+        eps_m = table(lam[active])
         denom = eps_d + eps_m
         if np.any(denom == 0):
             raise ResonanceSolveError("degenerate dielectric/metal combination")
@@ -203,21 +201,19 @@ def resonance_wavelength(geom: HoleArrayGeometry, interface: str = "substrate",
         if np.any(factor < 0):
             raise ResonanceSolveError("no bound surface mode for these dielectric constants")
         nxt = scale[active] * np.sqrt(factor)
-        done = np.abs(nxt - lam[active]) < tol_nm
+        done = np.abs(nxt - lam[active]) < RESONANCE_TOL_NM
         lam[active] = nxt
         active = active[~done]
         if active.size == 0:
             return lam if np.ndim(geom.period_nm) else float(lam[0])
-    raise ResonanceSolveError(f"no fixed point after {max_iter} iterations (last {lam[active[0]]:.1f} nm)")
+    raise ResonanceSolveError(f"no fixed point after {RESONANCE_MAX_ITER} iterations (last {lam[active[0]]:.1f} nm)")
 
 
-def dispersion_match(geom: HoleArrayGeometry, k_parallel) -> np.ndarray:
-    """Momentum-matched plasmon wavevector k_parallel + m1 b1 + m2 b2 (rad/nm), one row per period."""
-    k_par = np.asarray(k_parallel, dtype=float)
-    if k_par.shape != (2,):
-        raise ChannelParameterError("k_parallel must be a 2-vector")
+def dispersion_match(geom: HoleArrayGeometry) -> np.ndarray:
+    """Momentum-matched plasmon wavevector m1 b1 + m2 b2 (rad/nm) at normal
+    incidence, one row per period."""
     g = 2.0 * math.pi / np.asarray(geom.period_nm, dtype=float)
-    return k_par + np.asarray(geom.mode) * g[..., None]
+    return np.asarray(geom.mode) * g[..., None]
 
 
 # ---------------------------------------------------------------------------
@@ -268,17 +264,17 @@ def _depol_weight(fidelity: float) -> float:
     return 2.0 * fidelity - 1.0
 
 
-def calibrated_channel(with_spp: bool, eom: EomModel | None = None) -> ChannelModel:
+def calibrated_channel(with_spp: bool) -> ChannelModel:
     """Channel model calibrated from the measured component fidelities.
 
     The source enters as the Werner singlet weight. BSM and other-optics
     imperfections (plus the plasmonic element when present) enter as
     depolarizing terms with matching pure-state fidelity. The EOMs keep
-    their nominal extinction ratios; with the plasmon the distorted beam
-    degrades their effective contrast, which is accounted for by the ratio
-    of the with/without component fidelities as extra white noise.
+    their nominal extinction ratios (EomModel's defaults); with the plasmon
+    the distorted beam degrades their effective contrast, which is accounted
+    for by the ratio of the with/without component fidelities as extra white
+    noise.
     """
-    eom = eom or EomModel()
     shrink = _depol_weight(BUDGET_WITH_SPP.f_bsm) * _depol_weight(BUDGET_WITH_SPP.f_oe)
     if with_spp:
         shrink *= _depol_weight(BUDGET_WITH_SPP.f_spp)
@@ -287,7 +283,7 @@ def calibrated_channel(with_spp: bool, eom: EomModel | None = None) -> ChannelMo
     return ChannelModel(
         werner_visibility=BUDGET_WITH_SPP.f_source,
         transmittance=SPP_TRANSMITTANCE if with_spp else 1.0,
-        eom=eom,
+        eom=EomModel(),
         depolarizing_extra=1.0 - shrink,
     )
 

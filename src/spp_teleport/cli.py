@@ -36,7 +36,7 @@ _INT64_MAX = 2**63 - 1  # shots and mode components are int64
 @dataclass
 class RunConfig:
     seed: int = 0
-    out_dir: Path = Path("results")
+    out: Path = Path("results")
     # channel
     calibration: str = "none"  # none | with_spp | without_spp
     werner_visibility: float = 1.0
@@ -52,7 +52,7 @@ class RunConfig:
     cp_projection: bool = False
     mc_trials: int = 1000
     # analyze
-    counts_source: str = "bundled"
+    counts: str = "bundled"
     # design
     dielectric: str = "bundled"
     period_nm: float = 700.0
@@ -137,8 +137,7 @@ def _parse_sweep(text: str) -> tuple | None:
     return (start, stop, step)
 
 
-# Every key a config may hold, with the section getter that parses it. A key
-# names its RunConfig field, except where _FIELD_NAMES says otherwise.
+# Every key a config may hold, by section, with the getter that parses it into its RunConfig field.
 _CONFIG_KEYS = {
     "run": {"seed": "getint", "out": "getpath"},
     "channel": {"calibration": "get", "werner_visibility": "getfloat", "transmittance": "getfloat",
@@ -149,7 +148,6 @@ _CONFIG_KEYS = {
     "design": {"dielectric": "get", "period_nm": "getfloat", "hole_diameter_nm": "getfloat",
                "eps_substrate": "getfloat", "modes": "getmodes", "period_sweep": "getsweep"},
 }
-_FIELD_NAMES = {"out": "out_dir", "counts": "counts_source"}
 
 
 def load_config(path) -> RunConfig:
@@ -174,7 +172,7 @@ def load_config(path) -> RunConfig:
                     value = getattr(parser[section], _CONFIG_KEYS[section][key])(key)
                 except ValueError as exc:
                     raise ConfigError(f"bad value for [{section}] {key}: {exc}") from exc
-                setattr(cfg, _FIELD_NAMES.get(key, key), value)
+                setattr(cfg, key, value)
     except (ValueError, configparser.Error) as exc:
         if isinstance(exc, ConfigError):
             raise
@@ -206,7 +204,7 @@ def cmd_simulate(cfg: RunConfig) -> None:
             ptm = tomo.bloch_map_of(chi)
             samples = np.hstack(tomo.bloch_sphere_samples(ptm))
 
-    out = cfg.out_dir
+    out = cfg.out
     out.mkdir(parents=True, exist_ok=True)
     # one row per branch, input-major
     branches = {"input": [label for label in cfg.inputs for _ in protocol.OUTCOMES],
@@ -275,7 +273,7 @@ def cmd_simulate(cfg: RunConfig) -> None:
 
 def cmd_analyze(cfg: RunConfig) -> None:
     blocks = ("without_spp", "with_spp")
-    path = counts_mod.bundled_counts_path() if cfg.counts_source == "bundled" else cfg.counts_source
+    path = counts_mod.bundled_counts_path() if cfg.counts == "bundled" else cfg.counts
     tables = counts_mod.CountsFile(path, [(kind, block) for kind in ("chsh", "fidelity") for block in blocks])
     values, parts = [], []  # of the four statistics, in use order
     for block in blocks:
@@ -295,7 +293,7 @@ def cmd_analyze(cfg: RunConfig) -> None:
     sigmas = [counts_mod.sigma_violation(v, bound, std) for v, bound, std in
               zip(values, [2.0] * len(blocks) + [counts_mod.CLASSICAL_STATE_FIDELITY_BOUND] * len(blocks), stds)]
 
-    out = cfg.out_dir
+    out = cfg.out
     out.mkdir(parents=True, exist_ok=True)
     output.write_json(out / "chsh.json", {block: {"S": v, "std": std, "sigma_vs_local_bound": sigma}
                                           for block, v, std, sigma in zip(blocks, values, stds, sigmas)})
@@ -328,14 +326,14 @@ def cmd_design(cfg: RunConfig) -> None:
                                              np.tile(modes, (len(periods), 1)), cfg.eps_substrate, metal=table)
     except channel_mod.ChannelParameterError as exc:
         raise ConfigError(str(exc)) from exc
-    lam = channel_mod.resonance_wavelength(geom, interface="substrate")
-    k_spp = channel_mod.dispersion_match(geom, (0.0, 0.0))
+    lam = channel_mod.resonance_wavelength(geom)
+    k_spp = channel_mod.dispersion_match(geom)
     # row-wise dot products, the same BLAS dot np.linalg.norm takes for one row
     k_mag = np.sqrt(k_spp[:, None, :] @ k_spp[:, :, None])[:, 0, 0]
     columns = {"period_nm": geom.period_nm, "m1": geom.mode[:, 0], "m2": geom.mode[:, 1], "resonance_nm": lam,
                "k_spp_x": k_spp[:, 0], "k_spp_y": k_spp[:, 1], "k_spp_mag": k_mag}
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    output.write_table(columns, cfg.out_dir / "design.csv", cfg.out_dir / "design.json")
+    cfg.out.mkdir(parents=True, exist_ok=True)
+    output.write_table(columns, cfg.out / "design.csv", cfg.out / "design.json")
 
 
 # ---------------------------------------------------------------------------
@@ -366,12 +364,8 @@ def main(argv=None) -> int:
         if args.seed is not None:
             cfg.seed = args.seed
         if args.out is not None:
-            cfg.out_dir = args.out
+            cfg.out = args.out
         cfg.validate()
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    try:
         {"simulate": cmd_simulate, "analyze": cmd_analyze, "design": cmd_design}[args.command](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

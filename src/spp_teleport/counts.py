@@ -157,16 +157,6 @@ def chsh_s(table: CountsTable) -> float:
     return float(chsh_s_values(counts))
 
 
-def fidelity_from_counts(n_phi: int, n_perp: int) -> float:
-    """State fidelity as the fraction of counts in the target projection."""
-    total = n_phi + n_perp
-    if total <= 0:
-        raise CountsDataError("zero total counts")
-    if n_phi < 0 or n_perp < 0:
-        raise CountsDataError("negative counts")
-    return n_phi / total
-
-
 def mean_fidelity_values(counts) -> np.ndarray:
     """Unweighted mean of phi / (phi + perp) over counts shaped (..., 2 * cells), cell by cell (phi, perp)."""
     c = np.asarray(counts, dtype=float)
@@ -188,9 +178,10 @@ def fidelity_table(table: CountsTable) -> FidelityTableResult:
     cells = []  # read in use order, so the first problem met is the one reported
     for label in (f"{outcome.label}/{inp}" for outcome in OUTCOMES for inp in INPUT_LABELS):
         row = table.row(label)
-        if row["phi"] + row["perp"] <= 0:
+        total = row["phi"] + row["perp"]
+        if total <= 0:
             raise CountsDataError(f"{table.where(label)}: zero total counts")
-        cells.append((row["phi"], row["perp"], fidelity_from_counts(row["phi"], row["perp"])))
+        cells.append((row["phi"], row["perp"], row["phi"] / total))
     cells = np.array(cells, dtype=float)
     fids = cells[:, 2].reshape(len(OUTCOMES), len(INPUT_LABELS))
     return FidelityTableResult(outcomes=tuple(o.label for o in OUTCOMES), inputs=INPUT_LABELS, fidelities=fids,

@@ -56,8 +56,7 @@ def sample_measurements(rho: MixedState, shots_per_basis: int, seed: int) -> np.
     return sample_counts(rho.matrix[None], [shots_per_basis], [seed])[0]
 
 
-def qst_reconstruct(counts: np.ndarray, max_likelihood: bool = False,
-                    ml_tol: float = 1e-10, ml_max_iter: int = 10_000) -> np.ndarray:
+def qst_reconstruct(counts: np.ndarray, max_likelihood: bool = False) -> np.ndarray:
     """Single-qubit state reconstruction from per-basis counts.
 
     Default is linear inversion of the three basis expectation values with
@@ -65,15 +64,15 @@ def qst_reconstruct(counts: np.ndarray, max_likelihood: bool = False,
     estimate inside the ball is kept: it already maximizes the likelihood,
     as each basis term sum n log p peaks at p = n / N and the linear
     estimate meets all three peaks. Only estimates that left the ball go
-    through the diluted RrhoR fixed point (_ml_refine), and only they count
-    against ml_max_iter. Takes an (n, 6) array of counts, (plus, minus)
-    per basis in BASES order, and returns the (n, 2, 2) stack of estimates,
+    through the diluted RrhoR fixed point (_ml_refine), limited to
+    ML_MAX_ITER steps. Takes an (n, 6) array of counts, (plus, minus) per
+    basis in BASES order, and returns the (n, 2, 2) stack of estimates,
     reconstructed and validated as one batch.
     """
-    return density_matrices(_reconstruct(counts.astype(float), max_likelihood, ml_tol, ml_max_iter))
+    return density_matrices(_reconstruct(counts.astype(float), max_likelihood))
 
 
-def _reconstruct(counts: np.ndarray, max_likelihood: bool, tol: float, max_iter: int) -> np.ndarray:
+def _reconstruct(counts: np.ndarray, max_likelihood: bool) -> np.ndarray:
     """The (n, 2, 2) estimates of (n, 6) counts, before their final validation."""
     plus, minus = counts[:, 0::2], counts[:, 1::2]
     empty = np.argwhere(plus + minus == 0)
@@ -86,16 +85,17 @@ def _reconstruct(counts: np.ndarray, max_likelihood: bool, tol: float, max_iter:
     mats = bloch_matrices(bloch)
     if max_likelihood and outside.any():
         # inside the ball the linear estimate already maximizes the likelihood
-        mats[outside] = _ml_refine(density_matrices(mats[outside]), counts[outside], tol=tol, max_iter=max_iter)
+        mats[outside] = _ml_refine(density_matrices(mats[outside]), counts[outside])
     return mats
 
 
 # projectors onto the six outcomes of the counts, in the same order
 _PROJECTORS = np.array([np.outer(v, v.conj()) for basis in BASES for v in _BASIS_STATES[basis]])
+# the step weight, the per-state stopping step and the iteration limit of _ml_refine
+ML_DILUTION, ML_TOL, ML_MAX_ITER = 0.5, 1e-10, 10_000
 
 
-def _ml_refine(rho0: np.ndarray, counts: np.ndarray, tol: float, max_iter: int,
-               dilution: float = 0.5) -> np.ndarray:
+def _ml_refine(rho0: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Diluted RrhoR maximum-likelihood iteration (Rehacek, Hradil, Knill and
     Lvovsky, quant-ph/0611244) over an (n, 2, 2) stack of starting estimates
     with (n, 6) outcome counts. qst_reconstruct calls it only for estimates
@@ -103,9 +103,9 @@ def _ml_refine(rho0: np.ndarray, counts: np.ndarray, tol: float, max_iter: int,
     estimate is the maximum in closed form.
 
     Every state runs its own iteration: it stops at its own first step that
-    changes no element by `tol` or more, so a state's result does not depend
+    changes no element by ML_TOL or more, so a state's result does not depend
     on the rest of the batch. Raises TomographyError if any state has not
-    converged within `max_iter` steps.
+    converged within ML_MAX_ITER steps.
     """
     mat = rho0 + 1e-6 * np.eye(2)  # keep strictly positive for the iteration
     mat /= np.trace(mat, axis1=1, axis2=2).real[:, None, None]
@@ -113,21 +113,21 @@ def _ml_refine(rho0: np.ndarray, counts: np.ndarray, tol: float, max_iter: int,
     out = np.empty_like(mat)
     active = np.arange(len(mat))  # states still iterating
     eye = np.eye(2)
-    for _ in range(max_iter):
+    for _ in range(ML_MAX_ITER):
         probs = np.maximum(np.trace(_PROJECTORS[:, None] @ mat, axis1=2, axis2=3).real, 1e-15)
         r_op = sum(counts[:, k, None, None] / probs[k, :, None, None] * proj
                    for k, proj in enumerate(_PROJECTORS)) / total[:, None, None]
-        g = (1 - dilution) * eye + dilution * r_op
+        g = (1 - ML_DILUTION) * eye + ML_DILUTION * r_op
         new = g @ mat @ g.conj().swapaxes(1, 2)
         new = 0.5 * (new + new.conj().swapaxes(1, 2))
         new /= np.trace(new, axis1=1, axis2=2).real[:, None, None]
-        done = np.abs(new - mat).max(axis=(1, 2)) < tol
+        done = np.abs(new - mat).max(axis=(1, 2)) < ML_TOL
         out[active[done]] = new[done]
         active, mat, counts, total = active[~done], new[~done], counts[~done], total[~done]
         if active.size == 0:
             return out
     raise TomographyError(f"{active.size} of {len(out)} maximum-likelihood reconstructions "
-                          f"did not converge within {max_iter} iterations")
+                          f"did not converge within {ML_MAX_ITER} iterations")
 
 
 # R = _CHI_TO_PTM @ chi.ravel() is the Pauli transfer matrix R_ij = Tr(s_i L(s_j)) / 2, raveled, of
@@ -214,12 +214,12 @@ def bloch_map_of(chi: ProcessMatrix) -> np.ndarray:
     return ptm
 
 
-def bloch_sphere_samples(ptm: np.ndarray, n_theta: int = 12,
-                         n_phi: int = 24) -> tuple[np.ndarray, np.ndarray]:
-    """A Bloch-sphere mesh and its image under the Pauli transfer matrix
-    `ptm`, for plotting: two (n_theta * n_phi, 3) arrays, theta-major."""
-    theta = np.linspace(0, np.pi, n_theta)[:, None]
-    phi = np.linspace(0, 2 * np.pi, n_phi, endpoint=False)
+def bloch_sphere_samples(ptm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A 12 x 24 Bloch-sphere mesh and its image under the Pauli transfer
+    matrix `ptm`, for plotting: two (288, 3) arrays, theta-major: 12 polar
+    angles from 0 to pi, each with 24 azimuths from 0 below 2 pi."""
+    theta = np.linspace(0, np.pi, 12)[:, None]
+    phi = np.linspace(0, 2 * np.pi, 24, endpoint=False)
     mesh = np.stack(np.broadcast_arrays(np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)),
                     axis=-1).reshape(-1, 3)
     check_bloch_ball(mesh)

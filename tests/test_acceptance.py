@@ -151,12 +151,12 @@ def test_08_tomography_round_trip():
 
 def test_09_process_fidelity_bracket(tmp_path):
     cfg = cli.RunConfig(calibration="with_spp", shots=100_000, seed=0,
-                        out_dir=tmp_path / "calib")
+                        out=tmp_path / "calib")
     cfg.validate()
     t0 = time.perf_counter()
     cli.cmd_simulate(cfg)
     elapsed = time.perf_counter() - t0
-    chi = json.loads((cfg.out_dir / "chi.json").read_text())
+    chi = json.loads((cfg.out / "chi.json").read_text())
     f_proc = chi["process_fidelity"]
     ok = 0.78 <= f_proc <= 0.86 and elapsed < 30.0
     _report(9, "calibrated with-SPP run: F_proc in [0.78, 0.86], < 30 s at 1e5 shots", ok,
@@ -176,8 +176,8 @@ def test_10_monte_carlo_error_calibration():
 
 def test_11_resonance_solver():
     geom = channel.HoleArrayGeometry(period_nm=700, hole_diameter_nm=200,
-                                     mode=(1, 1), eps_substrate=2.25)
-    lam = channel.resonance_wavelength(geom, interface="substrate")
+                                     mode=(1, 1), eps_substrate=2.25, metal=channel.gold_dielectric_table())
+    lam = channel.resonance_wavelength(geom)
     flat = channel.DielectricTable([300, 2000], [-25.0, -25.0])
     lam_by_mode = {}
     for mode in ((1, 1), (1, 0)):

@@ -1,6 +1,5 @@
 import contextlib
 import csv
-import functools
 import hashlib
 import io
 import json
@@ -125,12 +124,21 @@ mc_trials = 300
                                            "components must fit in int64\n")
         assert not out.exists()
 
-    @pytest.mark.parametrize("mode", ["9223372036854775807,0", "-9223372036854775808,-9223372036854775808"])
-    def test_int64_extreme_mode_has_no_resonance_in_the_table(self, tmp_path, capsys, mode):
+    @pytest.mark.parametrize("mode, wavelength", [("9223372036854775807,0", "1.18068e-16"),
+                                                  ("-9223372036854775808,-9223372036854775808", "8.34865e-17")],
+                             ids=["9223372036854775807,0", "-9223372036854775808,-9223372036854775808"])
+    def test_int64_extreme_mode_has_no_resonance_in_the_table(self, tmp_path, capsys, mode, wavelength):
         path = write_config(tmp_path, f"[design]\nmodes = {mode}\n")
         out = tmp_path / "o"
         assert main(["design", "--config", str(path), "--out", str(out)]) == 3
-        assert capsys.readouterr().err == "data error: wavelength 0.0 nm outside table range [500, 1300]\n"
+        assert capsys.readouterr().err == f"data error: wavelength {wavelength} nm outside table range [500, 1300]\n"
+        assert not out.exists()
+
+    def test_huge_period_names_its_wavelength_in_six_digits(self, tmp_path, capsys):
+        path = write_config(tmp_path, "[design]\nperiod_nm = 1e308\nhole_diameter_nm = 1e307\nmodes = 1,0\n")
+        out = tmp_path / "o"
+        assert main(["design", "--config", str(path), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == "data error: wavelength 1.55569e+308 nm outside table range [500, 1300]\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("sweep", ["600:700:0", "600:700:-5", "700:600:10"])
@@ -189,11 +197,11 @@ modes = 1,0
 period_sweep = 600:700:50
 """)
         cfg = load_config(path)
-        assert (cfg.seed, cfg.out_dir) == (4, Path("elsewhere"))
+        assert (cfg.seed, cfg.out) == (4, Path("elsewhere"))
         assert (cfg.werner_visibility, cfg.transmittance, cfg.depolarizing_extra) == (0.9, 0.5, 0.1)
         assert (cfg.contrast_x, cfg.contrast_z, cfg.inputs, cfg.shots) == (50.0, 20.0, ("H", "D"), 100)
         assert (cfg.max_likelihood, cfg.cp_projection, cfg.mc_trials) == (True, True, 200)
-        assert (cfg.counts_source, cfg.dielectric, cfg.period_nm) == ("bundled", "bundled", 710.0)
+        assert (cfg.counts, cfg.dielectric, cfg.period_nm) == ("bundled", "bundled", 710.0)
         assert (cfg.hole_diameter_nm, cfg.eps_substrate, cfg.modes) == (180.0, 2.0, ((1, 0),))
         assert cfg.period_sweep == (600.0, 700.0, 50.0)
 
@@ -437,7 +445,7 @@ class TestSimulateCommand:
     def test_ml_not_converged_exits_3(self, tmp_path, capsys, monkeypatch):
         # through the ideal channel every linear estimate lies outside the ball,
         # so all 24 still iterate
-        monkeypatch.setattr(tomo, "qst_reconstruct", functools.partial(tomo.qst_reconstruct, ml_max_iter=1))
+        monkeypatch.setattr(tomo, "ML_MAX_ITER", 1)
         cfg = write_config(tmp_path, "[tomography]\nmax_likelihood = true\n")
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
         err = capsys.readouterr().err
@@ -749,7 +757,7 @@ class TestDesignCommand:
             geom = channel.HoleArrayGeometry(row["period_nm"], 200.0, (row["m1"], row["m2"]), 2.25,
                                              metal=table)
             assert row["resonance_nm"] == channel.resonance_wavelength(geom)
-            k = channel.dispersion_match(geom, (0.0, 0.0))
+            k = channel.dispersion_match(geom)
             assert [row["k_spp_x"], row["k_spp_y"], row["k_spp_mag"]] == [k[0], k[1], np.linalg.norm(k)]
 
     def test_out_of_range_period_in_sweep_exits_3(self, tmp_path, capsys):

@@ -13,7 +13,6 @@ from spp_teleport.counts import (
     MAX_COUNT,
     chsh_s,
     correlation,
-    fidelity_from_counts,
     fidelity_table,
     CountsFile,
     bundled_counts_path,
@@ -184,19 +183,6 @@ class TestPooledChsh:
             chsh_counts(table)
         counts16[15] = 0
         assert chsh_counts(_chsh_table(counts16))[6] == float(MAX_COUNT)
-
-
-class TestFidelityFromCounts:
-    def test_basic(self):
-        assert fidelity_from_counts(2746, 120) == pytest.approx(2746 / 2866, abs=1e-15)
-
-    def test_zero_total(self):
-        with pytest.raises(CountsDataError):
-            fidelity_from_counts(0, 0)
-
-    def test_negative(self):
-        with pytest.raises(CountsDataError):
-            fidelity_from_counts(-1, 2)
 
 
 class TestBundledFidelityTables:

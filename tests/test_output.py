@@ -40,8 +40,8 @@ def reference_design_rows(periods, modes, eps_substrate):
     columns = []
     for mode in modes:
         geom = channel.HoleArrayGeometry(periods, 200.0, mode, eps_substrate, metal=table)
-        lam = channel.resonance_wavelength(geom, interface="substrate")
-        k_spp = channel.dispersion_match(geom, (0.0, 0.0))
+        lam = channel.resonance_wavelength(geom)
+        k_spp = channel.dispersion_match(geom)
         k_mag = np.sqrt(k_spp[:, None, :] @ k_spp[:, :, None])[:, 0, 0]
         columns.append((mode, lam.tolist(), k_spp.tolist(), k_mag.tolist()))
     return [

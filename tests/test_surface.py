@@ -3,6 +3,7 @@ and nothing that no command or traced span reaches comes back."""
 
 import ast
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -101,3 +102,46 @@ def test_every_top_level_name_is_referenced():
                 if not (used or name in traced or name in ALLOWED_UNREFERENCED):
                     unreferenced.append(f"{path.name}: {name}")
     assert not unreferenced, f"referenced nowhere: {unreferenced}"
+
+
+# Defaulted parameters kept although no call in src/ passes them, each with its reason.
+ALLOWED_UNPASSED_DEFAULTS = {
+    "cli.main(argv)": "the entry point: perfbench and the tests call main(argv), the console script calls main()",
+    "protocol.apply_correction(eom)": "a traced name; it goes when apply_correction is folded into the campaign",
+}
+
+
+def _defaulted_parameters(fn, is_method: bool) -> dict:
+    """{name: position or None} of the parameters of `fn` that have a default;
+    the position is the one a call site sees, or None for keyword-only."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    shift = 1 if is_method and positional and positional[0].arg in ("self", "cls") else 0
+    first = len(positional) - len(args.defaults)
+    params = {arg.arg: i - shift for i, arg in enumerate(positional) if i >= first}
+    params.update({arg.arg: None for arg, default in zip(args.kwonlyargs, args.kw_defaults) if default is not None})
+    return params
+
+
+def test_every_defaulted_parameter_is_passed_somewhere():
+    # a default that no call overrides is a constant, and its parameter a knob that does nothing
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE_DIR.glob("*.py"))}
+    calls = {}  # called name -> [(number of positional arguments, keyword names)]
+    for node in (node for tree in trees.values() for node in ast.walk(tree) if isinstance(node, ast.Call)):
+        name = node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
+        keywords = {kw.arg for kw in node.keywords}
+        if None in keywords or any(isinstance(arg, ast.Starred) for arg in node.args):
+            calls.setdefault(name, []).append((math.inf, set()))  # f(*args) or f(**kwargs) may pass anything
+        else:
+            calls.setdefault(name, []).append((len(node.args), keywords))
+    unpassed = []
+    for module, tree in trees.items():
+        methods = {id(fn) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) for fn in cls.body}
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                unpassed += [f"{module}.{fn.name}({param})"
+                             for param, position in _defaulted_parameters(fn, id(fn) in methods).items()
+                             if not any(param in keywords or (position is not None and n_pos > position)
+                                        for n_pos, keywords in calls.get(fn.name, []))]
+    assert sorted(unpassed) == sorted(ALLOWED_UNPASSED_DEFAULTS), (
+        f"defaulted parameters that no call in src/ passes: {unpassed}; allowed: {list(ALLOWED_UNPASSED_DEFAULTS)}")

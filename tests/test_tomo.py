@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from spp_teleport import tomo
 from spp_teleport.channel import calibrated_channel
 from spp_teleport.protocol import INPUT_LABELS, Campaign
 from spp_teleport.qcore import (
@@ -313,29 +314,31 @@ class TestBatchedMaximumLikelihood:
             with pytest.raises(TomographyError, match=f"no counts for basis {basis}"):
                 qst_reconstruct(np.array([good, counts]))
 
-    def test_not_converged_raises(self, rng):
+    def test_not_converged_raises(self, rng, monkeypatch):
         # only the three estimates outside the ball iterate, and only they are counted
+        monkeypatch.setattr(tomo, "ML_MAX_ITER", 1)
         outside = [_counts(c) for c in ([(99, 1), (99, 1), (99, 1)], [(500, 0), (260, 240), (251, 249)],
                                         [(1, 0), (0, 1), (1, 0)])]
         inside = [sample_measurements(random_mixed(rng), 1000, seed=s) for s in range(2)]
         assert all(linear_bloch_norm(c) > 1 for c in outside) and all(linear_bloch_norm(c) <= 1 for c in inside)
         with pytest.raises(TomographyError, match=r"^3 of 3 maximum-likelihood reconstructions "
                                                   r"did not converge within 1 iterations$"):
-            qst_reconstruct(np.array(inside + outside), max_likelihood=True, ml_max_iter=1)
+            qst_reconstruct(np.array(inside + outside), max_likelihood=True)
         with pytest.raises(TomographyError, match="1 of 1 maximum-likelihood"):
-            reconstruct_one(outside[0], max_likelihood=True, ml_max_iter=1)
-        assert len(qst_reconstruct(np.array(inside), max_likelihood=True, ml_max_iter=1)) == 2
+            reconstruct_one(outside[0], max_likelihood=True)
+        assert len(qst_reconstruct(np.array(inside), max_likelihood=True)) == 2
 
-    def test_converged_states_leave_the_batch(self):
+    def test_converged_states_leave_the_batch(self, monkeypatch):
         # both projected estimates iterate; the first converges within 11 steps,
         # the second does not: only the state still iterating is counted
+        monkeypatch.setattr(tomo, "ML_MAX_ITER", 11)
         fast = _counts([(99, 1), (99, 1), (99, 1)])
         slow = _counts([(500, 0), (260, 240), (251, 249)])
         inside = _counts([(10, 10), (10, 10), (10, 10)])
         assert linear_bloch_norm(fast) > 1 and linear_bloch_norm(slow) > 1
-        reconstruct_one(fast, max_likelihood=True, ml_max_iter=11)
+        reconstruct_one(fast, max_likelihood=True)
         with pytest.raises(TomographyError, match="^1 of 2 "):
-            qst_reconstruct(np.array([fast, slow, inside]), max_likelihood=True, ml_max_iter=11)
+            qst_reconstruct(np.array([fast, slow, inside]), max_likelihood=True)
 
     @settings(max_examples=100, deadline=None)
     @given(counts_near_bloch_vector(1.0))
@@ -587,8 +590,8 @@ class TestBlochMap:
             bloch_map_of(ProcessMatrix(np.diag([1.5, -0.5, 0.0, 0.0])))
 
     def test_sphere_samples_shapes(self):
-        mesh, images = bloch_sphere_samples(bloch_map_of(chi_identity()), n_theta=4, n_phi=6)
-        assert mesh.shape == images.shape == (24, 3)
+        mesh, images = bloch_sphere_samples(bloch_map_of(chi_identity()))
+        assert mesh.shape == images.shape == (12 * 24, 3)
         assert np.allclose(np.linalg.norm(mesh, axis=1), 1.0, atol=1e-12)
         assert np.allclose(mesh, images, atol=1e-10)
 
