@@ -9,6 +9,7 @@ teleportation fidelities.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 from importlib import resources
@@ -105,6 +106,7 @@ class DielectricTable:
         order = np.argsort(wl)
         self.wavelengths_nm = wl[order]
         self.eps_re = eps_re[order]
+        self.wavelengths_nm.flags.writeable = self.eps_re.flags.writeable = False
         self.wl_min, self.wl_max = float(self.wavelengths_nm[0]), float(self.wavelengths_nm[-1])
 
     def __call__(self, wavelength_nm):
@@ -142,8 +144,10 @@ def load_dielectric_table(path) -> DielectricTable:
     return DielectricTable(list(eps_re), list(eps_re.values()))
 
 
+@functools.cache
 def gold_dielectric_table() -> DielectricTable:
-    """Bundled tabulated dielectric data for evaporated gold (visible/NIR)."""
+    """Bundled tabulated dielectric data for evaporated gold (visible/NIR),
+    read once per process; its arrays are read-only."""
     path = resources.files("spp_teleport.data") / "gold_dielectric.csv"
     return load_dielectric_table(path)
 

@@ -290,6 +290,10 @@ def cmd_analyze(cfg: RunConfig) -> None:
         np.concatenate(parts), lambda batch: np.stack(
             [f(batch[:, lo:hi]) for f, lo, hi in zip(stats, edges[:-1], edges[1:])], axis=1),
         trials=cfg.mc_trials, seed=cfg.seed)[1].tolist()
+    names = [f"{kind}_{block}" for kind in ("chsh_s", "mean_fidelity") for block in blocks]
+    for name, std in zip(names, stds):
+        if std == 0:  # every resample gave the same value
+            raise counts_mod.CountsDataError(f"{name}: Monte Carlo std is 0, so its sigma is undefined")
     sigmas = [counts_mod.sigma_violation(v, bound, std) for v, bound, std in
               zip(values, [2.0] * len(blocks) + [counts_mod.CLASSICAL_STATE_FIDELITY_BOUND] * len(blocks), stds)]
 
@@ -304,7 +308,6 @@ def cmd_analyze(cfg: RunConfig) -> None:
             ["mean", result.mean],
             ["mean_std", std],
         ])
-    names = [f"{kind}_{block}" for kind in ("chsh_s", "mean_fidelity") for block in blocks]
     output.write_json(out / "summary.json", [{"statistic": name, "value": v, "std": std, "sigma_vs_bound": sigma}
                                              for name, v, std, sigma in zip(names, values, stds, sigmas)])
 

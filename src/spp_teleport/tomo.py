@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import functools
 import os
 from dataclasses import dataclass
 
@@ -21,19 +20,14 @@ from .qcore import (
 
 BASES = ("Z", "X", "Y")
 
-# projectors onto the +1/-1 eigenstates of each measurement basis
-_BASIS_STATES = {
-    "Z": (np.array([1, 0], dtype=complex), np.array([0, 1], dtype=complex)),
-    "X": (np.array([1, 1], dtype=complex) / np.sqrt(2), np.array([1, -1], dtype=complex) / np.sqrt(2)),
-    "Y": (np.array([1, 1j], dtype=complex) / np.sqrt(2), np.array([1, -1j], dtype=complex) / np.sqrt(2)),
-}
+# the (+1, -1) eigenvectors of each measurement basis, in BASES order: the six outcomes of the counts
+_EIGENVECTORS = np.array([[[1, 0], [0, 1]], [[1, 1], [1, -1]], [[1, 1j], [1, -1j]]]) / np.sqrt([1, 2, 2])[:, None, None]
+# projectors onto the six outcomes of the counts, in the same order
+_PROJECTORS = (_EIGENVECTORS[..., :, None] * _EIGENVECTORS[..., None, :].conj()).reshape(-1, 2, 2)
 
 
 class TomographyError(ValueError):
     """Measurement counts are insufficient or inconsistent."""
-
-
-_PLUS_STATES = np.array([_BASIS_STATES[basis][0] for basis in BASES])
 
 
 def sample_counts(states: np.ndarray, shots_per_basis, seeds) -> np.ndarray:
@@ -44,7 +38,7 @@ def sample_counts(states: np.ndarray, shots_per_basis, seeds) -> np.ndarray:
     seeds[i], which draws the plus counts of the bases in BASES order.
     Returns (n, 6) counts, (plus, minus) per basis in BASES order.
     """
-    probs = clamp_unit(expectation(states[:, None], _PLUS_STATES).real)
+    probs = clamp_unit(expectation(states[:, None], _EIGENVECTORS[:, 0]).real)
     shots = np.asarray(shots_per_basis, dtype=np.int64).reshape(-1, 1)
     plus = np.array([np.random.default_rng(int(seed)).binomial(int(n), p)
                      for seed, n, p in zip(seeds, shots[:, 0], probs)], dtype=np.int64).reshape(-1, len(BASES))
@@ -69,11 +63,7 @@ def qst_reconstruct(counts: np.ndarray, max_likelihood: bool = False) -> np.ndar
     basis in BASES order, and returns the (n, 2, 2) stack of estimates,
     reconstructed and validated as one batch.
     """
-    return density_matrices(_reconstruct(counts.astype(float), max_likelihood))
-
-
-def _reconstruct(counts: np.ndarray, max_likelihood: bool) -> np.ndarray:
-    """The (n, 2, 2) estimates of (n, 6) counts, before their final validation."""
+    counts = counts.astype(float)
     plus, minus = counts[:, 0::2], counts[:, 1::2]
     empty = np.argwhere(plus + minus == 0)
     if empty.size:
@@ -86,11 +76,9 @@ def _reconstruct(counts: np.ndarray, max_likelihood: bool) -> np.ndarray:
     if max_likelihood and outside.any():
         # inside the ball the linear estimate already maximizes the likelihood
         mats[outside] = _ml_refine(density_matrices(mats[outside]), counts[outside])
-    return mats
+    return density_matrices(mats)
 
 
-# projectors onto the six outcomes of the counts, in the same order
-_PROJECTORS = np.array([np.outer(v, v.conj()) for basis in BASES for v in _BASIS_STATES[basis]])
 # the step weight, the per-state stopping step and the iteration limit of _ml_refine
 ML_DILUTION, ML_TOL, ML_MAX_ITER = 0.5, 1e-10, 10_000
 
@@ -232,22 +220,6 @@ _MC_CHUNKS = 32
 MAX_TRIALS = 2**53
 
 
-@functools.cache
-def _draw_pool():
-    """The thread pool that draws Monte Carlo chunks, one thread per CPU the
-    process may run on, up to one per chunk, and its number of threads;
-    created on first use."""
-    from concurrent.futures import ThreadPoolExecutor
-
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    workers = min(cpus, _MC_CHUNKS)
-    return ThreadPoolExecutor(max_workers=workers, thread_name_prefix="mc-draw"), workers
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_draw_pool.cache_clear)  # a forked child has no pool threads
-
-
 def monte_carlo_errors(counts, statistic, trials: int = 1000, seed: int = 0):
     """Poissonian resampling of counts; returns (mean, std) of the statistic.
 
@@ -258,12 +230,16 @@ def monte_carlo_errors(counts, statistic, trials: int = 1000, seed: int = 0):
     column j alone. Trials run in a fixed number of independently seeded
     chunks, each drawn as one batch; a batch draws the same stream as n
     sequential `rng.poisson(counts)` calls. The chunks are drawn in
-    parallel on a shared thread pool, each by its own generator, so the
-    result does not depend on the number of threads; `statistic` runs on
-    the calling thread, chunk by chunk in order, and the pool draws at most
-    one chunk per thread, plus one, ahead of it. Raises TomographyError if
-    any resample gives a non-finite value.
+    parallel on a thread pool of the call's own, one thread per CPU the
+    process may run on, each chunk by its own generator, so the result does
+    not depend on the number of threads; `statistic` runs on the calling
+    thread, chunk by chunk in order, and the pool draws at most one chunk
+    per thread, plus one, ahead of it. The pool is shut down before the
+    call returns or raises. Raises TomographyError if any resample gives a
+    non-finite value.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     counts = np.asarray(counts, dtype=float)
     if not 100 <= trials <= MAX_TRIALS:
         raise ValueError("trials must be in [100, 2**53]")
@@ -271,22 +247,21 @@ def monte_carlo_errors(counts, statistic, trials: int = 1000, seed: int = 0):
         raise ValueError("zero total counts")
     sizes = np.diff(np.linspace(0, trials, _MC_CHUNKS + 1).astype(int))
     seeds = np.random.SeedSequence(seed).spawn(_MC_CHUNKS)
-    pool, workers = _draw_pool()
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(cpus, _MC_CHUNKS)
 
     def draw(k):
         return np.random.default_rng(seeds[k]).poisson(counts, size=(sizes[k], counts.size))
 
-    ahead = {k: pool.submit(draw, k) for k in range(min(workers + 1, _MC_CHUNKS))}
     batches = []
-    try:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for k in range(_MC_CHUNKS):
-                if k + workers + 1 < _MC_CHUNKS:
-                    ahead[k + workers + 1] = pool.submit(draw, k + workers + 1)
-                batches.append(statistic(ahead.pop(k).result()))
-    finally:  # cancels the chunks still queued if statistic raises
-        for future in ahead.values():
-            future.cancel()
+    # if statistic raises, leaving the block waits for the at most workers + 1 chunks submitted ahead
+    with (ThreadPoolExecutor(max_workers=workers, thread_name_prefix="mc-draw") as pool,
+          np.errstate(divide="ignore", invalid="ignore")):
+        ahead = {k: pool.submit(draw, k) for k in range(min(workers + 1, _MC_CHUNKS))}
+        for k in range(_MC_CHUNKS):
+            if k + workers + 1 < _MC_CHUNKS:
+                ahead[k + workers + 1] = pool.submit(draw, k + workers + 1)
+            batches.append(statistic(ahead.pop(k).result()))
     values = np.concatenate(batches)
     if values.shape[:1] != (trials,) or values.ndim > 2:
         raise ValueError(f"statistic must map an (n, k) batch to n values or (n, m) values, got shape {values.shape}")

@@ -160,6 +160,12 @@ class TestDielectricTable:
         with pytest.raises(ResonanceSolveError, match=rf"^wavelength {re.escape(text)} nm outside table range \[500, 1300\]$"):
             GOLD(wl)
 
+    def test_bundled_gold_is_read_once_and_read_only(self):
+        assert gold_dielectric_table() is GOLD
+        for column in (GOLD.wavelengths_nm, GOLD.eps_re):
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 0.0
+
     def test_bundled_gold_is_metallic_in_nir(self):
         for wl in (600, 800, 1000):
             assert GOLD(wl) < -5

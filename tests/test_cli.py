@@ -605,6 +605,23 @@ class TestAnalyzeCommand:
         cfg = write_config(tmp_path, f"[analyze]\ncounts = {counts}\n")
         assert main(["analyze", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
 
+    @pytest.mark.parametrize("kind, block, zeroed, name", [
+        ("fidelity", "with_spp", ("perp",), "mean_fidelity_with_spp"),
+        ("chsh", "without_spp", ("+-", "-+"), "chsh_s_without_spp"),
+    ])
+    def test_statistic_with_zero_spread_exits_3_naming_it(self, tmp_path, capsys, kind, block, zeroed, name):
+        # with these outcomes at 0 every resample of the block gives the same value
+        lines = [line.rsplit(",", 1)[0] + ",0" if line.split(",")[:2] == [kind, block]
+                 and line.split(",")[3] in zeroed else line
+                 for line in counts_mod.bundled_counts_path().read_text().splitlines()]
+        counts = tmp_path / "counts.csv"
+        counts.write_text("\n".join(lines) + "\n")
+        cfg = write_config(tmp_path, f"[analyze]\ncounts = {counts}\n")
+        out = tmp_path / "o"
+        assert main(["analyze", "--config", str(cfg), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"data error: {name}: Monte Carlo std is 0, so its sigma is undefined\n"
+        assert not out.exists()
+
     def test_missing_counts_file_exits_3(self, tmp_path):
         cfg = write_config(tmp_path, "[analyze]\ncounts = /no/such/counts.csv\n")
         assert main(["analyze", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
@@ -806,6 +823,17 @@ class TestStartup:
         proc = subprocess.run([sys.executable, "-c", code, str(SRC)], capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "False\n"
+
+    def test_analyze_leaves_only_the_main_thread(self, tmp_path):
+        # the Monte Carlo draw threads end with the call that started them
+        code = ("import sys, threading\nsys.path.insert(0, sys.argv[1])\nfrom spp_teleport.cli import main\n"
+                "code = main(['analyze', '--config', sys.argv[2], '--out', sys.argv[3]])\n"
+                "print(code, [t.name for t in threading.enumerate()])\n")
+        cfg = write_config(tmp_path, "[tomography]\nmc_trials = 100\n")
+        proc = subprocess.run([sys.executable, "-c", code, str(SRC), str(cfg), str(tmp_path / "o")],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "0 ['MainThread']\n"
 
     def test_parser_is_built_once(self):
         assert build_parser() is build_parser()

@@ -26,7 +26,6 @@ from spp_teleport.tomo import (
     QPT_INPUT_LABELS,
     ProcessMatrix,
     TomographyError,
-    _draw_pool,
     bloch_map_of,
     bloch_sphere_samples,
     monte_carlo_errors,
@@ -704,7 +703,7 @@ class TestMonteCarlo:
         assert seen == [(threading.get_ident(), n, first) for n, first in zip(sizes, firsts)]
 
     def test_concurrent_callers_get_sequential_results(self):
-        # more callers than cores, switching threads often, all on the one shared pool
+        # more callers than cores, switching threads often, each on a pool of its own
         jobs = [([2746, 120], seed) for seed in range(6)] + [([900, 100, 5], seed) for seed in range(6)]
         n_callers = min(len(jobs), 2 * (os.cpu_count() or 1) + 1)
 
@@ -753,8 +752,10 @@ class TestMonteCarlo:
 
     @pytest.mark.parametrize("raises_at", [None, 3])
     def test_draws_run_a_bounded_number_of_chunks_ahead_of_the_statistic(self, monkeypatch, raises_at):
-        # the statistic stalls on its first calls, so an unbounded pool would draw all 32 chunks meanwhile
-        _, workers = _draw_pool()
+        # the statistic stalls on its first calls, so an unbounded pool would draw all 32 chunks meanwhile;
+        # the pool has one thread per CPU the process may run on, up to one per chunk
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+        workers = min(cpus, tomo._MC_CHUNKS)
         lock = threading.Lock()
         started = []  # one entry per chunk whose draw has begun
         rng = np.random.default_rng
@@ -780,7 +781,7 @@ class TestMonteCarlo:
         else:
             with pytest.raises(ValueError, match="stop"):
                 monte_carlo_errors([2746, 120], stat, trials=1000, seed=3)
-            time.sleep(0.1)  # cancelled chunks never start
+            time.sleep(0.1)  # unsubmitted chunks never start
             assert len(started) <= raises_at + workers + 1
         monkeypatch.undo()
         # chunk k is with the statistic, and at most workers + 1 more have begun
@@ -788,6 +789,24 @@ class TestMonteCarlo:
         assert len(seen) == (32 if raises_at is None else raises_at)
         if raises_at is None:
             assert result == monte_carlo_errors([2746, 120], _fraction, trials=1000, seed=3)
+
+    def test_no_draw_thread_outlives_the_call(self):
+        def draw_threads():
+            return [t.name for t in threading.enumerate() if t.name.startswith("mc-draw")]
+
+        def stat(c):
+            assert draw_threads()  # the draws do run on pool threads
+            return _fraction(c)
+
+        monte_carlo_errors([2746, 120], stat, trials=1000, seed=3)
+        assert draw_threads() == []
+
+        def raising(c):
+            raise ValueError("stop")
+
+        with pytest.raises(ValueError, match="stop"):
+            monte_carlo_errors([2746, 120], raising, trials=1000, seed=3)
+        assert draw_threads() == []
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_forked_child_draws_on_a_pool_of_its_own(self):
