@@ -11,11 +11,11 @@ Exit codes: 0 success, 2 configuration error, 3 data error.
 from __future__ import annotations
 
 import argparse
+import collections
 import configparser
 import functools
 import math
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -33,69 +33,6 @@ class ConfigError(ValueError):
 _INT64_MAX = 2**63 - 1  # shots and mode components are int64
 
 
-@dataclass
-class RunConfig:
-    seed: int = 0
-    out: Path = Path("results")
-    # channel
-    calibration: str = "none"  # none | with_spp | without_spp
-    werner_visibility: float = 1.0
-    transmittance: float = 1.0
-    depolarizing_extra: float = 0.0
-    contrast_x: float | None = None
-    contrast_z: float | None = None
-    # simulate
-    inputs: tuple = field(default_factory=lambda: protocol.INPUT_LABELS)
-    shots: int = 10_000
-    # tomography
-    max_likelihood: bool = False
-    cp_projection: bool = False
-    mc_trials: int = 1000
-    # analyze
-    counts: str = "bundled"
-    # design
-    dielectric: str = "bundled"
-    period_nm: float = 700.0
-    hole_diameter_nm: float = 200.0
-    eps_substrate: float = 2.25
-    modes: tuple = ((1, 1), (1, 0))
-    period_sweep: tuple | None = None  # (start, stop, step)
-
-    def validate(self):
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if not 1 <= self.shots <= _INT64_MAX:
-            raise ConfigError(f"shots must be in [1, 2**63 - 1], got {self.shots}")
-        if self.mc_trials < 100:
-            raise ConfigError(f"mc_trials must be >= 100, got {self.mc_trials}")
-        if self.mc_trials > tomo.MAX_TRIALS:
-            raise ConfigError(f"mc_trials must be <= 2**53, got {self.mc_trials}")
-        if self.calibration not in ("none", "with_spp", "without_spp"):
-            raise ConfigError(f"unknown calibration {self.calibration!r}")
-        if not self.inputs or not set(self.inputs) <= set(protocol.INPUT_LABELS):
-            raise ConfigError(f"inputs must be labels from {protocol.INPUT_LABELS}, got {list(self.inputs)}")
-        if len(set(self.inputs)) < len(self.inputs):
-            raise ConfigError(f"inputs must not repeat a label, got {list(self.inputs)}")
-        if len(set(self.modes)) < len(self.modes):
-            raise ConfigError(f"modes must not repeat a mode, got {list(self.modes)}")
-
-    def build_channel(self) -> channel_mod.ChannelModel:
-        try:
-            if self.calibration != "none":
-                return channel_mod.calibrated_channel(with_spp=self.calibration == "with_spp")
-            # EomModel owns the default of a contrast the config leaves unset
-            contrasts = {key: value for key, value in (("contrast_x", self.contrast_x), ("contrast_z", self.contrast_z))
-                         if value is not None}
-            return channel_mod.ChannelModel(
-                werner_visibility=self.werner_visibility,
-                transmittance=self.transmittance,
-                eom=channel_mod.EomModel(**contrasts) if contrasts else None,
-                depolarizing_extra=self.depolarizing_extra,
-            )
-        except channel_mod.ChannelParameterError as exc:
-            raise ConfigError(str(exc)) from exc
-
-
 def _finite_float(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
@@ -103,12 +40,15 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _boolean(text: str) -> bool:
+    if text.lower() not in configparser.ConfigParser.BOOLEAN_STATES:
+        raise ValueError(f"Not a boolean: {text}")
+    return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+
+
 def _parse_modes(text: str) -> tuple:
     modes = []
-    for part in text.split(";"):
-        part = part.strip()
-        if not part:
-            continue
+    for part in filter(None, (part.strip() for part in text.split(";"))):
         try:
             m1, m2 = (int(x) for x in part.split(","))
         except ValueError:
@@ -137,47 +77,105 @@ def _parse_sweep(text: str) -> tuple | None:
     return (start, stop, step)
 
 
-# Every key a config may hold, by section, with the getter that parses it into its RunConfig field.
-_CONFIG_KEYS = {
-    "run": {"seed": "getint", "out": "getpath"},
-    "channel": {"calibration": "get", "werner_visibility": "getfloat", "transmittance": "getfloat",
-                "depolarizing_extra": "getfloat", "contrast_x": "getfloat", "contrast_z": "getfloat"},
-    "simulate": {"inputs": "getinputs", "shots": "getint"},
-    "tomography": {"max_likelihood": "getboolean", "cp_projection": "getboolean", "mc_trials": "getint"},
-    "analyze": {"counts": "get"},
-    "design": {"dielectric": "get", "period_nm": "getfloat", "hole_diameter_nm": "getfloat",
-               "eps_substrate": "getfloat", "modes": "getmodes", "period_sweep": "getsweep"},
+def _check_inputs(inputs) -> str | None:
+    if not inputs or not set(inputs) <= set(protocol.INPUT_LABELS):
+        return f"inputs must be labels from {protocol.INPUT_LABELS}, got {list(inputs)}"
+    return f"inputs must not repeat a label, got {list(inputs)}" if len(set(inputs)) < len(inputs) else None
+
+
+# A row of CONFIG_KEYS: parse maps the key's INI text to its value or raises ValueError; check returns what
+# is wrong with a value, or None; overridden_by names the key that replaces this one away from its default.
+_Key = collections.namedtuple("_Key", "section parse default check overridden_by", defaults=(None, None))
+
+# Every key a config may hold, in the order validate checks them; a key's name is its RunConfig attribute.
+# ChannelModel, EomModel and HoleArrayGeometry check the physics of the channel and design values.
+CONFIG_KEYS = {
+    "seed": _Key("run", int, 0, lambda seed: f"seed must be >= 0, got {seed}" if seed < 0 else None),
+    "out": _Key("run", lambda text: Path(text) if text else None, Path("results"),  # Path("") would be "."
+                lambda out: "out must name a directory, got an empty value" if out is None else None),
+    "calibration": _Key("channel", str, "none", lambda name: None if name in ("none", "with_spp", "without_spp")
+                        else f"unknown calibration {name!r}"),
+    "werner_visibility": _Key("channel", _finite_float, 1.0, overridden_by="calibration"),
+    "transmittance": _Key("channel", _finite_float, 1.0, overridden_by="calibration"),
+    "depolarizing_extra": _Key("channel", _finite_float, 0.0, overridden_by="calibration"),
+    "contrast_x": _Key("channel", _finite_float, None, overridden_by="calibration"),  # None: EomModel's default
+    "contrast_z": _Key("channel", _finite_float, None, overridden_by="calibration"),
+    "inputs": _Key("simulate", lambda text: tuple(s.strip() for s in text.split(",") if s.strip()),
+                   protocol.INPUT_LABELS, _check_inputs),
+    "shots": _Key("simulate", int, 10_000,
+                  lambda n: None if 1 <= n <= _INT64_MAX else f"shots must be in [1, 2**63 - 1], got {n}"),
+    "max_likelihood": _Key("tomography", _boolean, False),
+    "cp_projection": _Key("tomography", _boolean, False),
+    "mc_trials": _Key("tomography", int, 1000, lambda n: f"mc_trials must be >= 100, got {n}" if n < 100
+                      else f"mc_trials must be <= 2**53, got {n}" if n > tomo.MAX_TRIALS else None),
+    "counts": _Key("analyze", str, "bundled"),
+    "dielectric": _Key("design", str, "bundled"),
+    "period_nm": _Key("design", _finite_float, 700.0, overridden_by="period_sweep"),
+    "hole_diameter_nm": _Key("design", _finite_float, 200.0),
+    "eps_substrate": _Key("design", _finite_float, 2.25),
+    "modes": _Key("design", _parse_modes, ((1, 1), (1, 0)),
+                  lambda m: f"modes must not repeat a mode, got {list(m)}" if len(set(m)) < len(m) else None),
+    "period_sweep": _Key("design", _parse_sweep, None),  # (start, stop, step)
 }
 
 
+class RunConfig:
+    """The settings of one run: an attribute per CONFIG_KEYS entry, at its default unless given."""
+
+    def __init__(self, **values):
+        if not values.keys() <= CONFIG_KEYS.keys():
+            raise TypeError(f"RunConfig() got unexpected keyword arguments {sorted(values.keys() - CONFIG_KEYS)}")
+        vars(self).update({name: key.default for name, key in CONFIG_KEYS.items()}, **values)
+        self.explicit = frozenset(values)  # the keys the caller or the config file set
+
+    def validate(self):
+        for name, key in CONFIG_KEYS.items():
+            if key.check and (problem := key.check(getattr(self, name))):
+                raise ConfigError(problem)
+            over = key.overridden_by
+            if over and name in self.explicit and getattr(self, over) != CONFIG_KEYS[over].default:
+                raise ConfigError(f"[{key.section}] {name} is overridden by [{CONFIG_KEYS[over].section}] {over}")
+
+    def build_channel(self) -> channel_mod.ChannelModel:
+        try:
+            if self.calibration != "none":
+                return channel_mod.calibrated_channel(with_spp=self.calibration == "with_spp")
+            # EomModel owns the default of a contrast the config leaves unset
+            contrasts = {key: value for key, value in (("contrast_x", self.contrast_x), ("contrast_z", self.contrast_z))
+                         if value is not None}
+            return channel_mod.ChannelModel(
+                werner_visibility=self.werner_visibility,
+                transmittance=self.transmittance,
+                eom=channel_mod.EomModel(**contrasts) if contrasts else None,
+                depolarizing_extra=self.depolarizing_extra,
+            )
+        except channel_mod.ChannelParameterError as exc:
+            raise ConfigError(str(exc)) from exc
+
+
 def load_config(path) -> RunConfig:
-    parser = configparser.ConfigParser(
-        inline_comment_prefixes=(";", "#"),
-        converters={"float": _finite_float, "path": Path, "modes": _parse_modes, "sweep": _parse_sweep,
-                    "inputs": lambda text: tuple(s.strip() for s in text.split(",") if s.strip())},
-    )
-    cfg = RunConfig()
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    values = {}
     try:
         if not parser.read(path):
             raise ConfigError(f"cannot read config file {path}")
         if parser.defaults():
             raise ConfigError("unknown config section [DEFAULT]")
         for section in parser.sections():
-            if section not in _CONFIG_KEYS:
+            if section not in {key.section for key in CONFIG_KEYS.values()}:
                 raise ConfigError(f"unknown config section [{section}]")
-            for key in parser.options(section):
-                if key not in _CONFIG_KEYS[section]:
-                    raise ConfigError(f"unknown config key {key!r} in [{section}]")
+            for name in parser.options(section):
+                if name not in CONFIG_KEYS or CONFIG_KEYS[name].section != section:
+                    raise ConfigError(f"unknown config key {name!r} in [{section}]")
                 try:
-                    value = getattr(parser[section], _CONFIG_KEYS[section][key])(key)
+                    values[name] = CONFIG_KEYS[name].parse(parser.get(section, name))
                 except ValueError as exc:
-                    raise ConfigError(f"bad value for [{section}] {key}: {exc}") from exc
-                setattr(cfg, key, value)
+                    raise ConfigError(f"bad value for [{section}] {name}: {exc}") from exc
     except (ValueError, configparser.Error) as exc:
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError(f"bad config value: {exc}") from exc
-    return cfg
+    return RunConfig(**values)
 
 
 # ---------------------------------------------------------------------------

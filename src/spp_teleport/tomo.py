@@ -235,8 +235,8 @@ def monte_carlo_errors(counts, statistic, trials: int = 1000, seed: int = 0):
     not depend on the number of threads; `statistic` runs on the calling
     thread, chunk by chunk in order, and the pool draws at most one chunk
     per thread, plus one, ahead of it. The pool is shut down before the
-    call returns or raises. Raises TomographyError if any resample gives a
-    non-finite value.
+    call returns or raises. A column whose resamples are all equal has std
+    exactly 0. Raises TomographyError if any resample gives a non-finite value.
     """
     from concurrent.futures import ThreadPoolExecutor
 
@@ -269,5 +269,5 @@ def monte_carlo_errors(counts, statistic, trials: int = 1000, seed: int = 0):
     bad = int(np.count_nonzero(~np.isfinite(columns).all(axis=0)))
     if bad:
         raise TomographyError(f"{bad} of {trials} Monte Carlo resamples gave a non-finite statistic")
-    mean, std = columns.mean(axis=1), columns.std(axis=1, ddof=1)
+    mean, std = columns.mean(axis=1), np.where(np.ptp(columns, axis=1) == 0, 0.0, columns.std(axis=1, ddof=1))
     return (float(mean[0]), float(std[0])) if values.ndim == 1 else (mean, std)

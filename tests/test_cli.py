@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -17,9 +18,10 @@ from hypothesis import strategies as st
 
 from spp_teleport import channel, protocol, tomo
 from spp_teleport import counts as counts_mod
-from spp_teleport.cli import _CONFIG_KEYS, ConfigError, RunConfig, build_parser, load_config, main
+from spp_teleport.cli import CONFIG_KEYS, ConfigError, RunConfig, build_parser, load_config, main
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 try:
     from importlib import resources
@@ -204,6 +206,86 @@ period_sweep = 600:700:50
         assert (cfg.counts, cfg.dielectric, cfg.period_nm) == ("bundled", "bundled", 710.0)
         assert (cfg.hole_diameter_nm, cfg.eps_substrate, cfg.modes) == (180.0, 2.0, ((1, 0),))
         assert cfg.period_sweep == (600.0, 700.0, 50.0)
+
+    def test_readme_names_every_config_key_and_no_other(self):
+        readme = (ROOT / "README.md").read_text()
+        paragraph = readme[readme.index("Config sections:"):].split("\n\n")[0]
+        # each section as `[name]` (key, key = choices, ...)
+        sections = re.findall(r"`\[(\w+)\]`\s+\(([^)]*)\)", paragraph)
+        documented = {(section, item.split("=")[0].strip()) for section, items in sections for item in items.split(",")}
+        assert documented == {(key.section, name) for name, key in CONFIG_KEYS.items()}
+
+    @pytest.mark.parametrize("command, text, key, over", [
+        ("simulate", "[channel]\ncalibration = with_spp\nwerner_visibility = 0.5\n", "[channel] werner_visibility",
+         "[channel] calibration"),
+        ("simulate", "[channel]\ncalibration = without_spp\ntransmittance = 0.5\n", "[channel] transmittance",
+         "[channel] calibration"),
+        ("simulate", "[channel]\ndepolarizing_extra = 0.1\ncalibration = with_spp\n", "[channel] depolarizing_extra",
+         "[channel] calibration"),
+        ("simulate", "[channel]\ncalibration = with_spp\ncontrast_x = 60\n", "[channel] contrast_x",
+         "[channel] calibration"),
+        ("analyze", "[channel]\ncalibration = without_spp\ncontrast_z = 20\n", "[channel] contrast_z",
+         "[channel] calibration"),
+        ("design", "[design]\nperiod_nm = 5000\nperiod_sweep = 600:700:50\n", "[design] period_nm",
+         "[design] period_sweep"),
+    ])
+    def test_key_the_run_would_override_exits_2(self, tmp_path, capsys, command, text, key, over):
+        path = write_config(tmp_path, text)
+        cfg = load_config(path)  # the pair parses; validate rejects it
+        with pytest.raises(ConfigError, match=re.escape(f"{key} is overridden by {over}")):
+            cfg.validate()
+        out = tmp_path / "o"
+        assert main([command, "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {key} is overridden by {over}\n"
+        assert not out.exists()
+
+    def test_override_check_covers_keys_set_by_keyword(self):
+        message = "[channel] werner_visibility is overridden by [channel] calibration"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            RunConfig(calibration="with_spp", werner_visibility=0.5).validate()
+        RunConfig(calibration="none", werner_visibility=0.5).validate()
+        RunConfig(period_nm=5000.0, period_sweep=None).validate()
+        with pytest.raises(TypeError, match="unexpected keyword arguments \\['shot'\\]"):
+            RunConfig(shot=5)
+
+    @pytest.mark.parametrize("command", ["simulate", "analyze", "design"])
+    def test_one_config_serves_every_command_and_argv_overrides_run(self, tmp_path, command):
+        # channel knobs under calibration = none, every other command's keys, and a [run] that argv replaces
+        path = write_config(tmp_path, f"""
+[run]
+seed = 3
+out = {tmp_path / "from_config"}
+[channel]
+calibration = none
+werner_visibility = 0.9
+contrast_x = 60
+[simulate]
+shots = 300
+[tomography]
+mc_trials = 200
+[analyze]
+counts = bundled
+[design]
+period_nm = 710
+modes = 1,0
+""")
+        out = tmp_path / "o"
+        assert main([command, "--config", str(path), "--seed", "5", "--out", str(out)]) == 0
+        assert out.is_dir() and not (tmp_path / "from_config").exists()
+        if command == "simulate":
+            summary = json.loads((out / "summary.json").read_text())
+            assert (summary["seed"], summary["channel"]["werner_visibility"]) == (5, 0.9)
+
+    def test_empty_out_exits_2(self, tmp_path, capsys, monkeypatch):
+        # Path("") is the working directory, which would take the outputs
+        monkeypatch.chdir(tmp_path)
+        path = write_config(tmp_path, "[run]\nout =\n")
+        assert main(["design", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == "config error: out must name a directory, got an empty value\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.ini"]
+        with pytest.raises(ConfigError, match="^out must name a directory"):
+            RunConfig(out=None).validate()
+        assert main(["design", "--config", str(path), "--out", "o"]) == 0  # as --seed does, --out replaces [run]
 
     def test_run_mode_key_exits_2(self, tmp_path, capsys):
         # the subcommand chooses what runs; a [run] mode key would do nothing
@@ -526,7 +608,7 @@ _FUZZ_VALID = {
     "counts": "bundled", "dielectric": "bundled", "period_nm": "800", "hole_diameter_nm": "250",
     "eps_substrate": "1.0", "modes": "1,0;2,1", "period_sweep": "650:750:10",
 }
-_FUZZ_ENTRY = st.sampled_from([(section, key) for section, keys in _CONFIG_KEYS.items() for key in keys]).flatmap(
+_FUZZ_ENTRY = st.sampled_from([(key.section, name) for name, key in CONFIG_KEYS.items()]).flatmap(
     lambda entry: st.tuples(st.just(entry), st.sampled_from(_FUZZ_VALUES) | st.just(_FUZZ_VALID[entry[1]])))
 
 
@@ -620,6 +702,28 @@ class TestAnalyzeCommand:
         out = tmp_path / "o"
         assert main(["analyze", "--config", str(cfg), "--out", str(out)]) == 3
         assert capsys.readouterr().err == f"data error: {name}: Monte Carlo std is 0, so its sigma is undefined\n"
+        assert not out.exists()
+
+    def test_equal_resamples_off_their_float_mean_exit_3(self, tmp_path, capsys):
+        # every resample gives mean_fidelity_with_spp = 8/24, and numpy's mean of them is an
+        # ulp off 1/3: the spread must come from the resamples, not from their distance to that mean
+        lines, cells = [], []
+        for line in counts_mod.bundled_counts_path().read_text().splitlines():
+            kind, block, cell, outcome, _ = line.split(",")
+            if (kind, block) == ("fidelity", "with_spp"):
+                if cell not in cells:
+                    cells.append(cell)
+                if outcome == ("perp" if cells.index(cell) < 8 else "phi"):
+                    line = f"{kind},{block},{cell},{outcome},0"
+            lines.append(line)
+        assert len(cells) == 24
+        counts = tmp_path / "counts.csv"
+        counts.write_text("\n".join(lines) + "\n")
+        cfg = write_config(tmp_path, f"[analyze]\ncounts = {counts}\n")
+        out = tmp_path / "o"
+        assert main(["analyze", "--config", str(cfg), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == ("data error: mean_fidelity_with_spp: Monte Carlo std is 0, "
+                                           "so its sigma is undefined\n")
         assert not out.exists()
 
     def test_missing_counts_file_exits_3(self, tmp_path):

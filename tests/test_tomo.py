@@ -605,6 +605,14 @@ class TestMonteCarlo:
         assert mean == 1.0
         assert std == 0.0
 
+    @pytest.mark.parametrize("value", [1 / 3, 0.1, 0.7])
+    def test_equal_resamples_have_std_exactly_0(self, value):
+        # numpy's mean of 1000 copies of these is an ulp off, which must not show as a spread
+        mean, std = monte_carlo_errors([100, 200], lambda c: np.stack([np.full(len(c), value), _fraction(c)], axis=1),
+                                       trials=1000, seed=0)
+        assert std[0] == 0.0
+        assert (mean[1], std[1]) == monte_carlo_errors([100, 200], _fraction, trials=1000, seed=0)
+
     @pytest.mark.parametrize("counts", [[0.5, 3.0, 7.0], [2746.0, 120.0, 1e6]])
     def test_batch_draw_equals_sequential_draws(self, counts):
         # reference: the same 32 seeded chunks, one rng.poisson(counts) draw per trial
