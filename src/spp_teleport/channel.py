@@ -24,7 +24,7 @@ class ChannelParameterError(ValueError):
 
 
 class ResonanceSolveError(RuntimeError):
-    """The resonance fixed point does not exist inside the tabulated range."""
+    """No resonance inside the metal's tabulated range, or a lookup outside it."""
 
 
 @dataclass(frozen=True)
@@ -175,42 +175,43 @@ class HoleArrayGeometry:
             raise ChannelParameterError("mode (0, 0) does not excite a plasmon")
 
 
-RESONANCE_TOL_NM = 1e-6
-RESONANCE_MAX_ITER = 500
-
-
 def resonance_wavelength(geom: HoleArrayGeometry) -> float | np.ndarray:
-    """Self-consistent resonance wavelength of the (m1, m2) mode at the
-    metal-substrate interface.
+    """Resonance wavelength of the (m1, m2) mode at the metal-substrate interface: the root of
+    h = s sqrt(f) - lambda, s = P/|m|, f = eps_d eps_m / (eps_d + eps_m), eps_m read from the table.
 
-    The wavelength enters both sides through the metal dielectric function,
-    so lambda = P/|m| sqrt(eps_d eps_m / (eps_d + eps_m)) is solved by
-    fixed-point iteration over the table, for all periods (each with its own
-    mode, if the geometry has one per period) at once: each stops at its own
-    first step that moves less than RESONANCE_TOL_NM, and a period still
-    moving after RESONANCE_MAX_ITER steps raises ResonanceSolveError.
-    Returns a float for a scalar period and an array for an array of periods."""
-    eps_d, table = geom.eps_substrate, geom.metal
+    One array pass solves all periods, each with its own mode if the geometry has one per period. Each
+    takes the first table segment on whose nodes h goes from + to - (h is +inf where f < 0, its limit at
+    a pole of f). There eps_m is linear, so safeguarded Newton steps solve the squared condition, the
+    cubic lambda^2 (eps_d + eps_m) - s^2 eps_d eps_m = 0, each period stopping at its own step. The root
+    gives s sqrt(f); a period without such a segment, or whose root misses f > 0 or h = 0, raises."""
+    eps_d, wl, eps = geom.eps_substrate, geom.metal.wavelengths_nm, geom.metal.eps_re
     mode = np.asarray(geom.mode).reshape(-1, 2)  # |m| by math.hypot: np.hypot differs on some, such as (47, 28)
     scale = np.atleast_1d(geom.period_nm) / np.frompyfunc(math.hypot, 2, 1)(mode[:, 0], mode[:, 1]).astype(float)
-    lam = np.full(scale.shape, 0.5 * (table.wl_min + table.wl_max))
-    active = np.arange(lam.size)  # periods still iterating
-    for _ in range(RESONANCE_MAX_ITER):
-        eps_m = table(lam[active])
-        denom = eps_d + eps_m
-        if np.any(denom == 0):
-            raise ResonanceSolveError("degenerate dielectric/metal combination")
-        with np.errstate(over="ignore"):  # an infinite factor leaves the table on the next step
-            factor = eps_d * eps_m / denom
-        if np.any(factor < 0):
-            raise ResonanceSolveError("no bound surface mode for these dielectric constants")
-        nxt = scale[active] * np.sqrt(factor)
-        done = np.abs(nxt - lam[active]) < RESONANCE_TOL_NM
-        lam[active] = nxt
-        active = active[~done]
-        if active.size == 0:
-            return lam if np.ndim(geom.period_nm) else float(lam[0])
-    raise ResonanceSolveError(f"no fixed point after {RESONANCE_MAX_ITER} iterations (last {lam[active[0]]:.1f} nm)")
+    with np.errstate(all="ignore"):
+        f_node = eps_d * eps / (eps_d + eps)
+        root_f = np.where(f_node >= 0, np.sqrt(f_node), np.inf)  # h = s root_f - lambda at the nodes
+        bracket = (scale >= (wl / root_f)[:-1, None]) & (scale <= (wl / root_f)[1:, None])  # h >= 0, then <= 0
+        k = bracket.argmax(axis=0)  # each period's first bracket; bracket is (segment, period)
+        lo, hi, eps_lo, s2d = wl[k], wl[k + 1], eps[k], scale * scale * eps_d
+        slope, h_lo, h_hi = (eps[k + 1] - eps_lo) / (hi - lo), scale * root_f[k] - lo, scale * root_f[k + 1] - hi
+        x = np.fmin(np.fmax(lo + (hi - lo) * h_lo / (h_lo - h_hi), lo), hi)  # where h's chord crosses 0
+        node, step, active = lo, hi - lo, bracket.any(axis=0)  # active: the periods still stepping
+        while active.any():
+            eps_m = eps_lo + slope * (x - node)
+            g = x * x * (eps_d + eps_m) - s2d * eps_m
+            newton = x - g / (2 * x * (eps_d + eps_m) + slope * (x * x - s2d))
+            lo, hi = np.where(g > 0, (x, hi), (lo, x))  # g >= 0 at the left node wherever eps_m < 0 there
+            take = (lo <= newton) & (newton <= hi) & (np.abs(newton - x) <= 0.5 * np.abs(step))  # or bisect
+            nxt = np.where(active, np.where(take, newton, 0.5 * (lo + hi)), x)
+            step, x = nxt - x, nxt
+            active &= np.abs(step) > 1e-13 * np.abs(x)  # the next Newton step would be below rounding
+        factor = eps_d * (eps_m := geom.metal(x)) / (eps_d + eps_m)
+        lam = scale * np.sqrt(factor)
+    if not np.all(bracket.any(axis=0) & (factor > 0) & (np.abs(lam - x) <= 1e-9 * x)):
+        raise ResonanceSolveError("degenerate dielectric/metal combination" if np.any(eps_d + eps == 0) else
+                                  "no bound surface mode for these dielectric constants" if np.all(f_node < 0)
+                                  else f"no resonance inside [{wl[0]:.0f}, {wl[-1]:.0f}] nm")
+    return lam if np.ndim(geom.period_nm) else float(lam[0])
 
 
 def dispersion_match(geom: HoleArrayGeometry) -> np.ndarray:

@@ -353,8 +353,9 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("simulate", "analyze", "design"):
         p = sub.add_parser(name)
         p.add_argument("--config", type=Path, default=None, help="INI config file")
-        p.add_argument("--seed", type=int, default=None, help="override RNG seed")
-        p.add_argument("--out", type=Path, default=None, help="output directory")
+        p.add_argument("--seed", type=int, default=argparse.SUPPRESS, help="override RNG seed")
+        p.add_argument("--out", type=CONFIG_KEYS["out"].parse, default=argparse.SUPPRESS,
+                       help="output directory, parsed as [run] out")
     return parser
 
 
@@ -362,10 +363,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config) if args.config else RunConfig()
-        if args.seed is not None:
-            cfg.seed = args.seed
-        if args.out is not None:
-            cfg.out = args.out
+        vars(cfg).update((name, value) for name, value in vars(args).items() if name in ("seed", "out"))
         cfg.validate()
         {"simulate": cmd_simulate, "analyze": cmd_analyze, "design": cmd_design}[args.command](cfg)
     except ConfigError as exc:

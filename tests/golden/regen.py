@@ -48,6 +48,8 @@ RUNS = {
     # at seed 0 one branch gets fewer than 3 shots, so its estimate is null
     "simulate-ml-30-shots": ("simulate", "[simulate]\nshots = 30\n\n[tomography]\nmax_likelihood = true\n", 0),
     "design-two-mode-sweep": ("design", "[design]\nperiod_sweep = 600:700:25\nmodes = 1,0;1,1\n", 0),
+    # a root where the right-hand side of the resonance condition is steeper than 1
+    "design-740-mode-2-1": ("design", "[design]\nperiod_nm = 740\nmodes = 2,1\neps_substrate = 2.25\n", 0),
     "example-simulate-with-spp": ("simulate", (_EXAMPLES / "simulate_with_spp.ini").read_text(), 0),
     "example-simulate-without-spp": ("simulate", (_EXAMPLES / "simulate_without_spp.ini").read_text(), 0),
     "example-design-scan": ("design", (_EXAMPLES / "design_scan.ini").read_text(), 0),

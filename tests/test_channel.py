@@ -31,6 +31,12 @@ from reference import SINGLET, werner
 GOLD = gold_dielectric_table()
 
 
+def _h(period, mode, eps_d, lam):
+    """The resonance condition's residual P/|m| sqrt(eps_d eps_m / (eps_d + eps_m)) - lambda on GOLD."""
+    eps_m = float(np.interp(lam, GOLD.wavelengths_nm, GOLD.eps_re))
+    return period / math.hypot(*mode) * math.sqrt(eps_d * eps_m / (eps_d + eps_m)) - lam
+
+
 class TestEomModel:
     def test_epsilons(self):
         eom = EomModel()
@@ -279,22 +285,60 @@ class TestResonance:
         with pytest.raises(ChannelParameterError, match="mode must be an integer pair"):
             HoleArrayGeometry(period, 200, mode, 2.25, GOLD)
 
+    @pytest.mark.parametrize("eps_m, message", [
+        (-2.25, "degenerate dielectric/metal combination"),  # eps_d + eps_m == 0
+        (-1.0, "no bound surface mode for these dielectric constants"),  # eps_d eps_m / (eps_d + eps_m) < 0
+    ])
+    def test_metal_without_a_resonance_condition_says_why(self, eps_m, message):
+        table = DielectricTable([500, 1300], [eps_m, eps_m])
+        with pytest.raises(ResonanceSolveError, match=rf"^{message}$"):
+            resonance_wavelength(HoleArrayGeometry(700.0, 200, (1, 1), 2.25, metal=table))
+
     def test_scalar_period_returns_float(self):
         assert isinstance(resonance_wavelength(HoleArrayGeometry(700.0, 200, (1, 1), 2.25, GOLD)), float)
 
     def test_out_of_range_period_inside_sweep_raises(self):
-        periods = np.array([700.0, 710.0, 300.0, 720.0])
-        with pytest.raises(ResonanceSolveError, match="outside table range"):
+        # at 1300 nm the (1,1) resonance lies beyond the table: h > 0 at every node
+        periods = np.array([700.0, 710.0, 1300.0, 720.0])
+        with pytest.raises(ResonanceSolveError, match=r"^no resonance inside \[500, 1300\] nm$"):
             resonance_wavelength(HoleArrayGeometry(periods, 200, (1, 1), 2.25, GOLD))
 
-    def test_max_iter_exhausted_raises(self):
-        # the undamped iteration oscillates about the root at 582.76 nm, where
-        # the right-hand side is steeper than 1; its neighbours converge
+    def test_root_where_the_right_hand_side_is_steeper_than_one(self):
+        # a plain fixed-point iteration oscillates about this root and never converges
         geom = HoleArrayGeometry(np.array([760.0, 740.0, 800.0]), 200, (2, 1), 2.25, GOLD)
-        with pytest.raises(ResonanceSolveError, match=r"^no fixed point after 500 iterations \(last 582\.8 nm\)$"):
-            resonance_wavelength(geom)
-        assert [round(resonance_wavelength(HoleArrayGeometry(p, 200, (2, 1), 2.25, GOLD)), 1)
-                for p in (760.0, 800.0)] == [591.0, 609.0]
+        lam = resonance_wavelength(geom)
+        assert np.round(lam, 4).tolist() == [591.0156, 582.7665, 609.0306]
+        assert abs(_h(740.0, (2, 1), 2.25, lam[1])) <= 1e-12 * lam[1]
+
+    @pytest.mark.parametrize("eps_d, period, root", [(2.6, 205.0, 526.473), (4.0, 230.0, 602.300)])
+    def test_root_beside_a_pole_of_the_resonance_condition(self, eps_d, period, root):
+        # eps_m = -eps_d inside the table's first segment, so h is undefined at 500 nm and tends to
+        # +inf right of the pole; the root lies between the pole and the next node
+        lam = resonance_wavelength(HoleArrayGeometry(period, 200, (1, 0), eps_d, GOLD))
+        assert round(lam, 3) == root and abs(_h(period, (1, 0), eps_d, lam)) <= 1e-9 * lam
+
+    def test_root_of_the_squared_condition_alone_is_rejected(self):
+        # eps_m runs from -10 to +1 across one segment, so h goes from + to - over its nodes through
+        # a pole of f without a root: the Newton steps end on a point that does not solve h = 0
+        table = DielectricTable([500, 1300], [-10.0, 1.0])
+        with pytest.raises(ResonanceSolveError, match=r"^no resonance inside \[500, 1300\] nm$"):
+            resonance_wavelength(HoleArrayGeometry(700.0, 200, (1, 0), 2.25, metal=table))
+
+    def test_grid_of_periods_modes_and_substrates(self):
+        # every grid row with a root solves to it, and every other row raises
+        solved, raised = 0, 0
+        for eps_d in (1.0, 2.25):
+            for mode in ((1, 0), (1, 1), (2, 0), (2, 1), (2, 2)):
+                for period in np.arange(300.0, 1300.0, 5.0).tolist():
+                    try:
+                        lam = resonance_wavelength(HoleArrayGeometry(period, 200, mode, eps_d, GOLD))
+                    except ResonanceSolveError as exc:
+                        assert str(exc) == "no resonance inside [500, 1300] nm"
+                        raised += 1
+                    else:
+                        assert abs(_h(period, mode, eps_d, lam)) <= 1e-9 * lam
+                        solved += 1
+        assert (solved, raised) == (1446, 554)
 
 
 class TestDispersion:

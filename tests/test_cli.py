@@ -126,21 +126,20 @@ mc_trials = 300
                                            "components must fit in int64\n")
         assert not out.exists()
 
-    @pytest.mark.parametrize("mode, wavelength", [("9223372036854775807,0", "1.18068e-16"),
-                                                  ("-9223372036854775808,-9223372036854775808", "8.34865e-17")],
+    @pytest.mark.parametrize("mode", ["9223372036854775807,0", "-9223372036854775808,-9223372036854775808"],
                              ids=["9223372036854775807,0", "-9223372036854775808,-9223372036854775808"])
-    def test_int64_extreme_mode_has_no_resonance_in_the_table(self, tmp_path, capsys, mode, wavelength):
+    def test_int64_extreme_mode_has_no_resonance_in_the_table(self, tmp_path, capsys, mode):
         path = write_config(tmp_path, f"[design]\nmodes = {mode}\n")
         out = tmp_path / "o"
         assert main(["design", "--config", str(path), "--out", str(out)]) == 3
-        assert capsys.readouterr().err == f"data error: wavelength {wavelength} nm outside table range [500, 1300]\n"
+        assert capsys.readouterr().err == "data error: no resonance inside [500, 1300] nm\n"
         assert not out.exists()
 
     def test_huge_period_names_its_wavelength_in_six_digits(self, tmp_path, capsys):
         path = write_config(tmp_path, "[design]\nperiod_nm = 1e308\nhole_diameter_nm = 1e307\nmodes = 1,0\n")
         out = tmp_path / "o"
         assert main(["design", "--config", str(path), "--out", str(out)]) == 3
-        assert capsys.readouterr().err == "data error: wavelength 1.55569e+308 nm outside table range [500, 1300]\n"
+        assert capsys.readouterr().err == "data error: no resonance inside [500, 1300] nm\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("sweep", ["600:700:0", "600:700:-5", "700:600:10"])
@@ -286,6 +285,16 @@ modes = 1,0
         with pytest.raises(ConfigError, match="^out must name a directory"):
             RunConfig(out=None).validate()
         assert main(["design", "--config", str(path), "--out", "o"]) == 0  # as --seed does, --out replaces [run]
+
+    def test_empty_out_on_the_command_line_exits_2(self, tmp_path, capsys, monkeypatch):
+        # --out '' is given and empty, as [run] out = is; leaving --out out keeps the config's directory
+        monkeypatch.chdir(tmp_path)
+        assert main(["design", "--out", ""]) == 2
+        assert capsys.readouterr().err == "config error: out must name a directory, got an empty value\n"
+        assert list(tmp_path.iterdir()) == []
+        path = write_config(tmp_path, "[run]\nout = from_config\n")
+        assert main(["design", "--config", str(path)]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["from_config", "run.ini"]
 
     def test_run_mode_key_exits_2(self, tmp_path, capsys):
         # the subcommand chooses what runs; a [run] mode key would do nothing
@@ -640,6 +649,40 @@ def test_fuzzed_config_exits_0_2_or_3_and_keeps_the_contract(tmp_path_factory, c
             assert not {"nan", "inf"} & set(path.read_text().lower().replace(",", "\n").split())
 
 
+# the bundled gold table's range on a 0.01 nm grid, for an oracle of where a resonance exists
+_GOLD = channel.gold_dielectric_table()
+_FINE_WL = np.linspace(_GOLD.wl_min, _GOLD.wl_max, 80001)
+
+
+def _resonance_residual(period, mode, eps_d, lam):
+    """h = P/|m| sqrt(f) - lambda, f = eps_d eps_m / (eps_d + eps_m), at lam; NaN where f < 0."""
+    eps_m = np.interp(lam, _GOLD.wavelengths_nm, _GOLD.eps_re)
+    with np.errstate(invalid="ignore"):
+        return period / np.hypot(*mode) * np.sqrt(eps_d * eps_m / (eps_d + eps_m)) - lam
+
+
+@settings(max_examples=80, deadline=None)
+@given(period=st.floats(201.0, 2000.0), mode=st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(any),
+       eps_d=st.floats(1.0, 10.0))
+def test_design_exits_0_exactly_where_the_resonance_condition_changes_sign(tmp_path_factory, period, mode, eps_d):
+    # eps_d above 2.55 puts a pole of f inside the table's first segment, with roots right of it
+    h = _resonance_residual(period, mode, eps_d, _FINE_WL)
+    has_root = bool(np.any((h[:-1] >= 0) & (h[1:] <= 0)))
+    root = tmp_path_factory.mktemp("root")
+    cfg = write_config(root, f"[design]\nperiod_nm = {period!r}\nmodes = {mode[0]},{mode[1]}\n"
+                             f"eps_substrate = {eps_d!r}\n")
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        code = main(["design", "--config", str(cfg), "--out", str(root / "o")])
+    if has_root:
+        assert code == 0, stderr.getvalue()
+        lam = json.loads((root / "o" / "design.json").read_text())[0]["resonance_nm"]
+        assert abs(_resonance_residual(period, mode, eps_d, lam)) <= 1e-9 * lam
+    else:
+        assert code == 3 and stderr.getvalue() == "data error: no resonance inside [500, 1300] nm\n"
+        assert not (root / "o").exists()
+
+
 class TestAnalyzeCommand:
     def test_reproduces_published_statistics(self, tmp_path):
         out = tmp_path / "res"
@@ -882,11 +925,11 @@ class TestDesignCommand:
             assert [row["k_spp_x"], row["k_spp_y"], row["k_spp_mag"]] == [k[0], k[1], np.linalg.norm(k)]
 
     def test_out_of_range_period_in_sweep_exits_3(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, "[design]\nmodes = 1,1\nperiod_sweep = 300:800:50\n")
+        # the (1,1) resonance of the 1300 nm period lies beyond the table
+        cfg = write_config(tmp_path, "[design]\nmodes = 1,1\nperiod_sweep = 1000:1300:100\n")
         out = tmp_path / "o"
         assert main(["design", "--config", str(cfg), "--out", str(out)]) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("data error: wavelength") and err.count("\n") == 1
+        assert capsys.readouterr().err == "data error: no resonance inside [500, 1300] nm\n"
         assert not (out / "design.json").exists()
 
     @pytest.mark.parametrize("row, problem", [
@@ -946,7 +989,7 @@ class TestStartup:
 class TestExitCodes:
     # every command makes all its checks and computations before it makes its output directory
     @pytest.mark.parametrize("case", ["modes 0,0", "non-numeric dielectric row", "bad fidelity row",
-                                      "no resonance at 740 nm, mode (2,1)"])
+                                      "no resonance at 1300 nm, mode (1,1)"])
     def test_failed_run_leaves_no_output_directory(self, tmp_path, capsys, case):
         eps = tmp_path / "eps.csv"
         eps.write_text("wavelength_nm,eps_re,eps_im\n1300,-71.5,6.7\n500,abc,1\n900,-30,1.2\n")
@@ -959,8 +1002,8 @@ class TestExitCodes:
             "modes 0,0": ("design", "[design]\nmodes = 0,0\n", 2),
             "non-numeric dielectric row": ("design", f"[design]\ndielectric = {eps}\n", 3),
             "bad fidelity row": ("analyze", f"[analyze]\ncounts = {counts}\n", 3),
-            "no resonance at 740 nm, mode (2,1)": (
-                "design", "[design]\nperiod_nm = 740\nmodes = 2,1\neps_substrate = 2.25\n", 3),
+            "no resonance at 1300 nm, mode (1,1)": (
+                "design", "[design]\nperiod_nm = 1300\nmodes = 1,1\neps_substrate = 2.25\n", 3),
         }[case]
         cfg = write_config(tmp_path, text)
         out = tmp_path / "o"
