@@ -23,7 +23,7 @@ import numpy as np
 from . import channel as channel_mod
 from . import counts as counts_mod
 from . import output, protocol, tomo
-from .qcore import complex_matrix_to_json, expectation
+from .qcore import clamp_unit, complex_matrix_to_json, expectation
 
 
 class ConfigError(ValueError):
@@ -137,20 +137,17 @@ class RunConfig:
                 raise ConfigError(f"[{key.section}] {name} is overridden by [{CONFIG_KEYS[over].section}] {over}")
 
     def build_channel(self) -> channel_mod.ChannelModel:
-        try:
-            if self.calibration != "none":
-                return channel_mod.calibrated_channel(with_spp=self.calibration == "with_spp")
-            # EomModel owns the default of a contrast the config leaves unset
-            contrasts = {key: value for key, value in (("contrast_x", self.contrast_x), ("contrast_z", self.contrast_z))
-                         if value is not None}
-            return channel_mod.ChannelModel(
-                werner_visibility=self.werner_visibility,
-                transmittance=self.transmittance,
-                eom=channel_mod.EomModel(**contrasts) if contrasts else None,
-                depolarizing_extra=self.depolarizing_extra,
-            )
-        except channel_mod.ChannelParameterError as exc:
-            raise ConfigError(str(exc)) from exc
+        if self.calibration != "none":
+            return channel_mod.calibrated_channel(with_spp=self.calibration == "with_spp")
+        # EomModel owns the default of a contrast the config leaves unset
+        contrasts = {key: value for key, value in (("contrast_x", self.contrast_x), ("contrast_z", self.contrast_z))
+                     if value is not None}
+        return channel_mod.ChannelModel(
+            werner_visibility=self.werner_visibility,
+            transmittance=self.transmittance,
+            eom=channel_mod.EomModel(**contrasts) if contrasts else None,
+            depolarizing_extra=self.depolarizing_extra,
+        )
 
 
 def load_config(path) -> RunConfig:
@@ -187,7 +184,7 @@ def cmd_simulate(cfg: RunConfig) -> None:
     campaign = protocol.Campaign.run(ch, cfg.inputs, cfg.shots, cfg.seed, cfg.max_likelihood)
 
     targets = np.array([protocol.prepare_input(label).amplitudes for label in cfg.inputs])
-    fid_qst = expectation(campaign.estimates, targets[:, None]).real
+    fid_qst = clamp_unit(expectation(campaign.estimates, targets[:, None]).real)
     estimated = campaign.estimated
     mean_exact = float(np.mean(campaign.fidelities))
     # process tomography over the reconstructed outputs, uniform outcome weighting
@@ -301,8 +298,8 @@ def cmd_analyze(cfg: RunConfig) -> None:
                                           for block, v, std, sigma in zip(blocks, values, stds, sigmas)})
     for block, result, std in zip(blocks, fids, stds[len(blocks):]):
         output.write_rows(out / f"fidelity_{block}.csv", [
-            ["outcome", *result.inputs],
-            *([outcome, *row] for outcome, row in zip(result.outcomes, result.fidelities.tolist())),
+            ["outcome", *protocol.INPUT_LABELS],
+            *([o.label, *row] for o, row in zip(protocol.OUTCOMES, result.fidelities.tolist())),
             ["mean", result.mean],
             ["mean_std", std],
         ])
@@ -322,11 +319,9 @@ def cmd_design(cfg: RunConfig) -> None:
     periods = np.arange(sweep[0], sweep[1] + sweep[2] / 2, sweep[2]) if sweep else np.array([cfg.period_nm])
     # one solve over every row; row i * n_modes + j is period i, mode j
     modes = np.array(cfg.modes, dtype=np.int64)
-    try:  # the geometry comes from the config and is checked before the solve
-        geom = channel_mod.HoleArrayGeometry(np.repeat(periods, len(modes)), cfg.hole_diameter_nm,
-                                             np.tile(modes, (len(periods), 1)), cfg.eps_substrate, metal=table)
-    except channel_mod.ChannelParameterError as exc:
-        raise ConfigError(str(exc)) from exc
+    # the geometry comes from the config and is checked before the solve
+    geom = channel_mod.HoleArrayGeometry(np.repeat(periods, len(modes)), cfg.hole_diameter_nm,
+                                         np.tile(modes, (len(periods), 1)), cfg.eps_substrate, metal=table)
     lam = channel_mod.resonance_wavelength(geom)
     k_spp = channel_mod.dispersion_match(geom)
     # row-wise dot products, the same BLAS dot np.linalg.norm takes for one row
@@ -366,11 +361,11 @@ def main(argv=None) -> int:
         vars(cfg).update((name, value) for name, value in vars(args).items() if name in ("seed", "out"))
         cfg.validate()
         {"simulate": cmd_simulate, "analyze": cmd_analyze, "design": cmd_design}[args.command](cfg)
-    except ConfigError as exc:
+    except (ConfigError, channel_mod.ChannelParameterError) as exc:  # a channel or geometry value of the config
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (counts_mod.CountsDataError, channel_mod.ChannelParameterError,
-            channel_mod.ResonanceSolveError, tomo.TomographyError, OSError, UnicodeDecodeError) as exc:
+    except (counts_mod.CountsDataError, channel_mod.ResonanceSolveError, tomo.TomographyError, OSError,
+            UnicodeDecodeError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
     except MemoryError as exc:  # an array the configured sizes ask for cannot be allocated

@@ -8,7 +8,7 @@ with/without plasmon block. Schema: kind, block, setting, outcome, count.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
@@ -36,7 +36,7 @@ class CountsDataError(ValueError):
 class CountsTable:
     kind: str  # "chsh" or "fidelity"
     block: str  # "with_spp" or "without_spp"
-    rows: tuple = field(default_factory=tuple)  # (setting_label, {outcome: count})
+    rows: tuple  # (setting_label, {outcome: count})
 
     def __post_init__(self):
         expected = CHSH_OUTCOMES if self.kind == "chsh" else FIDELITY_OUTCOMES
@@ -165,9 +165,7 @@ def mean_fidelity_values(counts) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FidelityTableResult:
-    outcomes: tuple
-    inputs: tuple
-    fidelities: np.ndarray  # shape (4, 6)
+    fidelities: np.ndarray  # shape (4, 6): OUTCOMES by INPUT_LABELS
     mean: float
     counts: np.ndarray  # shape (48,): (phi, perp) per cell, row-major, as mean_fidelity_values takes them
 
@@ -184,8 +182,7 @@ def fidelity_table(table: CountsTable) -> FidelityTableResult:
         cells.append((row["phi"], row["perp"], row["phi"] / total))
     cells = np.array(cells, dtype=float)
     fids = cells[:, 2].reshape(len(OUTCOMES), len(INPUT_LABELS))
-    return FidelityTableResult(outcomes=tuple(o.label for o in OUTCOMES), inputs=INPUT_LABELS, fidelities=fids,
-                               mean=float(fids.mean()), counts=cells[:, :2].ravel())
+    return FidelityTableResult(fidelities=fids, mean=float(fids.mean()), counts=cells[:, :2].ravel())
 
 
 def sigma_violation(value: float, bound: float, std: float) -> float:

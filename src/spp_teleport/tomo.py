@@ -210,7 +210,6 @@ def bloch_sphere_samples(ptm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     phi = np.linspace(0, 2 * np.pi, 24, endpoint=False)
     mesh = np.stack(np.broadcast_arrays(np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)),
                     axis=-1).reshape(-1, 3)
-    check_bloch_ball(mesh)
     return mesh, _bloch_image(ptm, mesh)
 
 

@@ -135,7 +135,7 @@ mc_trials = 300
         assert capsys.readouterr().err == "data error: no resonance inside [500, 1300] nm\n"
         assert not out.exists()
 
-    def test_huge_period_names_its_wavelength_in_six_digits(self, tmp_path, capsys):
+    def test_huge_period_has_no_resonance_inside_the_table(self, tmp_path, capsys):
         path = write_config(tmp_path, "[design]\nperiod_nm = 1e308\nhole_diameter_nm = 1e307\nmodes = 1,0\n")
         out = tmp_path / "o"
         assert main(["design", "--config", str(path), "--out", str(out)]) == 3
@@ -651,7 +651,7 @@ def test_fuzzed_config_exits_0_2_or_3_and_keeps_the_contract(tmp_path_factory, c
 
 # the bundled gold table's range on a 0.01 nm grid, for an oracle of where a resonance exists
 _GOLD = channel.gold_dielectric_table()
-_FINE_WL = np.linspace(_GOLD.wl_min, _GOLD.wl_max, 80001)
+_FINE_WL = np.linspace(_GOLD.wavelengths_nm[0], _GOLD.wavelengths_nm[-1], 80001)
 
 
 def _resonance_residual(period, mode, eps_d, lam):

@@ -193,8 +193,6 @@ class TestBundledFidelityTables:
     )
     def test_all_cells_and_mean(self, block, published, mean):
         result = fidelity_table(load_counts_csv(bundled_counts_path(), "fidelity", block))
-        assert result.outcomes == tuple(outcome.label for outcome in OUTCOMES)
-        assert result.inputs == INPUT_LABELS
         published = published_in_outcome_order(published)
         for i in range(4):
             for j in range(6):
@@ -213,9 +211,9 @@ class TestBundledFidelityTables:
     def test_rows_follow_the_protocol_outcome_order(self):
         table = load_counts_csv(bundled_counts_path(), "fidelity", "with_spp")
         result = fidelity_table(table)
-        assert result.outcomes == ("PhiPlus", "PhiMinus", "PsiMinus", "PsiPlus")
-        assert result.outcomes == tuple(outcome.label for outcome in OUTCOMES)
-        for k, outcome in enumerate(result.outcomes):
+        labels = tuple(outcome.label for outcome in OUTCOMES)
+        assert labels == ("PhiPlus", "PhiMinus", "PsiMinus", "PsiPlus")
+        for k, outcome in enumerate(labels):
             for j, inp in enumerate(INPUT_LABELS):
                 row = table.row(f"{outcome}/{inp}")
                 assert result.fidelities[k, j] == row["phi"] / (row["phi"] + row["perp"])

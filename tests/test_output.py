@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from spp_teleport import channel, output, protocol
 from spp_teleport.cli import load_config, main
-from spp_teleport.qcore import complex_matrix_to_json, expectation
+from spp_teleport.qcore import clamp_unit, complex_matrix_to_json, expectation
 
 DESIGN_COLUMNS = ["period_nm", "m1", "m2", "resonance_nm", "k_spp_x", "k_spp_y", "k_spp_mag"]
 
@@ -179,7 +179,7 @@ def reference_simulate_rows(config):
     cfg = load_config(config)
     campaign = protocol.Campaign.run(cfg.build_channel(), cfg.inputs, cfg.shots, cfg.seed, cfg.max_likelihood)
     targets = np.array([protocol.prepare_input(label).amplitudes for label in cfg.inputs])
-    fid_qst = expectation(campaign.estimates, targets[:, None]).real
+    fid_qst = clamp_unit(expectation(campaign.estimates, targets[:, None]).real)
     branches = [(label, outcome) for label in cfg.inputs for outcome in protocol.OUTCOMES]
     records = [
         {"input": label, "outcome": outcome.label, "port": outcome.port, "shots": n, "density_matrix": rho,
