@@ -72,8 +72,11 @@ def _parse_sweep(text: str) -> tuple | None:
         raise ConfigError("needs finite numbers")
     if step <= 0 or stop < start:
         raise ConfigError("needs step > 0 and stop >= start")
-    if not (stop + step / 2 - start) / step < 2**62:  # the length of the np.arange of cmd_design
+    length = (stop + step / 2 - start) / step  # its ceiling is the length of the np.arange of cmd_design
+    if not length < 2**62:
         raise ConfigError("needs fewer than 2**62 periods")
+    if length <= 0:  # stop == start and step / 2 is lost in rounding
+        raise ConfigError("needs at least one period, but stop + step / 2 rounds to start")
     return (start, stop, step)
 
 
@@ -183,7 +186,7 @@ def cmd_simulate(cfg: RunConfig) -> None:
     ch = cfg.build_channel()
     campaign = protocol.Campaign.run(ch, cfg.inputs, cfg.shots, cfg.seed, cfg.max_likelihood)
 
-    targets = np.array([protocol.prepare_input(label).amplitudes for label in cfg.inputs])
+    targets = np.array([protocol.INPUT_STATES[label].amplitudes for label in cfg.inputs])
     fid_qst = clamp_unit(expectation(campaign.estimates, targets[:, None]).real)
     estimated = campaign.estimated
     mean_exact = float(np.mean(campaign.fidelities))
@@ -228,7 +231,7 @@ def cmd_simulate(cfg: RunConfig) -> None:
 
     if chi is not None:
         output.write_json(out / "chi.json", {
-            "chi": complex_matrix_to_json(chi.chi),
+            "chi": complex_matrix_to_json(chi),
             "process_fidelity": f_proc,
             "bloch_map": {"linear": ptm[1:, 1:].tolist(), "offset": ptm[1:, 0].tolist()},
         })

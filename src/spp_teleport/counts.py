@@ -187,6 +187,4 @@ def fidelity_table(table: CountsTable) -> FidelityTableResult:
 
 def sigma_violation(value: float, bound: float, std: float) -> float:
     """Number of standard deviations by which value exceeds the bound."""
-    if std <= 0:
-        raise CountsDataError("std must be positive")
     return (value - bound) / std

@@ -45,13 +45,6 @@ INPUT_STATES: dict[str, PureState] = {
 INPUT_LABELS = tuple(INPUT_STATES)
 
 
-def prepare_input(label: str) -> PureState:
-    try:
-        return INPUT_STATES[label]
-    except KeyError:
-        raise ValueError(f"unknown input label {label!r}, expected one of {INPUT_LABELS}") from None
-
-
 class BellOutcome(enum.Enum):
     """Bell-measurement outcome with its exit port and Pauli correction."""
 
@@ -176,7 +169,7 @@ def run_teleportation(input_label: str, channel: ChannelModel, shots: int,
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    states, probs, fids = _teleport(prepare_input(input_label).amplitudes[None], channel)
+    states, probs, fids = _teleport(INPUT_STATES[input_label].amplitudes[None], channel)
     partition = _shot_partition(probs[0], shots, seed).tolist()
     return [TeleportationRecord(input_label, o, n, state, f, p) for o, n, state, f, p in zip(
         OUTCOMES, partition, MixedState.from_validated(states[0]), fids[0].tolist(), probs[0].tolist())]
@@ -216,11 +209,9 @@ class Campaign(NamedTuple):
         Each branch is measured with shots // 3 shots per basis, and all
         branches with at least one are reconstructed as one batch.
         """
-        if shots < 1:
-            raise ValueError("shots must be >= 1")
         inputs = tuple(inputs)
         seeds = np.random.SeedSequence(seed).generate_state(len(inputs) * 5).reshape(-1, 5)
-        states, probs, fids = _teleport(np.array([prepare_input(label).amplitudes for label in inputs]), channel)
+        states, probs, fids = _teleport(np.array([INPUT_STATES[label].amplitudes for label in inputs]), channel)
         partition = np.array([_shot_partition(p, shots, int(s)) for p, s in zip(probs, seeds[:, 0])])
         per_basis = partition // len(tomo.BASES)
         sampled = per_basis > 0
@@ -229,18 +220,16 @@ class Campaign(NamedTuple):
         estimates[sampled] = tomo.qst_reconstruct(counts, max_likelihood=max_likelihood)
         return cls(inputs, partition, probs, states, fids, estimates)
 
-    def process_matrix(self, cp_projection: bool = False) -> tomo.ProcessMatrix:
-        """Process tomography over the QPT inputs (H, V, D, L).
+    def process_matrix(self, cp_projection: bool = False) -> np.ndarray:
+        """Process tomography over the QPT inputs (H, V, D, L), all of which
+        the campaign must have run: the (4, 4) chi array of qpt_reconstruct.
 
         Each input's output state is the mean of its estimated branches,
-        weighting the outcomes uniformly. Raises TomographyError if one of
-        those inputs was not run, NoEstimateError if one has no estimated
-        branch.
+        weighting the outcomes uniformly. Raises NoEstimateError if one has
+        no estimated branch.
         """
         outputs, estimated = [], self.estimated
         for label in tomo.QPT_INPUT_LABELS:
-            if label not in self.inputs:
-                raise tomo.TomographyError(f"process tomography needs input {label}")
             i = self.inputs.index(label)
             if not estimated[i].any():
                 raise NoEstimateError(f"input {label} has no Bell outcome with {len(tomo.BASES)} or more shots, "

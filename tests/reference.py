@@ -20,19 +20,18 @@ import numpy as np
 from spp_teleport.qcore import PAULI_MATRICES, MixedState, PureState, density_matrices
 
 SINGLET = PureState(np.array([0, 1, -1, 0]) / np.sqrt(2)).amplitudes
-from spp_teleport.tomo import ProcessMatrix
 
 
-def chi_identity() -> ProcessMatrix:
+def chi_identity() -> np.ndarray:
     chi = np.zeros((4, 4), dtype=complex)
     chi[0, 0] = 1.0
-    return ProcessMatrix(chi)
+    return chi
 
 
-def kraus_chi(kraus) -> ProcessMatrix:
+def kraus_chi(kraus) -> np.ndarray:
     """chi_lk = sum_m c_ml conj(c_mk) for K_m = sum_l c_ml s_l, c_ml = Tr(s_l K_m) / 2."""
     c = np.array([[np.trace(s @ k) / 2 for s in PAULI_MATRICES] for k in kraus])
-    return ProcessMatrix(c.T @ c.conj())
+    return c.T @ c.conj()
 
 
 def random_kraus(values, n_ops):

@@ -139,9 +139,9 @@ def test_08_tomography_round_trip():
         worst_qst = max(worst_qst, trace_distance(rec, rho.matrix))
     worst_qpt = 0.0
     for p in (0.0, 0.1, 0.3, 0.7, 1.0):
-        inputs = np.array([conftest.projector(protocol.prepare_input(lbl)).matrix for lbl in tomo.QPT_INPUT_LABELS])
-        chi = tomo.qpt_reconstruct(chi_act(depolarizing_chi(p).chi, inputs))
-        diag = np.diag(chi.chi).real
+        inputs = np.array([conftest.projector(protocol.INPUT_STATES[lbl]).matrix for lbl in tomo.QPT_INPUT_LABELS])
+        chi = tomo.qpt_reconstruct(chi_act(depolarizing_chi(p), inputs))
+        diag = np.diag(chi).real
         expected = np.array([1 - 3 * p / 4, p / 4, p / 4, p / 4])
         worst_qpt = max(worst_qpt, float(np.abs(diag - expected).max()))
     ok = worst_qst <= 1e-10 and worst_qpt <= 1e-9

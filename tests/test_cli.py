@@ -358,6 +358,30 @@ modes = 1,0
         assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
         assert not (out / "summary.json").exists()
 
+    def test_unknown_input_label_exits_2(self, tmp_path, capsys):
+        path = write_config(tmp_path, "[simulate]\ninputs = H,Q\n")
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == ("config error: inputs must be labels from "
+                                           "('H', 'V', 'D', 'A', 'R', 'L'), got ['H', 'Q']\n")
+        assert not out.exists()
+
+    # stop == start with a step whose half is lost in stop + step / 2: np.arange would give no period
+    @pytest.mark.parametrize("sweep", ["700:700:1e-13", "1e300:1e300:1"])
+    def test_sweep_without_a_period_exits_2(self, tmp_path, capsys, sweep):
+        path = write_config(tmp_path, f"[design]\nperiod_sweep = {sweep}\n")
+        out = tmp_path / "o"
+        assert main(["design", "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == ("config error: bad value for [design] period_sweep: "
+                                           "needs at least one period, but stop + step / 2 rounds to start\n")
+        assert not out.exists()
+
+    def test_sweep_of_one_period_gives_one_row(self, tmp_path):
+        path = write_config(tmp_path, "[design]\nperiod_sweep = 700:700:1e-12\nmodes = 1,1\n")
+        out = tmp_path / "o"
+        assert main(["design", "--config", str(path), "--out", str(out)]) == 0
+        assert [row["period_nm"] for row in json.loads((out / "design.json").read_text())] == [700.0]
+
     def test_repeated_inputs_exit_2(self, tmp_path, capsys):
         path = write_config(tmp_path, "[simulate]\ninputs = H, H, V\n")
         out = tmp_path / "o"

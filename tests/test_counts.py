@@ -237,10 +237,6 @@ class TestSigmaViolation:
         assert sigma_violation(0.9267, CLASSICAL_STATE_FIDELITY_BOUND, 0.0032) >= 81
         assert sigma_violation(0.8891, CLASSICAL_STATE_FIDELITY_BOUND, 0.0038) >= 58
 
-    def test_zero_std(self):
-        with pytest.raises(CountsDataError):
-            sigma_violation(1.0, 0.5, 0.0)
-
 
 class TestLoading:
     def test_missing_block(self):
