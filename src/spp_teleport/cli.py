@@ -182,7 +182,7 @@ def load_config(path) -> RunConfig:
 # simulate
 
 
-def cmd_simulate(cfg: RunConfig) -> None:
+def cmd_simulate(cfg: RunConfig) -> dict:
     ch = cfg.build_channel()
     campaign = protocol.Campaign.run(ch, cfg.inputs, cfg.shots, cfg.seed, cfg.max_likelihood)
 
@@ -202,41 +202,38 @@ def cmd_simulate(cfg: RunConfig) -> None:
             ptm = tomo.bloch_map_of(chi)
             samples = np.hstack(tomo.bloch_sphere_samples(ptm))
 
-    out = cfg.out
-    out.mkdir(parents=True, exist_ok=True)
     # one row per branch, input-major
     branches = {"input": [label for label in cfg.inputs for _ in protocol.OUTCOMES],
                 "outcome": [outcome.label for outcome in protocol.OUTCOMES] * len(cfg.inputs)}
-    output.write_json_rows(out / "records.json", {
+    files = {"records.json": output.write_json_rows({
         **branches,
         "port": [outcome.port for outcome in protocol.OUTCOMES] * len(cfg.inputs),
         "shots": campaign.shots.ravel().tolist(),
         "density_matrix": complex_matrix_to_json(campaign.states.reshape(-1, 2, 2)),
         "fidelity": campaign.fidelities.ravel().tolist(),
-    })
+    })}
     # a branch with too few shots for every basis has no estimate
     ok = estimated.ravel().tolist()
-    output.write_json_rows(out / "tomography.json", {
+    files["tomography.json"] = output.write_json_rows({
         **branches,
         "density_matrix": [rho if has else None
                            for rho, has in zip(complex_matrix_to_json(campaign.estimates.reshape(-1, 2, 2)), ok)],
         "fidelity": [f if has else None for f, has in zip(fid_qst.ravel().tolist(), ok)],
     })
-
-    output.write_rows(out / "fidelity_table.csv", [
+    files["fidelity_table.csv"] = output.write_rows([
         ["outcome", *cfg.inputs],
         *([o.label, *campaign.fidelities[:, k].tolist()] for k, o in enumerate(protocol.OUTCOMES)),
         ["mean", mean_exact],
     ])
 
     if chi is not None:
-        output.write_json(out / "chi.json", {
+        files["chi.json"] = output.write_json({
             "chi": complex_matrix_to_json(chi),
             "process_fidelity": f_proc,
             "bloch_map": {"linear": ptm[1:, 1:].tolist(), "offset": ptm[1:, 0].tolist()},
         })
         names = ("in_x", "in_y", "in_z", "out_x", "out_y", "out_z")
-        output.write_table(dict(zip(names, samples.T)), out / "bloch_map_samples.csv")
+        files["bloch_map_samples.csv"] = output.write_table(dict(zip(names, samples.T)))[0]
 
     budget = channel_mod.BUDGET_WITH_SPP if cfg.calibration == "with_spp" else channel_mod.BUDGET_WITHOUT_SPP
     summary = {
@@ -262,14 +259,14 @@ def cmd_simulate(cfg: RunConfig) -> None:
         "seed": cfg.seed,
         "shots": cfg.shots,
     }
-    output.write_json(out / "summary.json", summary)
+    return {**files, "summary.json": output.write_json(summary)}
 
 
 # ---------------------------------------------------------------------------
 # analyze
 
 
-def cmd_analyze(cfg: RunConfig) -> None:
+def cmd_analyze(cfg: RunConfig) -> dict:
     blocks = ("without_spp", "with_spp")
     path = counts_mod.bundled_counts_path() if cfg.counts == "bundled" else cfg.counts
     tables = counts_mod.CountsFile(path, [(kind, block) for kind in ("chsh", "fidelity") for block in blocks])
@@ -295,26 +292,25 @@ def cmd_analyze(cfg: RunConfig) -> None:
     sigmas = [counts_mod.sigma_violation(v, bound, std) for v, bound, std in
               zip(values, [2.0] * len(blocks) + [counts_mod.CLASSICAL_STATE_FIDELITY_BOUND] * len(blocks), stds)]
 
-    out = cfg.out
-    out.mkdir(parents=True, exist_ok=True)
-    output.write_json(out / "chsh.json", {block: {"S": v, "std": std, "sigma_vs_local_bound": sigma}
-                                          for block, v, std, sigma in zip(blocks, values, stds, sigmas)})
+    files = {"chsh.json": output.write_json({block: {"S": v, "std": std, "sigma_vs_local_bound": sigma}
+                                             for block, v, std, sigma in zip(blocks, values, stds, sigmas)})}
     for block, result, std in zip(blocks, fids, stds[len(blocks):]):
-        output.write_rows(out / f"fidelity_{block}.csv", [
+        files[f"fidelity_{block}.csv"] = output.write_rows([
             ["outcome", *protocol.INPUT_LABELS],
             *([o.label, *row] for o, row in zip(protocol.OUTCOMES, result.fidelities.tolist())),
             ["mean", result.mean],
             ["mean_std", std],
         ])
-    output.write_json(out / "summary.json", [{"statistic": name, "value": v, "std": std, "sigma_vs_bound": sigma}
-                                             for name, v, std, sigma in zip(names, values, stds, sigmas)])
+    return {**files, "summary.json": output.write_json([
+        {"statistic": name, "value": v, "std": std, "sigma_vs_bound": sigma}
+        for name, v, std, sigma in zip(names, values, stds, sigmas)])}
 
 
 # ---------------------------------------------------------------------------
 # design
 
 
-def cmd_design(cfg: RunConfig) -> None:
+def cmd_design(cfg: RunConfig) -> dict:
     # a missing file is an OSError, as for analyze's counts
     table = (channel_mod.gold_dielectric_table() if cfg.dielectric == "bundled"
              else channel_mod.load_dielectric_table(cfg.dielectric))
@@ -331,8 +327,7 @@ def cmd_design(cfg: RunConfig) -> None:
     k_mag = np.sqrt(k_spp[:, None, :] @ k_spp[:, :, None])[:, 0, 0]
     columns = {"period_nm": geom.period_nm, "m1": geom.mode[:, 0], "m2": geom.mode[:, 1], "resonance_nm": lam,
                "k_spp_x": k_spp[:, 0], "k_spp_y": k_spp[:, 1], "k_spp_mag": k_mag}
-    cfg.out.mkdir(parents=True, exist_ok=True)
-    output.write_table(columns, cfg.out / "design.csv", cfg.out / "design.json")
+    return dict(zip(("design.csv", "design.json"), output.write_table(columns, with_json=True)))
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +358,11 @@ def main(argv=None) -> int:
         cfg = load_config(args.config) if args.config else RunConfig()
         vars(cfg).update((name, value) for name, value in vars(args).items() if name in ("seed", "out"))
         cfg.validate()
-        {"simulate": cmd_simulate, "analyze": cmd_analyze, "design": cmd_design}[args.command](cfg)
+        files = {"simulate": cmd_simulate, "analyze": cmd_analyze, "design": cmd_design}[args.command](cfg)
+        # every file is built before --out is created, so a run that fails in a command leaves none
+        cfg.out.mkdir(parents=True, exist_ok=True)
+        for name, text in files.items():
+            (cfg.out / name).write_text(text, newline="")
     except (ConfigError, channel_mod.ChannelParameterError) as exc:  # a channel or geometry value of the config
         print(f"config error: {exc}", file=sys.stderr)
         return 2

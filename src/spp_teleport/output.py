@@ -1,4 +1,5 @@
-"""The formats of every file the commands write.
+"""The formats of every file the commands write: each encoder returns the
+text of a file, and ``cli.main`` writes it.
 
 JSON: 2-space indent, sorted keys, shortest round-trip floats
 (``float.__repr__``), no NaN or infinity, a trailing newline.
@@ -6,7 +7,7 @@ CSV: floats as ``%.12g``, ints as ``str``, labels as they are, ``\\r\\n``
 line ends.
 
 A table of equal-length columns (``write_table``, ``write_json_rows``) is
-encoded directly from its columns, giving the bytes ``json.dumps`` and
+encoded directly from its columns, giving the text ``json.dumps`` and
 ``csv.writer`` would give for the same rows at a fraction of their cost.
 ``write_table`` takes float64 and int64 numpy columns, checks them by dtype
 and one ``np.isfinite``, formats each distinct value once per format, keyed
@@ -20,15 +21,14 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from pathlib import Path
 
 import numpy as np
 
 _CSV_FLOAT = "%.12g"
 
 
-def write_json(path: Path, payload) -> None:
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
+def write_json(payload) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _label(text: str) -> str:
@@ -48,9 +48,9 @@ def _csv_cell(value) -> str:
     return _CSV_FLOAT % value
 
 
-def write_rows(path: Path, rows) -> None:
+def write_rows(rows) -> str:
     """CSV of rows (of any lengths) holding labels, ints and finite floats."""
-    Path(path).write_text("".join(",".join(map(_csv_cell, row)) + "\r\n" for row in rows), newline="")
+    return "".join(",".join(map(_csv_cell, row)) + "\r\n" for row in rows)
 
 
 def _interleave(cells: np.ndarray, seps) -> str:
@@ -61,26 +61,25 @@ def _interleave(cells: np.ndarray, seps) -> str:
     return "".join(grid.ravel().tolist())
 
 
-def _write_json_objects(path: Path, names, cells: np.ndarray) -> None:
+def _json_objects(names, cells: np.ndarray) -> str:
     """JSON list of one object per row: sorted keys ``names``, each holding the
     JSON texts of its row of ``cells``, as ``write_json`` lays them out."""
     if not cells.shape[1]:
-        Path(path).write_text("[]\n")
-        return
+        return "[]\n"
     keys = [f"    {json.dumps(name)}: " for name in names]
     between = "\n  },\n  {\n" + keys[0]  # closes one object and opens the next
     body = _interleave(cells, [",\n" + key for key in keys[1:]] + [between])
-    Path(path).write_text("[\n  {\n" + keys[0] + body.removesuffix(between) + "\n  }\n]\n")
+    return "[\n  {\n" + keys[0] + body.removesuffix(between) + "\n  }\n]\n"
 
 
-def write_table(columns: dict, csv_path: Path, json_path: Path | None = None) -> None:
+def write_table(columns: dict, with_json: bool = False) -> tuple:
     """One row per index of ``columns`` (name -> 1-D float64 or int64 numpy
-    array): CSV in column order and, with ``json_path``, a JSON list of one
-    object per row.
+    array): the CSV text in column order and, with ``with_json``, the text of
+    a JSON list of one object per row (else None).
 
     There is at least one column, every column is a 1-D array of one of those
     two dtypes, all of equal length, and every float is finite; this is
-    checked before either file is opened, and a violation raises ``ValueError``.
+    checked before any text is built, and a violation raises ``ValueError``.
     """
     for name, col in columns.items():
         if not isinstance(col, np.ndarray) or col.ndim != 1 or col.dtype not in (np.float64, np.int64):
@@ -108,10 +107,11 @@ def write_table(columns: dict, csv_path: Path, json_path: Path | None = None) ->
         return cells
 
     seps = [","] * (len(names) - 1) + ["\r\n"]
-    Path(csv_path).write_text(header + _interleave(text(_CSV_FLOAT.__mod__), seps), newline="")
-    if json_path is not None:
-        order = sorted(range(len(names)), key=names.__getitem__)
-        _write_json_objects(json_path, [names[j] for j in order], text(repr)[order])  # float.__repr__, as in json
+    csv_text = header + _interleave(text(_CSV_FLOAT.__mod__), seps)
+    if not with_json:
+        return csv_text, None
+    order = sorted(range(len(names)), key=names.__getitem__)
+    return csv_text, _json_objects([names[j] for j in order], text(repr)[order])  # float.__repr__, as in json
 
 
 def _nested_template(shape, depth: int) -> str:
@@ -150,14 +150,14 @@ def _json_column(name: str, col: list) -> list:
     return ["null" if v is None else next(texts) for v in col]
 
 
-def write_json_rows(path: Path, columns: dict) -> None:
-    """JSON list of one object per row of ``columns`` (name -> list): the bytes
+def write_json_rows(columns: dict) -> str:
+    """JSON list of one object per row of ``columns`` (name -> list): the text
     ``write_json`` gives for the same list of dicts.
 
     A column holds only plain strs, only plain ints, only plain floats or only
     nested lists of plain floats of one shape, and None (null) may stand in
     for any value. Every float is finite, and all columns are of one length.
-    This is checked before the file is opened, and a violation raises
+    This is checked before any text is built, and a violation raises
     ``ValueError``.
     """
     if not columns or len({len(col) for col in columns.values()}) > 1:
@@ -166,4 +166,4 @@ def write_json_rows(path: Path, columns: dict) -> None:
     cells = np.empty((len(names), len(columns[names[0]])), dtype=object)
     for i, name in enumerate(names):
         cells[i] = _json_column(name, columns[name])
-    _write_json_objects(path, names, cells)
+    return _json_objects(names, cells)

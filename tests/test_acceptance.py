@@ -149,14 +149,13 @@ def test_08_tomography_round_trip():
             f"QST {worst_qst:.2e}, QPT {worst_qpt:.2e}")
 
 
-def test_09_process_fidelity_bracket(tmp_path):
-    cfg = cli.RunConfig(calibration="with_spp", shots=100_000, seed=0,
-                        out=tmp_path / "calib")
+def test_09_process_fidelity_bracket():
+    cfg = cli.RunConfig(calibration="with_spp", shots=100_000, seed=0)
     cfg.validate()
     t0 = time.perf_counter()
-    cli.cmd_simulate(cfg)
+    files = cli.cmd_simulate(cfg)
     elapsed = time.perf_counter() - t0
-    chi = json.loads((cfg.out / "chi.json").read_text())
+    chi = json.loads(files["chi.json"])
     f_proc = chi["process_fidelity"]
     ok = 0.78 <= f_proc <= 0.86 and elapsed < 30.0
     _report(9, "calibrated with-SPP run: F_proc in [0.78, 0.86], < 30 s at 1e5 shots", ok,

@@ -1011,10 +1011,11 @@ class TestStartup:
 
 
 class TestExitCodes:
-    # every command makes all its checks and computations before it makes its output directory
+    # a command returns all its files before main creates the output directory, so a run that fails in a
+    # check, a computation or while it builds a file, the last one included, leaves no directory
     @pytest.mark.parametrize("case", ["modes 0,0", "non-numeric dielectric row", "bad fidelity row",
-                                      "no resonance at 1300 nm, mode (1,1)"])
-    def test_failed_run_leaves_no_output_directory(self, tmp_path, capsys, case):
+                                      "no resonance at 1300 nm, mode (1,1)", "summary.json fails to build"])
+    def test_failed_run_leaves_no_output_directory(self, tmp_path, capsys, monkeypatch, case):
         eps = tmp_path / "eps.csv"
         eps.write_text("wavelength_nm,eps_re,eps_im\n1300,-71.5,6.7\n500,abc,1\n900,-30,1.2\n")
         lines = counts_mod.bundled_counts_path().read_text().splitlines()
@@ -1028,7 +1029,14 @@ class TestExitCodes:
             "bad fidelity row": ("analyze", f"[analyze]\ncounts = {counts}\n", 3),
             "no resonance at 1300 nm, mode (1,1)": (
                 "design", "[design]\nperiod_nm = 1300\nmodes = 1,1\neps_substrate = 2.25\n", 3),
+            "summary.json fails to build": ("simulate", "[simulate]\nshots = 100\n", 3),
         }[case]
+        if case == "summary.json fails to build":  # after every other file of simulate is built
+
+            def fail(*args, **kwargs):
+                raise counts_mod.CountsDataError("budget unavailable")
+
+            monkeypatch.setattr(channel, "fidelity_budget_total", fail)
         cfg = write_config(tmp_path, text)
         out = tmp_path / "o"
         assert main([command, "--config", str(cfg), "--out", str(out)]) == code

@@ -1,5 +1,7 @@
 """The output encoders against the writers they replaced.
 
+Each encoder returns the text of a file; ``cli.main`` writes it.
+
 The references below are the encoders the commands used before
 ``spp_teleport.output`` existed: ``json.dumps`` for JSON, and
 ``csv.DictWriter`` / ``csv.writer`` with floats preformatted as ``.12g``.
@@ -107,13 +109,12 @@ def _i64(*values):
 @example(columns={"m1": _i64(0, 1), "k_spp_x": _f64(0.0, 5e-324)})  # an int and a float with the same bits
 @example(columns={"period_nm": _f64(), "m1": _i64()})
 @example(columns={"b_2": np.arange(12.0).reshape(3, 4).T[1], "m1": np.arange(6)[::2]})  # strided views
-def test_table_matches_reference_writers(tmp_path_factory, columns):
-    tmp = tmp_path_factory.getbasetemp() / "tables"
-    tmp.mkdir(exist_ok=True)
-    output.write_table(columns, tmp / "t.csv", tmp / "t.json")
+def test_table_matches_reference_writers(columns):
+    csv_text, json_text = output.write_table(columns, with_json=True)
     rows = [dict(zip(columns, values)) for values in zip(*(col.tolist() for col in columns.values()))]
-    assert (tmp / "t.json").read_bytes() == reference_json(rows).encode()
-    assert (tmp / "t.csv").read_bytes() == reference_csv(list(columns), rows).encode()
+    assert json_text == reference_json(rows)
+    assert csv_text == reference_csv(list(columns), rows)
+    assert output.write_table(columns) == (csv_text, None)
 
 
 def _design_like_columns():
@@ -123,12 +124,11 @@ def _design_like_columns():
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
 @pytest.mark.parametrize("name", ["period_nm", "resonance_nm", "k_spp_x"])
-def test_non_finite_column_writes_neither_file(tmp_path, bad, name):
+def test_non_finite_column_writes_neither_file(bad, name):
     columns = _design_like_columns()
     columns[name][1] = bad
     with pytest.raises(ValueError, match=f"column '{name}' holds NaN or infinity"):
-        output.write_table(columns, tmp_path / "design.csv", tmp_path / "design.json")
-    assert list(tmp_path.iterdir()) == []
+        output.write_table(columns, with_json=True)
 
 
 @pytest.mark.parametrize("name, values", [
@@ -142,35 +142,32 @@ def test_non_finite_column_writes_neither_file(tmp_path, bad, name):
     ("period_nm", _f64(600.0, 600.25).astype(">f8")),
     ("m1", np.int64(1)),
 ])
-def test_column_types_and_lengths_are_checked(tmp_path, name, values):
+def test_column_types_and_lengths_are_checked(name, values):
     columns = _design_like_columns()
     columns[name] = values
     with pytest.raises(ValueError, match=rf"column '{name}' must be a 1-D float64 or int64 array|differ in length"):
-        output.write_table(columns, tmp_path / "design.csv", tmp_path / "design.json")
-    assert list(tmp_path.iterdir()) == []
+        output.write_table(columns, with_json=True)
 
 
-def test_rows_match_reference_writer(tmp_path):
+def test_rows_match_reference_writer():
     rows = [["outcome", "H", "V"], ["PhiPlus", 0.5, np.float64(1 / 3)], ["PhiMinus", -0.0, 1e-7],
             ["mean", 0.123456789012345], ["count", 7]]
     buf = io.StringIO()
     writer = csv.writer(buf)
     for row in rows:
         writer.writerow([f"{v:.12g}" if isinstance(v, float) else v for v in row])
-    output.write_rows(tmp_path / "t.csv", rows)
-    assert (tmp_path / "t.csv").read_bytes() == buf.getvalue().encode()
+    assert output.write_rows(rows) == buf.getvalue()
 
 
 @pytest.mark.parametrize("cell", [float("nan"), float("-inf"), "a,b", 'say "x"'])
-def test_rows_reject_non_finite_values_and_quoted_labels(tmp_path, cell):
+def test_rows_reject_non_finite_values_and_quoted_labels(cell):
     with pytest.raises(ValueError):
-        output.write_rows(tmp_path / "t.csv", [["outcome", cell]])
-    assert not (tmp_path / "t.csv").exists()
+        output.write_rows([["outcome", cell]])
 
 
-def test_write_json_rejects_nan(tmp_path):
+def test_write_json_rejects_nan():
     with pytest.raises(ValueError):
-        output.write_json(tmp_path / "x.json", {"value": float("nan")})
+        output.write_json({"value": float("nan")})
 
 
 def reference_simulate_rows(config):
@@ -224,7 +221,7 @@ def test_simulate_rows_match_reference_writer(tmp_path, text, seed, nulls):
 _STATE = [[[0.5, 0.0], [-0.0, -0.5]], [[-0.0, 0.5], [0.5, -0.0]]]
 
 
-def test_json_rows_match_reference_writer(tmp_path):
+def test_json_rows_match_reference_writer():
     columns = {
         "density_matrix": [_STATE, None, [[[1.0, -0.0], [5e-324, 1e300]], [[1e16, 1e-7], [-0.0, 0.0]]]],
         "fidelity": [-0.0, None, 1.0],
@@ -233,11 +230,9 @@ def test_json_rows_match_reference_writer(tmp_path):
         "empty": [[], None, []],
         "%s": [None, None, None],
     }
-    output.write_json_rows(tmp_path / "x.json", columns)
     rows = [dict(zip(columns, values)) for values in zip(*columns.values())]
-    assert (tmp_path / "x.json").read_bytes() == reference_json(rows).encode()
-    output.write_json_rows(tmp_path / "y.json", {"fidelity": []})
-    assert (tmp_path / "y.json").read_text() == "[]\n"
+    assert output.write_json_rows(columns) == reference_json(rows)
+    assert output.write_json_rows({"fidelity": []}) == "[]\n"
 
 
 _LEAVES = st.one_of(_FLOATS, st.none())
@@ -246,7 +241,7 @@ _LEAVES = st.one_of(_FLOATS, st.none())
 @settings(max_examples=50, deadline=None)
 @given(n_rows=st.integers(0, 5), shape=st.lists(st.integers(0, 3), max_size=3),
        kinds=st.lists(st.sampled_from(["float", "int", "str", "nested"]), min_size=1, max_size=4), data=st.data())
-def test_json_rows_match_reference_writer_property(tmp_path_factory, n_rows, shape, kinds, data):
+def test_json_rows_match_reference_writer_property(n_rows, shape, kinds, data):
     def nested(depth):
         if depth == len(shape):
             return _FLOATS
@@ -255,10 +250,8 @@ def test_json_rows_match_reference_writer_property(tmp_path_factory, n_rows, sha
     values = {"float": _FLOATS, "int": _INTS, "str": st.text(max_size=4), "nested": nested(0)}
     columns = {f"c{i}": data.draw(st.lists(st.one_of(values[kind], st.none()), min_size=n_rows, max_size=n_rows))
                for i, kind in enumerate(kinds)}
-    path = tmp_path_factory.getbasetemp() / "rows.json"
-    output.write_json_rows(path, columns)
     rows = [dict(zip(columns, values)) for values in zip(*columns.values())]
-    assert path.read_bytes() == reference_json(rows).encode()
+    assert output.write_json_rows(columns) == reference_json(rows)
 
 
 @pytest.mark.parametrize("values, match", [
@@ -274,11 +267,10 @@ def test_json_rows_match_reference_writer_property(tmp_path_factory, n_rows, sha
     ([0.5, [0.5]], "plain"),
     (["H", 1], "plain"),
 ])
-def test_json_rows_are_checked_before_writing(tmp_path, values, match):
+def test_json_rows_are_checked_before_writing(values, match):
     with pytest.raises(ValueError, match=match):
-        output.write_json_rows(tmp_path / "x.json", {"input": ["H"] * len(values), "v": values})
+        output.write_json_rows({"input": ["H"] * len(values), "v": values})
     with pytest.raises(ValueError, match="one length"):
-        output.write_json_rows(tmp_path / "x.json", {"input": ["H"], "v": [0.5, 0.5]})
+        output.write_json_rows({"input": ["H"], "v": [0.5, 0.5]})
     with pytest.raises(ValueError, match="one length"):
-        output.write_json_rows(tmp_path / "x.json", {})
-    assert list(tmp_path.iterdir()) == []
+        output.write_json_rows({})
