@@ -121,20 +121,23 @@ def load_dielectric_table(path) -> DielectricTable:
     eps_re = {}  # by wavelength, in file order
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        required = {"wavelength_nm", "eps_re", "eps_im"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise ResonanceSolveError(f"dielectric CSV must have columns {sorted(required)}")
-        for row in reader:
-            where = f"dielectric CSV line {reader.line_num}"
-            try:
-                w, re, im = (float(row[k]) for k in ("wavelength_nm", "eps_re", "eps_im"))
-            except (TypeError, ValueError):
-                raise ResonanceSolveError(f"{where}: non-numeric value") from None
-            if not all(map(math.isfinite, (w, re, im))):
-                raise ResonanceSolveError(f"{where}: non-finite value")
-            if w in eps_re:
-                raise ResonanceSolveError(f"{where}: repeated wavelength {w:g} nm")
-            eps_re[w] = re
+        try:
+            required = {"wavelength_nm", "eps_re", "eps_im"}
+            if reader.fieldnames is None or not required.issubset(reader.fieldnames):
+                raise ResonanceSolveError(f"dielectric CSV must have columns {sorted(required)}")
+            for row in reader:
+                where = f"dielectric CSV line {reader.line_num}"
+                try:
+                    w, re, im = (float(row[k]) for k in ("wavelength_nm", "eps_re", "eps_im"))
+                except (TypeError, ValueError):
+                    raise ResonanceSolveError(f"{where}: non-numeric value") from None
+                if not all(map(math.isfinite, (w, re, im))):
+                    raise ResonanceSolveError(f"{where}: non-finite value")
+                if w in eps_re:
+                    raise ResonanceSolveError(f"{where}: repeated wavelength {w:g} nm")
+                eps_re[w] = re
+        except csv.Error as exc:  # e.g. an over-long field; reader.line_num is the last good row's
+            raise ResonanceSolveError(f"dielectric CSV line {reader.reader.line_num}: {exc}") from None
     return DielectricTable(list(eps_re), list(eps_re.values()))
 
 

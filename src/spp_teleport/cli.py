@@ -267,9 +267,8 @@ def cmd_simulate(cfg: RunConfig) -> dict:
 
 
 def cmd_analyze(cfg: RunConfig) -> dict:
-    blocks = ("without_spp", "with_spp")
-    path = counts_mod.bundled_counts_path() if cfg.counts == "bundled" else cfg.counts
-    tables = counts_mod.CountsFile(path, [(kind, block) for kind in ("chsh", "fidelity") for block in blocks])
+    blocks = counts_mod.BLOCKS
+    tables = counts_mod.CountsFile(counts_mod.bundled_counts_path() if cfg.counts == "bundled" else cfg.counts)
     values, parts = [], []  # of the four statistics, in use order
     for block in blocks:
         table = tables.table("chsh", block)

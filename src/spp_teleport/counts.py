@@ -32,79 +32,81 @@ class CountsDataError(ValueError):
     """Malformed or incomplete count table."""
 
 
+BLOCKS = ("without_spp", "with_spp")
+# kind: (row labels, outcome labels), each in the order the statistics read them
+LAYOUT = {
+    "chsh": (CHSH_SETTINGS, CHSH_OUTCOMES),
+    "fidelity": (tuple(f"{outcome.label}/{inp}" for outcome in OUTCOMES for inp in INPUT_LABELS), FIDELITY_OUTCOMES),
+}
+# (kind, block): the (kind, block, setting, outcome) of each row a statistic reads, in layout order
+_KEYS = {(kind, block): tuple(tuple((kind, block, label, out) for out in outcomes) for label in labels)
+         for kind, (labels, outcomes) in LAYOUT.items() for block in BLOCKS}
+_ROWS = {key for table in _KEYS.values() for keys in table for key in keys}
+
+
+def _where(table, label: str) -> str:  # names a setting (chsh) or cell (fidelity) in a message
+    return f"{table.kind} block {table.block!r}, {'setting' if table.kind == 'chsh' else 'cell'} {label!r}"
+
+
 @dataclass(frozen=True)
 class CountsTable:
-    kind: str  # "chsh" or "fidelity"
-    block: str  # "with_spp" or "without_spp"
-    rows: tuple  # (setting_label, {outcome: count})
+    kind: str  # a key of LAYOUT
+    block: str
+    counts: tuple  # per row label of LAYOUT[kind], its counts in outcome order; None where the file has none
 
     def __post_init__(self):
-        expected = CHSH_OUTCOMES if self.kind == "chsh" else FIDELITY_OUTCOMES
-        for label, counts in self.rows:
-            missing = set(expected) - set(counts)
-            if missing:
-                raise CountsDataError(f"{self.where(label)}: missing outcomes {sorted(missing)}")
-            for out, c in counts.items():
-                if c < 0:
-                    raise CountsDataError(f"{self.where(label)}: negative count for outcome {out!r}")
-
-    def where(self, label: str) -> str:  # names a setting (chsh) or cell (fidelity) in a message
-        return f"{self.kind} block {self.block!r}, {'setting' if self.kind == 'chsh' else 'cell'} {label!r}"
-
-    def row(self, label: str) -> dict:
-        for lbl, counts in self.rows:
-            if lbl == label:
-                return counts
-        raise CountsDataError(f"{self.where(label)}: no row")
+        labels, outcomes = LAYOUT[self.kind]
+        for label, row in zip(labels, self.counts):
+            if None in row:
+                if all(c is None for r in self.counts for c in r):
+                    raise CountsDataError(f"no rows with kind={self.kind!r}, block={self.block!r}")
+                missing = [out for out, c in zip(outcomes, row) if c is None]
+                raise CountsDataError(f"{_where(self, label)}: " + (
+                    "no row" if len(missing) == len(outcomes) else f"missing outcomes {missing}"))
 
 
 class CountsFile:
-    """The tables of some (kind, block) pairs, read from a counts CSV in one pass.
+    """Every (kind, block) table of a counts CSV, read in one pass.
 
-    Rows of other pairs are skipped unvalidated. A pair's first problem, with
-    its line number, is raised when `table` asks for that pair, so a file
-    read once fails where reading each table on its own would have.
+    Each row must be one that a statistic reads, with a count in
+    [0, MAX_COUNT] that no earlier row gave; the first line that is not
+    raises CountsDataError naming it. Whether a table is complete is
+    checked when `table` builds it.
     """
 
-    def __init__(self, path, keys):
-        self._rows: dict[tuple, dict[str, dict[str, int]]] = {key: {} for key in keys}
-        self._errors: dict[tuple, CountsDataError] = {}
+    def __init__(self, path):
+        self._counts = {}  # by (kind, block, setting, outcome)
         with open(path, newline="") as fh:
             reader = csv.DictReader(fh)
-            required = {"kind", "block", "setting", "outcome", "count"}
-            if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-                raise CountsDataError(f"counts CSV must have columns {sorted(required)}")
-            for i, row in enumerate(reader, start=2):
-                key = (row["kind"], row["block"])
-                if key not in self._rows or key in self._errors:
-                    continue
-                try:
-                    c = int(row["count"])
-                except (TypeError, ValueError):
-                    self._errors[key] = CountsDataError(f"line {i}: count {row['count']!r} is not an integer")
-                    continue
-                if c > MAX_COUNT:
-                    self._errors[key] = CountsDataError(f"line {i}: count {c} is above the Poisson limit {MAX_COUNT}")
-                    continue
-                setting = self._rows[key].setdefault(row["setting"], {})
-                if row["outcome"] in setting:
-                    self._errors[key] = CountsDataError(
-                        f"line {i}: duplicate row for setting {row['setting']!r}, outcome {row['outcome']!r}")
-                    continue
-                setting[row["outcome"]] = c
-        for (kind, block), rows in self._rows.items():
-            if not rows:
-                self._errors.setdefault((kind, block), CountsDataError(
-                    f"no rows with kind={kind!r}, block={block!r} in {path}"))
+            try:
+                columns = ("kind", "block", "setting", "outcome", "count")
+                if reader.fieldnames is None or not set(columns).issubset(reader.fieldnames):
+                    raise CountsDataError(f"counts CSV must have columns {sorted(columns)}")
+                for row in reader:
+                    line, key = reader.line_num, tuple(map(row.get, columns[:4]))
+                    if key not in _ROWS:
+                        raise CountsDataError(f"line {line}: no statistic reads the row {key}")
+                    try:
+                        c = int(row["count"])
+                    except (TypeError, ValueError):
+                        raise CountsDataError(f"line {line}: count {row['count']!r} is not an integer") from None
+                    if c < 0:
+                        raise CountsDataError(f"line {line}: negative count for outcome {key[3]!r}")
+                    if c > MAX_COUNT:
+                        raise CountsDataError(f"line {line}: count {c} is above the Poisson limit {MAX_COUNT}")
+                    if key in self._counts:
+                        raise CountsDataError(f"line {line}: duplicate row for setting {key[2]!r}, outcome {key[3]!r}")
+                    self._counts[key] = c
+            except csv.Error as exc:  # e.g. an over-long field; reader.line_num is the last good row's
+                raise CountsDataError(f"line {reader.reader.line_num}: {exc}") from None
 
     def table(self, kind: str, block: str) -> CountsTable:
-        if (kind, block) in self._errors:
-            raise self._errors[kind, block]
-        return CountsTable(kind=kind, block=block, rows=tuple(self._rows[kind, block].items()))
+        counts = tuple(tuple(map(self._counts.get, keys)) for keys in _KEYS[kind, block])
+        return CountsTable(kind=kind, block=block, counts=counts)
 
 
 def load_counts_csv(path, kind: str, block: str) -> CountsTable:
-    return CountsFile(path, [(kind, block)]).table(kind, block)
+    return CountsFile(path).table(kind, block)
 
 
 def bundled_counts_path():
@@ -131,14 +133,11 @@ def correlation(counts: dict) -> float:
 def chsh_counts(table: CountsTable) -> np.ndarray:
     """The 8 counts `chsh_s_values` takes: (N++ + N--, N+- + N-+) per setting, CHSH_SETTINGS in order.
     Sums of independent Poisson counts are Poisson: resampling them gives S the law the 16 counts give it."""
-    pooled = []
-    for label in CHSH_SETTINGS:
-        row = table.row(label)
-        for n in (row["++"] + row["--"], row["+-"] + row["-+"]):
-            if n > MAX_COUNT:
-                raise CountsDataError(f"{table.where(label)}: pooled count {n} "
-                                      f"is above the Poisson limit {MAX_COUNT}")
-            pooled.append(n)
+    pooled = [n for pp, pm, mp, mm in table.counts for n in (pp + mm, pm + mp)]
+    for i, n in enumerate(pooled):
+        if n > MAX_COUNT:
+            raise CountsDataError(f"{_where(table, CHSH_SETTINGS[i // 2])}: pooled count {n} "
+                                  f"is above the Poisson limit {MAX_COUNT}")
     return np.array(pooled, dtype=float)
 
 
@@ -153,7 +152,7 @@ def chsh_s(table: CountsTable) -> float:
     counts = chsh_counts(table)
     zero = np.flatnonzero(counts[0::2] + counts[1::2] <= 0)
     if zero.size:
-        raise CountsDataError(f"{table.where(CHSH_SETTINGS[zero[0]])}: zero total counts")
+        raise CountsDataError(f"{_where(table, CHSH_SETTINGS[zero[0]])}: zero total counts")
     return float(chsh_s_values(counts))
 
 
@@ -173,16 +172,13 @@ class FidelityTableResult:
 def fidelity_table(table: CountsTable) -> FidelityTableResult:
     """Per-cell fidelities (OUTCOMES by INPUT_LABELS), their unweighted mean, and the (phi, perp)
     counts whose resampling through `mean_fidelity_values` gives the mean's Monte Carlo error."""
-    cells = []  # read in use order, so the first problem met is the one reported
-    for label in (f"{outcome.label}/{inp}" for outcome in OUTCOMES for inp in INPUT_LABELS):
-        row = table.row(label)
-        total = row["phi"] + row["perp"]
-        if total <= 0:
-            raise CountsDataError(f"{table.where(label)}: zero total counts")
-        cells.append((row["phi"], row["perp"], row["phi"] / total))
-    cells = np.array(cells, dtype=float)
-    fids = cells[:, 2].reshape(len(OUTCOMES), len(INPUT_LABELS))
-    return FidelityTableResult(fidelities=fids, mean=float(fids.mean()), counts=cells[:, :2].ravel())
+    for label, (phi, perp) in zip(LAYOUT["fidelity"][0], table.counts):  # the first problem in use order
+        if phi + perp <= 0:
+            raise CountsDataError(f"{_where(table, label)}: zero total counts")
+    # Python ints, so phi / (phi + perp) is the correctly rounded quotient
+    fids = np.array([phi / (phi + perp) for phi, perp in table.counts]).reshape(len(OUTCOMES), len(INPUT_LABELS))
+    counts = np.array(table.counts, dtype=float).ravel()
+    return FidelityTableResult(fidelities=fids, mean=float(fids.mean()), counts=counts)
 
 
 def sigma_violation(value: float, bound: float, std: float) -> float:

@@ -346,6 +346,8 @@ modes = 1,0
         assert not out.exists()
 
     def test_mc_trials_below_100_exits_2(self, tmp_path, capsys):
+        for n in (100, 2**53):  # both bounds are valid values
+            RunConfig(mc_trials=n).validate()
         path = write_config(tmp_path, "[tomography]\nmc_trials = 0\n")
         out = tmp_path / "o"
         assert main(["analyze", "--config", str(path), "--out", str(out)]) == 2
@@ -655,7 +657,11 @@ def test_fuzzed_config_exits_0_2_or_3_and_keeps_the_contract(tmp_path_factory, c
     for (section, key), value in entries:
         sections.setdefault(section, []).append(f"{key} = {value.format(dir=root)}")
     cfg = write_config(root, "".join(f"[{name}]\n" + "\n".join(lines) + "\n" for name, lines in sections.items()))
-    out = root / "o"
+    _run_keeps_the_contract(command, cfg, root / "o")
+
+
+def _run_keeps_the_contract(command, cfg, out):
+    """Run a command: it exits 0 with schema-valid outputs, or 2 or 3 with one stderr line and no `out`."""
     stderr = io.StringIO()
     with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(stderr):
         warnings.simplefilter("always")
@@ -665,12 +671,55 @@ def test_fuzzed_config_exits_0_2_or_3_and_keeps_the_contract(tmp_path_factory, c
     if code:
         assert stderr.getvalue().count("\n") == 1 and stderr.getvalue().endswith("\n")
         assert not out.exists()
-        return
+        return code
     for path in out.iterdir():
         if path.suffix == ".json":
             jsonschema.validate(_strict_json(path), _schema(_OUTPUT_SCHEMAS[command][path.name]))
         else:
             assert not {"nan", "inf"} & set(path.read_text().lower().replace(",", "\n").split())
+    return code
+
+
+# the bundled counts CSV's lines, as the fields of each, and the text a fuzzed field may take:
+# NUL, bytes that are not UTF-8, huge integers, an over-long field, a quote and a line break
+_COUNTS_ROWS = [line.encode().split(b",") for line in counts_mod.bundled_counts_path().read_text().splitlines()]
+_FUZZ_FIELDS = st.sampled_from([
+    b"", b"\0", b"\xff\xfe", b"0", b"-1", b"12.5", b" 7", b"1_000", b"9" * 20, str(counts_mod.MAX_COUNT).encode(),
+    str(counts_mod.MAX_COUNT + 1).encode(), b"1" * 5000, b'"', b"a\nb", b"with_spp", b"chsh", b"fidelity", b"phi",
+    b"++", b"0-22.5", b"PsiPlus/H",
+]) | st.binary(max_size=6) | st.just(b"7" * 200_000)
+_COUNTS_EDIT = st.one_of(
+    st.tuples(st.just("drop"), st.integers(0, len(_COUNTS_ROWS) - 1)),
+    st.tuples(st.just("duplicate"), st.integers(0, len(_COUNTS_ROWS) - 1)),
+    st.tuples(st.just("swap"), st.integers(1, len(_COUNTS_ROWS) - 1), st.integers(1, len(_COUNTS_ROWS) - 1)),
+    st.tuples(st.just("rewrite"), st.integers(0, len(_COUNTS_ROWS) - 1), st.integers(0, 4), _FUZZ_FIELDS),
+    st.tuples(st.just("add column"), _FUZZ_FIELDS),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(edits=st.lists(_COUNTS_EDIT, max_size=4))
+def test_fuzzed_counts_csv_exits_0_or_3_and_keeps_the_contract(tmp_path_factory, edits):
+    rows = [list(row) for row in _COUNTS_ROWS]
+    for op, *args in edits:  # at most 4 drops, so rows is never empty
+        if op == "drop":
+            del rows[args[0] % len(rows)]
+        elif op == "duplicate":
+            rows.insert(args[0] % len(rows), list(rows[args[0] % len(rows)]))
+        elif op == "swap":
+            i, j = args[0] % len(rows), args[1] % len(rows)
+            rows[i], rows[j] = rows[j], rows[i]
+        elif op == "rewrite":
+            row = rows[args[0] % len(rows)]
+            row[args[1] % len(row)] = args[2]
+        else:
+            for row in rows:
+                row.append(args[0])
+    root = tmp_path_factory.mktemp("fuzz")
+    counts = root / "counts.csv"
+    counts.write_bytes(b"".join(b",".join(row) + b"\n" for row in rows))
+    cfg = write_config(root, f"[tomography]\nmc_trials = 100\n\n[analyze]\ncounts = {counts}\n")
+    assert _run_keeps_the_contract("analyze", cfg, root / "o") in (0, 3)
 
 
 # the bundled gold table's range on a 0.01 nm grid, for an oracle of where a resonance exists
@@ -822,20 +871,21 @@ class TestAnalyzeCommand:
                                            f"{counts_mod.MAX_COUNT}\n")
 
     def test_first_problem_in_use_order_is_reported(self, tmp_path, capsys):
-        # a zero chsh/with_spp setting is met before the bad fidelity row and
-        # the short chsh row of a block analyze does not read
+        # a zero chsh/with_spp setting is met in use before the missing fidelity/without_spp row,
+        # and bad lines, in file order, before either
         lines = counts_mod.bundled_counts_path().read_text().splitlines()
         lines = [line.rsplit(",", 1)[0] + ",0" if line.startswith("chsh,with_spp,0-22.5,") else line
-                 for line in lines]
-        first_fid = next(i for i, line in enumerate(lines) if line.startswith("fidelity,"))
-        lines[first_fid] = lines[first_fid].rsplit(",", 1)[0] + ",1.5"
-        lines.append("chsh,other_block,0-22.5,++")
+                 for line in lines if not line.startswith("fidelity,without_spp,PhiPlus/H,")]
         counts = tmp_path / "counts.csv"
-        counts.write_text("\n".join(lines) + "\n")
         cfg = write_config(tmp_path, f"[analyze]\ncounts = {counts}\n")
-        assert main(["analyze", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
-        assert capsys.readouterr().err == "data error: chsh block 'with_spp', setting '0-22.5': zero total counts\n"
-        assert not (tmp_path / "o" / "chsh.json").exists()
+        for bad_lines, message in (((), "chsh block 'with_spp', setting '0-22.5': zero total counts"),
+                                   ((len(lines) - 10, len(lines)), "line {}: count '1.5' is not an integer")):
+            for n in bad_lines:
+                lines[n - 1] = lines[n - 1].rsplit(",", 1)[0] + ",1.5"
+            counts.write_text("\n".join(lines) + "\n")
+            assert main(["analyze", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+            assert capsys.readouterr().err == f"data error: {message.format(*bad_lines)}\n"
+            assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("edit,message", [
         ({"fidelity,with_spp,PhiPlus/D,phi,": "0", "fidelity,with_spp,PhiPlus/D,perp,": "0"},
@@ -846,25 +896,25 @@ class TestAnalyzeCommand:
          "fidelity block 'with_spp', cell 'PsiMinus/L': no row"),
         ({"fidelity,with_spp,PsiMinus/L,phi,": None},
          "fidelity block 'with_spp', cell 'PsiMinus/L': missing outcomes ['phi']"),
-        ({"fidelity,with_spp,PsiMinus/L,phi,": "-1"},
-         "fidelity block 'with_spp', cell 'PsiMinus/L': negative count for outcome 'phi'"),
-        ({"chsh,without_spp,0-67.5,+-,": "-5"},
-         "chsh block 'without_spp', setting '0-67.5': negative count for outcome '+-'"),
+        # a bad count is a problem of its line
+        ({"fidelity,with_spp,PsiMinus/L,phi,": "-1"}, "line {}: negative count for outcome 'phi'"),
+        ({"chsh,without_spp,0-67.5,+-,": "-5"}, "line {}: negative count for outcome '+-'"),
     ], ids=["zero-cell", "zero-setting", "missing-row", "missing-outcome", "negative-cell", "negative-setting"])
     def test_counts_problem_names_its_kind_block_and_setting_or_cell(self, tmp_path, capsys, edit, message):
         # each edit maps a row prefix to its new count, or to None to delete the row
-        lines = []
+        lines, edited = [], []  # and the line number of each rewritten row
         for line in counts_mod.bundled_counts_path().read_text().splitlines():
             prefix = line.rsplit(",", 1)[0] + ","
             if prefix not in edit:
                 lines.append(line)
             elif edit[prefix] is not None:
                 lines.append(prefix + edit[prefix])
+                edited.append(len(lines))
         counts = tmp_path / "counts.csv"
         counts.write_text("\n".join(lines) + "\n")
         cfg = write_config(tmp_path, f"[analyze]\ncounts = {counts}\n")
         assert main(["analyze", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
-        assert capsys.readouterr().err == f"data error: {message}\n"
+        assert capsys.readouterr().err == f"data error: {message.format(*edited)}\n"
         assert not (tmp_path / "o").exists()
 
     def test_pooled_count_above_the_poisson_limit_exits_3(self, tmp_path, capsys):
@@ -883,14 +933,27 @@ class TestAnalyzeCommand:
             f"is above the Poisson limit {counts_mod.MAX_COUNT}\n")
         assert not out.exists()
 
-    def test_rows_of_unused_blocks_are_not_validated(self, tmp_path):
-        text = counts_mod.bundled_counts_path().read_text()
+    # complete extra rows, each of a kind, block, setting, cell or outcome that no statistic reads
+    @pytest.mark.parametrize("extra", [
+        lambda lines: ["fidelity,with_spp,Q/PhiPlus,phi,2746", "fidelity,with_spp,Q/PhiPlus,perp,120"],
+        lambda lines: [f"chsh,with_spp,90-0,{o},1000" for o in counts_mod.CHSH_OUTCOMES],
+        lambda lines: ["chsh,with_spp,0-22.5,00,1000"],
+        lambda lines: [line.replace(",with_spp,", ",other,") for line in lines if line.startswith("chsh,with_spp,")],
+        lambda lines: [line.replace("chsh,", "notes,") for line in lines if line.startswith("chsh,with_spp,")],
+        lambda lines: ["fidelity,with_spp,0-22.5,phi,1000", "fidelity,with_spp,0-22.5,perp,1000"],
+        lambda lines: ["chsh,with_spp,0-22.5,phi,1000"],
+    ], ids=["cell", "setting", "outcome", "block", "kind", "chsh-setting-as-cell", "fidelity-outcome-in-chsh"])
+    def test_row_no_statistic_reads_exits_3_naming_its_line(self, tmp_path, capsys, extra):
+        lines = counts_mod.bundled_counts_path().read_text().splitlines()
+        rows = extra(lines)
         counts = tmp_path / "counts.csv"
-        counts.write_text(text + "chsh,other_block,0-22.5,++,many\nnotes,with_spp,x,y\n")
+        counts.write_text("\n".join(lines + rows) + "\n")
         cfg = write_config(tmp_path, f"[analyze]\ncounts = {counts}\n")
-        for name, argv in (("bundled", []), ("extra", ["--config", str(cfg)])):
-            assert main(["analyze", *argv, "--out", str(tmp_path / name)]) == 0
-        assert _hash_dir(tmp_path / "bundled") == _hash_dir(tmp_path / "extra")
+        out = tmp_path / "o"
+        assert main(["analyze", "--config", str(cfg), "--out", str(out)]) == 3
+        key = tuple(rows[0].split(",")[:4])
+        assert capsys.readouterr().err == f"data error: line {len(lines) + 1}: no statistic reads the row {key!r}\n"
+        assert not out.exists()
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")
     def test_outputs_do_not_depend_on_cpu_count(self, tmp_path):
@@ -1062,6 +1125,22 @@ class TestExitCodes:
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
         err = capsys.readouterr().err
         assert err.startswith("data error:") and err.count("\n") == 1
+
+    # a field over csv.field_size_limit() (131072 characters)
+    @pytest.mark.parametrize("command, section, key", [("design", "design", "dielectric"),
+                                                       ("analyze", "analyze", "counts")])
+    def test_over_long_field_exits_3_naming_its_line(self, tmp_path, capsys, command, section, key):
+        lines = (["wavelength_nm,eps_re,eps_im", "1300,-71.5,6.7", "500,-2,1", "900,-30,1.2"] if key == "dielectric"
+                 else counts_mod.bundled_counts_path().read_text().splitlines())
+        lines[2] += "0" * 200_000
+        data = tmp_path / "data.csv"
+        data.write_text("\n".join(lines) + "\n")
+        cfg = write_config(tmp_path, f"[{section}]\n{key} = {data}\n")
+        out = tmp_path / "o"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 3
+        where = "dielectric CSV line 3" if key == "dielectric" else "line 3"
+        assert capsys.readouterr().err == f"data error: {where}: field larger than field limit (131072)\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv, problem", [
         (["design", "--seed", "x"], "argument --seed: invalid int value: 'x'"),

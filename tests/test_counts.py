@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from spp_teleport.counts import (
     CountsDataError,
     CountsTable,
     INPUT_LABELS,
+    LAYOUT,
     MAX_COUNT,
     chsh_s,
     correlation,
@@ -62,24 +65,37 @@ def _chsh_probabilities(rho4, theta1_deg, theta2_deg):
         v = np.array([np.cos(th), np.sin(th)])
         return np.outer(v, v.conj())
 
-    probs = {}
+    probs = []  # in CHSH_OUTCOMES order
     for o in CHSH_OUTCOMES:
         pa = proj(theta1_deg, +1 if o[0] == "+" else -1)
         pb = proj(theta2_deg, +1 if o[1] == "+" else -1)
-        probs[o] = float(np.trace(np.kron(pa, pb) @ rho4).real)
-    return probs
+        probs.append(float(np.trace(np.kron(pa, pb) @ rho4).real))
+    return tuple(probs)
 
 
 def _analytic_chsh_table(rho4):
     """A CHSH table of exact outcome probabilities at the angles each setting label names."""
-    rows = tuple((lbl, _chsh_probabilities(rho4, *map(float, lbl.split("-")))) for lbl in CHSH_SETTINGS)
-    return CountsTable(kind="chsh", block="analytic", rows=rows)
+    counts = tuple(_chsh_probabilities(rho4, *map(float, lbl.split("-"))) for lbl in CHSH_SETTINGS)
+    return CountsTable(kind="chsh", block="analytic", counts=counts)
+
+
+def _row(table, label):
+    """The {outcome: count} of one setting or cell of a table."""
+    labels, outcomes = LAYOUT[table.kind]
+    return dict(zip(outcomes, table.counts[labels.index(label)]))
 
 
 def cell_fidelity_std(table, cell, mc_trials):
     """Monte Carlo (mean, std) of one cell's phi / (phi + perp)."""
-    row = table.row(cell)
+    row = _row(table, cell)
     return monte_carlo_errors([row["phi"], row["perp"]], lambda c: c[:, 0] / (c[:, 0] + c[:, 1]), trials=mc_trials)
+
+
+def _bundled_with(tmp_path, edit=lambda lines: lines):
+    """The path of a copy of the bundled counts CSV whose lines `edit` rewrote."""
+    path = tmp_path / "counts.csv"
+    path.write_text("\n".join(edit(bundled_counts_path().read_text().splitlines())) + "\n")
+    return path
 
 
 class TestCorrelation:
@@ -132,8 +148,7 @@ class TestChsh:
 
 def _chsh_table(counts16, block="b"):
     """A CHSH table of 16 counts, (N++, N+-, N-+, N--) per setting in CHSH_SETTINGS order."""
-    rows = [(label, dict(zip(CHSH_OUTCOMES, counts16[4 * i:4 * i + 4]))) for i, label in enumerate(CHSH_SETTINGS)]
-    return CountsTable(kind="chsh", block=block, rows=tuple(rows))
+    return CountsTable(kind="chsh", block=block, counts=tuple(tuple(counts16[i:i + 4]) for i in range(0, 16, 4)))
 
 
 class TestPooledChsh:
@@ -152,8 +167,7 @@ class TestPooledChsh:
     def test_pooled_batch_gives_the_16_count_bits(self):
         # the Monte Carlo path: int64 Poisson resamples, pooled before the float conversion
         table = load_counts_csv(bundled_counts_path(), "chsh", "with_spp")
-        c16 = np.random.default_rng(7).poisson([table.row(lbl)[o] for lbl in CHSH_SETTINGS for o in CHSH_OUTCOMES],
-                                               size=(500, 16))
+        c16 = np.random.default_rng(7).poisson(np.ravel(table.counts), size=(500, 16))
         pooled = np.stack([c16[:, 0::4] + c16[:, 3::4], c16[:, 1::4] + c16[:, 2::4]], axis=-1).reshape(500, 8)
         assert chsh_s_values(pooled).tobytes() == chsh_s_16(c16).tobytes()
 
@@ -164,7 +178,7 @@ class TestPooledChsh:
     @pytest.mark.parametrize("block", ["without_spp", "with_spp"])
     def test_pooled_std_matches_16_count_std_and_delta_method(self, block):
         table = load_counts_csv(bundled_counts_path(), "chsh", block)
-        c16 = np.array([table.row(lbl)[o] for lbl in CHSH_SETTINGS for o in CHSH_OUTCOMES], dtype=float)
+        c16 = np.array(table.counts, dtype=float).ravel()
         _, std16 = monte_carlo_errors(c16, chsh_s_16, trials=20_000, seed=1)
         _, std8 = monte_carlo_errors(chsh_counts(table), chsh_s_values, trials=20_000, seed=2)
         total = c16.reshape(4, 4).sum(axis=1)
@@ -215,13 +229,13 @@ class TestBundledFidelityTables:
         assert labels == ("PhiPlus", "PhiMinus", "PsiMinus", "PsiPlus")
         for k, outcome in enumerate(labels):
             for j, inp in enumerate(INPUT_LABELS):
-                row = table.row(f"{outcome}/{inp}")
+                row = _row(table, f"{outcome}/{inp}")
                 assert result.fidelities[k, j] == row["phi"] / (row["phi"] + row["perp"])
 
     def test_counts_are_the_cells_phi_perp_pairs(self):
         table = load_counts_csv(bundled_counts_path(), "fidelity", "with_spp")
         result = fidelity_table(table)
-        want = [table.row(f"{o.label}/{i}")[k] for o in OUTCOMES for i in INPUT_LABELS for k in ("phi", "perp")]
+        want = [_row(table, f"{o.label}/{i}")[k] for o in OUTCOMES for i in INPUT_LABELS for k in ("phi", "perp")]
         assert result.counts.tolist() == want
         assert mean_fidelity_values(result.counts) == result.mean
 
@@ -239,9 +253,12 @@ class TestSigmaViolation:
 
 
 class TestLoading:
-    def test_missing_block(self):
-        with pytest.raises(CountsDataError):
-            load_counts_csv(bundled_counts_path(), "chsh", "no_such_block")
+    def test_missing_block(self, tmp_path):
+        path = _bundled_with(tmp_path, lambda lines: [line for line in lines if not line.startswith("chsh,with_spp,")])
+        assert chsh_s(load_counts_csv(path, "chsh", "without_spp")) == pytest.approx(PUBLISHED_S["without_spp"],
+                                                                                     abs=1e-3)
+        with pytest.raises(CountsDataError, match=r"^no rows with kind='chsh', block='with_spp'$"):
+            load_counts_csv(path, "chsh", "with_spp")
 
     def test_bad_csv(self, tmp_path):
         path = tmp_path / "c.csv"
@@ -251,18 +268,20 @@ class TestLoading:
 
     def test_non_integer_count(self, tmp_path):
         path = tmp_path / "c.csv"
-        path.write_text("kind,block,setting,outcome,count\nchsh,x,0-22.5,++,12.5\n")
-        with pytest.raises(CountsDataError):
-            load_counts_csv(path, "chsh", "x")
+        path.write_text("kind,block,setting,outcome,count\nchsh,with_spp,0-22.5,++,12.5\n")
+        with pytest.raises(CountsDataError, match=r"^line 2: count '12.5' is not an integer$"):
+            load_counts_csv(path, "chsh", "with_spp")
 
     def test_max_count_is_the_poisson_limit(self, tmp_path):
-        path = tmp_path / "c.csv"
-        path.write_text(f"kind,block,setting,outcome,count\n"
-                        f"fidelity,x,PsiPlus/H,phi,{MAX_COUNT}\nfidelity,x,PsiPlus/H,perp,{MAX_COUNT + 1}\n")
-        with pytest.raises(CountsDataError, match=f"^line 3: count {MAX_COUNT + 1} is above the Poisson limit"):
-            load_counts_csv(path, "fidelity", "x")
-        path.write_text(path.read_text().replace(str(MAX_COUNT + 1), "1"))
-        table = load_counts_csv(path, "fidelity", "x")
+        def edit(lines, count):
+            first = next(i for i, line in enumerate(lines) if line.startswith("fidelity,with_spp,PsiPlus/H,perp,"))
+            lines[first - 1:first + 1] = [f"fidelity,with_spp,PsiPlus/H,phi,{MAX_COUNT}",
+                                          f"fidelity,with_spp,PsiPlus/H,perp,{count}"]
+            return lines
+
+        with pytest.raises(CountsDataError, match=rf"^line \d+: count {MAX_COUNT + 1} is above the Poisson limit"):
+            CountsFile(_bundled_with(tmp_path, lambda lines: edit(lines, MAX_COUNT + 1)))
+        table = load_counts_csv(_bundled_with(tmp_path, lambda lines: edit(lines, 1)), "fidelity", "with_spp")
         mean, std = cell_fidelity_std(table, "PsiPlus/H", mc_trials=100)
         assert np.isfinite([mean, std]).all()
         with pytest.raises(ValueError, match="lam value too large"):
@@ -271,40 +290,31 @@ class TestLoading:
     def test_duplicate_row(self, tmp_path):
         path = tmp_path / "c.csv"
         path.write_text("kind,block,setting,outcome,count\n"
-                        "chsh,x,0-22.5,++,12\nchsh,x,0-22.5,+-,3\nchsh,x,0-22.5,++,13\n")
-        with pytest.raises(CountsDataError, match="line 4: duplicate"):
-            load_counts_csv(path, "chsh", "x")
+                        "chsh,with_spp,0-22.5,++,12\nchsh,with_spp,0-22.5,+-,3\nchsh,with_spp,0-22.5,++,13\n")
+        with pytest.raises(CountsDataError, match="^line 4: duplicate row for setting '0-22.5', outcome '\\+\\+'$"):
+            CountsFile(path)
 
     def test_short_row_is_a_data_error(self, tmp_path):
         path = tmp_path / "c.csv"
-        path.write_text("kind,block,setting,outcome,count\nchsh,x,0-22.5,++,12\nchsh,x,0-22.5,+-\n")
-        with pytest.raises(CountsDataError, match="line 3: count None is not an integer"):
-            load_counts_csv(path, "chsh", "x")
-
-    def test_one_read_gives_each_table_and_its_own_first_problem(self, tmp_path):
-        path = tmp_path / "c.csv"
-        path.write_text("kind,block,setting,outcome,count\n"
-                        "chsh,x,s,++,1\nchsh,y,s,++,oops\nchsh,x,s,+-,2\nchsh,y,s,++,1.5\n"
-                        "chsh,x,s,-+,3\nchsh,x,s,--,4\nfidelity,x,a,phi,many\n")
-        keys = [("chsh", "x"), ("chsh", "y"), ("chsh", "z")]
-        tables = CountsFile(path, keys)
-        assert tables.table("chsh", "x") == load_counts_csv(path, "chsh", "x")
-        assert tables.table("chsh", "x").row("s") == {"++": 1, "+-": 2, "-+": 3, "--": 4}
-        for kind, block in keys[1:]:
-            with pytest.raises(CountsDataError) as single:
-                load_counts_csv(path, kind, block)
-            with pytest.raises(CountsDataError) as batched:
-                tables.table(kind, block)
-            assert str(batched.value) == str(single.value)
-        assert str(single.value).startswith("no rows with kind='chsh', block='z'")
+        path.write_text("kind,block,setting,outcome,count\nchsh,with_spp,0-22.5,++,12\nchsh,with_spp,0-22.5,+-\n")
+        with pytest.raises(CountsDataError, match="^line 3: count None is not an integer$"):
+            CountsFile(path)
 
     def test_missing_outcome_in_row(self):
-        with pytest.raises(CountsDataError):
-            CountsTable(kind="chsh", block="b", rows=(("0-22.5", {"++": 1}),))
+        counts = ((1, None, 1, None), *((1, 1, 1, 1),) * 3)
+        message = "chsh block 'b', setting '0-22.5': missing outcomes ['+-', '--']"
+        with pytest.raises(CountsDataError, match=f"^{re.escape(message)}$"):
+            CountsTable(kind="chsh", block="b", counts=counts)
 
-    def test_row_lookup(self):
-        table = load_counts_csv(bundled_counts_path(), "fidelity", "with_spp")
-        row = table.row("PsiPlus/H")
-        assert set(row) == {"phi", "perp"}
-        with pytest.raises(CountsDataError):
-            table.row("PsiPlus/Q")
+    def test_tables_hold_their_counts_in_layout_order(self):
+        tables = CountsFile(bundled_counts_path())
+        rows = {}
+        for line in bundled_counts_path().read_text().splitlines()[1:]:
+            kind, block, setting, outcome, count = line.split(",")
+            rows.setdefault((kind, block), {}).setdefault(setting, {})[outcome] = int(count)
+        for (kind, block), table_rows in rows.items():
+            labels, outcomes = LAYOUT[kind]
+            assert tables.table(kind, block).counts == tuple(
+                tuple(table_rows[label][out] for out in outcomes) for label in labels)
+        assert LAYOUT["fidelity"][0][:7] == ("PhiPlus/H", "PhiPlus/V", "PhiPlus/D", "PhiPlus/A", "PhiPlus/R",
+                                             "PhiPlus/L", "PhiMinus/H")
