@@ -71,8 +71,6 @@ class ChannelModel:
     def __post_init__(self):
         if not 0.0 <= self.werner_visibility <= 1.0:
             raise ChannelParameterError(f"werner_visibility {self.werner_visibility} not in [0,1]")
-        if not 0.0 < self.transmittance <= 1.0:
-            raise ChannelParameterError(f"transmittance {self.transmittance} not in (0,1]")
         if not 0.0 <= self.depolarizing_extra <= 1.0:
             raise ChannelParameterError(f"depolarizing_extra {self.depolarizing_extra} not in [0,1]")
 
@@ -127,6 +125,8 @@ def load_dielectric_table(path) -> DielectricTable:
                 raise ResonanceSolveError(f"dielectric CSV must have columns {sorted(required)}")
             for row in reader:
                 where = f"dielectric CSV line {reader.line_num}"
+                if None in row:  # DictReader's key for the fields beyond the header's
+                    raise ResonanceSolveError(f"{where}: more fields than the header")
                 try:
                     w, re, im = (float(row[k]) for k in ("wavelength_nm", "eps_re", "eps_im"))
                 except (TypeError, ValueError):
@@ -156,15 +156,14 @@ class HoleArrayGeometry:
     (m1, m2) pair or an (n, 2) integer array of one mode per period."""
 
     period_nm: float | np.ndarray
-    hole_diameter_nm: float
     mode: tuple[int, int] | np.ndarray
     eps_substrate: float
     metal: DielectricTable
 
     def __post_init__(self):
         period = np.asarray(self.period_nm, dtype=float)
-        if period.ndim > 1 or not (np.all(period > self.hole_diameter_nm) and self.hole_diameter_nm > 0):
-            raise ChannelParameterError("need period > hole diameter > 0")
+        if period.ndim > 1 or not np.all(period > 0):
+            raise ChannelParameterError("need period > 0")
         mode = np.asarray(self.mode)
         if mode.dtype.kind not in "iu" or mode.shape not in ((2,), (*period.shape, 2)):
             raise ChannelParameterError("mode must be an integer pair, or one integer pair per period")

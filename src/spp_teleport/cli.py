@@ -23,7 +23,7 @@ import numpy as np
 from . import channel as channel_mod
 from . import counts as counts_mod
 from . import output, protocol, tomo
-from .qcore import clamp_unit, complex_matrix_to_json, expectation
+from .qcore import clamp_unit, complex_matrix_to_json, expectation, vector_norms
 
 
 class ConfigError(ValueError):
@@ -99,7 +99,6 @@ CONFIG_KEYS = {
     "calibration": _Key("channel", str, "none", lambda name: None if name in ("none", "with_spp", "without_spp")
                         else f"unknown calibration {name!r}"),
     "werner_visibility": _Key("channel", _finite_float, 1.0, overridden_by="calibration"),
-    "transmittance": _Key("channel", _finite_float, 1.0, overridden_by="calibration"),
     "depolarizing_extra": _Key("channel", _finite_float, 0.0, overridden_by="calibration"),
     "contrast_x": _Key("channel", _finite_float, None, overridden_by="calibration"),  # None: EomModel's default
     "contrast_z": _Key("channel", _finite_float, None, overridden_by="calibration"),
@@ -114,7 +113,6 @@ CONFIG_KEYS = {
     "counts": _Key("analyze", str, "bundled"),
     "dielectric": _Key("design", str, "bundled"),
     "period_nm": _Key("design", _finite_float, 700.0, overridden_by="period_sweep"),
-    "hole_diameter_nm": _Key("design", _finite_float, 200.0),
     "eps_substrate": _Key("design", _finite_float, 2.25),
     "modes": _Key("design", _parse_modes, ((1, 1), (1, 0)),
                   lambda m: f"modes must not repeat a mode, got {list(m)}" if len(set(m)) < len(m) else None),
@@ -145,12 +143,9 @@ class RunConfig:
         # EomModel owns the default of a contrast the config leaves unset
         contrasts = {key: value for key, value in (("contrast_x", self.contrast_x), ("contrast_z", self.contrast_z))
                      if value is not None}
-        return channel_mod.ChannelModel(
-            werner_visibility=self.werner_visibility,
-            transmittance=self.transmittance,
-            eom=channel_mod.EomModel(**contrasts) if contrasts else None,
-            depolarizing_extra=self.depolarizing_extra,
-        )
+        return channel_mod.ChannelModel(werner_visibility=self.werner_visibility,
+                                        eom=channel_mod.EomModel(**contrasts) if contrasts else None,
+                                        depolarizing_extra=self.depolarizing_extra)
 
 
 def load_config(path) -> RunConfig:
@@ -318,14 +313,12 @@ def cmd_design(cfg: RunConfig) -> dict:
     # one solve over every row; row i * n_modes + j is period i, mode j
     modes = np.array(cfg.modes, dtype=np.int64)
     # the geometry comes from the config and is checked before the solve
-    geom = channel_mod.HoleArrayGeometry(np.repeat(periods, len(modes)), cfg.hole_diameter_nm,
-                                         np.tile(modes, (len(periods), 1)), cfg.eps_substrate, metal=table)
+    geom = channel_mod.HoleArrayGeometry(np.repeat(periods, len(modes)), np.tile(modes, (len(periods), 1)),
+                                         cfg.eps_substrate, metal=table)
     lam = channel_mod.resonance_wavelength(geom)
     k_spp = channel_mod.dispersion_match(geom)
-    # row-wise dot products, the same BLAS dot np.linalg.norm takes for one row
-    k_mag = np.sqrt(k_spp[:, None, :] @ k_spp[:, :, None])[:, 0, 0]
     columns = {"period_nm": geom.period_nm, "m1": geom.mode[:, 0], "m2": geom.mode[:, 1], "resonance_nm": lam,
-               "k_spp_x": k_spp[:, 0], "k_spp_y": k_spp[:, 1], "k_spp_mag": k_mag}
+               "k_spp_x": k_spp[:, 0], "k_spp_y": k_spp[:, 1], "k_spp_mag": vector_norms(k_spp)}
     return dict(zip(("design.csv", "design.json"), output.write_table(columns, with_json=True)))
 
 

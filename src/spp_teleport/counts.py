@@ -8,6 +8,7 @@ with/without plasmon block. Schema: kind, block, setting, outcome, count.
 from __future__ import annotations
 
 import csv
+import re
 from dataclasses import dataclass
 from importlib import resources
 
@@ -68,10 +69,10 @@ class CountsTable:
 class CountsFile:
     """Every (kind, block) table of a counts CSV, read in one pass.
 
-    Each row must be one that a statistic reads, with a count in
-    [0, MAX_COUNT] that no earlier row gave; the first line that is not
-    raises CountsDataError naming it. Whether a table is complete is
-    checked when `table` builds it.
+    Each row must be one that a statistic reads, no longer than the header,
+    with a count of ASCII digits in [0, MAX_COUNT] that no earlier row gave;
+    the first line that is not raises CountsDataError naming it. Whether a
+    table is complete is checked when `table` builds it.
     """
 
     def __init__(self, path):
@@ -84,10 +85,13 @@ class CountsFile:
                     raise CountsDataError(f"counts CSV must have columns {sorted(columns)}")
                 for row in reader:
                     line, key = reader.line_num, tuple(map(row.get, columns[:4]))
+                    if None in row:  # DictReader's key for the fields beyond the header's
+                        raise CountsDataError(f"line {line}: more fields than the header")
                     if key not in _ROWS:
                         raise CountsDataError(f"line {line}: no statistic reads the row {key}")
                     try:
-                        c = int(row["count"])
+                        # int() alone also takes "1_0" and " 7"; a failed match is None, and None[0] a TypeError
+                        c = int(re.fullmatch("-?[0-9]+", row["count"])[0])
                     except (TypeError, ValueError):
                         raise CountsDataError(f"line {line}: count {row['count']!r} is not an integer") from None
                     if c < 0:

@@ -174,13 +174,13 @@ def test_10_monte_carlo_error_calibration():
 
 
 def test_11_resonance_solver():
-    geom = channel.HoleArrayGeometry(period_nm=700, hole_diameter_nm=200,
-                                     mode=(1, 1), eps_substrate=2.25, metal=channel.gold_dielectric_table())
+    geom = channel.HoleArrayGeometry(period_nm=700, mode=(1, 1), eps_substrate=2.25,
+                                     metal=channel.gold_dielectric_table())
     lam = channel.resonance_wavelength(geom)
     flat = channel.DielectricTable([300, 2000], [-25.0, -25.0])
     lam_by_mode = {}
     for mode in ((1, 1), (1, 0)):
-        g = channel.HoleArrayGeometry(700, 200, mode, eps_substrate=2.25, metal=flat)
+        g = channel.HoleArrayGeometry(700, mode, eps_substrate=2.25, metal=flat)
         lam_by_mode[mode] = channel.resonance_wavelength(g)
     ratio = lam_by_mode[(1, 1)] / lam_by_mode[(1, 0)]
     ok = 769 <= lam <= 849 and abs(ratio - 1 / math.sqrt(2)) <= 1e-12

@@ -69,8 +69,6 @@ class TestChannelModel:
         with pytest.raises(ChannelParameterError):
             ChannelModel(werner_visibility=1.2)
         with pytest.raises(ChannelParameterError):
-            ChannelModel(transmittance=0.0)
-        with pytest.raises(ChannelParameterError):
             ChannelModel(depolarizing_extra=-0.1)
 
     def test_ideal_passthrough(self, rng):
@@ -126,6 +124,7 @@ class TestDielectricTable:
         ("500,-2.5,abc", "non-numeric"),
         ("inf,-2.5,1", "non-finite"),
         ("600,-3,1", "repeated wavelength"),
+        ("500,-2.5,1,junk", "more fields than the header"),
     ])
     def test_csv_bad_row_names_its_line(self, tmp_path, row, problem):
         path = tmp_path / "bad.csv"
@@ -161,8 +160,7 @@ class TestDielectricTable:
 
 class TestResonance:
     def test_reference_geometry_near_809(self):
-        geom = HoleArrayGeometry(period_nm=700, hole_diameter_nm=200, mode=(1, 1),
-                                 eps_substrate=2.25, metal=GOLD)
+        geom = HoleArrayGeometry(period_nm=700, mode=(1, 1), eps_substrate=2.25, metal=GOLD)
         lam = resonance_wavelength(geom)
         assert 769 <= lam <= 849
 
@@ -172,18 +170,18 @@ class TestResonance:
         table = DielectricTable([300, 2000], [-25.0, -25.0])
         lam = {}
         for mode in ((1, 1), (1, 0)):
-            geom = HoleArrayGeometry(700, 200, mode, eps_substrate=2.25, metal=table)
+            geom = HoleArrayGeometry(700, mode, eps_substrate=2.25, metal=table)
             lam[mode] = resonance_wavelength(geom)
         assert lam[(1, 1)] / lam[(1, 0)] == pytest.approx(1 / math.sqrt(2), abs=1e-12)
 
     def test_scales_with_period_at_fixed_eps(self):
         table = DielectricTable([300, 4000], [-25.0, -25.0])
-        a = resonance_wavelength(HoleArrayGeometry(700, 200, (1, 1), 2.25, metal=table))
-        b = resonance_wavelength(HoleArrayGeometry(1400, 200, (1, 1), 2.25, metal=table))
+        a = resonance_wavelength(HoleArrayGeometry(700, (1, 1), 2.25, metal=table))
+        b = resonance_wavelength(HoleArrayGeometry(1400, (1, 1), 2.25, metal=table))
         assert b == pytest.approx(2 * a, abs=1e-9)
 
     def test_fixed_point_is_self_consistent(self):
-        geom = HoleArrayGeometry(700, 200, (1, 1), eps_substrate=2.25, metal=GOLD)
+        geom = HoleArrayGeometry(700, (1, 1), eps_substrate=2.25, metal=GOLD)
         lam = resonance_wavelength(geom)
         eps_m = geom.metal(lam)
         rhs = geom.period_nm / math.sqrt(2) * math.sqrt(
@@ -191,14 +189,14 @@ class TestResonance:
         assert lam == pytest.approx(rhs, abs=1e-5)
 
     def test_geometry_validation(self):
+        with pytest.raises(ChannelParameterError, match="^need period > 0$"):
+            HoleArrayGeometry(0, (1, 1), 2.25, GOLD)
+        with pytest.raises(ChannelParameterError, match="^need period > 0$"):
+            HoleArrayGeometry(np.array([700.0, -150.0]), (1, 1), 2.25, GOLD)
         with pytest.raises(ChannelParameterError):
-            HoleArrayGeometry(100, 200, (1, 1), 2.25, GOLD)
+            HoleArrayGeometry(np.full((2, 2), 700.0), (1, 1), 2.25, GOLD)
         with pytest.raises(ChannelParameterError):
-            HoleArrayGeometry(np.array([700.0, 150.0]), 200, (1, 1), 2.25, GOLD)
-        with pytest.raises(ChannelParameterError):
-            HoleArrayGeometry(np.full((2, 2), 700.0), 200, (1, 1), 2.25, GOLD)
-        with pytest.raises(ChannelParameterError):
-            HoleArrayGeometry(700, 200, (0, 0), 2.25, GOLD)
+            HoleArrayGeometry(700, (0, 0), 2.25, GOLD)
 
     @pytest.mark.parametrize("periods, modes, eps", [
         (np.arange(600.1234, 800.1234, 0.25), ((1, 0), (1, 1)), 2.25),
@@ -207,10 +205,10 @@ class TestResonance:
     def test_array_solve_equals_scalar_solves(self, periods, modes, eps):
         table = GOLD
         for mode in modes:
-            lam = resonance_wavelength(HoleArrayGeometry(periods, 200, mode, eps, metal=table))
+            lam = resonance_wavelength(HoleArrayGeometry(periods, mode, eps, metal=table))
             assert isinstance(lam, np.ndarray) and lam.shape == periods.shape
             for period, value in zip(periods, lam):
-                assert value == resonance_wavelength(HoleArrayGeometry(float(period), 200, mode, eps,
+                assert value == resonance_wavelength(HoleArrayGeometry(float(period), mode, eps,
                                                                        metal=table))
 
     # a period range per mode with its resonance inside the bundled table
@@ -223,7 +221,7 @@ class TestResonance:
         spans = {mode: np.linspace(lo, hi, n) for mode, (lo, hi) in self.PER_ROW_MODES.items()}
         periods = np.stack(list(spans.values()), axis=1).ravel()  # row i * 3 + j: period i of mode j
         modes = np.tile(np.array(list(self.PER_ROW_MODES), dtype=np.int64), (n, 1))
-        return HoleArrayGeometry(periods, 200, modes, 2.25, metal=table), spans
+        return HoleArrayGeometry(periods, modes, 2.25, metal=table), spans
 
     def test_per_row_modes_equal_per_mode_solves(self):
         geom, spans = self._per_row_geometry()
@@ -231,10 +229,10 @@ class TestResonance:
         k = dispersion_match(geom)
         assert lam.shape == (120,) and k.shape == (120, 2)
         for j, (mode, periods) in enumerate(spans.items()):
-            alone = HoleArrayGeometry(periods, 200, mode, 2.25, metal=geom.metal)
+            alone = HoleArrayGeometry(periods, mode, 2.25, metal=geom.metal)
             assert np.array_equal(lam[j::3], resonance_wavelength(alone))
             assert np.array_equal(k[j::3], dispersion_match(alone))
-            assert lam[j] == resonance_wavelength(HoleArrayGeometry(float(periods[0]), 200, mode, 2.25,
+            assert lam[j] == resonance_wavelength(HoleArrayGeometry(float(periods[0]), mode, 2.25,
                                                                     metal=geom.metal))
 
     def test_mode_norm_is_math_hypot(self):
@@ -242,7 +240,7 @@ class TestResonance:
         # permittivity the fixed point is P / |m| * sqrt(eps_d eps_m / (eps_d + eps_m))
         assert np.hypot(47, 28) != math.hypot(47, 28)
         table = DielectricTable([300, 2000], [-25.0, -25.0])
-        geom = HoleArrayGeometry(np.array([700.0, 40000.0]), 200, np.array([[1, 1], [47, 28]]), 2.25, metal=table)
+        geom = HoleArrayGeometry(np.array([700.0, 40000.0]), np.array([[1, 1], [47, 28]]), 2.25, metal=table)
         factor = math.sqrt(2.25 * -25.0 / (2.25 - 25.0))
         assert resonance_wavelength(geom).tolist() == [700.0 / math.hypot(1, 1) * factor,
                                                        40000.0 / math.hypot(47, 28) * factor]
@@ -253,7 +251,7 @@ class TestResonance:
         modes = geom.mode.copy()
         modes[row] = 0
         with pytest.raises(ChannelParameterError, match=r"mode \(0, 0\) does not excite a plasmon"):
-            HoleArrayGeometry(geom.period_nm, 200, modes, 2.25, metal=geom.metal)
+            HoleArrayGeometry(geom.period_nm, modes, 2.25, metal=geom.metal)
 
     @pytest.mark.parametrize("period, mode", [
         (700.0, np.array([[1, 1]])),  # one mode per period needs an array of periods
@@ -265,7 +263,7 @@ class TestResonance:
     ])
     def test_mode_shape_and_type_are_checked(self, period, mode):
         with pytest.raises(ChannelParameterError, match="mode must be an integer pair"):
-            HoleArrayGeometry(period, 200, mode, 2.25, GOLD)
+            HoleArrayGeometry(period, mode, 2.25, GOLD)
 
     @pytest.mark.parametrize("eps_m, message", [
         (-2.25, "degenerate dielectric/metal combination"),  # eps_d + eps_m == 0
@@ -274,20 +272,20 @@ class TestResonance:
     def test_metal_without_a_resonance_condition_says_why(self, eps_m, message):
         table = DielectricTable([500, 1300], [eps_m, eps_m])
         with pytest.raises(ResonanceSolveError, match=rf"^{message}$"):
-            resonance_wavelength(HoleArrayGeometry(700.0, 200, (1, 1), 2.25, metal=table))
+            resonance_wavelength(HoleArrayGeometry(700.0, (1, 1), 2.25, metal=table))
 
     def test_scalar_period_returns_float(self):
-        assert isinstance(resonance_wavelength(HoleArrayGeometry(700.0, 200, (1, 1), 2.25, GOLD)), float)
+        assert isinstance(resonance_wavelength(HoleArrayGeometry(700.0, (1, 1), 2.25, GOLD)), float)
 
     def test_out_of_range_period_inside_sweep_raises(self):
         # at 1300 nm the (1,1) resonance lies beyond the table: h > 0 at every node
         periods = np.array([700.0, 710.0, 1300.0, 720.0])
         with pytest.raises(ResonanceSolveError, match=r"^no resonance inside \[500, 1300\] nm$"):
-            resonance_wavelength(HoleArrayGeometry(periods, 200, (1, 1), 2.25, GOLD))
+            resonance_wavelength(HoleArrayGeometry(periods, (1, 1), 2.25, GOLD))
 
     def test_root_where_the_right_hand_side_is_steeper_than_one(self):
         # a plain fixed-point iteration oscillates about this root and never converges
-        geom = HoleArrayGeometry(np.array([760.0, 740.0, 800.0]), 200, (2, 1), 2.25, GOLD)
+        geom = HoleArrayGeometry(np.array([760.0, 740.0, 800.0]), (2, 1), 2.25, GOLD)
         lam = resonance_wavelength(geom)
         assert np.round(lam, 4).tolist() == [591.0156, 582.7665, 609.0306]
         assert abs(_h(740.0, (2, 1), 2.25, lam[1])) <= 1e-12 * lam[1]
@@ -296,7 +294,7 @@ class TestResonance:
     def test_root_beside_a_pole_of_the_resonance_condition(self, eps_d, period, root):
         # eps_m = -eps_d inside the table's first segment, so h is undefined at 500 nm and tends to
         # +inf right of the pole; the root lies between the pole and the next node
-        lam = resonance_wavelength(HoleArrayGeometry(period, 200, (1, 0), eps_d, GOLD))
+        lam = resonance_wavelength(HoleArrayGeometry(period, (1, 0), eps_d, GOLD))
         assert round(lam, 3) == root and abs(_h(period, (1, 0), eps_d, lam)) <= 1e-9 * lam
 
     def test_root_of_the_squared_condition_alone_is_rejected(self):
@@ -304,7 +302,7 @@ class TestResonance:
         # a pole of f without a root: the Newton steps end on a point that does not solve h = 0
         table = DielectricTable([500, 1300], [-10.0, 1.0])
         with pytest.raises(ResonanceSolveError, match=r"^no resonance inside \[500, 1300\] nm$"):
-            resonance_wavelength(HoleArrayGeometry(700.0, 200, (1, 0), 2.25, metal=table))
+            resonance_wavelength(HoleArrayGeometry(700.0, (1, 0), 2.25, metal=table))
 
     def test_grid_of_periods_modes_and_substrates(self):
         # every grid row with a root solves to it, and every other row raises
@@ -313,7 +311,7 @@ class TestResonance:
             for mode in ((1, 0), (1, 1), (2, 0), (2, 1), (2, 2)):
                 for period in np.arange(300.0, 1300.0, 5.0).tolist():
                     try:
-                        lam = resonance_wavelength(HoleArrayGeometry(period, 200, mode, eps_d, GOLD))
+                        lam = resonance_wavelength(HoleArrayGeometry(period, mode, eps_d, GOLD))
                     except ResonanceSolveError as exc:
                         assert str(exc) == "no resonance inside [500, 1300] nm"
                         raised += 1
@@ -325,17 +323,17 @@ class TestResonance:
 
 class TestDispersion:
     def test_normal_incidence(self):
-        geom = HoleArrayGeometry(700, 200, (1, 1), 2.25, GOLD)
+        geom = HoleArrayGeometry(700, (1, 1), 2.25, GOLD)
         k = dispersion_match(geom)
         g = 2 * math.pi / 700
         assert np.allclose(k, [g, g], atol=1e-15)
 
     def test_array_of_periods_matches_scalar_rows(self):
         periods = np.array([650.0, 700.0, 733.3])
-        k = dispersion_match(HoleArrayGeometry(periods, 200, (2, 1), 2.25, GOLD))
+        k = dispersion_match(HoleArrayGeometry(periods, (2, 1), 2.25, GOLD))
         assert k.shape == (3, 2)
         for row, period in zip(k, periods):
-            assert np.array_equal(row, dispersion_match(HoleArrayGeometry(period, 200, (2, 1), 2.25, GOLD)))
+            assert np.array_equal(row, dispersion_match(HoleArrayGeometry(period, (2, 1), 2.25, GOLD)))
 
 
 class TestBudget:

@@ -136,7 +136,14 @@ mc_trials = 300
         assert not out.exists()
 
     def test_huge_period_has_no_resonance_inside_the_table(self, tmp_path, capsys):
-        path = write_config(tmp_path, "[design]\nperiod_nm = 1e308\nhole_diameter_nm = 1e307\nmodes = 1,0\n")
+        path = write_config(tmp_path, "[design]\nperiod_nm = 1e308\nmodes = 1,0\n")
+        out = tmp_path / "o"
+        assert main(["design", "--config", str(path), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == "data error: no resonance inside [500, 1300] nm\n"
+        assert not out.exists()
+
+    def test_short_period_has_no_resonance_inside_the_table(self, tmp_path, capsys):
+        path = write_config(tmp_path, "[design]\nperiod_nm = 100\n")
         out = tmp_path / "o"
         assert main(["design", "--config", str(path), "--out", str(out)]) == 3
         assert capsys.readouterr().err == "data error: no resonance inside [500, 1300] nm\n"
@@ -153,6 +160,8 @@ mc_trials = 300
         ("[simulate]\nshot = 5\n", "unknown config key 'shot' in \\[simulate\\]"),
         ("[desing]\nmodes = 1,1\n", "unknown config section \\[desing\\]"),
         ("[DEFAULT]\nseed = 3\n", "unknown config section \\[DEFAULT\\]"),
+        ("[channel]\ntransmittance = 0.5\n", "unknown config key 'transmittance' in \\[channel\\]"),
+        ("[design]\nhole_diameter_nm = 200\n", "unknown config key 'hole_diameter_nm' in \\[design\\]"),
     ])
     def test_unknown_key_or_section(self, tmp_path, capsys, text, match):
         path = write_config(tmp_path, text)
@@ -176,7 +185,6 @@ out = elsewhere
 [channel]
 calibration = none
 werner_visibility = 0.9
-transmittance = 0.5
 depolarizing_extra = 0.1
 contrast_x = 50
 contrast_z = 20
@@ -192,18 +200,17 @@ counts = bundled
 [design]
 dielectric = bundled
 period_nm = 710
-hole_diameter_nm = 180
 eps_substrate = 2.0
 modes = 1,0
 period_sweep = 600:700:50
 """)
         cfg = load_config(path)
         assert (cfg.seed, cfg.out) == (4, Path("elsewhere"))
-        assert (cfg.werner_visibility, cfg.transmittance, cfg.depolarizing_extra) == (0.9, 0.5, 0.1)
+        assert (cfg.werner_visibility, cfg.depolarizing_extra) == (0.9, 0.1)
         assert (cfg.contrast_x, cfg.contrast_z, cfg.inputs, cfg.shots) == (50.0, 20.0, ("H", "D"), 100)
         assert (cfg.max_likelihood, cfg.cp_projection, cfg.mc_trials) == (True, True, 200)
         assert (cfg.counts, cfg.dielectric, cfg.period_nm) == ("bundled", "bundled", 710.0)
-        assert (cfg.hole_diameter_nm, cfg.eps_substrate, cfg.modes) == (180.0, 2.0, ((1, 0),))
+        assert (cfg.eps_substrate, cfg.modes) == (2.0, ((1, 0),))
         assert cfg.period_sweep == (600.0, 700.0, 50.0)
 
     def test_readme_names_every_config_key_and_no_other(self):
@@ -216,8 +223,6 @@ period_sweep = 600:700:50
 
     @pytest.mark.parametrize("command, text, key, over", [
         ("simulate", "[channel]\ncalibration = with_spp\nwerner_visibility = 0.5\n", "[channel] werner_visibility",
-         "[channel] calibration"),
-        ("simulate", "[channel]\ncalibration = without_spp\ntransmittance = 0.5\n", "[channel] transmittance",
          "[channel] calibration"),
         ("simulate", "[channel]\ndepolarizing_extra = 0.1\ncalibration = with_spp\n", "[channel] depolarizing_extra",
          "[channel] calibration"),
@@ -638,10 +643,10 @@ _FUZZ_VALUES = (
 # and a valid value of each key, so that more runs get past the config
 _FUZZ_VALID = {
     "seed": "7", "out": "{dir}/elsewhere", "calibration": "with_spp", "werner_visibility": "0.9",
-    "transmittance": "0.008", "depolarizing_extra": "0.1", "contrast_x": "77.5", "contrast_z": "29.7",
-    "inputs": "H, D, R", "shots": "300", "max_likelihood": "true", "cp_projection": "true", "mc_trials": "200",
-    "counts": "bundled", "dielectric": "bundled", "period_nm": "800", "hole_diameter_nm": "250",
-    "eps_substrate": "1.0", "modes": "1,0;2,1", "period_sweep": "650:750:10",
+    "depolarizing_extra": "0.1", "contrast_x": "77.5", "contrast_z": "29.7", "inputs": "H, D, R", "shots": "300",
+    "max_likelihood": "true", "cp_projection": "true", "mc_trials": "200", "counts": "bundled",
+    "dielectric": "bundled", "period_nm": "800", "eps_substrate": "1.0", "modes": "1,0;2,1",
+    "period_sweep": "650:750:10",
 }
 _FUZZ_ENTRY = st.sampled_from([(key.section, name) for name, key in CONFIG_KEYS.items()]).flatmap(
     lambda entry: st.tuples(st.just(entry), st.sampled_from(_FUZZ_VALUES) | st.just(_FUZZ_VALID[entry[1]])))
@@ -688,19 +693,25 @@ _FUZZ_FIELDS = st.sampled_from([
     str(counts_mod.MAX_COUNT + 1).encode(), b"1" * 5000, b'"', b"a\nb", b"with_spp", b"chsh", b"fidelity", b"phi",
     b"++", b"0-22.5", b"PsiPlus/H",
 ]) | st.binary(max_size=6) | st.just(b"7" * 200_000)
-_COUNTS_EDIT = st.one_of(
-    st.tuples(st.just("drop"), st.integers(0, len(_COUNTS_ROWS) - 1)),
-    st.tuples(st.just("duplicate"), st.integers(0, len(_COUNTS_ROWS) - 1)),
-    st.tuples(st.just("swap"), st.integers(1, len(_COUNTS_ROWS) - 1), st.integers(1, len(_COUNTS_ROWS) - 1)),
-    st.tuples(st.just("rewrite"), st.integers(0, len(_COUNTS_ROWS) - 1), st.integers(0, 4), _FUZZ_FIELDS),
-    st.tuples(st.just("add column"), _FUZZ_FIELDS),
-)
 
 
-@settings(max_examples=100, deadline=None)
-@given(edits=st.lists(_COUNTS_EDIT, max_size=4))
-def test_fuzzed_counts_csv_exits_0_or_3_and_keeps_the_contract(tmp_path_factory, edits):
-    rows = [list(row) for row in _COUNTS_ROWS]
+def _csv_edits(rows, fields):
+    """Edits of a CSV's rows: drop, duplicate or swap a row, rewrite one of its cells with one of `fields`,
+    add a column to every row or one more field to a row."""
+    n = len(rows)
+    return st.lists(st.one_of(
+        st.tuples(st.just("drop"), st.integers(0, n - 1)),
+        st.tuples(st.just("duplicate"), st.integers(0, n - 1)),
+        st.tuples(st.just("swap"), st.integers(1, n - 1), st.integers(1, n - 1)),
+        st.tuples(st.just("rewrite"), st.integers(0, n - 1), st.integers(0, len(rows[0]) - 1), fields),
+        st.tuples(st.just("add column"), fields),
+        st.tuples(st.just("add field"), st.integers(0, n - 1), fields),
+    ), max_size=4)
+
+
+def _edited_csv(path, rows, edits):
+    """Write `rows`, as `edits` changed them, to `path`."""
+    rows = [list(row) for row in rows]
     for op, *args in edits:  # at most 4 drops, so rows is never empty
         if op == "drop":
             del rows[args[0] % len(rows)]
@@ -712,14 +723,41 @@ def test_fuzzed_counts_csv_exits_0_or_3_and_keeps_the_contract(tmp_path_factory,
         elif op == "rewrite":
             row = rows[args[0] % len(rows)]
             row[args[1] % len(row)] = args[2]
+        elif op == "add field":
+            rows[args[0] % len(rows)].append(args[1])
         else:
             for row in rows:
                 row.append(args[0])
+    path.write_bytes(b"".join(b",".join(row) + b"\n" for row in rows))
+    return path
+
+
+@settings(max_examples=100, deadline=None)
+@given(edits=_csv_edits(_COUNTS_ROWS, _FUZZ_FIELDS))
+def test_fuzzed_counts_csv_exits_0_or_3_and_keeps_the_contract(tmp_path_factory, edits):
     root = tmp_path_factory.mktemp("fuzz")
-    counts = root / "counts.csv"
-    counts.write_bytes(b"".join(b",".join(row) + b"\n" for row in rows))
+    counts = _edited_csv(root / "counts.csv", _COUNTS_ROWS, edits)
     cfg = write_config(root, f"[tomography]\nmc_trials = 100\n\n[analyze]\ncounts = {counts}\n")
     assert _run_keeps_the_contract("analyze", cfg, root / "o") in (0, 3)
+
+
+# the bundled gold table's lines, as the fields of each, and the text a fuzzed field may take: the fields
+# above and numbers at and beyond float's range
+_DIELECTRIC_ROWS = [line.encode().split(b",") for line in
+                    (resources.files("spp_teleport.data") / "gold_dielectric.csv").read_text().splitlines()]
+_DIELECTRIC_FIELDS = _FUZZ_FIELDS | st.sampled_from([
+    b"500", b"-2.55", b"1300", b"-2.25", b"0", b"1e308", b"-1e308", b"1e400", b"5e-324", b"nan", b"-inf", b"1e3",
+])
+
+
+@settings(max_examples=100, deadline=None)
+@given(edits=_csv_edits(_DIELECTRIC_ROWS, _DIELECTRIC_FIELDS))
+def test_fuzzed_dielectric_csv_exits_0_or_3_and_keeps_the_contract(tmp_path_factory, edits):
+    root = tmp_path_factory.mktemp("fuzz")
+    table = _edited_csv(root / "eps.csv", _DIELECTRIC_ROWS, edits)
+    # every (period, mode) row of this sweep has its resonance inside the bundled table
+    cfg = write_config(root, f"[design]\ndielectric = {table}\nmodes = 1,1;1,0\nperiod_sweep = 400:800:100\n")
+    assert _run_keeps_the_contract("design", cfg, root / "o") in (0, 3)
 
 
 # the bundled gold table's range on a 0.01 nm grid, for an oracle of where a resonance exists
@@ -1005,7 +1043,7 @@ class TestDesignCommand:
         assert [(r["m1"], r["m2"]) for r in rows[:4]] == [(1, 0), (1, 1), (1, 0), (1, 1)]
         table = channel.gold_dielectric_table()
         for row in rows:
-            geom = channel.HoleArrayGeometry(row["period_nm"], 200.0, (row["m1"], row["m2"]), 2.25,
+            geom = channel.HoleArrayGeometry(row["period_nm"], (row["m1"], row["m2"]), 2.25,
                                              metal=table)
             assert row["resonance_nm"] == channel.resonance_wavelength(geom)
             k = channel.dispersion_match(geom)
@@ -1024,6 +1062,7 @@ class TestDesignCommand:
         ("500,nan,1", "non-finite value"),
         ("500,-2,inf", "non-finite value"),
         ("1300,-70,6", "repeated wavelength"),
+        ("500,-2.55,3.90,junk", "more fields than the header"),
     ])
     def test_bad_dielectric_csv_exits_3(self, tmp_path, capsys, row, problem):
         eps = tmp_path / "eps.csv"
@@ -1036,7 +1075,7 @@ class TestDesignCommand:
     # HoleArrayGeometry's checks: every mode is checked before the first solve
     @pytest.mark.parametrize("text, message", [
         ("[design]\nmodes = 1,1;0,0\n", "mode (0, 0) does not excite a plasmon"),
-        ("[design]\nperiod_nm = 100\n", "need period > hole diameter > 0"),
+        ("[design]\nperiod_nm = 0\n", "need period > 0"),
     ])
     def test_geometry_rejected_by_the_hole_array_exits_2(self, tmp_path, capsys, text, message):
         cfg = write_config(tmp_path, text)

@@ -268,9 +268,17 @@ class TestLoading:
 
     def test_non_integer_count(self, tmp_path):
         path = tmp_path / "c.csv"
-        path.write_text("kind,block,setting,outcome,count\nchsh,with_spp,0-22.5,++,12.5\n")
-        with pytest.raises(CountsDataError, match=r"^line 2: count '12.5' is not an integer$"):
-            load_counts_csv(path, "chsh", "with_spp")
+        # int() alone takes all but the first: a count is ASCII digits
+        for count in ("12.5", "71_100", " 71100", "71100 ", "+71100", "\u0667\u0661\u0661\u0660\u0660"):
+            path.write_text(f"kind,block,setting,outcome,count\nchsh,with_spp,0-22.5,++,{count}\n", encoding="utf-8")
+            with pytest.raises(CountsDataError, match=f"^line 2: count {re.escape(repr(count))} is not an integer$"):
+                load_counts_csv(path, "chsh", "with_spp")
+
+    def test_row_longer_than_the_header_is_a_data_error(self, tmp_path):
+        path = _bundled_with(tmp_path, lambda lines: [
+            line + ",99" if line.startswith("chsh,without_spp,0-22.5,++,") else line for line in lines])
+        with pytest.raises(CountsDataError, match="^line 2: more fields than the header$"):
+            CountsFile(path)
 
     def test_max_count_is_the_poisson_limit(self, tmp_path):
         def edit(lines, count):

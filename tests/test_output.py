@@ -41,7 +41,7 @@ def reference_design_rows(periods, modes, eps_substrate):
     table = channel.gold_dielectric_table()
     columns = []
     for mode in modes:
-        geom = channel.HoleArrayGeometry(periods, 200.0, mode, eps_substrate, metal=table)
+        geom = channel.HoleArrayGeometry(periods, mode, eps_substrate, metal=table)
         lam = channel.resonance_wavelength(geom)
         k_spp = channel.dispersion_match(geom)
         k_mag = np.sqrt(k_spp[:, None, :] @ k_spp[:, :, None])[:, 0, 0]
