@@ -8,7 +8,6 @@ teleportation fidelities.
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 from dataclasses import dataclass
@@ -16,12 +15,8 @@ from importlib import resources
 
 import numpy as np
 
+from . import output
 from .qcore import MixedState, bloch_of, state_from_bloch
-
-
-class ChannelParameterError(ValueError):
-    """A channel or hole-array geometry value outside its admissible range: a
-    configuration error, since every such value comes from the run's config."""
 
 
 class ResonanceSolveError(RuntimeError):
@@ -40,10 +35,6 @@ class EomModel:
     contrast_x: float = 77.5
     contrast_z: float = 29.7
 
-    def __post_init__(self):
-        if self.contrast_x <= 1 or self.contrast_z <= 1:
-            raise ChannelParameterError("EOM contrast must exceed 1")
-
     @property
     def epsilon_x(self) -> float:
         return 1.0 / (1.0 + self.contrast_x)
@@ -57,22 +48,15 @@ class EomModel:
 class ChannelModel:
     """Noise parameters of the photon-plasmon-photon link.
 
-    werner_visibility is the singlet weight of the source state;
-    depolarizing_extra adds white noise on the teleported qubit beyond the
-    source term; transmittance is the heralded survival probability and
-    never changes the post-selected state.
+    werner_visibility is the singlet weight of the source state; depolarizing_extra adds white
+    noise on the teleported qubit beyond the source term; transmittance is the heralded survival
+    probability and never changes the post-selected state. cli.CONFIG_KEYS checks a config's values.
     """
 
     werner_visibility: float = 1.0
     transmittance: float = 1.0
     eom: EomModel | None = None
     depolarizing_extra: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.werner_visibility <= 1.0:
-            raise ChannelParameterError(f"werner_visibility {self.werner_visibility} not in [0,1]")
-        if not 0.0 <= self.depolarizing_extra <= 1.0:
-            raise ChannelParameterError(f"depolarizing_extra {self.depolarizing_extra} not in [0,1]")
 
     @property
     def bloch_shrink(self) -> float:
@@ -86,8 +70,6 @@ def apply_channel(rho: MixedState, model: ChannelModel) -> tuple[MixedState, flo
 
     Returns the post-selected (heralded) state and the survival probability.
     """
-    if rho.dim != 2:
-        raise ChannelParameterError("apply_channel acts on single-qubit states")
     return state_from_bloch(model.bloch_shrink * bloch_of(rho)), model.transmittance
 
 
@@ -117,27 +99,17 @@ class DielectricTable:
 def load_dielectric_table(path) -> DielectricTable:
     """Read a CSV with header wavelength_nm, eps_re, eps_im, all finite; keeps eps_re only."""
     eps_re = {}  # by wavelength, in file order
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
+    columns = ("wavelength_nm", "eps_re", "eps_im")
+    for where, row in output.read_csv(path, columns, ResonanceSolveError, "dielectric CSV", "dielectric CSV line {}"):
         try:
-            required = {"wavelength_nm", "eps_re", "eps_im"}
-            if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-                raise ResonanceSolveError(f"dielectric CSV must have columns {sorted(required)}")
-            for row in reader:
-                where = f"dielectric CSV line {reader.line_num}"
-                if None in row:  # DictReader's key for the fields beyond the header's
-                    raise ResonanceSolveError(f"{where}: more fields than the header")
-                try:
-                    w, re, im = (float(row[k]) for k in ("wavelength_nm", "eps_re", "eps_im"))
-                except (TypeError, ValueError):
-                    raise ResonanceSolveError(f"{where}: non-numeric value") from None
-                if not all(map(math.isfinite, (w, re, im))):
-                    raise ResonanceSolveError(f"{where}: non-finite value")
-                if w in eps_re:
-                    raise ResonanceSolveError(f"{where}: repeated wavelength {w:g} nm")
-                eps_re[w] = re
-        except csv.Error as exc:  # e.g. an over-long field; reader.line_num is the last good row's
-            raise ResonanceSolveError(f"dielectric CSV line {reader.reader.line_num}: {exc}") from None
+            w, re, im = map(float, row)
+        except (TypeError, ValueError):
+            raise ResonanceSolveError(f"{where}: non-numeric value") from None
+        if not all(map(math.isfinite, (w, re, im))):
+            raise ResonanceSolveError(f"{where}: non-finite value")
+        if w in eps_re:
+            raise ResonanceSolveError(f"{where}: repeated wavelength {w:g} nm")
+        eps_re[w] = re
     return DielectricTable(list(eps_re), list(eps_re.values()))
 
 
@@ -153,22 +125,13 @@ def gold_dielectric_table() -> DielectricTable:
 class HoleArrayGeometry:
     """Square hole array in `metal` on a substrate of permittivity `eps_substrate`, lit at normal
     incidence; `period_nm` is one period or a 1-D array of periods, and `mode` one
-    (m1, m2) pair or an (n, 2) integer array of one mode per period."""
+    (m1, m2) pair or an (n, 2) integer array of one mode per period. cli.CONFIG_KEYS checks the
+    periods and modes a config gives."""
 
     period_nm: float | np.ndarray
     mode: tuple[int, int] | np.ndarray
     eps_substrate: float
     metal: DielectricTable
-
-    def __post_init__(self):
-        period = np.asarray(self.period_nm, dtype=float)
-        if period.ndim > 1 or not np.all(period > 0):
-            raise ChannelParameterError("need period > 0")
-        mode = np.asarray(self.mode)
-        if mode.dtype.kind not in "iu" or mode.shape not in ((2,), (*period.shape, 2)):
-            raise ChannelParameterError("mode must be an integer pair, or one integer pair per period")
-        if not mode.any(axis=-1).all():
-            raise ChannelParameterError("mode (0, 0) does not excite a plasmon")
 
 
 def resonance_wavelength(geom: HoleArrayGeometry) -> float | np.ndarray:

@@ -61,9 +61,7 @@ def _parse_modes(text: str) -> tuple:
     return tuple(modes)
 
 
-def _parse_sweep(text: str) -> tuple | None:
-    if not text.strip():
-        return None
+def _parse_sweep(text: str) -> tuple:
     try:
         start, stop, step = (float(x) for x in text.split(":"))
     except ValueError:
@@ -86,22 +84,30 @@ def _check_inputs(inputs) -> str | None:
     return f"inputs must not repeat a label, got {list(inputs)}" if len(set(inputs)) < len(inputs) else None
 
 
+def _unit_interval(name: str):
+    return lambda value: None if 0.0 <= value <= 1.0 else f"{name} {value} not in [0,1]"
+
+
+def _contrast(value) -> str | None:  # None: unset
+    return "EOM contrast must exceed 1" if value is not None and value <= 1 else None
+
+
 # A row of CONFIG_KEYS: parse maps the key's INI text to its value or raises ValueError; check returns what
 # is wrong with a value, or None; overridden_by names the key that replaces this one away from its default.
 _Key = collections.namedtuple("_Key", "section parse default check overridden_by", defaults=(None, None))
 
 # Every key a config may hold, in the order validate checks them; a key's name is its RunConfig attribute.
-# ChannelModel, EomModel and HoleArrayGeometry check the physics of the channel and design values.
+# The table checks every value: ChannelModel, EomModel and HoleArrayGeometry take what they are given.
 CONFIG_KEYS = {
     "seed": _Key("run", int, 0, lambda seed: f"seed must be >= 0, got {seed}" if seed < 0 else None),
     "out": _Key("run", lambda text: Path(text) if text else None, Path("results"),  # Path("") would be "."
                 lambda out: "out must name a directory, got an empty value" if out is None else None),
     "calibration": _Key("channel", str, "none", lambda name: None if name in ("none", "with_spp", "without_spp")
                         else f"unknown calibration {name!r}"),
-    "werner_visibility": _Key("channel", _finite_float, 1.0, overridden_by="calibration"),
-    "depolarizing_extra": _Key("channel", _finite_float, 0.0, overridden_by="calibration"),
-    "contrast_x": _Key("channel", _finite_float, None, overridden_by="calibration"),  # None: EomModel's default
-    "contrast_z": _Key("channel", _finite_float, None, overridden_by="calibration"),
+    "werner_visibility": _Key("channel", _finite_float, 1.0, _unit_interval("werner_visibility"), "calibration"),
+    "depolarizing_extra": _Key("channel", _finite_float, 0.0, _unit_interval("depolarizing_extra"), "calibration"),
+    "contrast_x": _Key("channel", _finite_float, None, _contrast, "calibration"),  # None: EomModel's default
+    "contrast_z": _Key("channel", _finite_float, None, _contrast, "calibration"),
     "inputs": _Key("simulate", lambda text: tuple(s.strip() for s in text.split(",") if s.strip()),
                    protocol.INPUT_LABELS, _check_inputs),
     "shots": _Key("simulate", int, 10_000,
@@ -112,11 +118,14 @@ CONFIG_KEYS = {
                       else f"mc_trials must be <= 2**53, got {n}" if n > tomo.MAX_TRIALS else None),
     "counts": _Key("analyze", str, "bundled"),
     "dielectric": _Key("design", str, "bundled"),
-    "period_nm": _Key("design", _finite_float, 700.0, overridden_by="period_sweep"),
+    "period_nm": _Key("design", _finite_float, 700.0, lambda p: None if p > 0 else "need period > 0",
+                      "period_sweep"),
     "eps_substrate": _Key("design", _finite_float, 2.25),
     "modes": _Key("design", _parse_modes, ((1, 1), (1, 0)),
-                  lambda m: f"modes must not repeat a mode, got {list(m)}" if len(set(m)) < len(m) else None),
-    "period_sweep": _Key("design", _parse_sweep, None),  # (start, stop, step)
+                  lambda m: f"modes must not repeat a mode, got {list(m)}" if len(set(m)) < len(m)
+                  else "mode (0, 0) does not excite a plasmon" if (0, 0) in m else None),
+    "period_sweep": _Key("design", _parse_sweep, None,  # (start, stop, step), so every period is >= start
+                         lambda sweep: "need period > 0" if sweep and sweep[0] <= 0 else None),
 }
 
 
@@ -312,7 +321,7 @@ def cmd_design(cfg: RunConfig) -> dict:
     periods = np.arange(sweep[0], sweep[1] + sweep[2] / 2, sweep[2]) if sweep else np.array([cfg.period_nm])
     # one solve over every row; row i * n_modes + j is period i, mode j
     modes = np.array(cfg.modes, dtype=np.int64)
-    # the geometry comes from the config and is checked before the solve
+    # validate has checked every period and mode
     geom = channel_mod.HoleArrayGeometry(np.repeat(periods, len(modes)), np.tile(modes, (len(periods), 1)),
                                          cfg.eps_substrate, metal=table)
     lam = channel_mod.resonance_wavelength(geom)
@@ -355,7 +364,7 @@ def main(argv=None) -> int:
         cfg.out.mkdir(parents=True, exist_ok=True)
         for name, text in files.items():
             (cfg.out / name).write_text(text, newline="")
-    except (ConfigError, channel_mod.ChannelParameterError) as exc:  # a channel or geometry value of the config
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (counts_mod.CountsDataError, channel_mod.ResonanceSolveError, tomo.TomographyError, OSError,

@@ -7,13 +7,13 @@ with/without plasmon block. Schema: kind, block, setting, outcome, count.
 
 from __future__ import annotations
 
-import csv
 import re
 from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
 
+from . import output
 from .protocol import INPUT_LABELS, OUTCOMES
 
 CHSH_OUTCOMES = ("++", "+-", "-+", "--")
@@ -77,32 +77,23 @@ class CountsFile:
 
     def __init__(self, path):
         self._counts = {}  # by (kind, block, setting, outcome)
-        with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
+        columns = ("kind", "block", "setting", "outcome", "count")
+        for line, row in output.read_csv(path, columns, CountsDataError, "counts CSV", "line {}"):
+            key, count = row[:4], row[4]
+            if key not in _ROWS:
+                raise CountsDataError(f"{line}: no statistic reads the row {key}")
             try:
-                columns = ("kind", "block", "setting", "outcome", "count")
-                if reader.fieldnames is None or not set(columns).issubset(reader.fieldnames):
-                    raise CountsDataError(f"counts CSV must have columns {sorted(columns)}")
-                for row in reader:
-                    line, key = reader.line_num, tuple(map(row.get, columns[:4]))
-                    if None in row:  # DictReader's key for the fields beyond the header's
-                        raise CountsDataError(f"line {line}: more fields than the header")
-                    if key not in _ROWS:
-                        raise CountsDataError(f"line {line}: no statistic reads the row {key}")
-                    try:
-                        # int() alone also takes "1_0" and " 7"; a failed match is None, and None[0] a TypeError
-                        c = int(re.fullmatch("-?[0-9]+", row["count"])[0])
-                    except (TypeError, ValueError):
-                        raise CountsDataError(f"line {line}: count {row['count']!r} is not an integer") from None
-                    if c < 0:
-                        raise CountsDataError(f"line {line}: negative count for outcome {key[3]!r}")
-                    if c > MAX_COUNT:
-                        raise CountsDataError(f"line {line}: count {c} is above the Poisson limit {MAX_COUNT}")
-                    if key in self._counts:
-                        raise CountsDataError(f"line {line}: duplicate row for setting {key[2]!r}, outcome {key[3]!r}")
-                    self._counts[key] = c
-            except csv.Error as exc:  # e.g. an over-long field; reader.line_num is the last good row's
-                raise CountsDataError(f"line {reader.reader.line_num}: {exc}") from None
+                # int() alone also takes "1_0" and " 7"; a failed match is None, and None[0] a TypeError
+                c = int(re.fullmatch("-?[0-9]+", count)[0])
+            except (TypeError, ValueError):
+                raise CountsDataError(f"{line}: count {count!r} is not an integer") from None
+            if c < 0:
+                raise CountsDataError(f"{line}: negative count for outcome {key[3]!r}")
+            if c > MAX_COUNT:
+                raise CountsDataError(f"{line}: count {c} is above the Poisson limit {MAX_COUNT}")
+            if key in self._counts:
+                raise CountsDataError(f"{line}: duplicate row for setting {key[2]!r}, outcome {key[3]!r}")
+            self._counts[key] = c
 
     def table(self, kind: str, block: str) -> CountsTable:
         counts = tuple(tuple(map(self._counts.get, keys)) for keys in _KEYS[kind, block])

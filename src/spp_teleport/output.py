@@ -1,5 +1,6 @@
-"""The formats of every file the commands write: each encoder returns the
-text of a file, and ``cli.main`` writes it.
+"""The formats of every file the commands read and write: ``read_csv`` reads
+the counts and dielectric CSVs, and each encoder returns the text of a file,
+which ``cli.main`` writes.
 
 JSON: 2-space indent, sorted keys, shortest round-trip floats
 (``float.__repr__``), no NaN or infinity, a trailing newline.
@@ -18,6 +19,7 @@ with their separators in one pass. ``write_json_rows`` fills one
 
 from __future__ import annotations
 
+import csv
 import itertools
 import json
 import math
@@ -29,6 +31,22 @@ _CSV_FLOAT = "%.12g"
 
 def write_json(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def read_csv(path, columns, error, name: str, where: str):
+    """(``where`` formatted with its line number, its values of ``columns``) per row of the CSV ``path``. A
+    header lacking a column raises ``error`` naming ``name``; a longer row or a non-CSV line, naming the line."""
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        try:
+            if reader.fieldnames is None or not set(columns).issubset(reader.fieldnames):
+                raise error(f"{name} must have columns {sorted(columns)}")
+            for row in reader:
+                if None in row:  # DictReader's key for the fields beyond the header's
+                    raise error(f"{where.format(reader.line_num)}: more fields than the header")
+                yield where.format(reader.line_num), tuple(map(row.get, columns))
+        except csv.Error as exc:  # e.g. an over-long field; reader.line_num is the last good row's
+            raise error(f"{where.format(reader.reader.line_num)}: {exc}") from None
 
 
 def _label(text: str) -> str:

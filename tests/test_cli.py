@@ -149,7 +149,7 @@ mc_trials = 300
         assert capsys.readouterr().err == "data error: no resonance inside [500, 1300] nm\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("sweep", ["600:700:0", "600:700:-5", "700:600:10"])
+    @pytest.mark.parametrize("sweep", ["600:700:0", "600:700:-5", "700:600:10", ""])  # no sweep: leave the key out
     def test_bad_period_sweep(self, tmp_path, sweep):
         path = write_config(tmp_path, f"[design]\nperiod_sweep = {sweep}\n")
         with pytest.raises(ConfigError, match="period_sweep"):
@@ -432,6 +432,40 @@ modes = 1,0
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "finite" in err and err.count("\n") == 1
         assert not out.exists()
+
+    # per key with a check: config texts it rejects, each with the message every command gives for it
+    BAD_VALUES = {
+        "seed": {"[run]\nseed = -1\n": "seed must be >= 0, got -1"},
+        "out": {"[run]\nout =\n": "out must name a directory, got an empty value"},
+        "calibration": {"[channel]\ncalibration = both\n": "unknown calibration 'both'"},
+        "werner_visibility": {"[channel]\nwerner_visibility = 1.5\n": "werner_visibility 1.5 not in [0,1]"},
+        "depolarizing_extra": {"[channel]\ndepolarizing_extra = -0.1\n": "depolarizing_extra -0.1 not in [0,1]"},
+        "contrast_x": {"[channel]\ncontrast_x = 0.5\n": "EOM contrast must exceed 1"},
+        "contrast_z": {"[channel]\ncontrast_z = 1\n": "EOM contrast must exceed 1"},
+        "inputs": {"[simulate]\ninputs = H,Q\n": "inputs must be labels from ('H', 'V', 'D', 'A', 'R', 'L'), "
+                                                 "got ['H', 'Q']"},
+        "shots": {"[simulate]\nshots = 0\n": "shots must be in [1, 2**63 - 1], got 0"},
+        "mc_trials": {"[tomography]\nmc_trials = 99\n": "mc_trials must be >= 100, got 99"},
+        "period_nm": {"[design]\nperiod_nm = 0\n": "need period > 0"},
+        "modes": {"[design]\nmodes = 1,1;0,0\n": "mode (0, 0) does not excite a plasmon",
+                  "[design]\nmodes = 0,0;1,1\n": "mode (0, 0) does not excite a plasmon",
+                  "[design]\nmodes = 1,1;1,1\n": "modes must not repeat a mode, got [(1, 1), (1, 1)]"},
+        "period_sweep": {"[design]\nperiod_sweep = -150:700:50\n": "need period > 0",
+                         "[design]\nperiod_sweep = 0:700:50\n": "need period > 0",
+                         "[design]\nperiod_sweep =\n": "bad value for [design] period_sweep: expected 'start:stop:step'"},
+    }
+
+    @pytest.mark.parametrize("command", ["simulate", "analyze", "design"])
+    def test_every_check_exits_2_under_every_command(self, tmp_path, capsys, monkeypatch, command):
+        # every check runs before any command does: one config gets one answer from every command
+        assert {name for name, key in CONFIG_KEYS.items() if key.check} <= self.BAD_VALUES.keys()
+        monkeypatch.chdir(tmp_path)  # where [run] out = results, the default, would go
+        for cases in self.BAD_VALUES.values():
+            for text, message in cases.items():
+                path = write_config(tmp_path, text)
+                assert main([command, "--config", str(path)]) == 2, text
+                assert capsys.readouterr().err == f"config error: {message}\n"
+                assert sorted(p.name for p in tmp_path.iterdir()) == ["run.ini"]
 
 
     @pytest.mark.parametrize("text, message", [
@@ -1072,7 +1106,7 @@ class TestDesignCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"data error: dielectric CSV line 3: {problem}") and err.count("\n") == 1
 
-    # HoleArrayGeometry's checks: every mode is checked before the first solve
+    # the geometry checks of CONFIG_KEYS: every mode is checked before the first solve
     @pytest.mark.parametrize("text, message", [
         ("[design]\nmodes = 1,1;0,0\n", "mode (0, 0) does not excite a plasmon"),
         ("[design]\nperiod_nm = 0\n", "need period > 0"),
