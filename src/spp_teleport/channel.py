@@ -121,31 +121,22 @@ def gold_dielectric_table() -> DielectricTable:
     return load_dielectric_table(path)
 
 
-@dataclass(frozen=True)
-class HoleArrayGeometry:
-    """Square hole array in `metal` on a substrate of permittivity `eps_substrate`, lit at normal
-    incidence; `period_nm` is one period or a 1-D array of periods, and `mode` one
-    (m1, m2) pair or an (n, 2) integer array of one mode per period. cli.CONFIG_KEYS checks the
-    periods and modes a config gives."""
+def resonance_wavelength(period_nm, mode, eps_substrate: float, metal: DielectricTable) -> np.ndarray:
+    """Resonance wavelength of the (m1, m2) mode of a square hole array in `metal` on a substrate of
+    permittivity eps_d = `eps_substrate`, lit at normal incidence: the root of h = s sqrt(f) - lambda,
+    s = P/|m|, f = eps_d eps_m / (eps_d + eps_m), eps_m read from the table. `period_nm` is a 1-D array
+    of periods and `mode` one (m1, m2) pair or an (n, 2) integer array of one mode per period;
+    cli.CONFIG_KEYS checks the periods and modes a config gives.
 
-    period_nm: float | np.ndarray
-    mode: tuple[int, int] | np.ndarray
-    eps_substrate: float
-    metal: DielectricTable
-
-
-def resonance_wavelength(geom: HoleArrayGeometry) -> float | np.ndarray:
-    """Resonance wavelength of the (m1, m2) mode at the metal-substrate interface: the root of
-    h = s sqrt(f) - lambda, s = P/|m|, f = eps_d eps_m / (eps_d + eps_m), eps_m read from the table.
-
-    One array pass solves all periods, each with its own mode if the geometry has one per period. Each
+    One array pass solves all periods and returns one wavelength per period. Each
     takes the first table segment on whose nodes h goes from + to - (h is +inf where f < 0, its limit at
     a pole of f). There eps_m is linear, so safeguarded Newton steps solve the squared condition, the
     cubic lambda^2 (eps_d + eps_m) - s^2 eps_d eps_m = 0, each period stopping at its own step. The root
-    gives s sqrt(f); a period without such a segment, or whose root misses f > 0 or h = 0, raises."""
-    eps_d, wl, eps = geom.eps_substrate, geom.metal.wavelengths_nm, geom.metal.eps_re
-    mode = np.asarray(geom.mode).reshape(-1, 2)  # |m| by math.hypot: np.hypot differs on some, such as (47, 28)
-    scale = np.atleast_1d(geom.period_nm) / np.frompyfunc(math.hypot, 2, 1)(mode[:, 0], mode[:, 1]).astype(float)
+    gives s sqrt(f); a period without such a segment, or whose root misses f > 0 or h = 0, raises. The
+    returned lambda lies within 1e-9 relative of the root, and h(lambda) itself can be large beside a pole."""
+    eps_d, wl, eps = eps_substrate, metal.wavelengths_nm, metal.eps_re
+    mode = np.asarray(mode).reshape(-1, 2)  # |m| by math.hypot: np.hypot differs on some, such as (47, 28)
+    scale = period_nm / np.frompyfunc(math.hypot, 2, 1)(mode[:, 0], mode[:, 1]).astype(float)
     with np.errstate(all="ignore"):
         f_node = eps_d * eps / (eps_d + eps)
         root_f = np.where(f_node >= 0, np.sqrt(f_node), np.inf)  # h = s root_f - lambda at the nodes
@@ -164,57 +155,48 @@ def resonance_wavelength(geom: HoleArrayGeometry) -> float | np.ndarray:
             nxt = np.where(active, np.where(take, newton, 0.5 * (lo + hi)), x)
             step, x = nxt - x, nxt
             active &= np.abs(step) > 1e-13 * np.abs(x)  # the next Newton step would be below rounding
-        factor = eps_d * (eps_m := geom.metal(x)) / (eps_d + eps_m)
+        factor = eps_d * (eps_m := metal(x)) / (eps_d + eps_m)
         lam = scale * np.sqrt(factor)
     if not np.all(bracket.any(axis=0) & (factor > 0) & (np.abs(lam - x) <= 1e-9 * x)):
         raise ResonanceSolveError("degenerate dielectric/metal combination" if np.any(eps_d + eps == 0) else
                                   "no bound surface mode for these dielectric constants" if np.all(f_node < 0)
                                   else f"no resonance inside [{wl[0]:.0f}, {wl[-1]:.0f}] nm")
-    return lam if np.ndim(geom.period_nm) else float(lam[0])
+    return lam
 
 
-def dispersion_match(geom: HoleArrayGeometry) -> np.ndarray:
-    """Momentum-matched plasmon wavevector m1 b1 + m2 b2 (rad/nm) at normal
-    incidence, one row per period."""
-    g = 2.0 * math.pi / np.asarray(geom.period_nm, dtype=float)
-    return np.asarray(geom.mode) * g[..., None]
+def dispersion_match(period_nm, mode) -> np.ndarray:
+    """Momentum-matched plasmon wavevector m1 b1 + m2 b2 (rad/nm) at normal incidence, one row per
+    period of the 1-D `period_nm`; `mode` as for resonance_wavelength."""
+    g = 2.0 * math.pi / np.asarray(period_nm, dtype=float)
+    return np.asarray(mode) * g[..., None]
 
 
 # ---------------------------------------------------------------------------
 # fidelity budget
 
 
-@dataclass(frozen=True)
-class FidelityBudget:
-    f_source: float
-    f_bsm: float
-    f_spp: float
-    f_eom_x: float
-    f_eom_z: float
-    f_oe: float
-
-
 # Measured component fidelities of the experiment, per configuration.
-BUDGET_WITHOUT_SPP = FidelityBudget(
-    f_source=0.9834, f_bsm=0.9787, f_spp=0.9730,
-    f_eom_x=0.9763, f_eom_z=0.9916, f_oe=0.9847,
-)
-BUDGET_WITH_SPP = FidelityBudget(
-    f_source=0.9834, f_bsm=0.9787, f_spp=0.9730,
-    f_eom_x=0.9561, f_eom_z=0.9680, f_oe=0.9847,
-)
+BUDGET_WITHOUT_SPP = {
+    "f_source": 0.9834, "f_bsm": 0.9787, "f_spp": 0.9730,
+    "f_eom_x": 0.9763, "f_eom_z": 0.9916, "f_oe": 0.9847,
+}
+BUDGET_WITH_SPP = {
+    "f_source": 0.9834, "f_bsm": 0.9787, "f_spp": 0.9730,
+    "f_eom_x": 0.9561, "f_eom_z": 0.9680, "f_oe": 0.9847,
+}
 
 SPP_TRANSMITTANCE = 0.008
 
 
-def fidelity_budget_total(budget: FidelityBudget, with_spp: bool) -> float:
-    """Product of the applicable component fidelities.
+def fidelity_budget_total(with_spp: bool) -> float:
+    """Product of the component fidelities of BUDGET_WITH_SPP or BUDGET_WITHOUT_SPP.
 
     Without the plasmonic element the f_spp factor is omitted.
     """
-    total = budget.f_source * budget.f_bsm * budget.f_eom_x * budget.f_eom_z * budget.f_oe
+    b = BUDGET_WITH_SPP if with_spp else BUDGET_WITHOUT_SPP
+    total = b["f_source"] * b["f_bsm"] * b["f_eom_x"] * b["f_eom_z"] * b["f_oe"]
     if with_spp:
-        total *= budget.f_spp
+        total *= b["f_spp"]
     return total
 
 
@@ -234,13 +216,13 @@ def calibrated_channel(with_spp: bool) -> ChannelModel:
     for by the ratio of the with/without component fidelities as extra white
     noise.
     """
-    shrink = _depol_weight(BUDGET_WITH_SPP.f_bsm) * _depol_weight(BUDGET_WITH_SPP.f_oe)
+    shrink = _depol_weight(BUDGET_WITH_SPP["f_bsm"]) * _depol_weight(BUDGET_WITH_SPP["f_oe"])
     if with_spp:
-        shrink *= _depol_weight(BUDGET_WITH_SPP.f_spp)
-        shrink *= _depol_weight(BUDGET_WITH_SPP.f_eom_x / BUDGET_WITHOUT_SPP.f_eom_x)
-        shrink *= _depol_weight(BUDGET_WITH_SPP.f_eom_z / BUDGET_WITHOUT_SPP.f_eom_z)
+        shrink *= _depol_weight(BUDGET_WITH_SPP["f_spp"])
+        shrink *= _depol_weight(BUDGET_WITH_SPP["f_eom_x"] / BUDGET_WITHOUT_SPP["f_eom_x"])
+        shrink *= _depol_weight(BUDGET_WITH_SPP["f_eom_z"] / BUDGET_WITHOUT_SPP["f_eom_z"])
     return ChannelModel(
-        werner_visibility=BUDGET_WITH_SPP.f_source,
+        werner_visibility=BUDGET_WITH_SPP["f_source"],
         transmittance=SPP_TRANSMITTANCE if with_spp else 1.0,
         eom=EomModel(),
         depolarizing_extra=1.0 - shrink,

@@ -97,7 +97,7 @@ def _contrast(value) -> str | None:  # None: unset
 _Key = collections.namedtuple("_Key", "section parse default check overridden_by", defaults=(None, None))
 
 # Every key a config may hold, in the order validate checks them; a key's name is its RunConfig attribute.
-# The table checks every value: ChannelModel, EomModel and HoleArrayGeometry take what they are given.
+# The table checks every value: ChannelModel, EomModel and resonance_wavelength take what they are given.
 CONFIG_KEYS = {
     "seed": _Key("run", int, 0, lambda seed: f"seed must be >= 0, got {seed}" if seed < 0 else None),
     "out": _Key("run", lambda text: Path(text) if text else None, Path("results"),  # Path("") would be "."
@@ -250,12 +250,9 @@ def cmd_simulate(cfg: RunConfig) -> dict:
             "contrast_z": ch.eom.contrast_z if ch.eom else None,
         },
         "budget": {
-            "components": {k: getattr(budget, k) for k in
-                           ("f_source", "f_bsm", "f_spp", "f_eom_x", "f_eom_z", "f_oe")},
-            "total_without_spp": channel_mod.fidelity_budget_total(
-                channel_mod.BUDGET_WITHOUT_SPP, with_spp=False),
-            "total_with_spp": channel_mod.fidelity_budget_total(
-                channel_mod.BUDGET_WITH_SPP, with_spp=True),
+            "components": budget,
+            "total_without_spp": channel_mod.fidelity_budget_total(with_spp=False),
+            "total_with_spp": channel_mod.fidelity_budget_total(with_spp=True),
         },
         "mean_fidelity_exact": mean_exact,
         "mean_fidelity_qst": float(np.mean(fid_qst[estimated])) if estimated.any() else None,
@@ -273,14 +270,16 @@ def cmd_simulate(cfg: RunConfig) -> dict:
 def cmd_analyze(cfg: RunConfig) -> dict:
     blocks = counts_mod.BLOCKS
     tables = counts_mod.CountsFile(counts_mod.bundled_counts_path() if cfg.counts == "bundled" else cfg.counts)
-    values, parts = [], []  # of the four statistics, in use order
+    values, parts, fids = [], [], []  # of the four statistics, in use order; each block's (4, 6) fidelities
     for block in blocks:
         table = tables.table("chsh", block)
         values.append(counts_mod.chsh_s(table))
         parts.append(counts_mod.chsh_counts(table))
-    fids = [counts_mod.fidelity_table(tables.table("fidelity", block)) for block in blocks]
-    values += [result.mean for result in fids]
-    parts += [result.counts for result in fids]
+    for block in blocks:
+        table = tables.table("fidelity", block)
+        fids.append(counts_mod.fidelity_table(table))
+        values.append(float(fids[-1].mean()))
+        parts.append(np.array(table.counts, dtype=float).ravel())  # (phi, perp) per cell: mean_fidelity_values' input
     # one Monte Carlo pass: each statistic reads its own slice of one resampled count vector
     edges = np.cumsum([0, *map(len, parts)])
     stats = [counts_mod.chsh_s_values] * len(blocks) + [counts_mod.mean_fidelity_values] * len(blocks)
@@ -297,11 +296,11 @@ def cmd_analyze(cfg: RunConfig) -> dict:
 
     files = {"chsh.json": output.write_json({block: {"S": v, "std": std, "sigma_vs_local_bound": sigma}
                                              for block, v, std, sigma in zip(blocks, values, stds, sigmas)})}
-    for block, result, std in zip(blocks, fids, stds[len(blocks):]):
+    for block, fid, mean, std in zip(blocks, fids, values[len(blocks):], stds[len(blocks):]):
         files[f"fidelity_{block}.csv"] = output.write_rows([
             ["outcome", *protocol.INPUT_LABELS],
-            *([o.label, *row] for o, row in zip(protocol.OUTCOMES, result.fidelities.tolist())),
-            ["mean", result.mean],
+            *([o.label, *row] for o, row in zip(protocol.OUTCOMES, fid.tolist())),
+            ["mean", mean],
             ["mean_std", std],
         ])
     return {**files, "summary.json": output.write_json([
@@ -322,11 +321,10 @@ def cmd_design(cfg: RunConfig) -> dict:
     # one solve over every row; row i * n_modes + j is period i, mode j
     modes = np.array(cfg.modes, dtype=np.int64)
     # validate has checked every period and mode
-    geom = channel_mod.HoleArrayGeometry(np.repeat(periods, len(modes)), np.tile(modes, (len(periods), 1)),
-                                         cfg.eps_substrate, metal=table)
-    lam = channel_mod.resonance_wavelength(geom)
-    k_spp = channel_mod.dispersion_match(geom)
-    columns = {"period_nm": geom.period_nm, "m1": geom.mode[:, 0], "m2": geom.mode[:, 1], "resonance_nm": lam,
+    period_nm, mode = np.repeat(periods, len(modes)), np.tile(modes, (len(periods), 1))
+    lam = channel_mod.resonance_wavelength(period_nm, mode, cfg.eps_substrate, table)
+    k_spp = channel_mod.dispersion_match(period_nm, mode)
+    columns = {"period_nm": period_nm, "m1": mode[:, 0], "m2": mode[:, 1], "resonance_nm": lam,
                "k_spp_x": k_spp[:, 0], "k_spp_y": k_spp[:, 1], "k_spp_mag": vector_norms(k_spp)}
     return dict(zip(("design.csv", "design.json"), output.write_table(columns, with_json=True)))
 

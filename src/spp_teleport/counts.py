@@ -157,23 +157,13 @@ def mean_fidelity_values(counts) -> np.ndarray:
     return np.mean(c[..., 0::2] / (c[..., 0::2] + c[..., 1::2]), axis=-1)
 
 
-@dataclass(frozen=True)
-class FidelityTableResult:
-    fidelities: np.ndarray  # shape (4, 6): OUTCOMES by INPUT_LABELS
-    mean: float
-    counts: np.ndarray  # shape (48,): (phi, perp) per cell, row-major, as mean_fidelity_values takes them
-
-
-def fidelity_table(table: CountsTable) -> FidelityTableResult:
-    """Per-cell fidelities (OUTCOMES by INPUT_LABELS), their unweighted mean, and the (phi, perp)
-    counts whose resampling through `mean_fidelity_values` gives the mean's Monte Carlo error."""
+def fidelity_table(table: CountsTable) -> np.ndarray:
+    """Per-cell fidelities phi / (phi + perp), shape (4, 6): OUTCOMES by INPUT_LABELS."""
     for label, (phi, perp) in zip(LAYOUT["fidelity"][0], table.counts):  # the first problem in use order
         if phi + perp <= 0:
             raise CountsDataError(f"{_where(table, label)}: zero total counts")
     # Python ints, so phi / (phi + perp) is the correctly rounded quotient
-    fids = np.array([phi / (phi + perp) for phi, perp in table.counts]).reshape(len(OUTCOMES), len(INPUT_LABELS))
-    counts = np.array(table.counts, dtype=float).ravel()
-    return FidelityTableResult(fidelities=fids, mean=float(fids.mean()), counts=counts)
+    return np.array([phi / (phi + perp) for phi, perp in table.counts]).reshape(len(OUTCOMES), len(INPUT_LABELS))
 
 
 def sigma_violation(value: float, bound: float, std: float) -> float:

@@ -51,11 +51,11 @@ def test_02_fidelity_table_reproduction():
     elapsed = time.perf_counter() - t0
     published = {"without_spp": PUBLISHED_WITHOUT_SPP, "with_spp": PUBLISHED_WITH_SPP}
     worst = 0.0
-    for block, res in results.items():
-        diff = np.abs(100 * res.fidelities - published_in_outcome_order(published[block]))
+    for block, fids in results.items():
+        diff = np.abs(100 * fids - published_in_outcome_order(published[block]))
         worst = max(worst, float(diff.max()))
-    mean_wo = 100 * results["without_spp"].mean
-    mean_w = 100 * results["with_spp"].mean
+    mean_wo = 100 * float(results["without_spp"].mean())
+    mean_w = 100 * float(results["with_spp"].mean())
     ok = (worst <= 0.005 + 1e-9
           and abs(mean_wo - 92.67) <= 0.01
           and abs(mean_w - 88.91) <= 0.01
@@ -66,8 +66,8 @@ def test_02_fidelity_table_reproduction():
 
 
 def test_03_fidelity_budget_products():
-    total_wo = 100 * channel.fidelity_budget_total(channel.BUDGET_WITHOUT_SPP, with_spp=False)
-    total_w = 100 * channel.fidelity_budget_total(channel.BUDGET_WITH_SPP, with_spp=True)
+    total_wo = 100 * channel.fidelity_budget_total(with_spp=False)
+    total_w = 100 * channel.fidelity_budget_total(with_spp=True)
     ok = abs(total_wo - 91.75) <= 0.01 and abs(total_w - 85.35) <= 0.01
     _report(3, "budget products 91.75% / 85.35% within 0.01%", ok,
             f"{total_wo:.4f}% / {total_w:.4f}%")
@@ -174,14 +174,12 @@ def test_10_monte_carlo_error_calibration():
 
 
 def test_11_resonance_solver():
-    geom = channel.HoleArrayGeometry(period_nm=700, mode=(1, 1), eps_substrate=2.25,
-                                     metal=channel.gold_dielectric_table())
-    lam = channel.resonance_wavelength(geom)
+    period = np.array([700.0])
+    lam = float(channel.resonance_wavelength(period, (1, 1), 2.25, channel.gold_dielectric_table())[0])
     flat = channel.DielectricTable([300, 2000], [-25.0, -25.0])
     lam_by_mode = {}
     for mode in ((1, 1), (1, 0)):
-        g = channel.HoleArrayGeometry(700, mode, eps_substrate=2.25, metal=flat)
-        lam_by_mode[mode] = channel.resonance_wavelength(g)
+        lam_by_mode[mode] = float(channel.resonance_wavelength(period, mode, 2.25, flat)[0])
     ratio = lam_by_mode[(1, 1)] / lam_by_mode[(1, 0)]
     ok = 769 <= lam <= 849 and abs(ratio - 1 / math.sqrt(2)) <= 1e-12
     _report(11, "gold-on-glass (1,1) resonance in 809 +- 40 nm; mode ratio 1/sqrt(2)", ok,

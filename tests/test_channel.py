@@ -9,7 +9,6 @@ from spp_teleport.channel import (
     ChannelModel,
     DielectricTable,
     EomModel,
-    HoleArrayGeometry,
     ResonanceSolveError,
     SPP_TRANSMITTANCE,
     apply_channel,
@@ -32,6 +31,11 @@ def _h(period, mode, eps_d, lam):
     """The resonance condition's residual P/|m| sqrt(eps_d eps_m / (eps_d + eps_m)) - lambda on GOLD."""
     eps_m = float(np.interp(lam, GOLD.wavelengths_nm, GOLD.eps_re))
     return period / math.hypot(*mode) * math.sqrt(eps_d * eps_m / (eps_d + eps_m)) - lam
+
+
+def _solve(period, mode, eps_d, metal=GOLD):
+    """The resonance of one period, solved as a one-element array."""
+    return float(resonance_wavelength(np.array([period], dtype=float), mode, eps_d, metal)[0])
 
 
 class TestEomModel:
@@ -149,8 +153,7 @@ class TestDielectricTable:
 
 class TestResonance:
     def test_reference_geometry_near_809(self):
-        geom = HoleArrayGeometry(period_nm=700, mode=(1, 1), eps_substrate=2.25, metal=GOLD)
-        lam = resonance_wavelength(geom)
+        lam = _solve(700, (1, 1), 2.25)
         assert 769 <= lam <= 849
 
     def test_mode_ratio_fixed_eps(self):
@@ -159,21 +162,19 @@ class TestResonance:
         table = DielectricTable([300, 2000], [-25.0, -25.0])
         lam = {}
         for mode in ((1, 1), (1, 0)):
-            geom = HoleArrayGeometry(700, mode, eps_substrate=2.25, metal=table)
-            lam[mode] = resonance_wavelength(geom)
+            lam[mode] = _solve(700, mode, 2.25, table)
         assert lam[(1, 1)] / lam[(1, 0)] == pytest.approx(1 / math.sqrt(2), abs=1e-12)
 
     def test_scales_with_period_at_fixed_eps(self):
         table = DielectricTable([300, 4000], [-25.0, -25.0])
-        a = resonance_wavelength(HoleArrayGeometry(700, (1, 1), 2.25, metal=table))
-        b = resonance_wavelength(HoleArrayGeometry(1400, (1, 1), 2.25, metal=table))
+        a = _solve(700, (1, 1), 2.25, table)
+        b = _solve(1400, (1, 1), 2.25, table)
         assert b == pytest.approx(2 * a, abs=1e-9)
 
     def test_fixed_point_is_self_consistent(self):
-        geom = HoleArrayGeometry(700, (1, 1), eps_substrate=2.25, metal=GOLD)
-        lam = resonance_wavelength(geom)
-        eps_m = geom.metal(lam)
-        rhs = geom.period_nm / math.sqrt(2) * math.sqrt(
+        lam = _solve(700, (1, 1), 2.25)
+        eps_m = GOLD(lam)
+        rhs = 700 / math.sqrt(2) * math.sqrt(
             2.25 * eps_m / (2.25 + eps_m))
         assert lam == pytest.approx(rhs, abs=1e-5)
 
@@ -184,44 +185,41 @@ class TestResonance:
     def test_array_solve_equals_scalar_solves(self, periods, modes, eps):
         table = GOLD
         for mode in modes:
-            lam = resonance_wavelength(HoleArrayGeometry(periods, mode, eps, metal=table))
+            lam = resonance_wavelength(periods, mode, eps, table)
             assert isinstance(lam, np.ndarray) and lam.shape == periods.shape
             for period, value in zip(periods, lam):
-                assert value == resonance_wavelength(HoleArrayGeometry(float(period), mode, eps,
-                                                                       metal=table))
+                assert value == _solve(period, mode, eps, table)
 
     # a period range per mode with its resonance inside the bundled table
     PER_ROW_MODES = {(1, 0): (560.0, 760.0), (1, 1): (700.0, 900.0), (47, 28): (26000.0, 36000.0)}
 
     def _per_row_geometry(self, n=40):
-        """One geometry whose rows cycle through PER_ROW_MODES, and the period
+        """Periods and modes whose rows cycle through PER_ROW_MODES, and the period
         array of each mode's rows."""
         table = GOLD
         spans = {mode: np.linspace(lo, hi, n) for mode, (lo, hi) in self.PER_ROW_MODES.items()}
         periods = np.stack(list(spans.values()), axis=1).ravel()  # row i * 3 + j: period i of mode j
         modes = np.tile(np.array(list(self.PER_ROW_MODES), dtype=np.int64), (n, 1))
-        return HoleArrayGeometry(periods, modes, 2.25, metal=table), spans
+        return periods, modes, spans
 
     def test_per_row_modes_equal_per_mode_solves(self):
-        geom, spans = self._per_row_geometry()
-        lam = resonance_wavelength(geom)
-        k = dispersion_match(geom)
+        periods, modes, spans = self._per_row_geometry()
+        lam = resonance_wavelength(periods, modes, 2.25, GOLD)
+        k = dispersion_match(periods, modes)
         assert lam.shape == (120,) and k.shape == (120, 2)
-        for j, (mode, periods) in enumerate(spans.items()):
-            alone = HoleArrayGeometry(periods, mode, 2.25, metal=geom.metal)
-            assert np.array_equal(lam[j::3], resonance_wavelength(alone))
-            assert np.array_equal(k[j::3], dispersion_match(alone))
-            assert lam[j] == resonance_wavelength(HoleArrayGeometry(float(periods[0]), mode, 2.25,
-                                                                    metal=geom.metal))
+        for j, (mode, mode_periods) in enumerate(spans.items()):
+            assert np.array_equal(lam[j::3], resonance_wavelength(mode_periods, mode, 2.25, GOLD))
+            assert np.array_equal(k[j::3], dispersion_match(mode_periods, mode))
+            assert lam[j] == _solve(mode_periods[0], mode, 2.25)
 
     def test_mode_norm_is_math_hypot(self):
         # np.hypot(47, 28) is one ulp below math.hypot(47, 28); with a constant
         # permittivity the fixed point is P / |m| * sqrt(eps_d eps_m / (eps_d + eps_m))
         assert np.hypot(47, 28) != math.hypot(47, 28)
         table = DielectricTable([300, 2000], [-25.0, -25.0])
-        geom = HoleArrayGeometry(np.array([700.0, 40000.0]), np.array([[1, 1], [47, 28]]), 2.25, metal=table)
+        lam = resonance_wavelength(np.array([700.0, 40000.0]), np.array([[1, 1], [47, 28]]), 2.25, table)
         factor = math.sqrt(2.25 * -25.0 / (2.25 - 25.0))
-        assert resonance_wavelength(geom).tolist() == [700.0 / math.hypot(1, 1) * factor,
+        assert lam.tolist() == [700.0 / math.hypot(1, 1) * factor,
                                                        40000.0 / math.hypot(47, 28) * factor]
 
     @pytest.mark.parametrize("eps_m, message", [
@@ -231,21 +229,21 @@ class TestResonance:
     def test_metal_without_a_resonance_condition_says_why(self, eps_m, message):
         table = DielectricTable([500, 1300], [eps_m, eps_m])
         with pytest.raises(ResonanceSolveError, match=rf"^{message}$"):
-            resonance_wavelength(HoleArrayGeometry(700.0, (1, 1), 2.25, metal=table))
+            _solve(700.0, (1, 1), 2.25, table)
 
-    def test_scalar_period_returns_float(self):
-        assert isinstance(resonance_wavelength(HoleArrayGeometry(700.0, (1, 1), 2.25, GOLD)), float)
+    def test_one_period_returns_a_one_element_array(self):
+        lam = resonance_wavelength(np.array([700.0]), (1, 1), 2.25, GOLD)
+        assert isinstance(lam, np.ndarray) and lam.shape == (1,)
 
     def test_out_of_range_period_inside_sweep_raises(self):
         # at 1300 nm the (1,1) resonance lies beyond the table: h > 0 at every node
         periods = np.array([700.0, 710.0, 1300.0, 720.0])
         with pytest.raises(ResonanceSolveError, match=r"^no resonance inside \[500, 1300\] nm$"):
-            resonance_wavelength(HoleArrayGeometry(periods, (1, 1), 2.25, GOLD))
+            resonance_wavelength(periods, (1, 1), 2.25, GOLD)
 
     def test_root_where_the_right_hand_side_is_steeper_than_one(self):
         # a plain fixed-point iteration oscillates about this root and never converges
-        geom = HoleArrayGeometry(np.array([760.0, 740.0, 800.0]), (2, 1), 2.25, GOLD)
-        lam = resonance_wavelength(geom)
+        lam = resonance_wavelength(np.array([760.0, 740.0, 800.0]), (2, 1), 2.25, GOLD)
         assert np.round(lam, 4).tolist() == [591.0156, 582.7665, 609.0306]
         assert abs(_h(740.0, (2, 1), 2.25, lam[1])) <= 1e-12 * lam[1]
 
@@ -253,15 +251,30 @@ class TestResonance:
     def test_root_beside_a_pole_of_the_resonance_condition(self, eps_d, period, root):
         # eps_m = -eps_d inside the table's first segment, so h is undefined at 500 nm and tends to
         # +inf right of the pole; the root lies between the pole and the next node
-        lam = resonance_wavelength(HoleArrayGeometry(period, (1, 0), eps_d, GOLD))
+        lam = _solve(period, (1, 0), eps_d)
         assert round(lam, 3) == root and abs(_h(period, (1, 0), eps_d, lam)) <= 1e-9 * lam
+
+    def test_root_next_to_the_pole_at_a_2_nm_period(self):
+        # h is so steep beside the pole that h(lambda) is about 1e-4 nm, yet lambda lies within 1e-9
+        # relative of the root that bisecting h in floats finds (h is +inf left of the pole, where f < 0)
+        def h(lam):
+            eps_m = float(np.interp(lam, GOLD.wavelengths_nm, GOLD.eps_re))
+            f = 3.0 * eps_m / (3.0 + eps_m)
+            return 2.0 * math.sqrt(f) - lam if f >= 0 else math.inf
+
+        lo, hi = 500.0, 550.0
+        assert h(lo) > 0 > h(hi)
+        while lo < (mid := 0.5 * (lo + hi)) < hi:
+            lo, hi = (mid, hi) if h(mid) > 0 else (lo, mid)
+        lam = _solve(2.0, (0, 1), 3.0)
+        assert abs(lam - lo) <= 1e-9 * lo and abs(h(lam)) > 1e-9 * lam
 
     def test_root_of_the_squared_condition_alone_is_rejected(self):
         # eps_m runs from -10 to +1 across one segment, so h goes from + to - over its nodes through
         # a pole of f without a root: the Newton steps end on a point that does not solve h = 0
         table = DielectricTable([500, 1300], [-10.0, 1.0])
         with pytest.raises(ResonanceSolveError, match=r"^no resonance inside \[500, 1300\] nm$"):
-            resonance_wavelength(HoleArrayGeometry(700.0, (1, 0), 2.25, metal=table))
+            _solve(700.0, (1, 0), 2.25, table)
 
     def test_grid_of_periods_modes_and_substrates(self):
         # every grid row with a root solves to it, and every other row raises
@@ -270,7 +283,7 @@ class TestResonance:
             for mode in ((1, 0), (1, 1), (2, 0), (2, 1), (2, 2)):
                 for period in np.arange(300.0, 1300.0, 5.0).tolist():
                     try:
-                        lam = resonance_wavelength(HoleArrayGeometry(period, mode, eps_d, GOLD))
+                        lam = _solve(period, mode, eps_d)
                     except ResonanceSolveError as exc:
                         assert str(exc) == "no resonance inside [500, 1300] nm"
                         raised += 1
@@ -282,30 +295,31 @@ class TestResonance:
 
 class TestDispersion:
     def test_normal_incidence(self):
-        geom = HoleArrayGeometry(700, (1, 1), 2.25, GOLD)
-        k = dispersion_match(geom)
+        k = dispersion_match(np.array([700.0]), (1, 1))
         g = 2 * math.pi / 700
         assert np.allclose(k, [g, g], atol=1e-15)
 
     def test_array_of_periods_matches_scalar_rows(self):
         periods = np.array([650.0, 700.0, 733.3])
-        k = dispersion_match(HoleArrayGeometry(periods, (2, 1), 2.25, GOLD))
+        k = dispersion_match(periods, (2, 1))
         assert k.shape == (3, 2)
         for row, period in zip(k, periods):
-            assert np.array_equal(row, dispersion_match(HoleArrayGeometry(period, (2, 1), 2.25, GOLD)))
+            assert np.array_equal(row, dispersion_match(np.array([period]), (2, 1))[0])
 
 
 class TestBudget:
     def test_totals_match_published_products(self):
-        total_wo = fidelity_budget_total(BUDGET_WITHOUT_SPP, with_spp=False)
-        total_w = fidelity_budget_total(BUDGET_WITH_SPP, with_spp=True)
+        total_wo = fidelity_budget_total(with_spp=False)
+        total_w = fidelity_budget_total(with_spp=True)
         assert total_wo == pytest.approx(0.9175, abs=1e-4)
         assert total_w == pytest.approx(0.8535, abs=1e-4)
 
     def test_spp_factor_only_when_present(self):
-        b = BUDGET_WITHOUT_SPP
-        assert fidelity_budget_total(b, True) == pytest.approx(
-            fidelity_budget_total(b, False) * b.f_spp, abs=1e-15)
+        others = ("f_source", "f_bsm", "f_eom_x", "f_eom_z", "f_oe")
+        assert fidelity_budget_total(True) == pytest.approx(
+            math.prod(BUDGET_WITH_SPP[k] for k in others) * BUDGET_WITH_SPP["f_spp"], abs=1e-15)
+        assert fidelity_budget_total(False) == pytest.approx(
+            math.prod(BUDGET_WITHOUT_SPP[k] for k in others), abs=1e-15)
 
 
 class TestCalibratedChannel:

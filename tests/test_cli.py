@@ -854,7 +854,7 @@ class TestAnalyzeCommand:
     def test_degenerate_fidelity_cell_exits_3(self, tmp_path, capsys):
         # a cell of phi=1, perp=0 resamples to 0/0; that must not reach summary.json as NaN
         counts = tmp_path / "counts.csv"
-        lines = [line for line in open(counts_mod.bundled_counts_path()).read().splitlines()
+        lines = [line for line in counts_mod.bundled_counts_path().read_text().splitlines()
                  if not line.startswith("fidelity,with_spp,PsiPlus/H,")]
         lines += ["fidelity,with_spp,PsiPlus/H,phi,1", "fidelity,with_spp,PsiPlus/H,perp,0"]
         counts.write_text("\n".join(lines) + "\n")
@@ -868,7 +868,7 @@ class TestAnalyzeCommand:
 
     def test_degenerate_chsh_setting_exits_3(self, tmp_path):
         counts = tmp_path / "counts.csv"
-        text = open(counts_mod.bundled_counts_path()).read()
+        text = counts_mod.bundled_counts_path().read_text()
         lines = [line if not line.startswith("chsh,with_spp,0-22.5,") else line.rsplit(",", 1)[0] + ",0"
                  for line in text.splitlines()]
         counts.write_text("\n".join(lines) + "\n")
@@ -1077,10 +1077,9 @@ class TestDesignCommand:
         assert [(r["m1"], r["m2"]) for r in rows[:4]] == [(1, 0), (1, 1), (1, 0), (1, 1)]
         table = channel.gold_dielectric_table()
         for row in rows:
-            geom = channel.HoleArrayGeometry(row["period_nm"], (row["m1"], row["m2"]), 2.25,
-                                             metal=table)
-            assert row["resonance_nm"] == channel.resonance_wavelength(geom)
-            k = channel.dispersion_match(geom)
+            period, mode = np.array([row["period_nm"]]), (row["m1"], row["m2"])
+            assert row["resonance_nm"] == channel.resonance_wavelength(period, mode, 2.25, table)[0]
+            k = channel.dispersion_match(period, mode)[0]
             assert [row["k_spp_x"], row["k_spp_y"], row["k_spp_mag"]] == [k[0], k[1], np.linalg.norm(k)]
 
     def test_out_of_range_period_in_sweep_exits_3(self, tmp_path, capsys):

@@ -41,9 +41,8 @@ def reference_design_rows(periods, modes, eps_substrate):
     table = channel.gold_dielectric_table()
     columns = []
     for mode in modes:
-        geom = channel.HoleArrayGeometry(periods, mode, eps_substrate, metal=table)
-        lam = channel.resonance_wavelength(geom)
-        k_spp = channel.dispersion_match(geom)
+        lam = channel.resonance_wavelength(periods, mode, eps_substrate, table)
+        k_spp = channel.dispersion_match(periods, mode)
         k_mag = np.sqrt(k_spp[:, None, :] @ k_spp[:, :, None])[:, 0, 0]
         columns.append((mode, lam.tolist(), k_spp.tolist(), k_mag.tolist()))
     return [

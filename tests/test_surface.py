@@ -145,3 +145,27 @@ def test_every_defaulted_parameter_is_passed_somewhere():
                                         for n_pos, keywords in calls.get(fn.name, []))]
     assert sorted(unpassed) == sorted(ALLOWED_UNPASSED_DEFAULTS), (
         f"defaulted parameters that no call in src/ passes: {unpassed}; allowed: {list(ALLOWED_UNPASSED_DEFAULTS)}")
+
+
+# Dataclasses kept although they define no behaviour, each with its reason.
+ALLOWED_VALUE_ONLY_DATACLASSES = {
+    "protocol.TeleportationRecord": "returned by the traced `run_teleportation`; goes with ROADMAP item 2 Step B",
+}
+
+
+def _is_dataclass_decorator(node) -> bool:
+    node = node.func if isinstance(node, ast.Call) else node  # @dataclass(frozen=True) or @dataclass
+    return getattr(node, "id", getattr(node, "attr", None)) == "dataclass"
+
+
+def test_every_dataclass_has_behaviour():
+    # a dataclass whose body defines no method, property or __post_init__ only carries values,
+    # which a tuple, a dict or the arguments of a call carry as well
+    value_only = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(cls, ast.ClassDef) and any(map(_is_dataclass_decorator, cls.decorator_list))
+                    and not any(isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)) for stmt in cls.body)):
+                value_only.append(f"{path.stem}.{cls.name}")
+    assert sorted(value_only) == sorted(ALLOWED_VALUE_ONLY_DATACLASSES), (
+        f"dataclasses without behaviour: {value_only}; allowed: {list(ALLOWED_VALUE_ONLY_DATACLASSES)}")
