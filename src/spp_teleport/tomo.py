@@ -20,8 +20,6 @@ BASES = ("Z", "X", "Y")
 
 # the (+1, -1) eigenvectors of each measurement basis, in BASES order: the six outcomes of the counts
 _EIGENVECTORS = np.array([[[1, 0], [0, 1]], [[1, 1], [1, -1]], [[1, 1j], [1, -1j]]]) / np.sqrt([1, 2, 2])[:, None, None]
-# projectors onto the six outcomes of the counts, in the same order
-_PROJECTORS = (_EIGENVECTORS[..., :, None] * _EIGENVECTORS[..., None, :].conj()).reshape(-1, 2, 2)
 
 
 class TomographyError(ValueError):
@@ -55,11 +53,10 @@ def qst_reconstruct(counts: np.ndarray, max_likelihood: bool = False) -> np.ndar
     radial projection back onto the Bloch ball. With max_likelihood, an
     estimate inside the ball is kept: it already maximizes the likelihood,
     as each basis term sum n log p peaks at p = n / N and the linear
-    estimate meets all three peaks. Only estimates that left the ball go
-    through the diluted RrhoR fixed point (_ml_refine), limited to
-    ML_MAX_ITER steps. Takes an (n, 6) array of counts, (plus, minus) per
-    basis in BASES order, and returns the (n, 2, 2) stack of estimates,
-    reconstructed and validated as one batch.
+    estimate meets all three peaks; one outside it becomes the exact
+    maximum, which lies on the sphere (_sphere_maximum). Takes an (n, 6)
+    array of counts, (plus, minus) per basis in BASES order, and returns the
+    (n, 2, 2) stack of estimates, reconstructed and validated as one batch.
     """
     counts = counts.astype(float)
     plus, minus = counts[:, 0::2], counts[:, 1::2]
@@ -70,50 +67,52 @@ def qst_reconstruct(counts: np.ndarray, max_likelihood: bool = False) -> np.ndar
     norm = vector_norms(bloch)
     outside = norm > 1.0
     bloch[outside] = bloch[outside] / norm[outside, None]  # radial projection, direction preserved
-    mats = bloch_matrices(bloch)
     if max_likelihood and outside.any():
-        # inside the ball the linear estimate already maximizes the likelihood
-        mats[outside] = _ml_refine(density_matrices(mats[outside]), counts[outside])
-    return density_matrices(mats)
+        bloch[outside] = _sphere_maximum(plus[outside][:, [1, 2, 0]], minus[outside][:, [1, 2, 0]])
+    return density_matrices(bloch_matrices(bloch))
 
 
-# the step weight, the per-state stopping step and the iteration limit of _ml_refine
-ML_DILUTION, ML_TOL, ML_MAX_ITER = 0.5, 1e-10, 10_000
+def _sphere_maximum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The unit Bloch vectors that maximize sum_i a_i log(1 + r_i) +
+    b_i log(1 - r_i), the log-likelihood of (n, 3) plus and minus counts
+    whose linear estimates (a - b) / (a + b) lie outside the ball.
 
-
-def _ml_refine(rho0: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Diluted RrhoR maximum-likelihood iteration (Rehacek, Hradil, Knill and
-    Lvovsky, quant-ph/0611244) over an (n, 2, 2) stack of starting estimates
-    with (n, 6) outcome counts. qst_reconstruct calls it only for estimates
-    whose linear Bloch vector lay outside the ball; inside it the linear
-    estimate is the maximum in closed form.
-
-    Every state runs its own iteration: it stops at its own first step that
-    changes no element by ML_TOL or more, so a state's result does not depend
-    on the rest of the batch. Raises TomographyError if any state has not
-    converged within ML_MAX_ITER steps.
+    Each r_i is then the middle real root r_i(mu) of the cubic
+    a_i (1 - r) - b_i (1 + r) - 2 mu r (1 - r^2) for one multiplier mu > 0
+    per row (Boyd and Vandenberghe, Convex Optimization, 5.5.3); |r(mu)|
+    falls as mu grows from the linear estimate at mu = 0. From 0, or from a
+    root at a larger mu, Newton steps reach the root without passing it, as
+    the cubic is monotone there and bends away from the axis; each stops at
+    its first step that is not toward the root or not shorter than the last.
+    A zero-count basis keeps r_i = +-1 up to mu = (a_i + b_i) / 4, and each
+    |r_i| < 1/sqrt(3) from mu = max |a_i - b_i| on: Newton steps on
+    1/|r(mu)| - 1, or bisection, shrink that bracket of |r(mu)| = 1 until
+    neither can, each row on its own, so no result depends on the batch.
     """
-    mat = rho0 + 1e-6 * np.eye(2)  # keep strictly positive for the iteration
-    mat /= np.trace(mat, axis1=1, axis2=2).real[:, None, None]
-    total = counts.sum(axis=1)
-    out = np.empty_like(mat)
-    active = np.arange(len(mat))  # states still iterating
-    eye = np.eye(2)
-    for _ in range(ML_MAX_ITER):
-        probs = np.maximum(np.trace(_PROJECTORS[:, None] @ mat, axis1=2, axis2=3).real, 1e-15)
-        r_op = sum(counts[:, k, None, None] / probs[k, :, None, None] * proj
-                   for k, proj in enumerate(_PROJECTORS)) / total[:, None, None]
-        g = (1 - ML_DILUTION) * eye + ML_DILUTION * r_op
-        new = g @ mat @ g.conj().swapaxes(1, 2)
-        new = 0.5 * (new + new.conj().swapaxes(1, 2))
-        new /= np.trace(new, axis1=1, axis2=2).real[:, None, None]
-        done = np.abs(new - mat).max(axis=(1, 2)) < ML_TOL
-        out[active[done]] = new[done]
-        active, mat, counts, total = active[~done], new[~done], counts[~done], total[~done]
-        if active.size == 0:
-            return out
-    raise TomographyError(f"{active.size} of {len(out)} maximum-likelihood reconstructions "
-                          f"did not converge within {ML_MAX_ITER} iterations")
+    n, d = a + b, a - b
+    lo, hi = np.where(a * b == 0, n / 4, 0).max(axis=1), np.abs(d).max(axis=1)
+    mu, r, r_hi = np.zeros(len(n)), d / n, np.zeros(n.shape)  # r_hi: the roots at hi, nearer 0 than any at a lower mu
+    active = np.ones(len(n), dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        while True:
+            norm = np.sqrt(r[:, 0] * r[:, 0] + r[:, 1] * r[:, 1] + r[:, 2] * r[:, 2])
+            lo, hi = np.where(norm > 1, (np.maximum(lo, mu), hi), (lo, mu))
+            r_hi = np.where(norm[:, None] > 1, r_hi, r)
+            dr = 2 * r * (1 - r) * (1 + r) / (2 * mu[:, None] * (3 * r * r - 1) - n)  # dr/dmu
+            newton = mu + (1 - norm) * norm * norm / (r[:, 0] * dr[:, 0] + r[:, 1] * dr[:, 1] + r[:, 2] * dr[:, 2])
+            nxt = np.where((lo < newton) & (newton < hi), newton, 0.5 * (lo + hi))
+            active &= (newton != mu) & (lo < nxt) & (nxt < hi)
+            if not active.any():
+                return r
+            mu = np.where(active, nxt, mu)
+            x, m, step = r_hi, mu[:, None], np.inf  # the roots at mu, by Newton steps
+            while True:
+                nx = x - (a * (1 - x) - b * (1 + x) - 2 * m * x * (1 - x) * (1 + x)) / (2 * m * (3 * x * x - 1) - n)
+                move = (np.abs(nx) > np.abs(x)) & (np.abs(nx - x) < step)
+                if not move.any():
+                    break
+                step, x = np.where(move, np.abs(nx - x), 0), np.where(move, nx, x)
+            r = np.where(active[:, None], x, r)
 
 
 # R = _CHI_TO_PTM @ chi.ravel() is the Pauli transfer matrix R_ij = Tr(s_i L(s_j)) / 2, raveled, of

@@ -12,7 +12,10 @@
 - `trace_distance` between two density matrices;
 - `chsh_s_16`: CHSH |S| from all 16 counts, each setting's correlation
   taken from its four outcomes, the formula the pooled
-  `counts.chsh_s_values` is tested against.
+  `counts.chsh_s_values` is tested against;
+- `sphere_grid_maximum`: the pure state of largest likelihood for one row of
+  tomography counts, by brute-force search over the Bloch sphere, the oracle
+  of the maximum-likelihood state tomography.
 """
 
 import numpy as np
@@ -110,3 +113,33 @@ def chsh_s_16(counts) -> np.ndarray:
     npp, npm, nmp, nmm = (c[..., i::4] for i in range(4))
     e = (npp - npm - nmp + nmm) / (npp + npm + nmp + nmm)
     return np.abs(e[..., 0] - e[..., 1] + e[..., 2] + e[..., 3])
+
+
+def sphere_grid_maximum(counts, levels: int = 6) -> np.ndarray:
+    """The unit Bloch vector (x, y, z) of largest log-likelihood
+    sum_i a_i log(1 + r_i) + b_i log(1 - r_i) for (6,) counts, (plus, minus)
+    per basis in Z, X, Y order, by brute force: the best of 4000 points spread
+    evenly over the sphere (a Fibonacci lattice, about 0.056 apart), then
+    `levels` rounds of an 11 x 11 grid in the tangent plane about the best
+    point so far, each round a fifth as wide as the one before. The last
+    grid's points are about 1e-6 apart, so the result falls short of the
+    maximum by far more than rounding."""
+    plus, minus = np.asarray(counts, dtype=float).reshape(3, 2).T
+    a, b = plus[[1, 2, 0]], minus[[1, 2, 0]]  # (X, Y, Z) order
+
+    def log_likelihood(r):
+        with np.errstate(divide="ignore", invalid="ignore"):  # 0 log 0 = 0
+            return (np.where(a > 0, a * np.log1p(r), 0) + np.where(b > 0, b * np.log1p(-r), 0)).sum(axis=-1)
+
+    k = np.arange(4000) + 0.5
+    z, phi = 1 - k / 2000, np.pi * (1 + np.sqrt(5)) * k
+    points = np.stack([np.sqrt(1 - z * z) * np.cos(phi), np.sqrt(1 - z * z) * np.sin(phi), z], axis=-1)
+    best, width, steps = points[np.argmax(log_likelihood(points))], 0.1, np.linspace(-1, 1, 11)
+    for _ in range(levels):
+        e1 = np.cross(best, [1.0, 0, 0] if abs(best[0]) < 0.9 else [0, 1.0, 0])
+        e1 /= np.linalg.norm(e1)
+        e2 = np.cross(best, e1)
+        points = (best + width * (steps[:, None, None] * e1 + steps[None, :, None] * e2)).reshape(-1, 3)
+        points /= np.linalg.norm(points, axis=1)[:, None]
+        best, width = points[np.argmax(log_likelihood(points))], width / 5
+    return best

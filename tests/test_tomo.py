@@ -17,6 +17,7 @@ from spp_teleport.qcore import (
     InvalidStateError,
     MixedState,
     PAULI_MATRICES,
+    bloch_matrices,
     bloch_of,
     density_matrices,
     state_from_bloch,
@@ -37,7 +38,7 @@ from spp_teleport.tomo import (
 
 from conftest import mixed_states, random_mixed, random_pure
 from reference import (chi_act, chi_identity, kraus_chi, lstsq_qpt, per_state_bloch_map, random_kraus,
-                       trace_distance)
+                       sphere_grid_maximum, trace_distance)
 
 
 def exact_counts(rho, scale=1.0):
@@ -166,36 +167,12 @@ class TestQst:
         assert trace_distance(reconstruct_one(exact_counts(rho)), rho.matrix) < 1e-9
 
 
-# Per-outcome basis vectors in BASES order, for the reference below.
+# Per-outcome basis vectors in BASES order, for reference_sample above.
 _REF_BASIS_STATES = {
     "Z": (np.array([1, 0], dtype=complex), np.array([0, 1], dtype=complex)),
     "X": (np.array([1, 1], dtype=complex) / np.sqrt(2), np.array([1, -1], dtype=complex) / np.sqrt(2)),
     "Y": (np.array([1, 1j], dtype=complex) / np.sqrt(2), np.array([1, -1j], dtype=complex) / np.sqrt(2)),
 }
-
-
-def reference_ml_refine(counts, tol=1e-10, max_iter=10_000, dilution=0.5):
-    """One state's diluted RrhoR loop over its (6,) counts, written per state:
-    the reference the batched solve must match bit for bit."""
-    rho0 = reconstruct_one(counts)
-    projectors = [np.outer(v, v.conj()) for basis in BASES for v in _REF_BASIS_STATES[basis]]
-    counts = np.asarray(counts, dtype=float)
-    total = counts.sum()
-    mat = rho0 + 1e-6 * np.eye(2)
-    mat /= np.trace(mat).real
-    eye = np.eye(2)
-    for _ in range(max_iter):
-        probs = np.array([max(np.trace(p @ mat).real, 1e-15) for p in projectors])
-        r_op = sum(c / p * proj for c, p, proj in zip(counts, probs, projectors)) / total
-        g = (1 - dilution) * eye + dilution * r_op
-        new = g @ mat @ g.conj().T
-        new = 0.5 * (new + new.conj().T)
-        new /= np.trace(new).real
-        if np.abs(new - mat).max() < tol:
-            mat = new
-            break
-        mat = new
-    return MixedState(mat).matrix
 
 
 def _counts(pairs):
@@ -226,6 +203,52 @@ def log_likelihood_gain(counts, new, old):
     flat = [n for pair in counts for n in pair]
     return math.fsum(n * math.log1p(float((p_new - p_old) / p_old))
                      for n, p_new, p_old in zip(flat, _outcome_probabilities(new), _outcome_probabilities(old)) if n)
+
+
+def gain_over_the_grid_maximum(counts, mat):
+    """log_likelihood_gain of the estimate `mat` over the best pure state of
+    reference.sphere_grid_maximum, for (6,) counts."""
+    return log_likelihood_gain(np.reshape(counts, (3, 2)), mat, bloch_matrices(sphere_grid_maximum(counts)))
+
+
+def estimate_bloch(mat):
+    """The Bloch vector (x, y, z) of an estimate qst_reconstruct returned, without validating it again."""
+    return bloch_of(MixedState.from_validated([mat])[0])
+
+
+def kkt_multiplier_and_residual(counts, r):
+    """How far the Bloch vector r (x, y, z) is from the stationarity
+    conditions of the maximum on the sphere, multiplied by 1 - r_i^2:
+    c_i = a_i (1 - r_i) - b_i (1 + r_i) = 2 mu r_i (1 - r_i^2) = mu e_i for
+    each basis, with (a_i, b_i) its (plus, minus) counts in (6,) counts.
+
+    mu is c_k / e_k of the basis k that fixes it best, the one with the
+    smallest (a_k + b_k + 2 |mu_k|) / |e_k|, about the change of mu_k per
+    change of r_k. Returns mu and the largest |c_i - mu e_i| / (a_i + b_i +
+    2 mu), about the change of r_i that would meet condition i: the rounding
+    of an estimate's matrix entries moves r by about 1e-16, and a basis of
+    few counts next to a precise one turns that into a far larger c_i -
+    mu e_i."""
+    a, b = np.asarray(counts, dtype=float).reshape(3, 2).T
+    r = np.asarray(r)[[2, 0, 1]]  # (x, y, z) -> BASES order
+    c, e = a * (1 - r) - b * (1 + r), 2 * r * (1 - r) * (1 + r)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mus = c / e
+        mu = mus[np.nanargmin((a + b + 2 * np.abs(mus)) / np.abs(e))]
+    return mu, float((np.abs(c - mu * e) / (a + b + 2 * mu)).max())
+
+
+def out_of_ball_rows():
+    """(n, 6) counts of 400 states of Bloch length 0.999 in random directions,
+    each measured with 20 to 2000 shots per basis (seed 1), kept where the
+    linear estimate lies outside the ball: the rows the exact solve serves."""
+    rng = np.random.default_rng(1)
+    v = rng.normal(size=(400, 3))
+    r = 0.999 * v / np.linalg.norm(v, axis=1)[:, None]
+    shots = rng.integers(20, 2001, size=(400, 1))
+    plus = rng.binomial(shots, (1 + r[:, [2, 0, 1]]) / 2)  # BASES order
+    counts = np.stack([plus, shots - plus], axis=-1).reshape(400, 6)
+    return counts[[linear_bloch_norm(row) > 1 for row in counts]]
 
 
 @st.composite
@@ -265,16 +288,53 @@ class TestBatchedMaximumLikelihood:
         return np.array(batch)
 
     def test_batch_equals_per_state_reference(self, rng):
-        # outside the ball: the per-state loop; inside: the linear estimate
+        # every row gets the bits of a one-row call: outside the ball a pure state
+        # at least as likely as the grid oracle's, inside it the linear estimate
         batch = self.mixed_batch(rng)
         outside = [linear_bloch_norm(counts) > 1 for counts in batch]
         assert 0 < sum(outside) < len(batch)
         states = qst_reconstruct(batch, max_likelihood=True)
         assert len(states) == len(batch)
         for counts, state, out in zip(batch, states, outside):
-            expected = reference_ml_refine(counts) if out else reconstruct_one(counts)
-            assert np.array_equal(state, expected)
-            assert np.array_equal(reconstruct_one(counts, max_likelihood=True), expected)
+            assert np.array_equal(reconstruct_one(counts, max_likelihood=True), state)
+            if out:
+                assert abs(np.linalg.norm(estimate_bloch(state)) - 1) <= 1e-15
+                assert gain_over_the_grid_maximum(counts, state) >= 0
+            else:
+                assert np.array_equal(state, reconstruct_one(counts))
+
+    def test_seeded_out_of_ball_rows_reach_the_maximum(self):
+        rows = out_of_ball_rows()
+        assert len(rows) >= 150
+        stack = qst_reconstruct(rows, max_likelihood=True)
+        for counts, state in zip(rows, stack):
+            assert reconstruct_one(counts, max_likelihood=True).tobytes() == state.tobytes()
+            assert abs(np.linalg.norm(estimate_bloch(state)) - 1) <= 1e-15
+            assert gain_over_the_grid_maximum(counts, state) >= 0
+
+    @pytest.mark.parametrize("counts, expected", [
+        ([(1, 0), (0, 1), (1, 0)], np.array([-1, 1, 1]) / np.sqrt(3)),
+        ([(10, 0), (10, 0), (5, 5)], np.array([1, 0, 1]) / np.sqrt(2)),
+    ])
+    def test_zero_count_bases_take_the_middle_root(self, counts, expected):
+        # clamping each zero-count basis at +-1 would give |r| = sqrt(3) and sqrt(2)
+        assert linear_bloch_norm(_counts(counts)) > 1
+        assert np.abs(sphere_grid_maximum(_counts(counts)) - expected).max() < 1e-5
+        assert np.abs(estimate_bloch(reconstruct_one(_counts(counts), max_likelihood=True)) - expected).max() < 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)), min_size=3, max_size=3))
+    @example([(1, 0), (0, 1), (1, 0)])
+    @example([(10, 0), (10, 0), (5, 5)])
+    @example([(1000, 0), (501, 499), (500, 500)])  # a root next to the double root at r = 1
+    @example([(1, 0), (1, 0), (10**9, 10**9 - 1)])  # a basis far more precise than the others
+    def test_out_of_ball_estimate_meets_the_kkt_conditions(self, counts):
+        # the log-likelihood is concave, so on the sphere these conditions make the maximum
+        assume(all(a + b > 0 for a, b in counts) and linear_bloch_norm(_counts(counts)) > 1)
+        r = estimate_bloch(reconstruct_one(_counts(counts), max_likelihood=True))
+        assert abs(np.linalg.norm(r) - 1) <= 1e-15
+        mu, residual = kkt_multiplier_and_residual(_counts(counts), r)
+        assert mu > 0 and residual <= 1e-12
 
     def test_linear_batch_equals_single_calls(self, rng):
         batch = self.mixed_batch(rng)
@@ -312,32 +372,6 @@ class TestBatchedMaximumLikelihood:
             with pytest.raises(TomographyError, match=f"no counts for basis {basis}"):
                 qst_reconstruct(np.array([good, counts]))
 
-    def test_not_converged_raises(self, rng, monkeypatch):
-        # only the three estimates outside the ball iterate, and only they are counted
-        monkeypatch.setattr(tomo, "ML_MAX_ITER", 1)
-        outside = [_counts(c) for c in ([(99, 1), (99, 1), (99, 1)], [(500, 0), (260, 240), (251, 249)],
-                                        [(1, 0), (0, 1), (1, 0)])]
-        inside = [sample_measurements(random_mixed(rng), 1000, seed=s) for s in range(2)]
-        assert all(linear_bloch_norm(c) > 1 for c in outside) and all(linear_bloch_norm(c) <= 1 for c in inside)
-        with pytest.raises(TomographyError, match=r"^3 of 3 maximum-likelihood reconstructions "
-                                                  r"did not converge within 1 iterations$"):
-            qst_reconstruct(np.array(inside + outside), max_likelihood=True)
-        with pytest.raises(TomographyError, match="1 of 1 maximum-likelihood"):
-            reconstruct_one(outside[0], max_likelihood=True)
-        assert len(qst_reconstruct(np.array(inside), max_likelihood=True)) == 2
-
-    def test_converged_states_leave_the_batch(self, monkeypatch):
-        # both projected estimates iterate; the first converges within 11 steps,
-        # the second does not: only the state still iterating is counted
-        monkeypatch.setattr(tomo, "ML_MAX_ITER", 11)
-        fast = _counts([(99, 1), (99, 1), (99, 1)])
-        slow = _counts([(500, 0), (260, 240), (251, 249)])
-        inside = _counts([(10, 10), (10, 10), (10, 10)])
-        assert linear_bloch_norm(fast) > 1 and linear_bloch_norm(slow) > 1
-        reconstruct_one(fast, max_likelihood=True)
-        with pytest.raises(TomographyError, match="^1 of 2 "):
-            qst_reconstruct(np.array([fast, slow, inside]), max_likelihood=True)
-
     @settings(max_examples=100, deadline=None)
     @given(counts_near_bloch_vector(1.0))
     @example([(10, 0), (5, 5), (5, 5)])  # a pure state: on the sphere, still inside
@@ -352,8 +386,8 @@ class TestBatchedMaximumLikelihood:
         linear = reconstruct_one(flat)
         ml = reconstruct_one(flat, max_likelihood=True)
         assert np.array_equal(ml, linear)
-        # and it is at least as likely as the iterate the fixed point used to return
-        assert log_likelihood_gain(counts, ml, reference_ml_refine(flat)) >= 0
+        # and it is at least as likely as the most likely pure state
+        assert gain_over_the_grid_maximum(flat, ml) >= 0
 
 
 def bloch_image(ptm, r):
