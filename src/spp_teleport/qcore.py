@@ -57,41 +57,33 @@ def density_matrices(mat) -> np.ndarray:
 
     Every matrix must be square, Hermitian to 1e-9 and of unit trace to
     1e-9, with no eigenvalue below -EIG_ATOL; otherwise InvalidStateError.
-    Returns the Hermitized stack; a matrix with eigenvalues in (-EIG_ATOL, 0)
-    has them clipped to zero and is rebuilt, Hermitized again and
-    renormalized. Each matrix comes out with the bits it would get on its own.
+    Returns the Hermitized stack, otherwise unchanged: an eigenvalue in
+    (-EIG_ATOL, 0) is accepted as given. Each matrix comes out with the bits
+    it would get on its own.
     """
     mat = np.asarray(mat, dtype=complex)
     if mat.ndim < 2 or mat.shape[-1] != mat.shape[-2]:
         raise InvalidStateError(f"not square: {mat.shape}")
     adjoint = mat.conj().swapaxes(-1, -2)
-    if not np.allclose(mat, adjoint, atol=1e-9):
+    if not np.allclose(mat, adjoint, rtol=0, atol=1e-9):
         raise InvalidStateError("matrix is not Hermitian")
     mat = 0.5 * (mat + adjoint)
     tr = np.trace(mat, axis1=-2, axis2=-1).real
     off = np.abs(tr - 1.0) > 1e-9
     if off.any():
         raise InvalidStateError(f"trace {tr[off][0]} != 1")
-    evals, evecs = np.linalg.eigh(mat)
-    lowest = evals[..., 0]  # eigh sorts ascending
+    lowest = np.linalg.eigvalsh(mat)[..., 0]  # eigvalsh sorts ascending
     if (lowest < -EIG_ATOL).any():
         raise InvalidStateError(f"negative eigenvalue {lowest.min()}")
-    clip = lowest < 0
-    if clip.any():
-        evals, evecs = np.clip(evals[clip], 0.0, None), evecs[clip]
-        fixed = (evecs * evals[:, None, :]) @ evecs.conj().swapaxes(-1, -2)
-        fixed = 0.5 * (fixed + fixed.conj().swapaxes(-1, -2))  # the product is Hermitian only to rounding
-        mat[clip] = fixed / np.trace(fixed, axis1=-2, axis2=-1).real[:, None, None]
     return mat
 
 
 @dataclass(frozen=True)
 class MixedState:
-    """Density matrix: Hermitian, unit trace, positive semidefinite.
+    """Density matrix: Hermitian, unit trace, positive semidefinite to EIG_ATOL.
 
-    Checked by density_matrices: eigenvalues in (-EIG_ATOL, 0) are clipped
-    to zero and the matrix renormalized; anything more negative raises
-    InvalidStateError.
+    Checked by density_matrices: an eigenvalue in (-EIG_ATOL, 0) is kept
+    as given; anything more negative raises InvalidStateError.
     """
 
     matrix: np.ndarray
@@ -132,10 +124,11 @@ def tensor(a, b):
 
 
 def check_bloch_ball(r) -> None:
-    """Raise InvalidStateError if a Bloch vector of shape (..., 3) is longer than 1."""
-    r2 = (np.asarray(r) ** 2).sum(axis=-1)
-    if (r2 > 1 + 1e-10).any():
-        raise InvalidStateError(f"Bloch vector length {np.sqrt(r2.max())} > 1")
+    """Raise InvalidStateError if a Bloch vector of shape (..., 3) is longer
+    than 1 + 2*EIG_ATOL: density_matrices' rule, as lowest eigenvalue (1 - |r|)/2."""
+    length = np.sqrt((np.asarray(r) ** 2).sum(axis=-1))
+    if (length > 1 + 2 * EIG_ATOL).any():
+        raise InvalidStateError(f"Bloch vector length {length.max()} > 1")
 
 
 def vector_norms(x) -> np.ndarray:

@@ -10,7 +10,9 @@ from spp_teleport.qcore import (
     MixedState,
     PAULI_MATRICES,
     PureState,
+    bloch_matrices,
     bloch_of,
+    check_bloch_ball,
     complex_matrix_to_json,
     density_matrices,
     expectation,
@@ -61,10 +63,12 @@ class TestMixedState:
         with pytest.raises(InvalidStateError):
             MixedState(np.diag([1.01, -0.01]))
 
-    def test_tiny_negative_eigenvalue_clipped(self):
+    def test_tiny_negative_eigenvalue_kept(self):
         eps = 1e-11
-        rho = MixedState(np.diag([1.0 + eps, -eps]))
-        assert np.linalg.eigvalsh(rho.matrix).min() >= 0
+        raw = np.diag([1.0 + eps, -eps])
+        rho = MixedState(raw)
+        assert same_bits(rho.matrix, raw.astype(complex))
+        assert np.linalg.eigvalsh(rho.matrix).min() == -eps
         assert abs(np.trace(rho.matrix).real - 1.0) < 1e-12
 
     def test_maximally_mixed(self):
@@ -74,7 +78,7 @@ class TestMixedState:
 def raw_density_matrices(rng, n, dim=2):
     """Unvalidated density matrices: full-rank, rank-one (whose computed
     eigenvalues are often slightly negative) and one with an eigenvalue of
-    -1e-11, so the stack takes the clipping path."""
+    -1e-11, which the check accepts as given."""
     mats = []
     for k in range(n):
         a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
@@ -92,20 +96,15 @@ def reference_validate(mat):
     mat = np.asarray(mat, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise InvalidStateError(f"not square: {mat.shape}")
-    if not np.allclose(mat, mat.conj().T, atol=1e-9):
+    if not np.allclose(mat, mat.conj().T, rtol=0, atol=1e-9):
         raise InvalidStateError("matrix is not Hermitian")
     mat = 0.5 * (mat + mat.conj().T)
     tr = np.trace(mat).real
     if abs(tr - 1.0) > 1e-9:
         raise InvalidStateError(f"trace {tr} != 1")
-    evals, evecs = np.linalg.eigh(mat)
-    if evals.min() < -EIG_ATOL:
-        raise InvalidStateError(f"negative eigenvalue {evals.min()}")
-    if evals.min() < 0:
-        evals = np.clip(evals, 0.0, None)
-        mat = (evecs * evals) @ evecs.conj().T
-        mat = 0.5 * (mat + mat.conj().T)
-        mat = mat / np.trace(mat).real
+    lowest = np.linalg.eigvalsh(mat).min()
+    if lowest < -EIG_ATOL:
+        raise InvalidStateError(f"negative eigenvalue {lowest}")
     return mat
 
 
@@ -131,7 +130,7 @@ def psd_stacks(draw):
 class TestDensityMatrices:
     def test_stack_equals_single_states_bit_for_bit(self, rng):
         mats = raw_density_matrices(rng, 40)
-        assert (np.linalg.eigvalsh(mats)[:, 0] < 0).sum() >= 2  # the clipping path is taken
+        assert (np.linalg.eigvalsh(mats)[:, 0] < 0).sum() >= 2  # tiny negative eigenvalues are kept
         out = density_matrices(mats)
         for raw, got in zip(mats, out):
             assert same_bits(got, reference_validate(raw))
@@ -140,11 +139,16 @@ class TestDensityMatrices:
         # extra batch axes change nothing
         assert same_bits(density_matrices(mats[:40].reshape(5, 8, 2, 2)), out[:40].reshape(5, 8, 2, 2))
 
-    def test_clipped_matrix_is_renormalized(self):
+    def test_tiny_negative_eigenvalue_is_accepted_as_given(self):
         out = density_matrices(np.array([np.diag([1.0 + 1e-11, -1e-11]), np.eye(2) / 2]))
-        assert np.linalg.eigvalsh(out[0]).min() >= 0
+        assert same_bits(out[0], np.diag([1.0 + 1e-11, -1e-11]).astype(complex))
+        assert np.linalg.eigvalsh(out[0]).min() == -1e-11
         assert abs(np.trace(out[0]).real - 1.0) < 1e-12
         assert same_bits(out[1], np.eye(2, dtype=complex) / 2)
+
+    def test_hermitian_to_1e_9_absolute(self):
+        raw = np.array([[0.5, 0.3 + 5e-10], [0.3, 0.5]])
+        assert same_bits(MixedState(raw).matrix, 0.5 * (raw + raw.T).astype(complex))
 
     def test_larger_dimension(self, rng):
         mats = raw_density_matrices(rng, 6, dim=4)
@@ -155,6 +159,8 @@ class TestDensityMatrices:
         (np.array([[0.5, 1.0], [0.0, 0.5]]), "not Hermitian"),
         (np.eye(2), "trace 2.0 != 1"),
         (np.diag([1.01, -0.01]), "negative eigenvalue"),
+        # 2e-6 is within numpy's default rtol of 0.3, but not within 1e-9
+        (np.array([[0.5, 0.3 + 2e-6], [0.3, 0.5]]), "not Hermitian"),
     ])
     def test_one_bad_matrix_fails_the_stack(self, rng, bad, match):
         for check in (reference_validate, MixedState):
@@ -193,7 +199,7 @@ class TestDensityMatrices:
         for raw, got in zip(mats, out):
             assert same_bits(got, reference_validate(raw))
             assert same_bits(got, MixedState(raw).matrix)
-        assert np.array_equal(out, out.conj().swapaxes(-1, -2))  # also where a clipped matrix is rebuilt
+        assert np.array_equal(out, out.conj().swapaxes(-1, -2))
         assert np.allclose(np.trace(out, axis1=1, axis2=2), 1.0, atol=1e-9)
         assert np.linalg.eigvalsh(out).min() >= -EIG_ATOL
 
@@ -278,6 +284,22 @@ class TestBloch:
     def test_too_long_rejected(self):
         with pytest.raises(InvalidStateError):
             state_from_bloch([1.0, 1.0, 0.0])
+
+    @pytest.mark.parametrize("direction", [[0, 0, 1], [0, -1, 0], np.array([1, 1, -1]) / np.sqrt(3)])
+    def test_ball_bound_is_the_eigenvalue_bound(self, direction):
+        # the lowest eigenvalue of (I + r.sigma)/2 is (1 - |r|)/2, so |r| may exceed 1 by 2 EIG_ATOL
+        check_bloch_ball(np.multiply(direction, 1 + 1.9 * EIG_ATOL))
+        with pytest.raises(InvalidStateError, match="Bloch vector length 1.00000000021 > 1"):
+            check_bloch_ball(np.multiply(direction, 1 + 2.1 * EIG_ATOL))
+
+    @settings(max_examples=200, deadline=None)
+    @given(pure_states(), st.one_of(st.floats(0.0, 0.5), st.floats(-EIG_ATOL + 1e-15, 0.0)))
+    def test_every_accepted_state_has_a_bloch_vector(self, direction, lowest):
+        # (I + r.sigma)/2 with lowest eigenvalue `lowest`: the two checks round differently
+        # within a few ulps of -EIG_ATOL, so the drawn eigenvalue stays 1e-15 inside it
+        n = bloch_of(projector(direction))
+        rho = MixedState(bloch_matrices((1 - 2 * lowest) * n / np.linalg.norm(n)))
+        state_from_bloch(bloch_of(rho))
 
 
 class TestTraceDistance:

@@ -169,3 +169,15 @@ def test_every_dataclass_has_behaviour():
                 value_only.append(f"{path.stem}.{cls.name}")
     assert sorted(value_only) == sorted(ALLOWED_VALUE_ONLY_DATACLASSES), (
         f"dataclasses without behaviour: {value_only}; allowed: {list(ALLOWED_VALUE_ONLY_DATACLASSES)}")
+
+
+def test_every_tolerance_comparison_passes_rtol():
+    # np.allclose and np.isclose add rtol=1e-5 times |second operand| to atol unless told
+    # otherwise, so an absolute tolerance without rtol=... is wider than it reads
+    missing = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call) and getattr(node.func, "attr", None) in ("allclose", "isclose")
+                    and "rtol" not in {kw.arg for kw in node.keywords}):
+                missing.append(f"{path.name}:{node.lineno}")
+    assert not missing, f"np.allclose / np.isclose without rtol=: {missing}"

@@ -336,6 +336,15 @@ class TestBatchedMaximumLikelihood:
         mu, residual = kkt_multiplier_and_residual(_counts(counts), r)
         assert mu > 0 and residual <= 1e-12
 
+    def test_validation_keeps_the_sphere_maximum(self):
+        # a pure estimate whose lowest eigenvalue rounds below 0 comes back as solved, not rebuilt
+        counts = np.array([[2, 0, 945264, 2, 707232, 1]])
+        plus, minus = (counts[:, k::2][:, [1, 2, 0]].astype(float) for k in (0, 1))  # BASES order -> (X, Y, Z)
+        solved = tomo._sphere_maximum(plus, minus)[0]
+        got = estimate_bloch(qst_reconstruct(counts, max_likelihood=True)[0])
+        assert got[:2].tobytes() == solved[:2].tobytes()
+        assert abs(got[2] - solved[2]) <= 1.2e-16
+
     def test_linear_batch_equals_single_calls(self, rng):
         batch = self.mixed_batch(rng)
         for counts, state in zip(batch, qst_reconstruct(batch)):
