@@ -25,38 +25,26 @@ class ResonanceSolveError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class EomModel:
-    """Electro-optic modulator pair performing the conditional Pauli flips.
-
-    `contrast` is the intensity extinction ratio of a flip; a required flip
-    fails (leaves the state untouched) with probability 1/(1 + contrast).
-    """
-
-    contrast_x: float = 77.5
-    contrast_z: float = 29.7
-
-    @property
-    def epsilon_x(self) -> float:
-        return 1.0 / (1.0 + self.contrast_x)
-
-    @property
-    def epsilon_z(self) -> float:
-        return 1.0 / (1.0 + self.contrast_z)
-
-
-@dataclass(frozen=True)
 class ChannelModel:
     """Noise parameters of the photon-plasmon-photon link.
 
     werner_visibility is the singlet weight of the source state; depolarizing_extra adds white
     noise on the teleported qubit beyond the source term; transmittance is the heralded survival
-    probability and never changes the post-selected state. cli.CONFIG_KEYS checks a config's values.
+    probability and never changes the post-selected state. contrast_x and contrast_z are the intensity
+    extinction ratios of the EOMs that apply the X and Z flips; None is a flip that never fails.
+    cli.CONFIG_KEYS checks a config's values.
     """
 
     werner_visibility: float = 1.0
     transmittance: float = 1.0
-    eom: EomModel | None = None
     depolarizing_extra: float = 0.0
+    contrast_x: float | None = None
+    contrast_z: float | None = None
+
+    def flip_error(self, label: str) -> float:
+        """Probability 1/(1 + contrast) that the "X" or "Z" flip fails and leaves the state untouched."""
+        contrast = self.contrast_x if label == "X" else self.contrast_z
+        return 0.0 if contrast is None else 1.0 / (1.0 + contrast)
 
     @property
     def bloch_shrink(self) -> float:
@@ -187,6 +175,9 @@ BUDGET_WITH_SPP = {
 
 SPP_TRANSMITTANCE = 0.008
 
+# Nominal extinction ratios of the two EOMs, as ChannelModel fields.
+EOM_CONTRASTS = {"contrast_x": 77.5, "contrast_z": 29.7}
+
 
 def fidelity_budget_total(with_spp: bool) -> float:
     """Product of the component fidelities of BUDGET_WITH_SPP or BUDGET_WITHOUT_SPP.
@@ -211,7 +202,7 @@ def calibrated_channel(with_spp: bool) -> ChannelModel:
     The source enters as the Werner singlet weight. BSM and other-optics
     imperfections (plus the plasmonic element when present) enter as
     depolarizing terms with matching pure-state fidelity. The EOMs keep
-    their nominal extinction ratios (EomModel's defaults); with the plasmon
+    their nominal extinction ratios (EOM_CONTRASTS); with the plasmon
     the distorted beam degrades their effective contrast, which is accounted
     for by the ratio of the with/without component fidelities as extra white
     noise.
@@ -224,7 +215,7 @@ def calibrated_channel(with_spp: bool) -> ChannelModel:
     return ChannelModel(
         werner_visibility=BUDGET_WITH_SPP["f_source"],
         transmittance=SPP_TRANSMITTANCE if with_spp else 1.0,
-        eom=EomModel(),
         depolarizing_extra=1.0 - shrink,
+        **EOM_CONTRASTS,
     )
 

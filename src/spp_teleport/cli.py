@@ -97,7 +97,7 @@ def _contrast(value) -> str | None:  # None: unset
 _Key = collections.namedtuple("_Key", "section parse default check overridden_by", defaults=(None, None))
 
 # Every key a config may hold, in the order validate checks them; a key's name is its RunConfig attribute.
-# The table checks every value: ChannelModel, EomModel and resonance_wavelength take what they are given.
+# The table checks every value: ChannelModel and resonance_wavelength take what they are given.
 CONFIG_KEYS = {
     "seed": _Key("run", int, 0, lambda seed: f"seed must be >= 0, got {seed}" if seed < 0 else None),
     "out": _Key("run", lambda text: Path(text) if text else None, Path("results"),  # Path("") would be "."
@@ -106,7 +106,7 @@ CONFIG_KEYS = {
                         else f"unknown calibration {name!r}"),
     "werner_visibility": _Key("channel", _finite_float, 1.0, _unit_interval("werner_visibility"), "calibration"),
     "depolarizing_extra": _Key("channel", _finite_float, 0.0, _unit_interval("depolarizing_extra"), "calibration"),
-    "contrast_x": _Key("channel", _finite_float, None, _contrast, "calibration"),  # None: EomModel's default
+    "contrast_x": _Key("channel", _finite_float, None, _contrast, "calibration"),  # None: see build_channel
     "contrast_z": _Key("channel", _finite_float, None, _contrast, "calibration"),
     "inputs": _Key("simulate", lambda text: tuple(s.strip() for s in text.split(",") if s.strip()),
                    protocol.INPUT_LABELS, _check_inputs),
@@ -149,12 +149,11 @@ class RunConfig:
     def build_channel(self) -> channel_mod.ChannelModel:
         if self.calibration != "none":
             return channel_mod.calibrated_channel(with_spp=self.calibration == "with_spp")
-        # EomModel owns the default of a contrast the config leaves unset
-        contrasts = {key: value for key, value in (("contrast_x", self.contrast_x), ("contrast_z", self.contrast_z))
-                     if value is not None}
+        # with one contrast set the other takes its nominal value; with neither, both flips are perfect
+        given = {key: getattr(self, key) for key in channel_mod.EOM_CONTRASTS if getattr(self, key) is not None}
+        contrasts = {**channel_mod.EOM_CONTRASTS, **given} if given else {}
         return channel_mod.ChannelModel(werner_visibility=self.werner_visibility,
-                                        eom=channel_mod.EomModel(**contrasts) if contrasts else None,
-                                        depolarizing_extra=self.depolarizing_extra)
+                                        depolarizing_extra=self.depolarizing_extra, **contrasts)
 
 
 def load_config(path) -> RunConfig:
@@ -241,14 +240,7 @@ def cmd_simulate(cfg: RunConfig) -> dict:
 
     budget = channel_mod.BUDGET_WITH_SPP if cfg.calibration == "with_spp" else channel_mod.BUDGET_WITHOUT_SPP
     summary = {
-        "channel": {
-            "calibration": cfg.calibration,
-            "werner_visibility": ch.werner_visibility,
-            "transmittance": ch.transmittance,
-            "depolarizing_extra": ch.depolarizing_extra,
-            "contrast_x": ch.eom.contrast_x if ch.eom else None,
-            "contrast_z": ch.eom.contrast_z if ch.eom else None,
-        },
+        "channel": {"calibration": cfg.calibration, **vars(ch)},
         "budget": {
             "components": budget,
             "total_without_spp": channel_mod.fidelity_budget_total(with_spp=False),

@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import tomo
-from .channel import ChannelModel, EomModel
+from .channel import ChannelModel
 from .qcore import (
     MixedState,
     PureState,
@@ -109,24 +109,22 @@ def bell_decompose(input_state: PureState) -> dict[BellOutcome, tuple[PureState,
 _FLIP_SIGNS = {"X": np.array([1.0, -1.0, -1.0]), "Z": np.array([-1.0, -1.0, 1.0])}
 
 
-def _correction_diagonal(outcome: BellOutcome, eom: EomModel | None) -> np.ndarray:
+def _correction_diagonal(outcome: BellOutcome, channel: ChannelModel) -> np.ndarray:
     """The (3,) diagonal by which the feed-forward scales Bloch vectors: each flip with signs s
-    that fails with probability epsilon contributes (1 - epsilon) s + epsilon."""
+    that fails with probability epsilon = channel.flip_error(label) contributes (1 - epsilon) s + epsilon."""
     diag = np.ones(3)
     for label in outcome.corrections:
-        eps = 0.0 if eom is None else eom.epsilon_x if label == "X" else eom.epsilon_z
+        eps = channel.flip_error(label)
         diag = diag * ((1.0 - eps) * _FLIP_SIGNS[label] + eps)
     return diag
 
 
-def apply_correction(state: MixedState, outcome: BellOutcome,
-                     eom: EomModel | None = None) -> MixedState:
-    """Feed-forward Pauli correction for a Bell outcome.
-
-    With an EomModel, each required flip succeeds with probability
-    1 - epsilon and otherwise leaves the state untouched.
+def apply_correction(state: MixedState, outcome: BellOutcome, channel: ChannelModel) -> MixedState:
+    """Feed-forward Pauli correction for a Bell outcome: each required flip
+    succeeds with probability 1 - channel.flip_error(label) and otherwise
+    leaves the state untouched.
     """
-    return state_from_bloch(_correction_diagonal(outcome, eom) * bloch_of(state))
+    return state_from_bloch(_correction_diagonal(outcome, channel) * bloch_of(state))
 
 
 def _teleport(targets: np.ndarray, channel: ChannelModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -140,7 +138,7 @@ def _teleport(targets: np.ndarray, channel: ChannelModel) -> tuple[np.ndarray, n
     amps, probs = _bell_branches(targets)
     cross, weights = 2.0 * amps[..., 0].conj() * amps[..., 1], amps.real**2 + amps.imag**2
     bloch = np.stack([cross.real, cross.imag, weights[..., 0] - weights[..., 1]], axis=-1)
-    diags = np.array([_correction_diagonal(o, channel.eom) for o in OUTCOMES])
+    diags = np.array([_correction_diagonal(o, channel) for o in OUTCOMES])
     rho = density_matrices(bloch_matrices(channel.bloch_shrink * bloch * diags))
     return rho, probs, clamp_unit(expectation(rho, targets[:, None]).real)
 
@@ -172,7 +170,7 @@ def run_teleportation(input_label: str, channel: ChannelModel, shots: int,
     states, probs, fids = _teleport(INPUT_STATES[input_label].amplitudes[None], channel)
     partition = _shot_partition(probs[0], shots, seed).tolist()
     return [TeleportationRecord(input_label, o, n, state, f, p) for o, n, state, f, p in zip(
-        OUTCOMES, partition, MixedState.from_validated(states[0]), fids[0].tolist(), probs[0].tolist())]
+        OUTCOMES, partition, map(MixedState, states[0]), fids[0].tolist(), probs[0].tolist())]
 
 
 class NoEstimateError(tomo.TomographyError):

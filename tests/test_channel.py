@@ -8,7 +8,7 @@ from spp_teleport.channel import (
     BUDGET_WITHOUT_SPP,
     ChannelModel,
     DielectricTable,
-    EomModel,
+    EOM_CONTRASTS,
     ResonanceSolveError,
     SPP_TRANSMITTANCE,
     apply_channel,
@@ -38,11 +38,17 @@ def _solve(period, mode, eps_d, metal=GOLD):
     return float(resonance_wavelength(np.array([period], dtype=float), mode, eps_d, metal)[0])
 
 
-class TestEomModel:
+class TestFlipError:
+    """The EOM flips of ChannelModel: a contrast c fails a flip with probability 1/(1 + c)."""
+
     def test_epsilons(self):
-        eom = EomModel()
-        assert eom.epsilon_x == pytest.approx(1 / 78.5, abs=1e-15)
-        assert eom.epsilon_z == pytest.approx(1 / 30.7, abs=1e-15)
+        ch = ChannelModel(**EOM_CONTRASTS)
+        assert ch.flip_error("X") == pytest.approx(1 / 78.5, abs=1e-15)
+        assert ch.flip_error("Z") == pytest.approx(1 / 30.7, abs=1e-15)
+
+    def test_no_contrast_is_a_perfect_flip(self):
+        ch = ChannelModel(contrast_x=3.0)
+        assert (ch.flip_error("X"), ch.flip_error("Z")) == (0.25, 0.0)
 
 
 class TestWerner:
@@ -327,7 +333,7 @@ class TestCalibratedChannel:
         ch = calibrated_channel(with_spp=False)
         assert ch.werner_visibility == pytest.approx(0.9834)
         assert ch.transmittance == 1.0
-        assert ch.eom == EomModel()
+        assert (ch.contrast_x, ch.contrast_z) == (77.5, 29.7)
 
     def test_with_spp_noisier(self):
         a = calibrated_channel(with_spp=False)

@@ -88,8 +88,8 @@ mc_trials = 300
         assert cfg.max_likelihood is True
         ch = cfg.build_channel()
         assert ch.werner_visibility == 0.95
-        assert ch.eom.contrast_x == 60.0
-        assert ch.eom.contrast_z == 29.7
+        assert ch.contrast_x == 60.0
+        assert ch.contrast_z == 29.7
 
     def test_missing_file(self):
         with pytest.raises(ConfigError):
@@ -110,6 +110,12 @@ mc_trials = 300
         ch = cfg.build_channel()
         assert ch.transmittance == pytest.approx(0.008)
         assert ch.depolarizing_extra > 0
+
+    # one contrast set: the other takes its nominal value; neither: both flips are perfect
+    @pytest.mark.parametrize("given, contrasts", [({"contrast_z": 10.0}, (77.5, 10.0)), ({}, (None, None))])
+    def test_unset_contrasts(self, given, contrasts):
+        ch = RunConfig(werner_visibility=0.9, **given).build_channel()
+        assert (ch.contrast_x, ch.contrast_z) == contrasts
 
     def test_bad_mode_spec(self, tmp_path):
         path = write_config(tmp_path, "[design]\nmodes = 1;2,3\n")
@@ -1166,6 +1172,23 @@ class TestExitCodes:
         out = tmp_path / "o"
         assert main([command, "--config", str(cfg), "--out", str(out)]) == code
         assert capsys.readouterr().err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, key, message", [
+        ("design", "dielectric", "dielectric table needs >= 2 matching rows"),
+        ("analyze", "counts", "no rows with kind='fidelity', block='without_spp'"),
+    ])
+    def test_too_few_data_rows_exit_3(self, tmp_path, capsys, command, key, message):
+        # a dielectric table with one row; a counts table without its fidelity rows
+        lines = (["wavelength_nm,eps_re,eps_im", "800,-24,1.5"] if key == "dielectric" else
+                 [line for line in counts_mod.bundled_counts_path().read_text().splitlines()
+                  if not line.startswith("fidelity,")])
+        data = tmp_path / "data.csv"
+        data.write_text("\n".join(lines) + "\n")
+        cfg = write_config(tmp_path, f"[{command}]\n{key} = {data}\n")
+        out = tmp_path / "o"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"data error: {message}\n"
         assert not out.exists()
 
     def test_config_error_exit_2(self, tmp_path):

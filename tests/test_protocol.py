@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spp_teleport.channel import ChannelModel, EomModel, calibrated_channel
+from spp_teleport.channel import ChannelModel, calibrated_channel
 from spp_teleport.protocol import (
     BELL_VECTORS,
     SWAPPED_RESOURCE,
@@ -18,11 +18,11 @@ from spp_teleport.protocol import (
     run_teleportation,
 )
 from spp_teleport.qcore import (
+    EIG_ATOL,
     PAULI_MATRICES,
     MixedState,
     PureState,
     bloch_matrices,
-    check_bloch_ball,
     fidelity_pure,
 )
 
@@ -188,7 +188,7 @@ class TestBellDecompose:
     def test_corrected_branches_recover_input(self, s):
         branches = bell_decompose(s)
         for outcome, (pre, _) in branches.items():
-            rho = apply_correction(projector(pre), outcome)
+            rho = apply_correction(projector(pre), outcome, ChannelModel())
             assert fidelity_pure(rho, s) == pytest.approx(1.0, abs=1e-10)
 
     def test_rejects_two_qubit_input(self):
@@ -198,22 +198,22 @@ class TestBellDecompose:
 
 class TestCorrection:
     def test_perfect_flip(self):
-        rho = apply_correction(projector(INPUT_STATES["V"]), BellOutcome.PHI_MINUS)
+        rho = apply_correction(projector(INPUT_STATES["V"]), BellOutcome.PHI_MINUS, ChannelModel())
         assert fidelity_pure(rho, INPUT_STATES["H"]) == pytest.approx(1.0, abs=1e-12)
 
     def test_eom_failure_mixture(self):
-        eom = EomModel(contrast_x=77.5, contrast_z=29.7)
-        rho = apply_correction(projector(INPUT_STATES["V"]), BellOutcome.PHI_MINUS, eom=eom)
+        ch = ChannelModel(contrast_x=77.5, contrast_z=29.7)
+        rho = apply_correction(projector(INPUT_STATES["V"]), BellOutcome.PHI_MINUS, ch)
         # a failed X flip leaves |V>, so the H fidelity is exactly 1 - eps_x
         assert fidelity_pure(rho, INPUT_STATES["H"]) == pytest.approx(1.0 - 1.0 / 78.5, abs=1e-12)
 
     def test_rejects_two_qubit_state(self):
         with pytest.raises(ValueError):
-            apply_correction(MixedState(np.eye(4) / 4), BellOutcome.PHI_MINUS)
+            apply_correction(MixedState(np.eye(4) / 4), BellOutcome.PHI_MINUS, ChannelModel())
 
     def test_no_correction_branch_untouched(self):
         rho_in = projector(INPUT_STATES["R"])
-        rho = apply_correction(rho_in, BellOutcome.PSI_MINUS, eom=EomModel(2.0, 2.0))
+        rho = apply_correction(rho_in, BellOutcome.PSI_MINUS, ChannelModel(contrast_x=2.0, contrast_z=2.0))
         assert trace_distance(rho.matrix, rho_in.matrix) < 1e-12
 
 
@@ -255,14 +255,14 @@ class TestRunTeleportation:
             branches = bell_decompose(PureState(amps))
             for outcome, (pre, prob) in branches.items():
                 rho = MixedState(v * projector(pre).matrix + (1 - v) * np.eye(2) / 2)
-                rho = apply_correction(rho, outcome)
+                rho = apply_correction(rho, outcome, ch)
                 p_ref, rho_ref = oracle[outcome.label]
                 assert prob == pytest.approx(p_ref, abs=1e-12)
                 assert trace_distance(rho.matrix, MixedState(rho_ref).matrix) < 1e-9
 
     def test_eom_lowers_fidelity_monotonically(self):
-        f_good = run_teleportation("R", ChannelModel(eom=EomModel(100.0, 100.0)), 10, 0)
-        f_bad = run_teleportation("R", ChannelModel(eom=EomModel(5.0, 5.0)), 10, 0)
+        f_good = run_teleportation("R", ChannelModel(contrast_x=100.0, contrast_z=100.0), 10, 0)
+        f_bad = run_teleportation("R", ChannelModel(contrast_x=5.0, contrast_z=5.0), 10, 0)
         for a, b in zip(f_good, f_bad):
             if a.outcome.corrections:
                 assert b.fidelity < a.fidelity
@@ -271,7 +271,7 @@ class TestRunTeleportation:
 
     def test_correction_count_splits_eom_penalty(self):
         # outcomes needing two flips lose more than single-flip outcomes
-        recs = {r.outcome: r for r in run_teleportation("R", ChannelModel(eom=EomModel(10.0, 10.0)), 10, 0)}
+        recs = {r.outcome: r for r in run_teleportation("R", ChannelModel(contrast_x=10.0, contrast_z=10.0), 10, 0)}
         assert recs[BellOutcome.PSI_MINUS].fidelity > recs[BellOutcome.PSI_PLUS].fidelity
         assert recs[BellOutcome.PSI_PLUS].fidelity > recs[BellOutcome.PHI_PLUS].fidelity
 
@@ -289,7 +289,7 @@ class TestRunTeleportation:
 class TestRunCampaign:
     def test_matches_per_branch_pipeline(self):
         # reference: the per-input loop with 5 sub-seeds per input, one QST per branch
-        ch = ChannelModel(werner_visibility=0.9, eom=EomModel(40.0, 20.0))
+        ch = ChannelModel(werner_visibility=0.9, contrast_x=40.0, contrast_z=20.0)
         inputs = ("D", "H", "L")
         campaign = Campaign.run(ch, inputs, shots=300, seed=42, max_likelihood=True)
         assert campaign.estimated.all()
@@ -328,6 +328,18 @@ def _clamped_fidelity(target, rho):
     return float(min(1.0, max(0.0, np.vdot(target, rho @ target).real)))
 
 
+def _flip_failure(channel, flip):
+    """1/(1 + c) for the EOM contrast c of an "X" or "Z" flip, 0 for a flip without one, read from the
+    channel's contrast fields rather than through ChannelModel.flip_error."""
+    contrast = channel.contrast_x if flip == "X" else channel.contrast_z
+    return 0.0 if contrast is None else 1.0 / (1.0 + contrast)
+
+
+def _assert_in_ball(r):
+    # density_matrices' bound: the lowest eigenvalue of (I + r.sigma)/2 is (1 - |r|)/2 >= -EIG_ATOL
+    assert np.sqrt((np.asarray(r) ** 2).sum()) <= 1 + 2 * EIG_ATOL
+
+
 def reference_teleport(label, channel):
     """The per-branch pipeline in Pauli-transfer-matrix arithmetic, one
     branch at a time with scalar arithmetic, outcomes in OUTCOMES order: the
@@ -337,21 +349,20 @@ def reference_teleport(label, channel):
     reference the stacked campaign must match bit for bit. Returns (state,
     probability, fidelity) per outcome."""
     target = INPUT_STATES[label].amplitudes
-    eom = channel.eom
     branches = []
     for outcome in OUTCOMES:
         (a, b), prob = _conditional_amplitudes(target, outcome)
         cross = 2.0 * a.conjugate() * b
         r = [cross.real, cross.imag, (a.real**2 + a.imag**2) - (b.real**2 + b.imag**2)]
-        check_bloch_ball(r)
+        _assert_in_ball(r)
         r = [channel.bloch_shrink * x for x in r]
-        check_bloch_ball(r)
+        _assert_in_ball(r)
         diag = [1.0, 1.0, 1.0]
         for flip in outcome.corrections:
-            eps = 0.0 if eom is None else eom.epsilon_x if flip == "X" else eom.epsilon_z
+            eps = _flip_failure(channel, flip)
             diag = [d * ((1.0 - eps) * sign + eps) for d, sign in zip(diag, _FLIP_SIGNS[flip])]
         r = [x * d for x, d in zip(r, diag)]
-        check_bloch_ball(r)
+        _assert_in_ball(r)
         rho = MixedState(bloch_matrices(r)).matrix
         branches.append((rho, prob, _clamped_fidelity(target, rho)))
     return branches
@@ -372,12 +383,8 @@ def matrix_teleport(label, channel):
         rho = MixedState(w * rho + (1.0 - w) * np.eye(2) / 2.0).matrix
         for label_p in outcome.corrections:
             sigma = PAULIS[label_p]
-            flipped = sigma @ rho @ sigma.conj().T
-            if channel.eom is None:
-                rho = flipped
-            else:
-                eps = channel.eom.epsilon_x if label_p == "X" else channel.eom.epsilon_z
-                rho = (1.0 - eps) * flipped + eps * rho
+            eps = _flip_failure(channel, label_p)
+            rho = (1.0 - eps) * (sigma @ rho @ sigma.conj().T) + eps * rho
         rho = MixedState(rho).matrix
         branches.append((rho, _clamped_fidelity(target, rho)))
     return branches
@@ -387,12 +394,11 @@ def closed_form_fidelity(label, outcome, channel):
     """F = (1 + w sum_k r_k^2 prod_flips((1 - eps) + eps s_k)) / 2 for the input's Bloch vector r:
     the outcome's Pauli maps r to s * r and its correction undoes the sign, except where a flip
     fails with probability eps."""
-    eom = channel.eom
     total = 0.0
     for k, r_k in enumerate(_INPUT_BLOCH[label]):
         factor = 1.0
         for flip in _ORACLE_CORRECTIONS[outcome.label]:
-            eps = 0.0 if eom is None else eom.epsilon_x if flip == "X" else eom.epsilon_z
+            eps = _flip_failure(channel, flip)
             factor *= (1.0 - eps) + eps * _FLIP_SIGNS[flip][k]
         total += r_k**2 * factor
     return (1.0 + channel.bloch_shrink * total) / 2.0
@@ -403,8 +409,12 @@ def _same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+# an EOM contrast, or None for a flip that never fails
+_CONTRASTS = st.one_of(st.none(), st.floats(1.001, 1e4))
+
+
 class TestCampaign:
-    CHANNEL = ChannelModel(werner_visibility=0.9, eom=EomModel(40.0, 20.0))
+    CHANNEL = ChannelModel(werner_visibility=0.9, contrast_x=40.0, contrast_z=20.0)
 
     @pytest.mark.parametrize("channel", [
         ChannelModel(), ChannelModel(werner_visibility=0.83), CHANNEL, ChannelModel(depolarizing_extra=1.0),
@@ -420,12 +430,12 @@ class TestCampaign:
 
     @settings(max_examples=60, deadline=None)
     @given(visibility=st.floats(0.0, 1.0), extra=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
-           contrasts=st.one_of(st.none(), st.tuples(st.floats(1.001, 1e4), st.floats(1.001, 1e4))))
-    def test_stack_equals_per_branch_reference_for_any_channel(self, visibility, extra, contrasts):
+           contrast_x=_CONTRASTS, contrast_z=_CONTRASTS)
+    def test_stack_equals_per_branch_reference_for_any_channel(self, visibility, extra, contrast_x, contrast_z):
         # the stack checks only its final states; every stage the reference
         # checks on its own must then be a no-op to the bit
         channel = ChannelModel(werner_visibility=visibility, depolarizing_extra=extra,
-                               eom=EomModel(*contrasts) if contrasts else None)
+                               contrast_x=contrast_x, contrast_z=contrast_z)
         campaign = Campaign.run(channel, INPUT_LABELS, shots=10, seed=0)
         for i, label in enumerate(INPUT_LABELS):
             for k, (rho, _, fid) in enumerate(reference_teleport(label, channel)):
@@ -444,12 +454,12 @@ class TestCampaign:
 
     @settings(max_examples=200, deadline=None)
     @given(visibility=st.floats(0.0, 1.0), extra=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
-           contrasts=st.one_of(st.none(), st.tuples(st.floats(1.001, 1e4), st.floats(1.001, 1e4))))
-    def test_fidelities_equal_the_closed_form(self, visibility, extra, contrasts):
+           contrast_x=_CONTRASTS, contrast_z=_CONTRASTS)
+    def test_fidelities_equal_the_closed_form(self, visibility, extra, contrast_x, contrast_z):
         # every step is a diagonal Pauli transfer matrix, so each branch's
         # fidelity has a closed form (Greenbaum, arXiv:1509.02921)
         channel = ChannelModel(werner_visibility=visibility, depolarizing_extra=extra,
-                               eom=EomModel(*contrasts) if contrasts else None)
+                               contrast_x=contrast_x, contrast_z=contrast_z)
         campaign = Campaign.run(channel, INPUT_LABELS, shots=10, seed=0)
         want = [[closed_form_fidelity(label, o, channel) for o in OUTCOMES] for label in INPUT_LABELS]
         assert np.abs(campaign.fidelities - np.array(want)).max() <= 1e-15

@@ -12,7 +12,6 @@ from spp_teleport.qcore import (
     PureState,
     bloch_matrices,
     bloch_of,
-    check_bloch_ball,
     complex_matrix_to_json,
     density_matrices,
     expectation,
@@ -186,12 +185,6 @@ class TestDensityMatrices:
     def test_empty_stack(self):
         assert density_matrices(np.zeros((0, 2, 2))).shape == (0, 2, 2)
 
-    def test_from_validated_wraps_without_copying(self, rng):
-        out = density_matrices(raw_density_matrices(rng, 3))
-        states = MixedState.from_validated(out)
-        assert [type(s) for s in states] == [MixedState] * len(out)
-        assert all(np.shares_memory(s.matrix, out) for s in states)
-
     @settings(max_examples=50, deadline=None)
     @given(psd_stacks())
     def test_random_psd_stacks(self, mats):
@@ -288,9 +281,18 @@ class TestBloch:
     @pytest.mark.parametrize("direction", [[0, 0, 1], [0, -1, 0], np.array([1, 1, -1]) / np.sqrt(3)])
     def test_ball_bound_is_the_eigenvalue_bound(self, direction):
         # the lowest eigenvalue of (I + r.sigma)/2 is (1 - |r|)/2, so |r| may exceed 1 by 2 EIG_ATOL
-        check_bloch_ball(np.multiply(direction, 1 + 1.9 * EIG_ATOL))
-        with pytest.raises(InvalidStateError, match="Bloch vector length 1.00000000021 > 1"):
-            check_bloch_ball(np.multiply(direction, 1 + 2.1 * EIG_ATOL))
+        r = np.multiply(direction, 1 + 1.9 * EIG_ATOL)
+        assert np.allclose(bloch_of(state_from_bloch(r)), r, rtol=0, atol=1e-15)
+        with pytest.raises(InvalidStateError, match="negative eigenvalue"):
+            state_from_bloch(np.multiply(direction, 1 + 2.1 * EIG_ATOL))
+
+    def test_trace_above_1_is_read_as_it_is(self):
+        assert bloch_of(MixedState(np.diag([1 + 5e-10, 0]))).tolist() == [0, 0, 1.0000000005]
+
+    def test_lowest_accepted_eigenvalue_is_read_as_it_is(self):
+        # lowest eigenvalue -9.99999994e-11, inside EIG_ATOL, yet |r| rounds to above 1 + 2 EIG_ATOL
+        r = [-0.38577083977323756, -0.39756973509359683, -0.832537786120401]
+        assert np.allclose(bloch_of(MixedState(bloch_matrices(r))), r, rtol=0, atol=1e-15)
 
     @settings(max_examples=200, deadline=None)
     @given(pure_states(), st.one_of(st.floats(0.0, 0.5), st.floats(-EIG_ATOL + 1e-15, 0.0)))

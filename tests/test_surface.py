@@ -107,7 +107,6 @@ def test_every_top_level_name_is_referenced():
 # Defaulted parameters kept although no call in src/ passes them, each with its reason.
 ALLOWED_UNPASSED_DEFAULTS = {
     "cli.main(argv)": "the entry point: perfbench and the tests call main(argv), the console script calls main()",
-    "protocol.apply_correction(eom)": "a traced name; it goes when apply_correction is folded into the campaign",
 }
 
 

@@ -212,8 +212,8 @@ def gain_over_the_grid_maximum(counts, mat):
 
 
 def estimate_bloch(mat):
-    """The Bloch vector (x, y, z) of an estimate qst_reconstruct returned, without validating it again."""
-    return bloch_of(MixedState.from_validated([mat])[0])
+    """The Bloch vector (x, y, z) of an estimate qst_reconstruct returned."""
+    return bloch_of(MixedState(mat))
 
 
 def kkt_multiplier_and_residual(counts, r):
