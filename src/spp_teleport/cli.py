@@ -120,7 +120,8 @@ CONFIG_KEYS = {
     "dielectric": _Key("design", str, "bundled"),
     "period_nm": _Key("design", _finite_float, 700.0, lambda p: None if p > 0 else "need period > 0",
                       "period_sweep"),
-    "eps_substrate": _Key("design", _finite_float, 2.25),
+    "eps_substrate": _Key("design", _finite_float, 2.25,
+                          lambda eps_d: None if eps_d > 0 else f"eps_substrate must be > 0, got {eps_d}"),
     "modes": _Key("design", _parse_modes, ((1, 1), (1, 0)),
                   lambda m: f"modes must not repeat a mode, got {list(m)}" if len(set(m)) < len(m)
                   else "mode (0, 0) does not excite a plasmon" if (0, 0) in m else None),
@@ -189,7 +190,7 @@ def cmd_simulate(cfg: RunConfig) -> dict:
     ch = cfg.build_channel()
     campaign = protocol.Campaign.run(ch, cfg.inputs, cfg.shots, cfg.seed, cfg.max_likelihood)
 
-    targets = np.array([protocol.INPUT_STATES[label].amplitudes for label in cfg.inputs])
+    targets = np.array([protocol.INPUT_STATES[label] for label in cfg.inputs])
     fid_qst = clamp_unit(expectation(campaign.estimates, targets[:, None]).real)
     estimated = campaign.estimated
     mean_exact = float(np.mean(campaign.fidelities))

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -19,7 +18,6 @@ from . import tomo
 from .channel import ChannelModel
 from .qcore import (
     MixedState,
-    PureState,
     bloch_matrices,
     bloch_of,
     clamp_unit,
@@ -32,17 +30,18 @@ from .qcore import (
 
 SQ2 = math.sqrt(2.0)
 
-# the six tomography input states alpha|H> + beta|V>
-INPUT_STATES: dict[str, PureState] = {
-    "H": PureState(np.array([1, 0])),
-    "V": PureState(np.array([0, 1])),
-    "D": PureState(np.array([1, 1]) / SQ2),
-    "A": PureState(np.array([1, -1]) / SQ2),
-    "R": PureState(np.array([1, -1j]) / SQ2),
-    "L": PureState(np.array([1, 1j]) / SQ2),
-}
 
-INPUT_LABELS = tuple(INPUT_STATES)
+def _unit(literal) -> np.ndarray:
+    """literal / |literal| as complex: 1/sqrt(2) is 0.7071067811865476 for a literal over SQ2, not 1 / SQ2."""
+    amps = np.asarray(literal, dtype=complex)
+    return amps / np.linalg.norm(amps)
+
+
+INPUT_LABELS = ("H", "V", "D", "A", "R", "L")
+# the six tomography input states alpha|H> + beta|V>, unit (2,) arrays
+INPUT_STATES: dict[str, np.ndarray] = dict(zip(INPUT_LABELS, map(_unit, (
+    np.array([1, 0]), np.array([0, 1]), np.array([1, 1]) / SQ2, np.array([1, -1]) / SQ2,
+    np.array([1, -1j]) / SQ2, np.array([1, 1j]) / SQ2))))
 
 
 class BellOutcome(enum.Enum):
@@ -61,20 +60,14 @@ class BellOutcome(enum.Enum):
 
 OUTCOMES = tuple(BellOutcome)
 
-# Bell states over (Q0 polarization) x (Q1 path), basis (Hl, Hr, Vl, Vr)
-BELL_VECTORS: dict[BellOutcome, PureState] = {
-    BellOutcome.PHI_PLUS: PureState(np.array([1, 0, 0, 1]) / SQ2),
-    BellOutcome.PHI_MINUS: PureState(np.array([1, 0, 0, -1]) / SQ2),
-    BellOutcome.PSI_PLUS: PureState(np.array([0, 1, 1, 0]) / SQ2),
-    BellOutcome.PSI_MINUS: PureState(np.array([0, -1, 1, 0]) / SQ2),
-}
-
-
+# Bell states over (Q0 polarization) x (Q1 path), basis (Hl, Hr, Vl, Vr), one row per outcome in OUTCOMES
+# order: PhiPlus, PhiMinus, PsiMinus, PsiPlus
+BELL_VECTORS = np.array([_unit(np.array(v) / SQ2) for v in ([1, 0, 0, 1], [1, 0, 0, -1], [0, -1, 1, 0], [0, 1, 1, 0])])
 # Bell vectors as (Q0, Q1) matrices, in OUTCOMES order
-_BELL = np.array([BELL_VECTORS[o].amplitudes.reshape(2, 2) for o in OUTCOMES])
+_BELL = BELL_VECTORS.reshape(4, 2, 2)
 # the entangled (path of A) x (polarization of B) resource after the swap,
 # basis (l H, l V, r H, r V); the factored-out |V> of qubit 0 is not included
-SWAPPED_RESOURCE = PureState(np.array([0, 1, -1, 0]) / SQ2).amplitudes
+SWAPPED_RESOURCE = _unit(np.array([0, 1, -1, 0]) / SQ2)
 
 
 def _bell_branches(targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -93,16 +86,17 @@ def _bell_branches(targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return amps / vector_norms(amps)[..., None], norms**2
 
 
-def bell_decompose(input_state: PureState) -> dict[BellOutcome, tuple[PureState, float]]:
-    """Conditional (pre-correction) states of Q2 for each Bell outcome.
+def bell_decompose(amplitudes: np.ndarray) -> dict[BellOutcome, tuple[np.ndarray, float]]:
+    """Conditional (pre-correction) states of Q2 for each Bell outcome of a
+    unit (2,) input amplitude array.
 
-    Returns, per outcome, the normalized phase-stripped Q2 state and the
-    branch probability (exactly 1/4 for any normalized input).
+    Returns, per outcome, the normalized phase-stripped Q2 amplitudes and
+    the branch probability (exactly 1/4 for any normalized input).
     """
-    if input_state.dim != 2:
+    if np.shape(amplitudes) != (2,):
         raise ValueError("input must be a single-qubit state")
-    amps, probs = _bell_branches(input_state.amplitudes[None])
-    return {o: (PureState(a), p) for o, a, p in zip(OUTCOMES, amps[0], probs[0].tolist())}
+    amps, probs = _bell_branches(amplitudes[None])
+    return dict(zip(OUTCOMES, zip(amps[0], probs[0].tolist())))
 
 
 # Bloch-vector signs of the Pauli flips: the diagonals of their Pauli transfer matrices, less the leading 1
@@ -148,29 +142,19 @@ def _shot_partition(probs: np.ndarray, shots: int, seed) -> np.ndarray:
     return np.random.default_rng(seed).multinomial(shots, probs / probs.sum())
 
 
-@dataclass(frozen=True)
-class TeleportationRecord:
-    input: str
-    outcome: BellOutcome
-    shots: int
-    state: MixedState
-    fidelity: float
-    probability: float
-
-
 def run_teleportation(input_label: str, channel: ChannelModel, shots: int,
-                      seed: int) -> list[TeleportationRecord]:
+                      seed: int) -> dict[BellOutcome, tuple[int, MixedState, float, float]]:
     """Full pipeline: prepare, swap, Bell-measure, channel, feed-forward.
 
     Bell outcomes are sampled (seeded) for the shot partition while the
     per-outcome conditional density matrices are accumulated exactly.
+    Returns, per outcome in OUTCOMES order, (shots, state, fidelity, probability).
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    states, probs, fids = _teleport(INPUT_STATES[input_label].amplitudes[None], channel)
+    states, probs, fids = _teleport(INPUT_STATES[input_label][None], channel)
     partition = _shot_partition(probs[0], shots, seed).tolist()
-    return [TeleportationRecord(input_label, o, n, state, f, p) for o, n, state, f, p in zip(
-        OUTCOMES, partition, map(MixedState, states[0]), fids[0].tolist(), probs[0].tolist())]
+    return dict(zip(OUTCOMES, zip(partition, map(MixedState, states[0]), fids[0].tolist(), probs[0].tolist())))
 
 
 class NoEstimateError(tomo.TomographyError):
@@ -188,7 +172,6 @@ class Campaign(NamedTuple):
 
     inputs: tuple
     shots: np.ndarray  # (n, 4) sampled shot partition of each input
-    probabilities: np.ndarray  # (n, 4)
     states: np.ndarray  # (n, 4, 2, 2)
     fidelities: np.ndarray  # (n, 4) <phi|rho|phi>
     estimates: np.ndarray  # (n, 4, 2, 2)
@@ -209,14 +192,14 @@ class Campaign(NamedTuple):
         """
         inputs = tuple(inputs)
         seeds = np.random.SeedSequence(seed).generate_state(len(inputs) * 5).reshape(-1, 5)
-        states, probs, fids = _teleport(np.array([INPUT_STATES[label].amplitudes for label in inputs]), channel)
+        states, probs, fids = _teleport(np.array([INPUT_STATES[label] for label in inputs]), channel)
         partition = np.array([_shot_partition(p, shots, int(s)) for p, s in zip(probs, seeds[:, 0])])
         per_basis = partition // len(tomo.BASES)
         sampled = per_basis > 0
         counts = tomo.sample_counts(states[sampled], per_basis[sampled], seeds[:, 1:][sampled])
         estimates = np.full(states.shape, np.nan, dtype=complex)
         estimates[sampled] = tomo.qst_reconstruct(counts, max_likelihood=max_likelihood)
-        return cls(inputs, partition, probs, states, fids, estimates)
+        return cls(inputs, partition, states, fids, estimates)
 
     def process_matrix(self, cp_projection: bool = False) -> np.ndarray:
         """Process tomography over the QPT inputs (H, V, D, L), all of which

@@ -23,26 +23,7 @@ class DimensionMismatchError(ValueError):
 
 
 class InvalidStateError(ValueError):
-    """A vector or matrix does not describe a physical quantum state."""
-
-
-@dataclass(frozen=True)
-class PureState:
-    """Normalized complex amplitude vector over a finite mode space."""
-
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex).ravel()
-        norm = np.linalg.norm(amps)
-        if norm == 0:
-            raise InvalidStateError("zero amplitude vector")
-        object.__setattr__(self, "amplitudes", amps / norm)
-
-    @property
-    def dim(self) -> int:
-        return self.amplitudes.size
-
+    """A matrix does not describe a physical quantum state."""
 
 
 def strip_global_phase(amps: np.ndarray) -> np.ndarray:
@@ -103,13 +84,9 @@ class MixedState:
 PAULI_MATRICES = np.array([np.eye(2), [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex)
 
 
-def tensor(a, b):
-    """Kronecker product of two states of the same kind."""
-    if isinstance(a, PureState) and isinstance(b, PureState):
-        return PureState(np.kron(a.amplitudes, b.amplitudes))
-    if isinstance(a, MixedState) and isinstance(b, MixedState):
-        return MixedState(np.kron(a.matrix, b.matrix))
-    raise TypeError("tensor operands must both be PureState or both MixedState")
+def tensor(a: MixedState, b: MixedState) -> MixedState:
+    """Kronecker product of two density matrices."""
+    return MixedState(np.kron(a.matrix, b.matrix))
 
 
 def vector_norms(x) -> np.ndarray:
@@ -131,11 +108,11 @@ def clamp_unit(x):
     return np.minimum(1.0, np.maximum(0.0, x))
 
 
-def fidelity_pure(rho: MixedState, phi: PureState) -> float:
-    """State fidelity <phi|rho|phi>, clamped to [0, 1]."""
-    if rho.dim != phi.dim:
-        raise DimensionMismatchError(f"{rho.dim} != {phi.dim}")
-    return float(clamp_unit(expectation(rho.matrix, phi.amplitudes).real))
+def fidelity_pure(rho: MixedState, phi: np.ndarray) -> float:
+    """State fidelity <phi|rho|phi> to a unit amplitude vector phi, clamped to [0, 1]."""
+    if rho.dim != phi.size:
+        raise DimensionMismatchError(f"{rho.dim} != {phi.size}")
+    return float(clamp_unit(expectation(rho.matrix, phi).real))
 
 
 def bloch_of(rho: MixedState) -> np.ndarray:

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from spp_teleport.qcore import MixedState, PureState
+from spp_teleport.qcore import MixedState
+
+from reference import unit
 
 
-def projector(state: PureState) -> MixedState:
-    return MixedState(np.outer(state.amplitudes, state.amplitudes.conj()))
+def projector(amps: np.ndarray) -> MixedState:
+    return MixedState(np.outer(amps, amps.conj()))
 
 
 @st.composite
@@ -21,7 +23,7 @@ def pure_states(draw, dim=2):
     vec = np.array(parts[:dim]) + 1j * np.array(parts[dim:])
     if np.linalg.norm(vec) < 1e-3:
         vec = vec + np.eye(dim)[0]
-    return PureState(vec)
+    return unit(vec)
 
 
 @st.composite
@@ -53,7 +55,7 @@ def rng():
 
 def random_pure(rng, dim=2):
     vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return PureState(vec)
+    return unit(vec)
 
 
 def random_mixed(rng, dim=2):

@@ -13,6 +13,8 @@
 - `chsh_s_16`: CHSH |S| from all 16 counts, each setting's correlation
   taken from its four outcomes, the formula the pooled
   `counts.chsh_s_values` is tested against;
+- `unit`: a vector over its own norm, as a unit amplitude array: the rule
+  the package's input, Bell and resource constants are built by;
 - `sphere_grid_maximum`: the pure state of largest likelihood for one row of
   tomography counts, by brute-force search over the Bloch sphere, the oracle
   of the maximum-likelihood state tomography.
@@ -20,9 +22,15 @@
 
 import numpy as np
 
-from spp_teleport.qcore import PAULI_MATRICES, MixedState, PureState, density_matrices
+from spp_teleport.qcore import PAULI_MATRICES, MixedState, density_matrices
 
-SINGLET = PureState(np.array([0, 1, -1, 0]) / np.sqrt(2)).amplitudes
+
+def unit(v) -> np.ndarray:
+    v = np.asarray(v, dtype=complex)
+    return v / np.linalg.norm(v)
+
+
+SINGLET = unit(np.array([0, 1, -1, 0]) / np.sqrt(2))
 
 
 def chi_identity() -> np.ndarray:

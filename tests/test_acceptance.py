@@ -106,8 +106,8 @@ def test_06_ideal_teleportation_identity():
     worst = 1.0
     ch = channel.ChannelModel()
     for label in protocol.INPUT_LABELS:
-        for rec in protocol.run_teleportation(label, ch, shots=10, seed=0):
-            worst = min(worst, rec.fidelity)
+        for _, _, fidelity, _ in protocol.run_teleportation(label, ch, shots=10, seed=0).values():
+            worst = min(worst, fidelity)
     elapsed = time.perf_counter() - t0
     ok = abs(worst - 1.0) <= 1e-12 and elapsed < 1.0
     _report(6, "ideal channel: 6 inputs x 4 outcomes at fidelity 1 +- 1e-12, < 1 s", ok,
@@ -120,11 +120,11 @@ def test_07_werner_channel_oracle():
         ch = channel.ChannelModel(werner_visibility=v)
         expected = (1 + v) / 2
         for label in protocol.INPUT_LABELS:
-            oracle = brute_force_teleport(protocol.INPUT_STATES[label].amplitudes, werner(v))
-            for rec in protocol.run_teleportation(label, ch, shots=10, seed=0):
-                worst = max(worst, abs(rec.fidelity - expected))
-                _, rho_ref = oracle[rec.outcome.label]
-                worst = max(worst, trace_distance(rec.state.matrix, MixedState(rho_ref).matrix))
+            oracle = brute_force_teleport(protocol.INPUT_STATES[label], werner(v))
+            for outcome, (_, state, fidelity, _) in protocol.run_teleportation(label, ch, shots=10, seed=0).items():
+                worst = max(worst, abs(fidelity - expected))
+                _, rho_ref = oracle[outcome.label]
+                worst = max(worst, trace_distance(state.matrix, MixedState(rho_ref).matrix))
     ok = worst <= 1e-9
     _report(7, "Werner(v) gives per-outcome fidelity (1+v)/2 vs brute force, 1e-9", ok,
             f"worst deviation {worst:.2e}")

@@ -19,7 +19,7 @@ from spp_teleport.channel import (
     resonance_wavelength,
     dispersion_match,
 )
-from spp_teleport.qcore import MixedState, PureState, fidelity_pure
+from spp_teleport.qcore import MixedState, fidelity_pure
 
 from conftest import random_mixed
 from reference import SINGLET, werner
@@ -62,7 +62,7 @@ class TestWerner:
 
     def test_singlet_fidelity(self):
         v = 0.9734
-        assert fidelity_pure(MixedState(werner(v)), PureState(SINGLET)) == pytest.approx(0.98005, abs=1e-12)
+        assert fidelity_pure(MixedState(werner(v)), SINGLET) == pytest.approx(0.98005, abs=1e-12)
 
     def test_endpoints(self):
         assert np.allclose(werner(1.0), np.outer(SINGLET, SINGLET), atol=1e-12)

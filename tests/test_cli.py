@@ -453,6 +453,9 @@ modes = 1,0
         "shots": {"[simulate]\nshots = 0\n": "shots must be in [1, 2**63 - 1], got 0"},
         "mc_trials": {"[tomography]\nmc_trials = 99\n": "mc_trials must be >= 100, got 99"},
         "period_nm": {"[design]\nperiod_nm = 0\n": "need period > 0"},
+        "eps_substrate": {"[design]\neps_substrate = 0\n": "eps_substrate must be > 0, got 0.0",
+                          "[design]\neps_substrate = -0.0\n": "eps_substrate must be > 0, got -0.0",
+                          "[design]\neps_substrate = -1\n": "eps_substrate must be > 0, got -1.0"},
         "modes": {"[design]\nmodes = 1,1;0,0\n": "mode (0, 0) does not excite a plasmon",
                   "[design]\nmodes = 0,0;1,1\n": "mode (0, 0) does not excite a plasmon",
                   "[design]\nmodes = 1,1;1,1\n": "modes must not repeat a mode, got [(1, 1), (1, 1)]"},
@@ -1189,6 +1192,14 @@ class TestExitCodes:
         out = tmp_path / "o"
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 3
         assert capsys.readouterr().err == f"data error: {message}\n"
+        assert not out.exists()
+
+    def test_substrate_without_a_bound_mode_exit_3(self, tmp_path, capsys):
+        # eps_substrate > 0 passes the config check, but eps_d + eps_m > 0 at every node makes f < 0 there
+        cfg = write_config(tmp_path, "[design]\neps_substrate = 1e308\n")
+        out = tmp_path / "o"
+        assert main(["design", "--config", str(cfg), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == "data error: no bound surface mode for these dielectric constants\n"
         assert not out.exists()
 
     def test_config_error_exit_2(self, tmp_path):

@@ -174,7 +174,7 @@ def reference_simulate_rows(config):
     them before it wrote them from columns."""
     cfg = load_config(config)
     campaign = protocol.Campaign.run(cfg.build_channel(), cfg.inputs, cfg.shots, cfg.seed, cfg.max_likelihood)
-    targets = np.array([protocol.INPUT_STATES[label].amplitudes for label in cfg.inputs])
+    targets = np.array([protocol.INPUT_STATES[label] for label in cfg.inputs])
     fid_qst = clamp_unit(expectation(campaign.estimates, targets[:, None]).real)
     branches = [(label, outcome) for label in cfg.inputs for outcome in protocol.OUTCOMES]
     records = [

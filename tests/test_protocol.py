@@ -13,6 +13,7 @@ from spp_teleport.protocol import (
     INPUT_LABELS,
     INPUT_STATES,
     OUTCOMES,
+    _teleport,
     apply_correction,
     bell_decompose,
     run_teleportation,
@@ -21,7 +22,6 @@ from spp_teleport.qcore import (
     EIG_ATOL,
     PAULI_MATRICES,
     MixedState,
-    PureState,
     bloch_matrices,
     fidelity_pure,
 )
@@ -35,7 +35,7 @@ from spp_teleport.tomo import (
 )
 
 from conftest import projector, pure_states
-from reference import trace_distance, werner
+from reference import trace_distance, unit, werner
 
 SQ2 = np.sqrt(2.0)
 PAULIS = dict(zip("IXYZ", PAULI_MATRICES))
@@ -108,7 +108,13 @@ PORT_MODE_INDEX = {"CH1": 2, "CH2": 3, "CH3": 0, "CH4": 1}
 
 
 def _overlap(a, b):
-    return abs(np.vdot(a.amplitudes, b.amplitudes))
+    return abs(np.vdot(a, b))
+
+
+def _bit_patterns(a):
+    a = np.asarray(a)
+    assert a.dtype == complex
+    return a.view(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -123,6 +129,26 @@ class TestInputs:
             assert _overlap(INPUT_STATES[a], INPUT_STATES[b]) < 1e-12
 
 
+class TestConstants:
+    # each constant is its literal over its own norm, bit for bit: the raw 64-bit patterns differ for
+    # 0.7071067811865475 against ...476, and for an R amplitude whose -0.0 real part became 0.0
+    INPUT_LITERALS = {"H": np.array([1, 0]), "V": np.array([0, 1]), "D": np.array([1, 1]) / SQ2,
+                      "A": np.array([1, -1]) / SQ2, "R": np.array([1, -1j]) / SQ2, "L": np.array([1, 1j]) / SQ2}
+
+    def test_inputs_are_unit_literals(self):
+        assert list(INPUT_STATES) == list(self.INPUT_LITERALS) == list(INPUT_LABELS)
+        for label, literal in self.INPUT_LITERALS.items():
+            assert np.array_equal(_bit_patterns(INPUT_STATES[label]), _bit_patterns(unit(literal))), label
+        assert np.signbit(INPUT_STATES["R"][1].real)
+
+    def test_bell_vectors_are_unit_literals_in_outcome_order(self):
+        want = np.array([unit(_ORACLE_BELL[o.label]) for o in OUTCOMES])
+        assert np.array_equal(_bit_patterns(BELL_VECTORS), _bit_patterns(want))
+
+    def test_resource_is_the_unit_literal(self):
+        assert np.array_equal(_bit_patterns(SWAPPED_RESOURCE), _bit_patterns(unit(np.array([0, 1, -1, 0]) / SQ2)))
+
+
 class TestResource:
     def test_amplitudes(self):
         assert np.allclose(SWAPPED_RESOURCE, np.array([0, 1, -1, 0]) / SQ2)
@@ -135,7 +161,7 @@ class TestResource:
 
 class TestBellBasis:
     def test_orthonormal(self):
-        vecs = [BELL_VECTORS[o].amplitudes for o in OUTCOMES]
+        vecs = list(BELL_VECTORS)
         gram = np.array([[np.vdot(a, b) for b in vecs] for a in vecs])
         assert np.allclose(gram, np.eye(4), atol=1e-12)
 
@@ -193,7 +219,7 @@ class TestBellDecompose:
 
     def test_rejects_two_qubit_input(self):
         with pytest.raises(ValueError):
-            bell_decompose(PureState(SWAPPED_RESOURCE))
+            bell_decompose(SWAPPED_RESOURCE)
 
 
 class TestCorrection:
@@ -221,17 +247,17 @@ class TestRunTeleportation:
     def test_ideal_identity_all_cells(self):
         ch = ChannelModel()
         for label in INPUT_LABELS:
-            for rec in run_teleportation(label, ch, shots=100, seed=7):
-                assert rec.fidelity == pytest.approx(1.0, abs=1e-12)
+            for _, _, fidelity, _ in run_teleportation(label, ch, shots=100, seed=7).values():
+                assert fidelity == pytest.approx(1.0, abs=1e-12)
 
     def test_shot_partition_matches_total(self):
         recs = run_teleportation("D", ChannelModel(), shots=1234, seed=3)
-        assert sum(r.shots for r in recs) == 1234
+        assert sum(shots for shots, *_ in recs.values()) == 1234
 
     def test_deterministic_partition(self):
         a = run_teleportation("L", ChannelModel(), shots=5000, seed=11)
         b = run_teleportation("L", ChannelModel(), shots=5000, seed=11)
-        assert [r.shots for r in a] == [r.shots for r in b]
+        assert [shots for shots, *_ in a.values()] == [shots for shots, *_ in b.values()]
 
     @pytest.mark.parametrize("v", [0.0, 0.5, 0.9, 1.0])
     def test_werner_fidelity_against_oracle(self, v):
@@ -239,12 +265,12 @@ class TestRunTeleportation:
         expected = (1.0 + v) / 2.0
         for label in INPUT_LABELS:
             recs = run_teleportation(label, ch, shots=10, seed=0)
-            oracle = brute_force_teleport(INPUT_STATES[label].amplitudes, werner(v))
-            for rec in recs:
-                assert rec.fidelity == pytest.approx(expected, abs=1e-9)
-                prob, rho_ref = oracle[rec.outcome.label]
-                assert prob == pytest.approx(rec.probability, abs=1e-12)
-                assert trace_distance(rec.state.matrix, MixedState(rho_ref).matrix) < 1e-9
+            oracle = brute_force_teleport(INPUT_STATES[label], werner(v))
+            for outcome, (_, state, fidelity, probability) in recs.items():
+                assert fidelity == pytest.approx(expected, abs=1e-9)
+                prob, rho_ref = oracle[outcome.label]
+                assert prob == pytest.approx(probability, abs=1e-12)
+                assert trace_distance(state.matrix, MixedState(rho_ref).matrix) < 1e-9
 
     def test_pipeline_matches_oracle_random_inputs(self, rng):
         v = 0.83
@@ -252,7 +278,7 @@ class TestRunTeleportation:
         for _ in range(20):
             amps = rng.normal(size=2) + 1j * rng.normal(size=2)
             oracle = brute_force_teleport(amps, werner(v))
-            branches = bell_decompose(PureState(amps))
+            branches = bell_decompose(unit(amps))
             for outcome, (pre, prob) in branches.items():
                 rho = MixedState(v * projector(pre).matrix + (1 - v) * np.eye(2) / 2)
                 rho = apply_correction(rho, outcome, ch)
@@ -263,23 +289,25 @@ class TestRunTeleportation:
     def test_eom_lowers_fidelity_monotonically(self):
         f_good = run_teleportation("R", ChannelModel(contrast_x=100.0, contrast_z=100.0), 10, 0)
         f_bad = run_teleportation("R", ChannelModel(contrast_x=5.0, contrast_z=5.0), 10, 0)
-        for a, b in zip(f_good, f_bad):
-            if a.outcome.corrections:
-                assert b.fidelity < a.fidelity
+        for outcome in OUTCOMES:
+            good, bad = f_good[outcome][2], f_bad[outcome][2]
+            if outcome.corrections:
+                assert bad < good
             else:
-                assert b.fidelity == pytest.approx(a.fidelity, abs=1e-12)
+                assert bad == pytest.approx(good, abs=1e-12)
 
     def test_correction_count_splits_eom_penalty(self):
         # outcomes needing two flips lose more than single-flip outcomes
-        recs = {r.outcome: r for r in run_teleportation("R", ChannelModel(contrast_x=10.0, contrast_z=10.0), 10, 0)}
-        assert recs[BellOutcome.PSI_MINUS].fidelity > recs[BellOutcome.PSI_PLUS].fidelity
-        assert recs[BellOutcome.PSI_PLUS].fidelity > recs[BellOutcome.PHI_PLUS].fidelity
+        fids = {o: fid for o, (_, _, fid, _) in run_teleportation("R", ChannelModel(contrast_x=10.0, contrast_z=10.0),
+                                                                   10, 0).items()}
+        assert fids[BellOutcome.PSI_MINUS] > fids[BellOutcome.PSI_PLUS]
+        assert fids[BellOutcome.PSI_PLUS] > fids[BellOutcome.PHI_PLUS]
 
     def test_transmittance_does_not_change_states(self):
         lossy = run_teleportation("D", ChannelModel(transmittance=0.008), 10, 0)
         clean = run_teleportation("D", ChannelModel(), 10, 0)
-        for a, b in zip(lossy, clean):
-            assert trace_distance(a.state.matrix, b.state.matrix) < 1e-12
+        for outcome in OUTCOMES:
+            assert trace_distance(lossy[outcome][1].matrix, clean[outcome][1].matrix) < 1e-12
 
     def test_invalid_shots(self):
         with pytest.raises(ValueError):
@@ -296,11 +324,11 @@ class TestRunCampaign:
         seeds = np.random.SeedSequence(42).generate_state(len(inputs) * 5)
         for i, label in enumerate(inputs):
             recs = run_teleportation(label, ch, 300, seed=int(seeds[5 * i]))
-            assert [(rec.input, rec.outcome) for rec in recs] == [(label, o) for o in OUTCOMES]
-            for k, (rec, sub) in enumerate(zip(recs, seeds[5 * i + 1:5 * i + 5])):
-                measured = sample_measurements(rec.state, rec.shots // len(BASES), seed=int(sub))
-                assert rec.shots == campaign.shots[i, k]
-                assert np.array_equal(rec.state.matrix, campaign.states[i, k])
+            assert list(recs) == list(OUTCOMES)
+            for k, ((shots, state, _, _), sub) in enumerate(zip(recs.values(), seeds[5 * i + 1:5 * i + 5])):
+                measured = sample_measurements(state, shots // len(BASES), seed=int(sub))
+                assert shots == campaign.shots[i, k]
+                assert np.array_equal(state.matrix, campaign.states[i, k])
                 assert np.array_equal(qst_reconstruct(measured[None], max_likelihood=True)[0],
                                       campaign.estimates[i, k])
 
@@ -316,7 +344,7 @@ def _conditional_amplitudes(target, outcome):
     """Normalized, phase-stripped Q2 amplitudes of one Bell outcome, and its probability."""
     full = np.kron(target, SWAPPED_RESOURCE)
     full = (full / np.linalg.norm(full)).reshape(2, 2, 2)
-    cond = np.einsum("ij,ijk->k", BELL_VECTORS[outcome].amplitudes.reshape(2, 2).conj(), full)
+    cond = np.einsum("ij,ijk->k", BELL_VECTORS[OUTCOMES.index(outcome)].reshape(2, 2).conj(), full)
     prob = float(np.linalg.norm(cond) ** 2)
     amps = cond / np.linalg.norm(cond)
     k = int(np.argmax(np.abs(amps)))
@@ -348,7 +376,7 @@ def reference_teleport(label, channel):
     to lie in the ball and the final state is validated on its own. The
     reference the stacked campaign must match bit for bit. Returns (state,
     probability, fidelity) per outcome."""
-    target = INPUT_STATES[label].amplitudes
+    target = INPUT_STATES[label]
     branches = []
     for outcome in OUTCOMES:
         (a, b), prob = _conditional_amplitudes(target, outcome)
@@ -374,7 +402,7 @@ def matrix_teleport(label, channel):
     Pauli conjugation mixed with the unflipped state by the EOM's failure
     probability. An oracle independent of the Bloch-vector arithmetic.
     Returns (state, fidelity) per outcome."""
-    target = INPUT_STATES[label].amplitudes
+    target = INPUT_STATES[label]
     branches = []
     for outcome in OUTCOMES:
         amps, _ = _conditional_amplitudes(target, outcome)
@@ -404,6 +432,11 @@ def closed_form_fidelity(label, outcome, channel):
     return (1.0 + channel.bloch_shrink * total) / 2.0
 
 
+def _branch_probabilities(channel):
+    """The (6, 4) branch probabilities of the six inputs, from the stack code the campaign runs."""
+    return _teleport(np.array([INPUT_STATES[label] for label in INPUT_LABELS]), channel)[1]
+
+
 def _same_bits(a, b):
     a, b = np.asarray(a), np.asarray(b)
     return a.shape == b.shape and a.tobytes() == b.tobytes()
@@ -423,10 +456,11 @@ class TestCampaign:
     ])
     def test_stack_equals_per_branch_reference(self, channel):
         campaign = Campaign.run(channel, INPUT_LABELS, shots=10, seed=0)
+        probabilities = _branch_probabilities(channel)
         for i, label in enumerate(INPUT_LABELS):
             for k, (rho, prob, fid) in enumerate(reference_teleport(label, channel)):
                 assert _same_bits(campaign.states[i, k], rho)
-                assert (campaign.probabilities[i, k], campaign.fidelities[i, k]) == (prob, fid)
+                assert (probabilities[i, k], campaign.fidelities[i, k]) == (prob, fid)
 
     @settings(max_examples=60, deadline=None)
     @given(visibility=st.floats(0.0, 1.0), extra=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
@@ -467,11 +501,13 @@ class TestCampaign:
     def test_one_input_runs_equal_the_stack(self):
         # run_teleportation is the one-input call of the stack code
         campaign = Campaign.run(self.CHANNEL, INPUT_LABELS, shots=100, seed=3)
+        probabilities = _branch_probabilities(self.CHANNEL)
         for i, label in enumerate(INPUT_LABELS):
-            for k, rec in enumerate(run_teleportation(label, self.CHANNEL, 100, seed=0)):
-                assert _same_bits(rec.state.matrix, campaign.states[i, k])
-                assert rec.fidelity == campaign.fidelities[i, k]
-                assert rec.probability == campaign.probabilities[i, k]
+            for k, (_, state, fidelity, probability) in enumerate(run_teleportation(label, self.CHANNEL, 100,
+                                                                                   seed=0).values()):
+                assert _same_bits(state.matrix, campaign.states[i, k])
+                assert fidelity == campaign.fidelities[i, k]
+                assert probability == probabilities[i, k]
 
     def test_branches_without_a_shot_per_basis_get_no_estimate(self):
         # shots 3 over 4 outcomes: most branches get 0-2 shots

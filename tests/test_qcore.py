@@ -9,7 +9,6 @@ from spp_teleport.qcore import (
     InvalidStateError,
     MixedState,
     PAULI_MATRICES,
-    PureState,
     bloch_matrices,
     bloch_of,
     complex_matrix_to_json,
@@ -23,21 +22,14 @@ from spp_teleport.qcore import (
 )
 
 from conftest import mixed_states, projector, pure_states, random_mixed, random_pure
-from reference import trace_distance
+from reference import SINGLET, trace_distance, unit
 
-H = PureState(np.array([1, 0]))
-V = PureState(np.array([0, 1]))
-SINGLET = PureState(np.array([0, 1, -1, 0]) / np.sqrt(2))
+H = unit([1, 0])
+V = unit([0, 1])
 
 
 class TestPureState:
-    def test_normalizes(self):
-        s = PureState(np.array([3.0, 4.0]))
-        assert np.allclose(s.amplitudes, [0.6, 0.8])
-
-    def test_zero_vector_rejected(self):
-        with pytest.raises(InvalidStateError):
-            PureState(np.zeros(2))
+    """Pure states are unit amplitude arrays; strip_global_phase fixes their global phase."""
 
     def test_phase_fixed(self):
         assert np.allclose(strip_global_phase(np.array([1j, 0])), [1, 0])
@@ -45,7 +37,7 @@ class TestPureState:
     @given(pure_states())
     def test_phase_fixed_projector_invariant(self, s):
         a = projector(s).matrix
-        b = projector(PureState(strip_global_phase(s.amplitudes))).matrix
+        b = projector(strip_global_phase(s)).matrix
         assert np.allclose(a, b, atol=1e-10)
 
 
@@ -120,7 +112,7 @@ def psd_stacks(draw):
     for _ in range(draw(st.integers(1, 8))):
         n_terms = draw(st.integers(1, 3))
         weights = draw(st.lists(st.floats(0.05, 1.0), min_size=n_terms, max_size=n_terms))
-        vecs = [draw(pure_states()).amplitudes for _ in range(n_terms)]
+        vecs = [draw(pure_states()) for _ in range(n_terms)]
         m = sum(w * np.outer(v, v.conj()) for w, v in zip(weights, vecs))
         mats.append(m / np.trace(m).real)
     return np.array(mats)
@@ -216,12 +208,8 @@ class TestStackHelpers:
 
 class TestTensorAndPartialTrace:
     def test_tensor_product_basis(self):
-        hv = tensor(H, V)
-        assert np.allclose(hv.amplitudes, [0, 1, 0, 0])
-
-    def test_tensor_type_mismatch(self):
-        with pytest.raises(TypeError):
-            tensor(H, projector(V))
+        hv = tensor(projector(H), projector(V))
+        assert np.allclose(hv.matrix, np.diag([0, 1, 0, 0]))
 
     def test_mixed_product(self, rng):
         a, b = random_mixed(rng), random_mixed(rng)
@@ -229,7 +217,9 @@ class TestTensorAndPartialTrace:
 
     @given(pure_states(), pure_states())
     def test_tensor_norm_preserved(self, a, b):
-        assert abs(np.linalg.norm(tensor(a, b).amplitudes) - 1) < 1e-10
+        # the product of two pure states is pure: unit trace and unit purity
+        rho = tensor(projector(a), projector(b)).matrix
+        assert abs(np.trace(rho @ rho).real - 1) < 1e-10
 
 
 class TestFidelity:
@@ -259,9 +249,9 @@ class TestBloch:
     def test_cardinal_states(self):
         assert np.allclose(bloch_of(projector(H)), [0, 0, 1], atol=1e-12)
         assert np.allclose(bloch_of(projector(V)), [0, 0, -1], atol=1e-12)
-        r_state = PureState(np.array([1, -1j]) / np.sqrt(2))
+        r_state = unit(np.array([1, -1j]) / np.sqrt(2))
         assert np.allclose(bloch_of(projector(r_state)), [0, -1, 0], atol=1e-12)
-        l_state = PureState(np.array([1, 1j]) / np.sqrt(2))
+        l_state = unit(np.array([1, 1j]) / np.sqrt(2))
         assert np.allclose(bloch_of(projector(l_state)), [0, 1, 0], atol=1e-12)
 
     def test_maximally_mixed_is_origin(self):

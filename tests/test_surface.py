@@ -147,9 +147,7 @@ def test_every_defaulted_parameter_is_passed_somewhere():
 
 
 # Dataclasses kept although they define no behaviour, each with its reason.
-ALLOWED_VALUE_ONLY_DATACLASSES = {
-    "protocol.TeleportationRecord": "returned by the traced `run_teleportation`; goes with ROADMAP item 2 Step B",
-}
+ALLOWED_VALUE_ONLY_DATACLASSES = {}
 
 
 def _is_dataclass_decorator(node) -> bool:
