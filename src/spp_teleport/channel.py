@@ -19,11 +19,6 @@ from . import output
 from .qcore import MixedState, bloch_of, state_from_bloch
 
 
-class ResonanceSolveError(RuntimeError):
-    """A dielectric table that cannot be read or has fewer than two rows, or a
-    geometry with no resonance inside the table's range: a data error."""
-
-
 @dataclass(frozen=True)
 class ChannelModel:
     """Noise parameters of the photon-plasmon-photon link.
@@ -73,7 +68,7 @@ class DielectricTable:
         wl = np.asarray(wavelengths_nm, dtype=float)
         eps_re = np.asarray(eps_re, dtype=float)
         if wl.size < 2 or wl.size != eps_re.size:
-            raise ResonanceSolveError("dielectric table needs >= 2 matching rows")
+            raise output.DataError("dielectric table needs >= 2 matching rows")
         order = np.argsort(wl)
         self.wavelengths_nm = wl[order]
         self.eps_re = eps_re[order]
@@ -88,15 +83,15 @@ def load_dielectric_table(path) -> DielectricTable:
     """Read a CSV with header wavelength_nm, eps_re, eps_im, all finite; keeps eps_re only."""
     eps_re = {}  # by wavelength, in file order
     columns = ("wavelength_nm", "eps_re", "eps_im")
-    for where, row in output.read_csv(path, columns, ResonanceSolveError, "dielectric CSV", "dielectric CSV line {}"):
+    for where, row in output.read_csv(path, columns, "dielectric CSV", "dielectric CSV line {}"):
         try:
             w, re, im = map(float, row)
         except (TypeError, ValueError):
-            raise ResonanceSolveError(f"{where}: non-numeric value") from None
+            raise output.DataError(f"{where}: non-numeric value") from None
         if not all(map(math.isfinite, (w, re, im))):
-            raise ResonanceSolveError(f"{where}: non-finite value")
+            raise output.DataError(f"{where}: non-finite value")
         if w in eps_re:
-            raise ResonanceSolveError(f"{where}: repeated wavelength {w:g} nm")
+            raise output.DataError(f"{where}: repeated wavelength {w:g} nm")
         eps_re[w] = re
     return DielectricTable(list(eps_re), list(eps_re.values()))
 
@@ -116,39 +111,41 @@ def resonance_wavelength(period_nm, mode, eps_substrate: float, metal: Dielectri
     of periods and `mode` one (m1, m2) pair or an (n, 2) integer array of one mode per period;
     cli.CONFIG_KEYS checks the periods and modes a config gives.
 
-    One array pass solves all periods and returns one wavelength per period. Each
-    takes the first table segment on whose nodes h goes from + to - (h is +inf where f < 0, its limit at
-    a pole of f). There eps_m is linear, so safeguarded Newton steps solve the squared condition, the
-    cubic lambda^2 (eps_d + eps_m) - s^2 eps_d eps_m = 0, each period stopping at its own step. The root
-    gives s sqrt(f); a period without such a segment, or whose root misses f > 0 or h = 0, raises. The
-    returned lambda lies within 1e-9 relative of the root, and h(lambda) itself can be large beside a pole."""
+    A surface plasmon is bound only where Re eps_m < -eps_d, that is f > eps_d (Raether, Surface Plasmons,
+    1988), so h is +inf elsewhere. One array pass solves all periods and returns one wavelength per period.
+    Each takes the first table segment on whose nodes h goes from + to -. There eps_m is linear, so safeguarded
+    Newton steps solve the squared condition, the cubic lambda^2 (eps_d + eps_m) - s^2 eps_d eps_m = 0, where
+    the mode is bound, each period stopping at its own step. The root gives s sqrt(f); a period without such a
+    segment, or whose root misses f > eps_d or h = 0, raises. The returned lambda lies within 1e-9 relative of
+    the root, and h(lambda) itself can be large beside a pole."""
     eps_d, wl, eps = eps_substrate, metal.wavelengths_nm, metal.eps_re
     mode = np.asarray(mode).reshape(-1, 2)  # |m| by math.hypot: np.hypot differs on some, such as (47, 28)
     scale = period_nm / np.frompyfunc(math.hypot, 2, 1)(mode[:, 0], mode[:, 1]).astype(float)
     with np.errstate(all="ignore"):
         f_node = eps_d * eps / (eps_d + eps)
-        root_f = np.where(f_node >= 0, np.sqrt(f_node), np.inf)  # h = s root_f - lambda at the nodes
+        root_f = np.where(f_node > eps_d, np.sqrt(f_node), np.inf)  # h = s root_f - lambda at the nodes
         bracket = (scale >= (wl / root_f)[:-1, None]) & (scale <= (wl / root_f)[1:, None])  # h >= 0, then <= 0
         k = bracket.argmax(axis=0)  # each period's first bracket; bracket is (segment, period)
-        lo, hi, eps_lo, s2d = wl[k], wl[k + 1], eps[k], scale * scale * eps_d
-        slope, h_lo, h_hi = (eps[k + 1] - eps_lo) / (hi - lo), scale * root_f[k] - lo, scale * root_f[k + 1] - hi
-        x = np.fmin(np.fmax(lo + (hi - lo) * h_lo / (h_lo - h_hi), lo), hi)  # where h's chord crosses 0
-        node, step, active = lo, hi - lo, bracket.any(axis=0)  # active: the periods still stepping
+        node, hi, eps_lo, s2d = wl[k], wl[k + 1], eps[k], scale * scale * eps_d
+        slope, h_lo, h_hi = (eps[k + 1] - eps_lo) / (hi - node), scale * root_f[k] - node, scale * root_f[k + 1] - hi
+        lo = np.where(root_f[k] < np.inf, node, node - (eps_d + eps_lo) / slope)  # a bound node, or the pole
+        x = np.fmin(np.fmax(node + (hi - node) * h_lo / (h_lo - h_hi), lo), hi)  # where h's chord crosses 0
+        step, active = hi - lo, bracket.any(axis=0)  # active: the periods still stepping
         while active.any():
             eps_m = eps_lo + slope * (x - node)
             g = x * x * (eps_d + eps_m) - s2d * eps_m
             newton = x - g / (2 * x * (eps_d + eps_m) + slope * (x * x - s2d))
-            lo, hi = np.where(g > 0, (x, hi), (lo, x))  # g >= 0 at the left node wherever eps_m < 0 there
+            lo, hi = np.where(g > 0, (x, hi), (lo, x))  # g > 0 at lo, a bound node or the pole
             take = (lo <= newton) & (newton <= hi) & (np.abs(newton - x) <= 0.5 * np.abs(step))  # or bisect
             nxt = np.where(active, np.where(take, newton, 0.5 * (lo + hi)), x)
             step, x = nxt - x, nxt
             active &= np.abs(step) > 1e-13 * np.abs(x)  # the next Newton step would be below rounding
         factor = eps_d * (eps_m := metal(x)) / (eps_d + eps_m)
         lam = scale * np.sqrt(factor)
-    if not np.all(bracket.any(axis=0) & (factor > 0) & (np.abs(lam - x) <= 1e-9 * x)):
-        raise ResonanceSolveError("degenerate dielectric/metal combination" if np.any(eps_d + eps == 0) else
-                                  "no bound surface mode for these dielectric constants" if np.all(f_node < 0)
-                                  else f"no resonance inside [{wl[0]:.0f}, {wl[-1]:.0f}] nm")
+    if not np.all(bracket.any(axis=0) & (factor > eps_d) & (np.abs(lam - x) <= 1e-9 * x)):
+        raise output.DataError("degenerate dielectric/metal combination" if np.any(eps_d + eps == 0) else
+                               "no bound surface mode for these dielectric constants" if np.all(f_node <= eps_d)
+                               else f"no resonance inside [{wl[0]:.0f}, {wl[-1]:.0f}] nm")
     return lam
 
 

@@ -279,11 +279,11 @@ def cmd_analyze(cfg: RunConfig) -> dict:
     stds = tomo.monte_carlo_errors(
         np.concatenate(parts), lambda batch: np.stack(
             [f(batch[:, lo:hi]) for f, lo, hi in zip(stats, edges[:-1], edges[1:])], axis=1),
-        trials=cfg.mc_trials, seed=cfg.seed)[1].tolist()
+        trials=cfg.mc_trials, seed=cfg.seed).tolist()
     names = [f"{kind}_{block}" for kind in ("chsh_s", "mean_fidelity") for block in blocks]
     for name, std in zip(names, stds):
         if std == 0:  # every resample gave the same value
-            raise counts_mod.CountsDataError(f"{name}: Monte Carlo std is 0, so its sigma is undefined")
+            raise output.DataError(f"{name}: Monte Carlo std is 0, so its sigma is undefined")
     sigmas = [counts_mod.sigma_violation(v, bound, std) for v, bound, std in
               zip(values, [2.0] * len(blocks) + [counts_mod.CLASSICAL_STATE_FIDELITY_BOUND] * len(blocks), stds)]
 
@@ -358,8 +358,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (counts_mod.CountsDataError, channel_mod.ResonanceSolveError, tomo.TomographyError, OSError,
-            UnicodeDecodeError) as exc:
+    except (output.DataError, OSError, UnicodeDecodeError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
     except MemoryError as exc:  # an array the configured sizes ask for cannot be allocated

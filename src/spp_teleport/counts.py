@@ -29,10 +29,6 @@ CLASSICAL_STATE_FIDELITY_BOUND = 2.0 / 3.0
 CLASSICAL_PROCESS_FIDELITY_BOUND = 0.5
 
 
-class CountsDataError(ValueError):
-    """Malformed or incomplete count table."""
-
-
 BLOCKS = ("without_spp", "with_spp")
 # kind: (row labels, outcome labels), each in the order the statistics read them
 LAYOUT = {
@@ -60,9 +56,9 @@ class CountsTable:
         for label, row in zip(labels, self.counts):
             if None in row:
                 if all(c is None for r in self.counts for c in r):
-                    raise CountsDataError(f"no rows with kind={self.kind!r}, block={self.block!r}")
+                    raise output.DataError(f"no rows with kind={self.kind!r}, block={self.block!r}")
                 missing = [out for out, c in zip(outcomes, row) if c is None]
-                raise CountsDataError(f"{_where(self, label)}: " + (
+                raise output.DataError(f"{_where(self, label)}: " + (
                     "no row" if len(missing) == len(outcomes) else f"missing outcomes {missing}"))
 
 
@@ -71,28 +67,28 @@ class CountsFile:
 
     Each row must be one that a statistic reads, no longer than the header,
     with a count of ASCII digits in [0, MAX_COUNT] that no earlier row gave;
-    the first line that is not raises CountsDataError naming it. Whether a
+    the first line that is not raises DataError naming it. Whether a
     table is complete is checked when `table` builds it.
     """
 
     def __init__(self, path):
         self._counts = {}  # by (kind, block, setting, outcome)
         columns = ("kind", "block", "setting", "outcome", "count")
-        for line, row in output.read_csv(path, columns, CountsDataError, "counts CSV", "line {}"):
+        for line, row in output.read_csv(path, columns, "counts CSV", "line {}"):
             key, count = row[:4], row[4]
             if key not in _ROWS:
-                raise CountsDataError(f"{line}: no statistic reads the row {key}")
+                raise output.DataError(f"{line}: no statistic reads the row {key}")
             try:
                 # int() alone also takes "1_0" and " 7"; a failed match is None, and None[0] a TypeError
                 c = int(re.fullmatch("-?[0-9]+", count)[0])
             except (TypeError, ValueError):
-                raise CountsDataError(f"{line}: count {count!r} is not an integer") from None
+                raise output.DataError(f"{line}: count {count!r} is not an integer") from None
             if c < 0:
-                raise CountsDataError(f"{line}: negative count for outcome {key[3]!r}")
+                raise output.DataError(f"{line}: negative count for outcome {key[3]!r}")
             if c > MAX_COUNT:
-                raise CountsDataError(f"{line}: count {c} is above the Poisson limit {MAX_COUNT}")
+                raise output.DataError(f"{line}: count {c} is above the Poisson limit {MAX_COUNT}")
             if key in self._counts:
-                raise CountsDataError(f"{line}: duplicate row for setting {key[2]!r}, outcome {key[3]!r}")
+                raise output.DataError(f"{line}: duplicate row for setting {key[2]!r}, outcome {key[3]!r}")
             self._counts[key] = c
 
     def table(self, kind: str, block: str) -> CountsTable:
@@ -119,9 +115,9 @@ def correlation(counts: dict) -> float:
     try:
         pooled = np.array([counts["++"] + counts["--"], counts["+-"] + counts["-+"]], dtype=float)
     except KeyError as exc:
-        raise CountsDataError(f"missing outcome {exc}") from None
+        raise output.DataError(f"missing outcome {exc}") from None
     if pooled.sum() <= 0:
-        raise CountsDataError("zero total counts")
+        raise output.DataError("zero total counts")
     return float(_correlations(pooled)[0])
 
 
@@ -131,7 +127,7 @@ def chsh_counts(table: CountsTable) -> np.ndarray:
     pooled = [n for pp, pm, mp, mm in table.counts for n in (pp + mm, pm + mp)]
     for i, n in enumerate(pooled):
         if n > MAX_COUNT:
-            raise CountsDataError(f"{_where(table, CHSH_SETTINGS[i // 2])}: pooled count {n} "
+            raise output.DataError(f"{_where(table, CHSH_SETTINGS[i // 2])}: pooled count {n} "
                                   f"is above the Poisson limit {MAX_COUNT}")
     return np.array(pooled, dtype=float)
 
@@ -147,7 +143,7 @@ def chsh_s(table: CountsTable) -> float:
     counts = chsh_counts(table)
     zero = np.flatnonzero(counts[0::2] + counts[1::2] <= 0)
     if zero.size:
-        raise CountsDataError(f"{_where(table, CHSH_SETTINGS[zero[0]])}: zero total counts")
+        raise output.DataError(f"{_where(table, CHSH_SETTINGS[zero[0]])}: zero total counts")
     return float(chsh_s_values(counts))
 
 
@@ -161,7 +157,7 @@ def fidelity_table(table: CountsTable) -> np.ndarray:
     """Per-cell fidelities phi / (phi + perp), shape (4, 6): OUTCOMES by INPUT_LABELS."""
     for label, (phi, perp) in zip(LAYOUT["fidelity"][0], table.counts):  # the first problem in use order
         if phi + perp <= 0:
-            raise CountsDataError(f"{_where(table, label)}: zero total counts")
+            raise output.DataError(f"{_where(table, label)}: zero total counts")
     # Python ints, so phi / (phi + perp) is the correctly rounded quotient
     return np.array([phi / (phi + perp) for phi, perp in table.counts]).reshape(len(OUTCOMES), len(INPUT_LABELS))
 

@@ -29,24 +29,28 @@ import numpy as np
 _CSV_FLOAT = "%.12g"
 
 
+class DataError(ValueError):
+    """A file or a value a command reads that cannot be used: ``cli.main`` exits 3 with its message."""
+
+
 def write_json(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def read_csv(path, columns, error, name: str, where: str):
+def read_csv(path, columns, name: str, where: str):
     """(``where`` formatted with its line number, its values of ``columns``) per row of the CSV ``path``. A
-    header lacking a column raises ``error`` naming ``name``; a longer row or a non-CSV line, naming the line."""
+    header lacking a column raises DataError naming ``name``; a longer row or a non-CSV line, naming the line."""
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         try:
             if reader.fieldnames is None or not set(columns).issubset(reader.fieldnames):
-                raise error(f"{name} must have columns {sorted(columns)}")
+                raise DataError(f"{name} must have columns {sorted(columns)}")
             for row in reader:
                 if None in row:  # DictReader's key for the fields beyond the header's
-                    raise error(f"{where.format(reader.line_num)}: more fields than the header")
+                    raise DataError(f"{where.format(reader.line_num)}: more fields than the header")
                 yield where.format(reader.line_num), tuple(map(row.get, columns))
         except csv.Error as exc:  # e.g. an over-long field; reader.line_num is the last good row's
-            raise error(f"{where.format(reader.reader.line_num)}: {exc}") from None
+            raise DataError(f"{where.format(reader.reader.line_num)}: {exc}") from None
 
 
 def _label(text: str) -> str:

@@ -16,6 +16,7 @@ import numpy as np
 
 from . import tomo
 from .channel import ChannelModel
+from .output import DataError
 from .qcore import (
     MixedState,
     bloch_matrices,
@@ -157,7 +158,7 @@ def run_teleportation(input_label: str, channel: ChannelModel, shots: int,
     return dict(zip(OUTCOMES, zip(partition, map(MixedState, states[0]), fids[0].tolist(), probs[0].tolist())))
 
 
-class NoEstimateError(tomo.TomographyError):
+class NoEstimateError(DataError):
     """A QPT input has no branch with a state estimate."""
 
 

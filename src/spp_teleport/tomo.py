@@ -6,6 +6,7 @@ import os
 
 import numpy as np
 
+from .output import DataError
 from .qcore import (
     MixedState,
     PAULI_MATRICES,
@@ -20,10 +21,6 @@ BASES = ("Z", "X", "Y")
 
 # the (+1, -1) eigenvectors of each measurement basis, in BASES order: the six outcomes of the counts
 _EIGENVECTORS = np.array([[[1, 0], [0, 1]], [[1, 1], [1, -1]], [[1, 1j], [1, -1j]]]) / np.sqrt([1, 2, 2])[:, None, None]
-
-
-class TomographyError(ValueError):
-    """Measurement counts are insufficient or inconsistent."""
 
 
 def sample_counts(states: np.ndarray, shots_per_basis, seeds) -> np.ndarray:
@@ -62,7 +59,7 @@ def qst_reconstruct(counts: np.ndarray, max_likelihood: bool = False) -> np.ndar
     plus, minus = counts[:, 0::2], counts[:, 1::2]
     empty = np.argwhere(plus + minus == 0)
     if empty.size:
-        raise TomographyError(f"no counts for basis {BASES[empty[0, 1]]}")
+        raise DataError(f"no counts for basis {BASES[empty[0, 1]]}")
     bloch = ((plus - minus) / (plus + minus))[:, [1, 2, 0]]  # BASES order -> (X, Y, Z)
     norm = vector_norms(bloch)
     outside = norm > 1.0
@@ -188,13 +185,12 @@ _MC_CHUNKS = 32
 MAX_TRIALS = 2**53
 
 
-def monte_carlo_errors(counts, statistic, trials: int = 1000, seed: int = 0):
-    """Poissonian resampling of counts; returns (mean, std) of the statistic.
+def monte_carlo_errors(counts, statistic, trials: int = 1000, seed: int = 0) -> np.ndarray:
+    """The (m,) stds of m statistics over one set of Poisson resamples of counts.
 
     `counts` is a flat array-like of k observed counts; `statistic` maps an
-    (n, k) batch of resampled counts to n values, or to an (n, m) block of m
-    statistics that share the resamples. Returns floats for the first and
-    (m,) arrays for the second, whose entry j has the bits of a call with
+    (n, k) batch of resampled counts to an (n, m) block of values. Each
+    column is reduced on its own, so std j has the bits of a call with
     column j alone. Trials run in a fixed number of independently seeded
     chunks, each drawn as one batch; a batch draws the same stream as n
     sequential `rng.poisson(counts)` calls. The chunks are drawn in
@@ -204,7 +200,7 @@ def monte_carlo_errors(counts, statistic, trials: int = 1000, seed: int = 0):
     thread, chunk by chunk in order, and the pool draws at most one chunk
     per thread, plus one, ahead of it. The pool is shut down before the
     call returns or raises. A column whose resamples are all equal has std
-    exactly 0. Raises TomographyError if any resample gives a non-finite value.
+    exactly 0. Raises DataError if any resample gives a non-finite value.
     """
     from concurrent.futures import ThreadPoolExecutor
 
@@ -226,10 +222,8 @@ def monte_carlo_errors(counts, statistic, trials: int = 1000, seed: int = 0):
             if k + workers + 1 < _MC_CHUNKS:
                 ahead[k + workers + 1] = pool.submit(draw, k + workers + 1)
             batches.append(statistic(ahead.pop(k).result()))
-    values = np.concatenate(batches)
-    columns = np.ascontiguousarray(values.reshape(trials, -1).T)  # each reduced as a 1-D statistic is
+    columns = np.ascontiguousarray(np.concatenate(batches).T)  # each reduced as a 1-D array is
     bad = int(np.count_nonzero(~np.isfinite(columns).all(axis=0)))
     if bad:
-        raise TomographyError(f"{bad} of {trials} Monte Carlo resamples gave a non-finite statistic")
-    mean, std = columns.mean(axis=1), np.where(np.ptp(columns, axis=1) == 0, 0.0, columns.std(axis=1, ddof=1))
-    return (float(mean[0]), float(std[0])) if values.ndim == 1 else (mean, std)
+        raise DataError(f"{bad} of {trials} Monte Carlo resamples gave a non-finite statistic")
+    return np.where(np.ptp(columns, axis=1) == 0, 0.0, columns.std(axis=1, ddof=1))

@@ -165,7 +165,7 @@ def test_09_process_fidelity_bracket():
 def test_10_monte_carlo_error_calibration():
     table = counts.load_counts_csv(counts.bundled_counts_path(), "fidelity", "without_spp")
     phi_perp = table.counts[counts.LAYOUT["fidelity"][0].index("PsiPlus/H")]
-    _, std = tomo.monte_carlo_errors(phi_perp, lambda c: c[:, 0] / (c[:, 0] + c[:, 1]), trials=4000)
+    (std,) = tomo.monte_carlo_errors(phi_perp, lambda c: c[:, :1] / (c[:, :1] + c[:, 1:]), trials=4000)
     target = 0.0027
     rel = abs(std - target) / std
     ok = rel <= 0.30

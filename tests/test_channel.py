@@ -9,7 +9,6 @@ from spp_teleport.channel import (
     ChannelModel,
     DielectricTable,
     EOM_CONTRASTS,
-    ResonanceSolveError,
     SPP_TRANSMITTANCE,
     apply_channel,
     calibrated_channel,
@@ -19,6 +18,7 @@ from spp_teleport.channel import (
     resonance_wavelength,
     dispersion_match,
 )
+from spp_teleport.output import DataError
 from spp_teleport.qcore import MixedState, fidelity_pure
 
 from conftest import random_mixed
@@ -97,7 +97,7 @@ class TestDielectricTable:
         assert table(550) == -3.0
 
     def test_too_short(self):
-        with pytest.raises(ResonanceSolveError):
+        with pytest.raises(DataError):
             DielectricTable([500], [-2])
 
     def test_csv_round_trip(self, tmp_path):
@@ -112,7 +112,7 @@ class TestDielectricTable:
     def test_csv_missing_columns(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("wavelength_nm,n\n500,0.5\n")
-        with pytest.raises(ResonanceSolveError):
+        with pytest.raises(DataError):
             load_dielectric_table(path)
 
     @pytest.mark.parametrize("row, problem", [
@@ -128,13 +128,13 @@ class TestDielectricTable:
     def test_csv_bad_row_names_its_line(self, tmp_path, row, problem):
         path = tmp_path / "bad.csv"
         path.write_text(f"wavelength_nm,eps_re,eps_im\n600,-9,1.5\n{row}\n700,-15,1\n")
-        with pytest.raises(ResonanceSolveError, match=f"line 3: {problem}"):
+        with pytest.raises(DataError, match=f"line 3: {problem}"):
             load_dielectric_table(path)
 
     def test_csv_repeat_in_the_last_row_names_its_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("wavelength_nm,eps_re,eps_im\n600,-9,1.5\n700,-15,1\n800,-20,1.2\n700.0,-15,1\n")
-        with pytest.raises(ResonanceSolveError, match=r"^dielectric CSV line 5: repeated wavelength 700 nm$"):
+        with pytest.raises(DataError, match=r"^dielectric CSV line 5: repeated wavelength 700 nm$"):
             load_dielectric_table(path)
 
     def test_array_lookup_equals_scalar_calls(self):
@@ -231,10 +231,11 @@ class TestResonance:
     @pytest.mark.parametrize("eps_m, message", [
         (-2.25, "degenerate dielectric/metal combination"),  # eps_d + eps_m == 0
         (-1.0, "no bound surface mode for these dielectric constants"),  # eps_d eps_m / (eps_d + eps_m) < 0
+        (5.0, "no bound surface mode for these dielectric constants"),  # 0 < f < eps_d: no metal
     ])
     def test_metal_without_a_resonance_condition_says_why(self, eps_m, message):
         table = DielectricTable([500, 1300], [eps_m, eps_m])
-        with pytest.raises(ResonanceSolveError, match=rf"^{message}$"):
+        with pytest.raises(DataError, match=rf"^{message}$"):
             _solve(700.0, (1, 1), 2.25, table)
 
     def test_one_period_returns_a_one_element_array(self):
@@ -244,7 +245,7 @@ class TestResonance:
     def test_out_of_range_period_inside_sweep_raises(self):
         # at 1300 nm the (1,1) resonance lies beyond the table: h > 0 at every node
         periods = np.array([700.0, 710.0, 1300.0, 720.0])
-        with pytest.raises(ResonanceSolveError, match=r"^no resonance inside \[500, 1300\] nm$"):
+        with pytest.raises(DataError, match=r"^no resonance inside \[500, 1300\] nm$"):
             resonance_wavelength(periods, (1, 1), 2.25, GOLD)
 
     def test_root_where_the_right_hand_side_is_steeper_than_one(self):
@@ -279,8 +280,18 @@ class TestResonance:
         # eps_m runs from -10 to +1 across one segment, so h goes from + to - over its nodes through
         # a pole of f without a root: the Newton steps end on a point that does not solve h = 0
         table = DielectricTable([500, 1300], [-10.0, 1.0])
-        with pytest.raises(ResonanceSolveError, match=r"^no resonance inside \[500, 1300\] nm$"):
+        with pytest.raises(DataError, match=r"^no resonance inside \[500, 1300\] nm$"):
             _solve(700.0, (1, 0), 2.25, table)
+
+    @pytest.mark.parametrize("period, root", [(100.0, 668.441), (450.0, 796.627), (800.0, 1251.563)])
+    def test_root_in_a_segment_from_a_node_without_a_bound_mode(self, period, root):
+        # eps_m runs from +5 to -30 across one segment; h = 0 also where eps_m > 0, but a surface plasmon
+        # is bound only where eps_m < -eps_d, past the pole, and the solve stays there
+        table = DielectricTable([500, 1300], [5.0, -30.0])
+        lam = _solve(period, (1, 0), 2.25, table)
+        eps_m = float(table(lam))
+        assert round(lam, 3) == root and eps_m < -2.25
+        assert abs(period * math.sqrt(2.25 * eps_m / (2.25 + eps_m)) - lam) <= 1e-9 * lam
 
     def test_grid_of_periods_modes_and_substrates(self):
         # every grid row with a root solves to it, and every other row raises
@@ -290,7 +301,7 @@ class TestResonance:
                 for period in np.arange(300.0, 1300.0, 5.0).tolist():
                     try:
                         lam = _solve(period, mode, eps_d)
-                    except ResonanceSolveError as exc:
+                    except DataError as exc:
                         assert str(exc) == "no resonance inside [500, 1300] nm"
                         raised += 1
                     else:

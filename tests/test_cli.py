@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from spp_teleport import channel, protocol, tomo
 from spp_teleport import counts as counts_mod
 from spp_teleport.cli import CONFIG_KEYS, ConfigError, RunConfig, build_parser, load_config, main
+from spp_teleport.output import DataError
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -1168,7 +1169,7 @@ class TestExitCodes:
         if case == "summary.json fails to build":  # after every other file of simulate is built
 
             def fail(*args, **kwargs):
-                raise counts_mod.CountsDataError("budget unavailable")
+                raise DataError("budget unavailable")
 
             monkeypatch.setattr(channel, "fidelity_budget_total", fail)
         cfg = write_config(tmp_path, text)
@@ -1201,6 +1202,26 @@ class TestExitCodes:
         assert main(["design", "--config", str(cfg), "--out", str(out)]) == 3
         assert capsys.readouterr().err == "data error: no bound surface mode for these dielectric constants\n"
         assert not out.exists()
+
+    def test_dielectric_that_binds_no_mode_exit_3(self, tmp_path, capsys):
+        # eps_m = +5 gives f = eps_d eps_m / (eps_d + eps_m) > 0, but a bound mode needs eps_m < -eps_d
+        data = tmp_path / "eps.csv"
+        data.write_text("wavelength_nm,eps_re,eps_im\n500,5,1\n1300,5,1\n")
+        cfg = write_config(tmp_path, f"[design]\ndielectric = {data}\n")
+        out = tmp_path / "o"
+        assert main(["design", "--config", str(cfg), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == "data error: no bound surface mode for these dielectric constants\n"
+        assert not out.exists()
+
+    def test_design_skips_a_root_where_no_mode_is_bound(self, tmp_path):
+        # h = 0 at 560.6 nm, where eps_m = +5; the first root with eps_m < -eps_d is at 751 nm
+        data = tmp_path / "eps.csv"
+        data.write_text("wavelength_nm,eps_re,eps_im\n500,5,0\n600,5,0\n700,-10,0\n1300,-30,0\n")
+        cfg = write_config(tmp_path, f"[design]\ndielectric = {data}\nperiod_nm = 450\nmodes = 1,0\n")
+        out = tmp_path / "o"
+        assert main(["design", "--config", str(cfg), "--out", str(out)]) == 0
+        with open(out / "design.csv", newline="") as fh:
+            assert [row["resonance_nm"] for row in csv.DictReader(fh)] == ["751.056320162"]
 
     def test_config_error_exit_2(self, tmp_path):
         cfg = write_config(tmp_path, "[simulate]\nshots = 0\n")
