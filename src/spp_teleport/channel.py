@@ -80,7 +80,7 @@ class DielectricTable:
 
 
 def load_dielectric_table(path) -> DielectricTable:
-    """Read a CSV with header wavelength_nm, eps_re, eps_im, all finite; keeps eps_re only."""
+    """Read a CSV with header wavelength_nm, eps_re, eps_im, all finite and wavelengths positive; keeps eps_re only."""
     eps_re = {}  # by wavelength, in file order
     columns = ("wavelength_nm", "eps_re", "eps_im")
     for where, row in output.read_csv(path, columns, "dielectric CSV", "dielectric CSV line {}"):
@@ -90,6 +90,8 @@ def load_dielectric_table(path) -> DielectricTable:
             raise output.DataError(f"{where}: non-numeric value") from None
         if not all(map(math.isfinite, (w, re, im))):
             raise output.DataError(f"{where}: non-finite value")
+        if w <= 0:
+            raise output.DataError(f"{where}: wavelength {w:g} nm is not positive")
         if w in eps_re:
             raise output.DataError(f"{where}: repeated wavelength {w:g} nm")
         eps_re[w] = re

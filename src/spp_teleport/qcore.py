@@ -18,14 +18,6 @@ import numpy as np
 EIG_ATOL = 1e-10
 
 
-class DimensionMismatchError(ValueError):
-    """Operands have incompatible Hilbert-space dimensions."""
-
-
-class InvalidStateError(ValueError):
-    """A matrix does not describe a physical quantum state."""
-
-
 def strip_global_phase(amps: np.ndarray) -> np.ndarray:
     """Amplitude vectors (..., d) with the largest-magnitude amplitude of
     each made real positive."""
@@ -37,25 +29,25 @@ def density_matrices(mat) -> np.ndarray:
     """Check a density matrix, or a stack of them of shape (..., d, d), in one pass.
 
     Every matrix must be square, Hermitian to 1e-9 and of unit trace to
-    1e-9, with no eigenvalue below -EIG_ATOL; otherwise InvalidStateError.
+    1e-9, with no eigenvalue below -EIG_ATOL; otherwise ValueError.
     Returns the Hermitized stack, otherwise unchanged: an eigenvalue in
     (-EIG_ATOL, 0) is accepted as given. Each matrix comes out with the bits
     it would get on its own.
     """
     mat = np.asarray(mat, dtype=complex)
     if mat.ndim < 2 or mat.shape[-1] != mat.shape[-2]:
-        raise InvalidStateError(f"not square: {mat.shape}")
+        raise ValueError(f"not square: {mat.shape}")
     adjoint = mat.conj().swapaxes(-1, -2)
     if not np.allclose(mat, adjoint, rtol=0, atol=1e-9):
-        raise InvalidStateError("matrix is not Hermitian")
+        raise ValueError("matrix is not Hermitian")
     mat = 0.5 * (mat + adjoint)
     tr = np.trace(mat, axis1=-2, axis2=-1).real
     off = np.abs(tr - 1.0) > 1e-9
     if off.any():
-        raise InvalidStateError(f"trace {tr[off][0]} != 1")
+        raise ValueError(f"trace {tr[off][0]} != 1")
     lowest = np.linalg.eigvalsh(mat)[..., 0]  # eigvalsh sorts ascending
     if (lowest < -EIG_ATOL).any():
-        raise InvalidStateError(f"negative eigenvalue {lowest.min()}")
+        raise ValueError(f"negative eigenvalue {lowest.min()}")
     return mat
 
 
@@ -64,7 +56,7 @@ class MixedState:
     """Density matrix: Hermitian, unit trace, positive semidefinite to EIG_ATOL.
 
     Checked by density_matrices: an eigenvalue in (-EIG_ATOL, 0) is kept
-    as given; anything more negative raises InvalidStateError.
+    as given; anything more negative raises ValueError.
     """
 
     matrix: np.ndarray
@@ -72,12 +64,8 @@ class MixedState:
     def __post_init__(self):
         mat = np.asarray(self.matrix, dtype=complex)
         if mat.ndim != 2:
-            raise InvalidStateError(f"not square: {mat.shape}")
+            raise ValueError(f"not square: {mat.shape}")
         object.__setattr__(self, "matrix", density_matrices(mat))
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
 
 # Pauli operators I, X, Y, Z in the (|H>, |V>) basis
@@ -110,16 +98,12 @@ def clamp_unit(x):
 
 def fidelity_pure(rho: MixedState, phi: np.ndarray) -> float:
     """State fidelity <phi|rho|phi> to a unit amplitude vector phi, clamped to [0, 1]."""
-    if rho.dim != phi.size:
-        raise DimensionMismatchError(f"{rho.dim} != {phi.size}")
     return float(clamp_unit(expectation(rho.matrix, phi).real))
 
 
 def bloch_of(rho: MixedState) -> np.ndarray:
     """Bloch vector (Tr rho sx, Tr rho sy, Tr rho sz) of a single-qubit state; |r| may exceed 1
     by what MixedState's tolerances allow (2 EIG_ATOL, more where the trace is off 1)."""
-    if rho.dim != 2:
-        raise DimensionMismatchError(f"need a single qubit, got dim {rho.dim}")
     return np.array([float(np.trace(rho.matrix @ s).real) for s in PAULI_MATRICES[1:]])
 
 

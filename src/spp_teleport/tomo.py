@@ -59,7 +59,7 @@ def qst_reconstruct(counts: np.ndarray, max_likelihood: bool = False) -> np.ndar
     plus, minus = counts[:, 0::2], counts[:, 1::2]
     empty = np.argwhere(plus + minus == 0)
     if empty.size:
-        raise DataError(f"no counts for basis {BASES[empty[0, 1]]}")
+        raise ValueError(f"no counts for basis {BASES[empty[0, 1]]}")
     bloch = ((plus - minus) / (plus + minus))[:, [1, 2, 0]]  # BASES order -> (X, Y, Z)
     norm = vector_norms(bloch)
     outside = norm > 1.0

@@ -43,13 +43,12 @@ ALLOWED_UNREACHED = {
     "protocol.apply_correction": _STEP_B,
     "protocol.run_teleportation": _STEP_B,
     "qcore.MixedState.__post_init__": _STEP_B,
-    "qcore.MixedState.dim": _STEP_B,
     "qcore.tensor": _STEP_B,
     "qcore.fidelity_pure": _STEP_B,
     "qcore.bloch_of": _STEP_B,
     "qcore.state_from_bloch": _STEP_B,
     "tomo.sample_measurements": _STEP_B,
-    "qcore.density_matrices": "InvalidStateError guards: only a fault in the package builds a matrix that fails them",
+    "qcore.density_matrices": "its ValueError guards: only a fault in the package builds a matrix that fails them",
     "output._label": "a label that would need CSV quoting: every label a command writes is a fixed name",
     "output._csv_cell": "an int or a non-finite cell: the rows commands write hold labels and finite floats",
     "output._json_objects": "the empty table: every command writes at least one row",

@@ -123,6 +123,8 @@ class TestDielectricTable:
         ("500,-2.5,abc", "non-numeric"),
         ("inf,-2.5,1", "non-finite"),
         ("600,-3,1", "repeated wavelength"),
+        ("0,-2.5,1", "wavelength 0 nm is not positive"),
+        ("-500,-2.5,1", "wavelength -500 nm is not positive"),
         ("500,-2.5,1,junk", "more fields than the header"),
     ])
     def test_csv_bad_row_names_its_line(self, tmp_path, row, problem):

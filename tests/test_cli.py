@@ -1096,14 +1096,18 @@ class TestDesignCommand:
         ("500,-2,inf", "non-finite value"),
         ("1300,-70,6", "repeated wavelength"),
         ("500,-2.55,3.90,junk", "more fields than the header"),
+        ("-500,-2.55,3.9", "wavelength -500 nm is not positive"),
+        ("0,-2.55,3.9", "wavelength 0 nm is not positive"),
     ])
     def test_bad_dielectric_csv_exits_3(self, tmp_path, capsys, row, problem):
         eps = tmp_path / "eps.csv"
         eps.write_text(f"wavelength_nm,eps_re,eps_im\n1300,-71.5,6.7\n{row}\n900,-30,1.2\n")
         cfg = write_config(tmp_path, f"[design]\ndielectric = {eps}\n")
-        assert main(["design", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+        out = tmp_path / "o"
+        assert main(["design", "--config", str(cfg), "--out", str(out)]) == 3
         err = capsys.readouterr().err
         assert err.startswith(f"data error: dielectric CSV line 3: {problem}") and err.count("\n") == 1
+        assert not out.exists()
 
     # the geometry checks of CONFIG_KEYS: every mode is checked before the first solve
     @pytest.mark.parametrize("text, message", [
@@ -1211,6 +1215,17 @@ class TestExitCodes:
         out = tmp_path / "o"
         assert main(["design", "--config", str(cfg), "--out", str(out)]) == 3
         assert capsys.readouterr().err == "data error: no bound surface mode for these dielectric constants\n"
+        assert not out.exists()
+
+    def test_value_error_in_a_command_is_a_traceback(self, tmp_path, monkeypatch):
+        # only ConfigError and DataError map to exit codes; any other ValueError is a fault in the package
+        def fault(cfg):
+            raise ValueError("matrix is not Hermitian")
+
+        monkeypatch.setattr("spp_teleport.cli.cmd_design", fault)
+        out = tmp_path / "o"
+        with pytest.raises(ValueError, match="^matrix is not Hermitian$"):
+            main(["design", "--out", str(out)])
         assert not out.exists()
 
     def test_design_skips_a_root_where_no_mode_is_bound(self, tmp_path):

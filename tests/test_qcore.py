@@ -5,8 +5,6 @@ from hypothesis import strategies as st
 
 from spp_teleport.qcore import (
     EIG_ATOL,
-    DimensionMismatchError,
-    InvalidStateError,
     MixedState,
     PAULI_MATRICES,
     bloch_matrices,
@@ -43,15 +41,15 @@ class TestPureState:
 
 class TestMixedState:
     def test_non_hermitian_rejected(self):
-        with pytest.raises(InvalidStateError):
+        with pytest.raises(ValueError, match="not Hermitian"):
             MixedState(np.array([[0.5, 1.0], [0.0, 0.5]]))
 
     def test_wrong_trace_rejected(self):
-        with pytest.raises(InvalidStateError):
+        with pytest.raises(ValueError, match="trace 2.0 != 1"):
             MixedState(np.eye(2))
 
     def test_negative_eigenvalue_rejected(self):
-        with pytest.raises(InvalidStateError):
+        with pytest.raises(ValueError, match="negative eigenvalue"):
             MixedState(np.diag([1.01, -0.01]))
 
     def test_tiny_negative_eigenvalue_kept(self):
@@ -86,16 +84,16 @@ def reference_validate(mat):
     reference the batched check must match bit for bit."""
     mat = np.asarray(mat, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise InvalidStateError(f"not square: {mat.shape}")
+        raise ValueError(f"not square: {mat.shape}")
     if not np.allclose(mat, mat.conj().T, rtol=0, atol=1e-9):
-        raise InvalidStateError("matrix is not Hermitian")
+        raise ValueError("matrix is not Hermitian")
     mat = 0.5 * (mat + mat.conj().T)
     tr = np.trace(mat).real
     if abs(tr - 1.0) > 1e-9:
-        raise InvalidStateError(f"trace {tr} != 1")
+        raise ValueError(f"trace {tr} != 1")
     lowest = np.linalg.eigvalsh(mat).min()
     if lowest < -EIG_ATOL:
-        raise InvalidStateError(f"negative eigenvalue {lowest}")
+        raise ValueError(f"negative eigenvalue {lowest}")
     return mat
 
 
@@ -155,23 +153,23 @@ class TestDensityMatrices:
     ])
     def test_one_bad_matrix_fails_the_stack(self, rng, bad, match):
         for check in (reference_validate, MixedState):
-            with pytest.raises(InvalidStateError, match=match):
+            with pytest.raises(ValueError, match=match):
                 check(bad)
         mats = raw_density_matrices(rng, 6)
         density_matrices(mats)
         for k in (0, 3, len(mats) - 1):
             stack = mats.copy()
             stack[k] = bad
-            with pytest.raises(InvalidStateError, match=match):
+            with pytest.raises(ValueError, match=match):
                 density_matrices(stack)
 
     @pytest.mark.parametrize("shape", [(2,), (2, 3), (4, 2, 3), ()])
     def test_not_square(self, shape):
-        with pytest.raises(InvalidStateError, match="not square"):
+        with pytest.raises(ValueError, match="not square"):
             density_matrices(np.zeros(shape))
 
     def test_mixed_state_takes_one_matrix(self):
-        with pytest.raises(InvalidStateError, match="not square"):
+        with pytest.raises(ValueError, match="not square"):
             MixedState(np.array([np.eye(2) / 2, np.eye(2) / 2]))
 
     def test_empty_stack(self):
@@ -231,8 +229,10 @@ class TestFidelity:
         assert fidelity_pure(projector(H), V) == pytest.approx(0.0, abs=1e-12)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            fidelity_pure(projector(H), SINGLET)
+        # numpy's matmul checks the dimensions
+        for rho, phi in ((projector(H), SINGLET), (projector(SINGLET), H)):
+            with pytest.raises(ValueError, match="mismatch"):
+                fidelity_pure(rho, phi)
 
     def test_werner_against_singlet(self):
         v = 0.9734
@@ -264,8 +264,12 @@ class TestBloch:
         back = state_from_bloch(r)
         assert trace_distance(rho.matrix, back.matrix) < 1e-9
 
+    def test_two_qubits_rejected(self):
+        with pytest.raises(ValueError, match="mismatch"):
+            bloch_of(projector(SINGLET))
+
     def test_too_long_rejected(self):
-        with pytest.raises(InvalidStateError):
+        with pytest.raises(ValueError, match="negative eigenvalue"):
             state_from_bloch([1.0, 1.0, 0.0])
 
     @pytest.mark.parametrize("direction", [[0, 0, 1], [0, -1, 0], np.array([1, 1, -1]) / np.sqrt(3)])
@@ -273,7 +277,7 @@ class TestBloch:
         # the lowest eigenvalue of (I + r.sigma)/2 is (1 - |r|)/2, so |r| may exceed 1 by 2 EIG_ATOL
         r = np.multiply(direction, 1 + 1.9 * EIG_ATOL)
         assert np.allclose(bloch_of(state_from_bloch(r)), r, rtol=0, atol=1e-15)
-        with pytest.raises(InvalidStateError, match="negative eigenvalue"):
+        with pytest.raises(ValueError, match="negative eigenvalue"):
             state_from_bloch(np.multiply(direction, 1 + 2.1 * EIG_ATOL))
 
     def test_trace_above_1_is_read_as_it_is(self):

@@ -181,25 +181,16 @@ def test_every_tolerance_comparison_passes_rtol():
     assert not missing, f"np.allclose / np.isclose without rtol=: {missing}"
 
 
-# Exception classes that only a fault in the package raises, each with its reason; main lets them end in a traceback.
-BUG_ONLY_ERRORS = {
-    "qcore.InvalidStateError": "a matrix the package built is not a density matrix; no input file reaches it",
-    "qcore.DimensionMismatchError": "a state and a vector differ in dimension; the package passes only qubits",
-}
-
-
 def test_every_exception_class_maps_to_an_exit_code():
-    # main exits 2 on ConfigError and 3 on DataError; a class of neither kind would end a run in a traceback
+    # main exits 2 on ConfigError and 3 on DataError; anything else is a fault in the package and ends in a
+    # traceback, so the package defines no exception class of a third kind
     from spp_teleport import cli, output
 
-    unmapped, defined = [], set()
+    unmapped = []
     for path in sorted(PACKAGE_DIR.glob("*.py")):
         module = importlib.import_module(f"spp_teleport.{path.stem}" if path.stem != "__init__" else "spp_teleport")
         for name, obj in vars(module).items():
             if isinstance(obj, type) and issubclass(obj, BaseException) and obj.__module__ == module.__name__:
-                defined.add(f"{path.stem}.{name}")
-                if not (obj is cli.ConfigError or issubclass(obj, output.DataError)
-                        or f"{path.stem}.{name}" in BUG_ONLY_ERRORS):
+                if not (obj is cli.ConfigError or issubclass(obj, output.DataError)):
                     unmapped.append(f"{path.stem}.{name}")
     assert not unmapped, f"exception classes that are neither ConfigError nor a DataError: {unmapped}"
-    assert BUG_ONLY_ERRORS.keys() <= defined, f"stale entries: {sorted(BUG_ONLY_ERRORS.keys() - defined)}"
