@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
+import re
 from dataclasses import dataclass
 from importlib import resources
 
@@ -79,22 +80,29 @@ class DielectricTable:
         return np.interp(wavelength_nm, self.wavelengths_nm, self.eps_re)
 
 
+_PLAIN_NUMBER = r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?"
+
+
 def load_dielectric_table(path) -> DielectricTable:
-    """Read a CSV with header wavelength_nm, eps_re, eps_im, all finite and wavelengths positive; keeps eps_re only."""
+    """Read a CSV with header wavelength_nm, eps_re, eps_im, all finite plain ASCII numbers (an optional sign,
+    digits with an optional point, an optional exponent) and wavelengths positive; keeps eps_re only."""
     eps_re = {}  # by wavelength, in file order
     columns = ("wavelength_nm", "eps_re", "eps_im")
     for where, row in output.read_csv(path, columns, "dielectric CSV", "dielectric CSV line {}"):
         try:
-            w, re, im = map(float, row)
+            w, real, imag = map(float, row)
         except (TypeError, ValueError):
             raise output.DataError(f"{where}: non-numeric value") from None
-        if not all(map(math.isfinite, (w, re, im))):
+        if not all(map(math.isfinite, (w, real, imag))):
             raise output.DataError(f"{where}: non-finite value")
+        # float() also takes "5_00", " 550" and "５５０"
+        if bad := [text for text in row if not re.fullmatch(_PLAIN_NUMBER, text)]:
+            raise output.DataError(f"{where}: {bad[0]!r} is not a plain ASCII number")
         if w <= 0:
             raise output.DataError(f"{where}: wavelength {w:g} nm is not positive")
         if w in eps_re:
             raise output.DataError(f"{where}: repeated wavelength {w:g} nm")
-        eps_re[w] = re
+        eps_re[w] = real
     return DielectricTable(list(eps_re), list(eps_re.values()))
 
 

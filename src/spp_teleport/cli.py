@@ -96,7 +96,7 @@ def _contrast(value) -> str | None:  # None: unset
 # is wrong with a value, or None; overridden_by names the key that replaces this one away from its default.
 _Key = collections.namedtuple("_Key", "section parse default check overridden_by", defaults=(None, None))
 
-# Every key a config may hold, in the order validate checks them; a key's name is its RunConfig attribute.
+# Every key a config may hold, in the order RunConfig checks them; a key's name is its RunConfig attribute.
 # The table checks every value: ChannelModel and resonance_wavelength take what they are given.
 CONFIG_KEYS = {
     "seed": _Key("run", int, 0, lambda seed: f"seed must be >= 0, got {seed}" if seed < 0 else None),
@@ -131,20 +131,19 @@ CONFIG_KEYS = {
 
 
 class RunConfig:
-    """The settings of one run: an attribute per CONFIG_KEYS entry, at its default unless given."""
+    """The settings of one run: an attribute per CONFIG_KEYS entry, at its default unless given. Building one
+    runs every key's check and the override rule, so a RunConfig that exists is valid."""
 
     def __init__(self, **values):
         if not values.keys() <= CONFIG_KEYS.keys():
             raise TypeError(f"RunConfig() got unexpected keyword arguments {sorted(values.keys() - CONFIG_KEYS)}")
         vars(self).update({name: key.default for name, key in CONFIG_KEYS.items()}, **values)
-        self.explicit = frozenset(values)  # the keys the caller or the config file set
-
-    def validate(self):
+        self.explicit = frozenset(values)  # the keys the caller, the config file or the command line set
         for name, key in CONFIG_KEYS.items():
             if key.check and (problem := key.check(getattr(self, name))):
                 raise ConfigError(problem)
             over = key.overridden_by
-            if over and name in self.explicit and getattr(self, over) != CONFIG_KEYS[over].default:
+            if over and name in values and getattr(self, over) != CONFIG_KEYS[over].default:
                 raise ConfigError(f"[{key.section}] {name} is overridden by [{CONFIG_KEYS[over].section}] {over}")
 
     def build_channel(self) -> channel_mod.ChannelModel:
@@ -157,29 +156,29 @@ class RunConfig:
                                         depolarizing_extra=self.depolarizing_extra, **contrasts)
 
 
-def load_config(path) -> RunConfig:
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    values = {}
+def load_config(path, **overrides) -> RunConfig:
+    """The RunConfig of the UTF-8 INI file `path`, with `overrides` (the command line's) over its values. A
+    value is the literal text after '=': no % interpolation, and a comment is a whole line."""
+    parser = configparser.ConfigParser(interpolation=None)
     try:
-        if not parser.read(path):
+        if not parser.read(path, encoding="utf-8"):
             raise ConfigError(f"cannot read config file {path}")
-        if parser.defaults():
-            raise ConfigError("unknown config section [DEFAULT]")
-        for section in parser.sections():
-            if section not in {key.section for key in CONFIG_KEYS.values()}:
-                raise ConfigError(f"unknown config section [{section}]")
-            for name in parser.options(section):
-                if name not in CONFIG_KEYS or CONFIG_KEYS[name].section != section:
-                    raise ConfigError(f"unknown config key {name!r} in [{section}]")
-                try:
-                    values[name] = CONFIG_KEYS[name].parse(parser.get(section, name))
-                except ValueError as exc:
-                    raise ConfigError(f"bad value for [{section}] {name}: {exc}") from exc
-    except (ValueError, configparser.Error) as exc:
-        if isinstance(exc, ConfigError):
-            raise
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"bad config value: {exc}") from exc
-    return RunConfig(**values)
+    if parser.defaults():
+        raise ConfigError("unknown config section [DEFAULT]")
+    values = {}
+    for section in parser.sections():
+        if section not in {key.section for key in CONFIG_KEYS.values()}:
+            raise ConfigError(f"unknown config section [{section}]")
+        for name in parser.options(section):
+            if name not in CONFIG_KEYS or CONFIG_KEYS[name].section != section:
+                raise ConfigError(f"unknown config key {name!r} in [{section}]")
+            try:
+                values[name] = CONFIG_KEYS[name].parse(parser.get(section, name))
+            except ValueError as exc:
+                raise ConfigError(f"bad value for [{section}] {name}: {exc}") from exc
+    return RunConfig(**{**values, **overrides})
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +312,7 @@ def cmd_design(cfg: RunConfig) -> dict:
     periods = np.arange(sweep[0], sweep[1] + sweep[2] / 2, sweep[2]) if sweep else np.array([cfg.period_nm])
     # one solve over every row; row i * n_modes + j is period i, mode j
     modes = np.array(cfg.modes, dtype=np.int64)
-    # validate has checked every period and mode
+    # RunConfig has checked every period and mode
     period_nm, mode = np.repeat(periods, len(modes)), np.tile(modes, (len(periods), 1))
     lam = channel_mod.resonance_wavelength(period_nm, mode, cfg.eps_substrate, table)
     k_spp = channel_mod.dispersion_match(period_nm, mode)
@@ -346,15 +345,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    overrides = {name: value for name, value in vars(args).items() if name in CONFIG_KEYS}  # --seed, --out
     try:
-        cfg = load_config(args.config) if args.config else RunConfig()
-        vars(cfg).update((name, value) for name, value in vars(args).items() if name in ("seed", "out"))
-        cfg.validate()
+        cfg = load_config(args.config, **overrides) if args.config else RunConfig(**overrides)
         files = {"simulate": cmd_simulate, "analyze": cmd_analyze, "design": cmd_design}[args.command](cfg)
         # every file is built before --out is created, so a run that fails in a command leaves none
         cfg.out.mkdir(parents=True, exist_ok=True)
         for name, text in files.items():
-            (cfg.out / name).write_text(text, newline="")
+            (cfg.out / name).write_text(text, encoding="utf-8", newline="")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -40,7 +40,7 @@ def write_json(payload) -> str:
 def read_csv(path, columns, name: str, where: str):
     """(``where`` formatted with its line number, its values of ``columns``) per row of the CSV ``path``. A
     header lacking a column raises DataError naming ``name``; a longer row or a non-CSV line, naming the line."""
-    with open(path, newline="") as fh:
+    with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         try:
             if reader.fieldnames is None or not set(columns).issubset(reader.fieldnames):

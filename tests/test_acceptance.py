@@ -151,7 +151,6 @@ def test_08_tomography_round_trip():
 
 def test_09_process_fidelity_bracket():
     cfg = cli.RunConfig(calibration="with_spp", shots=100_000, seed=0)
-    cfg.validate()
     t0 = time.perf_counter()
     files = cli.cmd_simulate(cfg)
     elapsed = time.perf_counter() - t0

@@ -122,6 +122,9 @@ class TestDielectricTable:
         ("500,-2.5,nan", "non-finite"),  # eps_im is checked although only eps_re is kept
         ("500,-2.5,abc", "non-numeric"),
         ("inf,-2.5,1", "non-finite"),
+        ("5_00,-2.5,1", "'5_00' is not a plain ASCII number"),  # float() takes each of these
+        ("500,-2.5, 1", "' 1' is not a plain ASCII number"),
+        ("５００,-2.5,1", "'５００' is not a plain ASCII number"),
         ("600,-3,1", "repeated wavelength"),
         ("0,-2.5,1", "wavelength 0 nm is not positive"),
         ("-500,-2.5,1", "wavelength -500 nm is not positive"),
@@ -129,7 +132,7 @@ class TestDielectricTable:
     ])
     def test_csv_bad_row_names_its_line(self, tmp_path, row, problem):
         path = tmp_path / "bad.csv"
-        path.write_text(f"wavelength_nm,eps_re,eps_im\n600,-9,1.5\n{row}\n700,-15,1\n")
+        path.write_text(f"wavelength_nm,eps_re,eps_im\n600,-9,1.5\n{row}\n700,-15,1\n", encoding="utf-8")
         with pytest.raises(DataError, match=f"line 3: {problem}"):
             load_dielectric_table(path)
 

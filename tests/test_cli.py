@@ -58,7 +58,6 @@ def write_config(tmp_path, text):
 class TestConfig:
     def test_defaults(self):
         cfg = RunConfig()
-        cfg.validate()
         assert cfg.seed == 0
         assert cfg.build_channel().werner_visibility == 1.0
 
@@ -102,9 +101,8 @@ mc_trials = 300
             load_config(path)
 
     def test_validate_rejects_bad_inputs(self):
-        cfg = RunConfig(inputs=("H", "Q"))
         with pytest.raises(ConfigError):
-            cfg.validate()
+            RunConfig(inputs=("H", "Q"))
 
     def test_calibration_channel(self):
         cfg = RunConfig(calibration="with_spp")
@@ -209,7 +207,6 @@ dielectric = bundled
 period_nm = 710
 eps_substrate = 2.0
 modes = 1,0
-period_sweep = 600:700:50
 """)
         cfg = load_config(path)
         assert (cfg.seed, cfg.out) == (4, Path("elsewhere"))
@@ -218,7 +215,9 @@ period_sweep = 600:700:50
         assert (cfg.max_likelihood, cfg.cp_projection, cfg.mc_trials) == (True, True, 200)
         assert (cfg.counts, cfg.dielectric, cfg.period_nm) == ("bundled", "bundled", 710.0)
         assert (cfg.eps_substrate, cfg.modes) == (2.0, ((1, 0),))
-        assert cfg.period_sweep == (600.0, 700.0, 50.0)
+        # a period_sweep overrides period_nm, so it loads from a file of its own
+        path = write_config(tmp_path, "[design]\nperiod_sweep = 600:700:50\n")
+        assert load_config(path).period_sweep == (600.0, 700.0, 50.0)
 
     def test_readme_names_every_config_key_and_no_other(self):
         readme = (ROOT / "README.md").read_text()
@@ -242,9 +241,8 @@ period_sweep = 600:700:50
     ])
     def test_key_the_run_would_override_exits_2(self, tmp_path, capsys, command, text, key, over):
         path = write_config(tmp_path, text)
-        cfg = load_config(path)  # the pair parses; validate rejects it
         with pytest.raises(ConfigError, match=re.escape(f"{key} is overridden by {over}")):
-            cfg.validate()
+            load_config(path)  # the pair parses; building its RunConfig rejects it
         out = tmp_path / "o"
         assert main([command, "--config", str(path), "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"config error: {key} is overridden by {over}\n"
@@ -253,9 +251,9 @@ period_sweep = 600:700:50
     def test_override_check_covers_keys_set_by_keyword(self):
         message = "[channel] werner_visibility is overridden by [channel] calibration"
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
-            RunConfig(calibration="with_spp", werner_visibility=0.5).validate()
-        RunConfig(calibration="none", werner_visibility=0.5).validate()
-        RunConfig(period_nm=5000.0, period_sweep=None).validate()
+            RunConfig(calibration="with_spp", werner_visibility=0.5)
+        RunConfig(calibration="none", werner_visibility=0.5)
+        RunConfig(period_nm=5000.0, period_sweep=None)
         with pytest.raises(TypeError, match="unexpected keyword arguments \\['shot'\\]"):
             RunConfig(shot=5)
 
@@ -295,7 +293,7 @@ modes = 1,0
         assert capsys.readouterr().err == "config error: out must name a directory, got an empty value\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["run.ini"]
         with pytest.raises(ConfigError, match="^out must name a directory"):
-            RunConfig(out=None).validate()
+            RunConfig(out=None)
         assert main(["design", "--config", str(path), "--out", "o"]) == 0  # as --seed does, --out replaces [run]
 
     def test_empty_out_on_the_command_line_exits_2(self, tmp_path, capsys, monkeypatch):
@@ -329,10 +327,10 @@ modes = 1,0
         assert not out.exists()
 
     def test_shots_must_fit_int64(self, tmp_path, capsys):
-        RunConfig(shots=2**63 - 1).validate()
+        RunConfig(shots=2**63 - 1)
         for shots in (2**63, 10**20, 0):
             with pytest.raises(ConfigError, match=r"^shots must be in \[1, 2\*\*63 - 1\], got "):
-                RunConfig(shots=shots).validate()
+                RunConfig(shots=shots)
         out = tmp_path / "o"
         path = write_config(tmp_path, "[simulate]\nshots = 100000000000000000000\n")
         assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
@@ -359,7 +357,7 @@ modes = 1,0
 
     def test_mc_trials_below_100_exits_2(self, tmp_path, capsys):
         for n in (100, 2**53):  # both bounds are valid values
-            RunConfig(mc_trials=n).validate()
+            RunConfig(mc_trials=n)
         path = write_config(tmp_path, "[tomography]\nmc_trials = 0\n")
         out = tmp_path / "o"
         assert main(["analyze", "--config", str(path), "--out", str(out)]) == 2
@@ -493,6 +491,66 @@ modes = 1,0
         assert str(info.value) == message
         assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err == f"config error: {message}\n"
+
+    # a value is the literal text after '=': ';' and '#' start only whole-line comments, and '%' is a character
+    def test_semicolon_inside_a_value_is_part_of_it(self, tmp_path):
+        path = write_config(tmp_path, "[design]\nmodes = 1,1 ; 1,0\n")
+        out = tmp_path / "o"
+        assert main(["design", "--config", str(path), "--out", str(out)]) == 0
+        assert [row[1:3] for row in csv.reader(io.StringIO((out / "design.csv").read_text()))][1:] == [
+            ["1", "1"], ["1", "0"]]
+
+    def test_percent_in_a_counts_path_is_literal(self, tmp_path):
+        counts = tmp_path / "my%20counts.csv"
+        counts.write_bytes(counts_mod.bundled_counts_path().read_bytes())
+        path = write_config(tmp_path, f"[tomography]\nmc_trials = 100\n[analyze]\ncounts = {counts}\n")
+        assert main(["analyze", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+
+    def test_percent_in_out_is_not_interpolated(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        path = write_config(tmp_path, "[run]\nseed = 3\nout = res_%(seed)s\n")
+        assert main(["design", "--config", str(path)]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["res_%(seed)s", "run.ini"]
+
+    def test_hash_after_a_value_is_part_of_it(self, tmp_path, capsys):
+        path = write_config(tmp_path, "[simulate]\nshots = 100 # quick\n")
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == ("config error: bad value for [simulate] shots: "
+                                           "invalid literal for int() with base 10: '100 # quick'\n")
+        assert not out.exists()
+
+    def test_command_line_keys_are_explicit(self, tmp_path):
+        path = write_config(tmp_path, "[run]\nseed = 3\n[simulate]\nshots = 100\n")
+        cfg = load_config(path, out=tmp_path / "o")
+        assert (cfg.seed, cfg.out, cfg.explicit) == (3, tmp_path / "o", {"seed", "shots", "out"})
+        assert load_config(path, seed=5).seed == 5
+
+
+# printable one-line text, with the characters an INI reader could take for a comment or an interpolation
+_LINE_TEXT = st.text(st.characters(exclude_categories=("Cc", "Cf", "Cs", "Co", "Cn", "Zl", "Zp", "Zs"))
+                     | st.sampled_from(" %;#Δ"))
+
+
+@settings(max_examples=100, deadline=None)
+@given(text=_LINE_TEXT)
+def test_a_value_loads_as_its_literal_text(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("literal") / "run.ini"
+    path.write_text(f"[analyze]\ncounts = {text}\n", encoding="utf-8")
+    assert load_config(path).counts == text.strip()
+
+
+def test_config_reads_the_same_under_the_c_locale(tmp_path):
+    # a config file is UTF-8 whatever the locale; an ASCII locale without UTF-8 mode would fail to decode it
+    path = tmp_path / "run.ini"
+    path.write_text("# Δ: the (1,1) and (1,0) resonances, ε_d = 2.25\n[design]\nperiod_sweep = 600:800:25\n",
+                    encoding="utf-8")
+    assert main(["design", "--config", str(path), "--out", str(tmp_path / "in_process")]) == 0
+    env = {**os.environ, "PYTHONPATH": str(SRC), "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+    proc = subprocess.run([sys.executable, "-m", "spp_teleport.cli", "design", "--config", str(path),
+                           "--out", str(tmp_path / "c_locale")], env=env, capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert _hash_dir(tmp_path / "c_locale") == _hash_dir(tmp_path / "in_process")
 
 
 class TestSimulateCommand:
@@ -1107,6 +1165,19 @@ class TestDesignCommand:
         assert main(["design", "--config", str(cfg), "--out", str(out)]) == 3
         err = capsys.readouterr().err
         assert err.startswith(f"data error: dielectric CSV line 3: {problem}") and err.count("\n") == 1
+        assert not out.exists()
+
+    # float() takes each of these first cells as 500 nm; a dielectric CSV holds plain ASCII numbers only
+    @pytest.mark.parametrize("first", ["5_00", " 500", "５００"])
+    def test_number_that_is_not_plain_ascii_exits_3(self, tmp_path, capsys, first):
+        lines = (resources.files("spp_teleport.data") / "gold_dielectric.csv").read_text(encoding="utf-8").splitlines()
+        assert lines[1] == "500,-2.55,3.90"
+        eps = tmp_path / "eps.csv"
+        eps.write_text("\n".join([lines[0], f"{first},-2.55,3.90", *lines[2:]]) + "\n", encoding="utf-8")
+        cfg = write_config(tmp_path, f"[design]\ndielectric = {eps}\n")
+        out = tmp_path / "o"
+        assert main(["design", "--config", str(cfg), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"data error: dielectric CSV line 2: {first!r} is not a plain ASCII number\n"
         assert not out.exists()
 
     # the geometry checks of CONFIG_KEYS: every mode is checked before the first solve

@@ -194,3 +194,23 @@ def test_every_exception_class_maps_to_an_exit_code():
                 if not (obj is cli.ConfigError or issubclass(obj, output.DataError)):
                     unmapped.append(f"{path.stem}.{name}")
     assert not unmapped, f"exception classes that are neither ConfigError nor a DataError: {unmapped}"
+
+
+def test_every_file_read_and_write_names_its_encoding():
+    # without encoding= a text file is read or written in the locale's encoding, so whether a config or a CSV
+    # reads, and the bytes a run writes, would depend on the locale
+    missing = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        parsers = {target.id for node in ast.walk(tree) if isinstance(node, ast.Assign)
+                   and isinstance(node.value, ast.Call) and getattr(node.value.func, "attr", None) == "ConfigParser"
+                   for target in node.targets if isinstance(target, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if (getattr(func, "id", None) == "open" or getattr(func, "attr", None) in ("read_text", "write_text")
+                    or getattr(func, "attr", None) == "read" and getattr(func.value, "id", None) in parsers):
+                if "encoding" not in {kw.arg for kw in node.keywords}:
+                    missing.append(f"{path.name}:{node.lineno}")
+    assert not missing, f"file reads and writes without encoding=: {missing}"
