@@ -42,7 +42,7 @@ def _finite_float(text: str) -> float:
 
 def _boolean(text: str) -> bool:
     if text.lower() not in configparser.ConfigParser.BOOLEAN_STATES:
-        raise ValueError(f"Not a boolean: {text}")
+        raise ValueError(f"Not a boolean: {text!r}")
     return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
 
 
@@ -78,12 +78,6 @@ def _parse_sweep(text: str) -> tuple:
     return (start, stop, step)
 
 
-def _check_inputs(inputs) -> str | None:
-    if not inputs or not set(inputs) <= set(protocol.INPUT_LABELS):
-        return f"inputs must be labels from {protocol.INPUT_LABELS}, got {list(inputs)}"
-    return f"inputs must not repeat a label, got {list(inputs)}" if len(set(inputs)) < len(inputs) else None
-
-
 def _unit_interval(name: str):
     return lambda value: None if 0.0 <= value <= 1.0 else f"{name} {value} not in [0,1]"
 
@@ -108,8 +102,6 @@ CONFIG_KEYS = {
     "depolarizing_extra": _Key("channel", _finite_float, 0.0, _unit_interval("depolarizing_extra"), "calibration"),
     "contrast_x": _Key("channel", _finite_float, None, _contrast, "calibration"),  # None: see build_channel
     "contrast_z": _Key("channel", _finite_float, None, _contrast, "calibration"),
-    "inputs": _Key("simulate", lambda text: tuple(s.strip() for s in text.split(",") if s.strip()),
-                   protocol.INPUT_LABELS, _check_inputs),
     "shots": _Key("simulate", int, 10_000,
                   lambda n: None if 1 <= n <= _INT64_MAX else f"shots must be in [1, 2**63 - 1], got {n}"),
     "max_likelihood": _Key("tomography", _boolean, False),
@@ -157,14 +149,14 @@ class RunConfig:
 
 
 def load_config(path, **overrides) -> RunConfig:
-    """The RunConfig of the UTF-8 INI file `path`, with `overrides` (the command line's) over its values. A
-    value is the literal text after '=': no % interpolation, and a comment is a whole line."""
+    """The RunConfig of the UTF-8 INI file `path`, less a leading byte-order mark, with `overrides` (the command
+    line's) over its values. A value is the literal text after '=': no % interpolation; a comment is a whole line."""
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        if not parser.read(path, encoding="utf-8"):
+        if not parser.read(path, encoding="utf-8-sig"):
             raise ConfigError(f"cannot read config file {path}")
-    except (configparser.Error, UnicodeDecodeError) as exc:
-        raise ConfigError(f"bad config value: {exc}") from exc
+    except (configparser.Error, UnicodeDecodeError) as exc:  # a parse error's message spans lines: join them
+        raise ConfigError(f"bad config value: {' '.join(map(str.strip, str(exc).splitlines()))}") from exc
     if parser.defaults():
         raise ConfigError("unknown config section [DEFAULT]")
     values = {}
@@ -181,36 +173,41 @@ def load_config(path, **overrides) -> RunConfig:
     return RunConfig(**{**values, **overrides})
 
 
+def _fidelity_csv(fid: np.ndarray, *tail) -> str:
+    """The CSV of simulate's or analyze's (4, 6) fidelity table, OUTCOMES by INPUT_LABELS, then the rows `tail`."""
+    return output.write_rows([["outcome", *protocol.INPUT_LABELS],
+                              *([o.label, *row] for o, row in zip(protocol.OUTCOMES, fid.tolist())), *tail])
+
+
 # ---------------------------------------------------------------------------
 # simulate
 
 
 def cmd_simulate(cfg: RunConfig) -> dict:
     ch = cfg.build_channel()
-    campaign = protocol.Campaign.run(ch, cfg.inputs, cfg.shots, cfg.seed, cfg.max_likelihood)
+    campaign = protocol.Campaign.run(ch, cfg.shots, cfg.seed, cfg.max_likelihood)
 
-    targets = np.array([protocol.INPUT_STATES[label] for label in cfg.inputs])
+    targets = np.array(list(protocol.INPUT_STATES.values()))
     fid_qst = clamp_unit(expectation(campaign.estimates, targets[:, None]).real)
     estimated = campaign.estimated
     mean_exact = float(np.mean(campaign.fidelities))
     # process tomography over the reconstructed outputs, uniform outcome weighting
     chi = f_proc = None
-    if set(tomo.QPT_INPUT_LABELS) <= set(cfg.inputs):
-        try:
-            chi = campaign.process_matrix(cfg.cp_projection)
-        except protocol.NoEstimateError as exc:
-            print(f"warning: no process tomography: {exc}", file=sys.stderr)
-        else:
-            f_proc = tomo.process_fidelity(chi)
-            ptm = tomo.bloch_map_of(chi)
-            samples = np.hstack(tomo.bloch_sphere_samples(ptm))
+    try:
+        chi = campaign.process_matrix(cfg.cp_projection)
+    except protocol.NoEstimateError as exc:
+        print(f"warning: no process tomography: {exc}", file=sys.stderr)
+    else:
+        f_proc = tomo.process_fidelity(chi)
+        ptm = tomo.bloch_map_of(chi)
+        samples = np.hstack(tomo.bloch_sphere_samples(ptm))
 
     # one row per branch, input-major
-    branches = {"input": [label for label in cfg.inputs for _ in protocol.OUTCOMES],
-                "outcome": [outcome.label for outcome in protocol.OUTCOMES] * len(cfg.inputs)}
+    branches = {"input": [label for label in protocol.INPUT_LABELS for _ in protocol.OUTCOMES],
+                "outcome": [outcome.label for outcome in protocol.OUTCOMES] * len(protocol.INPUT_LABELS)}
     files = {"records.json": output.write_json_rows({
         **branches,
-        "port": [outcome.port for outcome in protocol.OUTCOMES] * len(cfg.inputs),
+        "port": [outcome.port for outcome in protocol.OUTCOMES] * len(protocol.INPUT_LABELS),
         "shots": campaign.shots.ravel().tolist(),
         "density_matrix": complex_matrix_to_json(campaign.states.reshape(-1, 2, 2)),
         "fidelity": campaign.fidelities.ravel().tolist(),
@@ -223,11 +220,7 @@ def cmd_simulate(cfg: RunConfig) -> dict:
                            for rho, has in zip(complex_matrix_to_json(campaign.estimates.reshape(-1, 2, 2)), ok)],
         "fidelity": [f if has else None for f, has in zip(fid_qst.ravel().tolist(), ok)],
     })
-    files["fidelity_table.csv"] = output.write_rows([
-        ["outcome", *cfg.inputs],
-        *([o.label, *campaign.fidelities[:, k].tolist()] for k, o in enumerate(protocol.OUTCOMES)),
-        ["mean", mean_exact],
-    ])
+    files["fidelity_table.csv"] = _fidelity_csv(campaign.fidelities.T, ["mean", mean_exact])
 
     if chi is not None:
         files["chi.json"] = output.write_json({
@@ -289,12 +282,7 @@ def cmd_analyze(cfg: RunConfig) -> dict:
     files = {"chsh.json": output.write_json({block: {"S": v, "std": std, "sigma_vs_local_bound": sigma}
                                              for block, v, std, sigma in zip(blocks, values, stds, sigmas)})}
     for block, fid, mean, std in zip(blocks, fids, values[len(blocks):], stds[len(blocks):]):
-        files[f"fidelity_{block}.csv"] = output.write_rows([
-            ["outcome", *protocol.INPUT_LABELS],
-            *([o.label, *row] for o, row in zip(protocol.OUTCOMES, fid.tolist())),
-            ["mean", mean],
-            ["mean_std", std],
-        ])
+        files[f"fidelity_{block}.csv"] = _fidelity_csv(fid, ["mean", mean], ["mean_std", std])
     return {**files, "summary.json": output.write_json([
         {"statistic": name, "value": v, "std": std, "sigma_vs_bound": sigma}
         for name, v, std, sigma in zip(names, values, stds, sigmas)])}

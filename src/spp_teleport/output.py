@@ -39,8 +39,9 @@ def write_json(payload) -> str:
 
 def read_csv(path, columns, name: str, where: str):
     """(``where`` formatted with its line number, its values of ``columns``) per row of the CSV ``path``. A
-    header lacking a column raises DataError naming ``name``; a longer row or a non-CSV line, naming the line."""
-    with open(path, encoding="utf-8", newline="") as fh:
+    header lacking a column raises DataError naming ``name``; a longer row or a non-CSV line, naming the line.
+    The file is UTF-8; a leading byte-order mark is dropped."""
+    with open(path, encoding="utf-8-sig", newline="") as fh:
         reader = csv.DictReader(fh)
         try:
             if reader.fieldnames is None or not set(columns).issubset(reader.fieldnames):

@@ -163,27 +163,25 @@ class NoEstimateError(DataError):
 
 
 class Campaign(NamedTuple):
-    """Every branch of a teleportation campaign, as arrays over (input,
-    outcome): inputs in the order run, outcomes in OUTCOMES order.
+    """Every branch of a teleportation campaign, as (6, 4, ...) arrays over
+    (input, outcome): inputs in INPUT_LABELS order, outcomes in OUTCOMES order.
 
     `states` are the exact teleported states and `estimates` their QST
     reconstructions. A branch with fewer shots than tomography bases has no
     estimate: NaN in `estimates`, False in `estimated`.
     """
 
-    inputs: tuple
-    shots: np.ndarray  # (n, 4) sampled shot partition of each input
-    states: np.ndarray  # (n, 4, 2, 2)
-    fidelities: np.ndarray  # (n, 4) <phi|rho|phi>
-    estimates: np.ndarray  # (n, 4, 2, 2)
+    shots: np.ndarray  # (6, 4) sampled shot partition of each input
+    states: np.ndarray  # (6, 4, 2, 2)
+    fidelities: np.ndarray  # (6, 4) <phi|rho|phi>
+    estimates: np.ndarray  # (6, 4, 2, 2)
 
     @property
     def estimated(self) -> np.ndarray:
         return self.shots // len(tomo.BASES) > 0
 
     @classmethod
-    def run(cls, channel: ChannelModel, inputs, shots: int, seed: int,
-            max_likelihood: bool = False) -> "Campaign":
+    def run(cls, channel: ChannelModel, shots: int, seed: int, max_likelihood: bool = False) -> "Campaign":
         """Teleport each input and reconstruct every branch's output state by QST.
 
         The root seed gives 5 sub-seeds per input: one for the shot
@@ -191,20 +189,19 @@ class Campaign(NamedTuple):
         Each branch is measured with shots // 3 shots per basis, and all
         branches with at least one are reconstructed as one batch.
         """
-        inputs = tuple(inputs)
-        seeds = np.random.SeedSequence(seed).generate_state(len(inputs) * 5).reshape(-1, 5)
-        states, probs, fids = _teleport(np.array([INPUT_STATES[label] for label in inputs]), channel)
+        seeds = np.random.SeedSequence(seed).generate_state(len(INPUT_LABELS) * 5).reshape(-1, 5)
+        states, probs, fids = _teleport(np.array(list(INPUT_STATES.values())), channel)
         partition = np.array([_shot_partition(p, shots, int(s)) for p, s in zip(probs, seeds[:, 0])])
         per_basis = partition // len(tomo.BASES)
         sampled = per_basis > 0
         counts = tomo.sample_counts(states[sampled], per_basis[sampled], seeds[:, 1:][sampled])
         estimates = np.full(states.shape, np.nan, dtype=complex)
         estimates[sampled] = tomo.qst_reconstruct(counts, max_likelihood=max_likelihood)
-        return cls(inputs, partition, states, fids, estimates)
+        return cls(partition, states, fids, estimates)
 
     def process_matrix(self, cp_projection: bool = False) -> np.ndarray:
-        """Process tomography over the QPT inputs (H, V, D, L), all of which
-        the campaign must have run: the (4, 4) chi array of qpt_reconstruct.
+        """Process tomography over the QPT inputs (H, V, D, L): the (4, 4)
+        chi array of qpt_reconstruct.
 
         Each input's output state is the mean of its estimated branches,
         weighting the outcomes uniformly. Raises NoEstimateError if one has
@@ -212,7 +209,7 @@ class Campaign(NamedTuple):
         """
         outputs, estimated = [], self.estimated
         for label in tomo.QPT_INPUT_LABELS:
-            i = self.inputs.index(label)
+            i = INPUT_LABELS.index(label)
             if not estimated[i].any():
                 raise NoEstimateError(f"input {label} has no Bell outcome with {len(tomo.BASES)} or more shots, "
                                       f"so no state estimate")

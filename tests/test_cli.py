@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spp_teleport import channel, protocol, tomo
+from spp_teleport import channel, tomo
 from spp_teleport import counts as counts_mod
 from spp_teleport.cli import CONFIG_KEYS, ConfigError, RunConfig, build_parser, load_config, main
 from spp_teleport.output import DataError
@@ -74,7 +74,6 @@ werner_visibility = 0.95
 contrast_x = 60.0
 
 [simulate]
-inputs = H, V
 shots = 500
 
 [tomography]
@@ -84,7 +83,6 @@ mc_trials = 300
         )
         cfg = load_config(path)
         assert cfg.seed == 7
-        assert cfg.inputs == ("H", "V")
         assert cfg.max_likelihood is True
         ch = cfg.build_channel()
         assert ch.werner_visibility == 0.95
@@ -99,10 +97,6 @@ mc_trials = 300
         path = write_config(tmp_path, "[simulate]\nshots = many\n")
         with pytest.raises(ConfigError):
             load_config(path)
-
-    def test_validate_rejects_bad_inputs(self):
-        with pytest.raises(ConfigError):
-            RunConfig(inputs=("H", "Q"))
 
     def test_calibration_channel(self):
         cfg = RunConfig(calibration="with_spp")
@@ -194,7 +188,6 @@ depolarizing_extra = 0.1
 contrast_x = 50
 contrast_z = 20
 [simulate]
-inputs = H, D
 shots = 100
 [tomography]
 max_likelihood = yes
@@ -211,7 +204,7 @@ modes = 1,0
         cfg = load_config(path)
         assert (cfg.seed, cfg.out) == (4, Path("elsewhere"))
         assert (cfg.werner_visibility, cfg.depolarizing_extra) == (0.9, 0.1)
-        assert (cfg.contrast_x, cfg.contrast_z, cfg.inputs, cfg.shots) == (50.0, 20.0, ("H", "D"), 100)
+        assert (cfg.contrast_x, cfg.contrast_z, cfg.shots) == (50.0, 20.0, 100)
         assert (cfg.max_likelihood, cfg.cp_projection, cfg.mc_trials) == (True, True, 200)
         assert (cfg.counts, cfg.dielectric, cfg.period_nm) == ("bundled", "bundled", 710.0)
         assert (cfg.eps_substrate, cfg.modes) == (2.0, ((1, 0),))
@@ -364,18 +357,12 @@ modes = 1,0
         assert capsys.readouterr().err == "config error: mc_trials must be >= 100, got 0\n"
         assert not out.exists()
 
-    def test_empty_inputs(self, tmp_path):
-        path = write_config(tmp_path, "[simulate]\ninputs = ,\n")
+    def test_inputs_key_is_unknown(self, tmp_path, capsys):
+        # simulate teleports all six inputs: their mean is the average state fidelity, and QPT needs four of them
+        path = write_config(tmp_path, "[simulate]\ninputs = H, V\n")
         out = tmp_path / "o"
         assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
-        assert not (out / "summary.json").exists()
-
-    def test_unknown_input_label_exits_2(self, tmp_path, capsys):
-        path = write_config(tmp_path, "[simulate]\ninputs = H,Q\n")
-        out = tmp_path / "o"
-        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
-        assert capsys.readouterr().err == ("config error: inputs must be labels from "
-                                           "('H', 'V', 'D', 'A', 'R', 'L'), got ['H', 'Q']\n")
+        assert capsys.readouterr().err == "config error: unknown config key 'inputs' in [simulate]\n"
         assert not out.exists()
 
     # stop == start with a step whose half is lost in stop + step / 2: np.arange would give no period
@@ -393,14 +380,6 @@ modes = 1,0
         out = tmp_path / "o"
         assert main(["design", "--config", str(path), "--out", str(out)]) == 0
         assert [row["period_nm"] for row in json.loads((out / "design.json").read_text())] == [700.0]
-
-    def test_repeated_inputs_exit_2(self, tmp_path, capsys):
-        path = write_config(tmp_path, "[simulate]\ninputs = H, H, V\n")
-        out = tmp_path / "o"
-        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error: inputs must not repeat a label") and err.count("\n") == 1
-        assert not out.exists()
 
     def test_repeated_modes_exit_2(self, tmp_path, capsys):
         path = write_config(tmp_path, "[design]\nmodes = 1,1;1,1\n")
@@ -447,8 +426,6 @@ modes = 1,0
         "depolarizing_extra": {"[channel]\ndepolarizing_extra = -0.1\n": "depolarizing_extra -0.1 not in [0,1]"},
         "contrast_x": {"[channel]\ncontrast_x = 0.5\n": "EOM contrast must exceed 1"},
         "contrast_z": {"[channel]\ncontrast_z = 1\n": "EOM contrast must exceed 1"},
-        "inputs": {"[simulate]\ninputs = H,Q\n": "inputs must be labels from ('H', 'V', 'D', 'A', 'R', 'L'), "
-                                                 "got ['H', 'Q']"},
         "shots": {"[simulate]\nshots = 0\n": "shots must be in [1, 2**63 - 1], got 0"},
         "mc_trials": {"[tomography]\nmc_trials = 99\n": "mc_trials must be >= 100, got 99"},
         "period_nm": {"[design]\nperiod_nm = 0\n": "need period > 0"},
@@ -480,7 +457,10 @@ modes = 1,0
         ("[channel]\ncontrast_x = nan\n", "bad value for [channel] contrast_x: 'nan' is not a finite number"),
         ("[simulate]\nshots = many\n",
          "bad value for [simulate] shots: invalid literal for int() with base 10: 'many'"),
-        ("[tomography]\nmax_likelihood = maybe\n", "bad value for [tomography] max_likelihood: Not a boolean: maybe"),
+        ("[tomography]\nmax_likelihood = maybe\n", "bad value for [tomography] max_likelihood: Not a boolean: 'maybe'"),
+        # an indented line continues the value, and the message quotes it, so it stays on one line
+        ("[tomography]\ncp_projection = true\n  false\n",
+         "bad value for [tomography] cp_projection: Not a boolean: 'true\\nfalse'"),
         ("[design]\nperiod_sweep = 600:700\n", "bad value for [design] period_sweep: expected 'start:stop:step'"),
         ("[design]\nmodes =\n", "bad value for [design] modes: empty mode list"),
     ])
@@ -553,6 +533,27 @@ def test_config_reads_the_same_under_the_c_locale(tmp_path):
     assert _hash_dir(tmp_path / "c_locale") == _hash_dir(tmp_path / "in_process")
 
 
+_BOM = b"\xef\xbb\xbf"  # the UTF-8 byte-order mark some editors write at the start of a file
+
+
+# a config, or a data file its config names ({} in the config text), read with and without a leading mark
+@pytest.mark.parametrize("command, source, text", [
+    ("design", ROOT / "examples" / "design_scan.ini", None),
+    ("analyze", counts_mod.bundled_counts_path(), "[tomography]\nmc_trials = 100\n[analyze]\ncounts = {}\n"),
+    ("design", resources.files("spp_teleport.data") / "gold_dielectric.csv", "[design]\ndielectric = {}\n"),
+], ids=["config", "counts", "dielectric"])
+def test_byte_order_mark_is_dropped(tmp_path, command, source, text):
+    hashes = []
+    for mark in (b"", _BOM):
+        path = tmp_path / f"{len(mark)}_{source.name}"
+        path.write_bytes(mark + source.read_bytes())
+        cfg = path if text is None else write_config(tmp_path, text.format(path))
+        out = tmp_path / f"out_{len(mark)}"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+        hashes.append(_hash_dir(out))
+    assert hashes[0] == hashes[1]
+
+
 class TestSimulateCommand:
     def test_ideal_run_outputs(self, tmp_path):
         out = tmp_path / "res"
@@ -615,26 +616,18 @@ class TestSimulateCommand:
         assert rows[0] == ["outcome", "H", "V", "D", "A", "R", "L"]
         assert rows[-1][0] == "mean"
 
-    def test_subset_inputs_skip_qpt(self, tmp_path):
-        cfg = write_config(tmp_path, "[simulate]\ninputs = H, V\nshots = 100\n")
-        out = tmp_path / "res"
-        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
-        assert not (out / "chi.json").exists()
-        summary = json.loads((out / "summary.json").read_text())
-        assert summary["process_fidelity"] is None
-        jsonschema.validate(summary, _schema("simulate_summary.json"))
-
     def test_branches_without_a_shot_per_basis_get_no_estimate(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, "[channel]\ncalibration = without_spp\n\n[simulate]\nshots = 3\ninputs = H, D\n")
+        cfg = write_config(tmp_path, "[channel]\ncalibration = without_spp\n\n[simulate]\nshots = 3\n")
         out = tmp_path / "o"
         assert main(["simulate", "--config", str(cfg), "--seed", "0", "--out", str(out)]) == 0
-        assert capsys.readouterr().err == ""
+        assert capsys.readouterr().err == ("warning: no process tomography: input V has no Bell outcome "
+                                           "with 3 or more shots, so no state estimate\n")
         records = json.loads((out / "records.json").read_text())
         estimates = json.loads((out / "tomography.json").read_text())
         jsonschema.validate(estimates, _schema("simulate_tomography.json"))
-        assert [r["shots"] for r in records] == [0, 3, 0, 0, 1, 0, 2, 0]
-        assert [e["density_matrix"] is None for e in estimates] == [True, False] + [True] * 6
-        assert [e["fidelity"] is None for e in estimates] == [True, False] + [True] * 6
+        assert [r["shots"] for r in records] == [0, 3, 0, 0, 1, 0, 2, 0, 0, 1, 1, 1, 0, 1, 2, 0, 0, 0, 2, 1, 1, 0, 1, 1]
+        assert [e["density_matrix"] is None for e in estimates] == [True, False] + [True] * 22
+        assert [e["fidelity"] is None for e in estimates] == [True, False] + [True] * 22
         summary = json.loads((out / "summary.json").read_text())
         assert summary["mean_fidelity_qst"] == estimates[1]["fidelity"]
 
@@ -688,18 +681,14 @@ _SIMULATE_SCHEMAS = {"records.json": "simulate_records.json", "tomography.json":
 
 
 @settings(max_examples=25, deadline=None)
-@given(shots=st.integers(1, 200),
-       inputs=st.one_of(st.just(list(protocol.INPUT_LABELS)),
-                        st.lists(st.sampled_from(protocol.INPUT_LABELS), min_size=1, unique=True)),
-       calibration=st.sampled_from(["none", "with_spp", "without_spp"]),
+@given(shots=st.integers(1, 200), calibration=st.sampled_from(["none", "with_spp", "without_spp"]),
        cp_projection=st.booleans(), seed=st.integers(0, 2**32 - 1))
-def test_simulate_configs_exit_0_with_valid_outputs(tmp_path_factory, shots, inputs, calibration,
-                                                    cp_projection, seed):
+def test_simulate_configs_exit_0_with_valid_outputs(tmp_path_factory, shots, calibration, cp_projection, seed):
     root = tmp_path_factory.mktemp("sim")
     records = []
     for ml in ("false", "true"):
         cfg = write_config(root, f"[channel]\ncalibration = {calibration}\n\n"
-                                 f"[simulate]\nshots = {shots}\ninputs = {', '.join(inputs)}\n\n"
+                                 f"[simulate]\nshots = {shots}\n\n"
                                  f"[tomography]\nmax_likelihood = {ml}\ncp_projection = {cp_projection}\n")
         out = root / f"ml_{ml}"
         assert main(["simulate", "--config", str(cfg), "--seed", str(seed), "--out", str(out)]) == 0
@@ -735,25 +724,37 @@ _FUZZ_VALUES = (
 # and a valid value of each key, so that more runs get past the config
 _FUZZ_VALID = {
     "seed": "7", "out": "{dir}/elsewhere", "calibration": "with_spp", "werner_visibility": "0.9",
-    "depolarizing_extra": "0.1", "contrast_x": "77.5", "contrast_z": "29.7", "inputs": "H, D, R", "shots": "300",
+    "depolarizing_extra": "0.1", "contrast_x": "77.5", "contrast_z": "29.7", "shots": "300",
     "max_likelihood": "true", "cp_projection": "true", "mc_trials": "200", "counts": "bundled",
     "dielectric": "bundled", "period_nm": "800", "eps_substrate": "1.0", "modes": "1,0;2,1",
     "period_sweep": "650:750:10",
 }
 _FUZZ_ENTRY = st.sampled_from([(key.section, name) for name, key in CONFIG_KEYS.items()]).flatmap(
     lambda entry: st.tuples(st.just(entry), st.sampled_from(_FUZZ_VALUES) | st.just(_FUZZ_VALID[entry[1]])))
+# and faults in the file's structure, each at a line index: a key line before the first header, a line without
+# '=', an indented line that continues the value above, and a line repeated (a section header or a key)
+_FUZZ_FAULT = st.one_of(st.just(("seed = 3", 0)),
+                        st.tuples(st.sampled_from(["foo", "  false", "repeat"]), st.integers(0, 20)))
 
 
 @settings(max_examples=100, deadline=None)
 @given(command=st.sampled_from(["simulate", "analyze", "design"]),
-       entries=st.lists(_FUZZ_ENTRY, max_size=5, unique_by=lambda entry: entry[0]))
-def test_fuzzed_config_exits_0_2_or_3_and_keeps_the_contract(tmp_path_factory, command, entries):
+       entries=st.lists(_FUZZ_ENTRY, max_size=5, unique_by=lambda entry: entry[0]),
+       faults=st.lists(_FUZZ_FAULT, max_size=2), mark=st.sampled_from([b"", _BOM]))
+def test_fuzzed_config_exits_0_2_or_3_and_keeps_the_contract(tmp_path_factory, command, entries, faults, mark):
     root = tmp_path_factory.mktemp("fuzz")
     (root / "bad.csv").write_text("a,b\n1,2\n")
     sections = {}
     for (section, key), value in entries:
         sections.setdefault(section, []).append(f"{key} = {value.format(dir=root)}")
-    cfg = write_config(root, "".join(f"[{name}]\n" + "\n".join(lines) + "\n" for name, lines in sections.items()))
+    lines = [line for name, keys in sections.items() for line in (f"[{name}]", *keys)]
+    for fault, at in faults:
+        if fault != "repeat":
+            lines.insert(at % (len(lines) + 1), fault)
+        elif lines:
+            lines.insert(at % len(lines), lines[at % len(lines)])
+    cfg = root / "run.ini"
+    cfg.write_bytes(mark + "".join(line + "\n" for line in lines).encode())
     _run_keeps_the_contract(command, cfg, root / "o")
 
 

@@ -173,10 +173,10 @@ def reference_simulate_rows(config):
     """``records.json`` and ``tomography.json`` rows of ``simulate`` as it built
     them before it wrote them from columns."""
     cfg = load_config(config)
-    campaign = protocol.Campaign.run(cfg.build_channel(), cfg.inputs, cfg.shots, cfg.seed, cfg.max_likelihood)
-    targets = np.array([protocol.INPUT_STATES[label] for label in cfg.inputs])
+    campaign = protocol.Campaign.run(cfg.build_channel(), cfg.shots, cfg.seed, cfg.max_likelihood)
+    targets = np.array([protocol.INPUT_STATES[label] for label in protocol.INPUT_LABELS])
     fid_qst = clamp_unit(expectation(campaign.estimates, targets[:, None]).real)
-    branches = [(label, outcome) for label in cfg.inputs for outcome in protocol.OUTCOMES]
+    branches = [(label, outcome) for label in protocol.INPUT_LABELS for outcome in protocol.OUTCOMES]
     records = [
         {"input": label, "outcome": outcome.label, "port": outcome.port, "shots": n, "density_matrix": rho,
          "fidelity": f}

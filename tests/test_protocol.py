@@ -318,11 +318,10 @@ class TestRunCampaign:
     def test_matches_per_branch_pipeline(self):
         # reference: the per-input loop with 5 sub-seeds per input, one QST per branch
         ch = ChannelModel(werner_visibility=0.9, contrast_x=40.0, contrast_z=20.0)
-        inputs = ("D", "H", "L")
-        campaign = Campaign.run(ch, inputs, shots=300, seed=42, max_likelihood=True)
+        campaign = Campaign.run(ch, shots=300, seed=42, max_likelihood=True)
         assert campaign.estimated.all()
-        seeds = np.random.SeedSequence(42).generate_state(len(inputs) * 5)
-        for i, label in enumerate(inputs):
+        seeds = np.random.SeedSequence(42).generate_state(len(INPUT_LABELS) * 5)
+        for i, label in enumerate(INPUT_LABELS):
             recs = run_teleportation(label, ch, 300, seed=int(seeds[5 * i]))
             assert list(recs) == list(OUTCOMES)
             for k, ((shots, state, _, _), sub) in enumerate(zip(recs.values(), seeds[5 * i + 1:5 * i + 5])):
@@ -455,7 +454,7 @@ class TestCampaign:
         calibrated_channel(with_spp=False),
     ])
     def test_stack_equals_per_branch_reference(self, channel):
-        campaign = Campaign.run(channel, INPUT_LABELS, shots=10, seed=0)
+        campaign = Campaign.run(channel, shots=10, seed=0)
         probabilities = _branch_probabilities(channel)
         for i, label in enumerate(INPUT_LABELS):
             for k, (rho, prob, fid) in enumerate(reference_teleport(label, channel)):
@@ -470,7 +469,7 @@ class TestCampaign:
         # checks on its own must then be a no-op to the bit
         channel = ChannelModel(werner_visibility=visibility, depolarizing_extra=extra,
                                contrast_x=contrast_x, contrast_z=contrast_z)
-        campaign = Campaign.run(channel, INPUT_LABELS, shots=10, seed=0)
+        campaign = Campaign.run(channel, shots=10, seed=0)
         for i, label in enumerate(INPUT_LABELS):
             for k, (rho, _, fid) in enumerate(reference_teleport(label, channel)):
                 assert _same_bits(campaign.states[i, k], rho) and campaign.fidelities[i, k] == fid
@@ -480,7 +479,7 @@ class TestCampaign:
         calibrated_channel(with_spp=True), calibrated_channel(with_spp=False),
     ])
     def test_stack_agrees_with_the_matrix_form(self, channel):
-        campaign = Campaign.run(channel, INPUT_LABELS, shots=10, seed=0)
+        campaign = Campaign.run(channel, shots=10, seed=0)
         for i, label in enumerate(INPUT_LABELS):
             for k, (rho, fid) in enumerate(matrix_teleport(label, channel)):
                 assert np.abs(campaign.states[i, k] - rho).max() <= 1e-15
@@ -494,13 +493,13 @@ class TestCampaign:
         # fidelity has a closed form (Greenbaum, arXiv:1509.02921)
         channel = ChannelModel(werner_visibility=visibility, depolarizing_extra=extra,
                                contrast_x=contrast_x, contrast_z=contrast_z)
-        campaign = Campaign.run(channel, INPUT_LABELS, shots=10, seed=0)
+        campaign = Campaign.run(channel, shots=10, seed=0)
         want = [[closed_form_fidelity(label, o, channel) for o in OUTCOMES] for label in INPUT_LABELS]
         assert np.abs(campaign.fidelities - np.array(want)).max() <= 1e-15
 
     def test_one_input_runs_equal_the_stack(self):
         # run_teleportation is the one-input call of the stack code
-        campaign = Campaign.run(self.CHANNEL, INPUT_LABELS, shots=100, seed=3)
+        campaign = Campaign.run(self.CHANNEL, shots=100, seed=3)
         probabilities = _branch_probabilities(self.CHANNEL)
         for i, label in enumerate(INPUT_LABELS):
             for k, (_, state, fidelity, probability) in enumerate(run_teleportation(label, self.CHANNEL, 100,
@@ -512,14 +511,14 @@ class TestCampaign:
     def test_branches_without_a_shot_per_basis_get_no_estimate(self):
         # shots 3 over 4 outcomes: most branches get 0-2 shots
         ch = ChannelModel(werner_visibility=0.9)
-        campaign = Campaign.run(ch, ("H", "D"), shots=3, seed=0)
+        campaign = Campaign.run(ch, shots=3, seed=0)
         assert np.array_equal(campaign.estimated, campaign.shots >= len(BASES))
         assert 0 < campaign.estimated.sum() < campaign.estimated.size
         assert np.isnan(campaign.estimates[~campaign.estimated]).all()
         assert not np.isnan(campaign.estimates[campaign.estimated]).any()
 
     def test_process_matrix_averages_the_estimated_branches(self):
-        campaign = Campaign.run(self.CHANNEL, INPUT_LABELS, shots=9, seed=0)
+        campaign = Campaign.run(self.CHANNEL, shots=9, seed=0)
         rows = [INPUT_LABELS.index(label) for label in QPT_INPUT_LABELS]
         assert campaign.estimated[rows].any(axis=1).all() and not campaign.estimated[rows].all()
         outputs = [np.mean([m for m, ok in zip(campaign.estimates[i], campaign.estimated[i]) if ok], axis=0)
@@ -527,6 +526,6 @@ class TestCampaign:
         assert _same_bits(campaign.process_matrix(), qpt_reconstruct(np.array(outputs)))
 
     def test_process_matrix_needs_an_estimate_per_input(self):
-        campaign = Campaign.run(ChannelModel(), INPUT_LABELS, shots=2, seed=0)
+        campaign = Campaign.run(ChannelModel(), shots=2, seed=0)
         with pytest.raises(NoEstimateError, match="input H has no Bell outcome with 3 or more shots"):
             campaign.process_matrix()

@@ -500,8 +500,7 @@ class TestQpt:
     @pytest.mark.parametrize("seed", range(5))
     def test_campaign_outputs_match_references(self, seed):
         # the simulate configuration of the benchmark: with-SPP channel, 1e5 shots, ML tomography
-        campaign = Campaign.run(calibrated_channel(with_spp=True), INPUT_LABELS, shots=100_000, seed=seed,
-                                max_likelihood=True)
+        campaign = Campaign.run(calibrated_channel(with_spp=True), shots=100_000, seed=seed, max_likelihood=True)
         outputs = np.array([campaign.estimates[INPUT_LABELS.index(label)].mean(axis=0)
                             for label in QPT_INPUT_LABELS])
         for cp_projection in (False, True):
