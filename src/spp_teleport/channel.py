@@ -175,10 +175,7 @@ BUDGET_WITHOUT_SPP = {
     "f_source": 0.9834, "f_bsm": 0.9787, "f_spp": 0.9730,
     "f_eom_x": 0.9763, "f_eom_z": 0.9916, "f_oe": 0.9847,
 }
-BUDGET_WITH_SPP = {
-    "f_source": 0.9834, "f_bsm": 0.9787, "f_spp": 0.9730,
-    "f_eom_x": 0.9561, "f_eom_z": 0.9680, "f_oe": 0.9847,
-}
+BUDGET_WITH_SPP = {**BUDGET_WITHOUT_SPP, "f_eom_x": 0.9561, "f_eom_z": 0.9680}  # the plasmon degrades the EOMs
 
 SPP_TRANSMITTANCE = 0.008
 

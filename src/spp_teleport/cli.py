@@ -100,7 +100,7 @@ CONFIG_KEYS = {
                         else f"unknown calibration {name!r}"),
     "werner_visibility": _Key("channel", _finite_float, 1.0, _unit_interval("werner_visibility"), "calibration"),
     "depolarizing_extra": _Key("channel", _finite_float, 0.0, _unit_interval("depolarizing_extra"), "calibration"),
-    "contrast_x": _Key("channel", _finite_float, None, _contrast, "calibration"),  # None: see build_channel
+    "contrast_x": _Key("channel", _finite_float, None, _contrast, "calibration"),  # None: a flip that never fails
     "contrast_z": _Key("channel", _finite_float, None, _contrast, "calibration"),
     "shots": _Key("simulate", int, 10_000,
                   lambda n: None if 1 <= n <= _INT64_MAX else f"shots must be in [1, 2**63 - 1], got {n}"),
@@ -141,11 +141,8 @@ class RunConfig:
     def build_channel(self) -> channel_mod.ChannelModel:
         if self.calibration != "none":
             return channel_mod.calibrated_channel(with_spp=self.calibration == "with_spp")
-        # with one contrast set the other takes its nominal value; with neither, both flips are perfect
-        given = {key: getattr(self, key) for key in channel_mod.EOM_CONTRASTS if getattr(self, key) is not None}
-        contrasts = {**channel_mod.EOM_CONTRASTS, **given} if given else {}
-        return channel_mod.ChannelModel(werner_visibility=self.werner_visibility,
-                                        depolarizing_extra=self.depolarizing_extra, **contrasts)
+        return channel_mod.ChannelModel(werner_visibility=self.werner_visibility, contrast_x=self.contrast_x,
+                                        depolarizing_extra=self.depolarizing_extra, contrast_z=self.contrast_z)
 
 
 def load_config(path, **overrides) -> RunConfig:

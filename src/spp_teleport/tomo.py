@@ -153,7 +153,7 @@ def qpt_reconstruct(outputs, cp_projection: bool = False) -> np.ndarray:
 
 def process_fidelity(chi: np.ndarray) -> float:
     """Process fidelity with the identity channel, chi_00, clamped to [0, 1]."""
-    return float(min(1.0, max(0.0, chi[0, 0].real)))
+    return float(clamp_unit(chi[0, 0].real))
 
 
 def _bloch_image(ptm: np.ndarray, r) -> np.ndarray:

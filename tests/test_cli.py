@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -87,7 +88,7 @@ mc_trials = 300
         ch = cfg.build_channel()
         assert ch.werner_visibility == 0.95
         assert ch.contrast_x == 60.0
-        assert ch.contrast_z == 29.7
+        assert ch.contrast_z is None
 
     def test_missing_file(self):
         with pytest.raises(ConfigError):
@@ -104,11 +105,12 @@ mc_trials = 300
         assert ch.transmittance == pytest.approx(0.008)
         assert ch.depolarizing_extra > 0
 
-    # one contrast set: the other takes its nominal value; neither: both flips are perfect
-    @pytest.mark.parametrize("given, contrasts", [({"contrast_z": 10.0}, (77.5, 10.0)), ({}, (None, None))])
-    def test_unset_contrasts(self, given, contrasts):
-        ch = RunConfig(werner_visibility=0.9, **given).build_channel()
-        assert (ch.contrast_x, ch.contrast_z) == contrasts
+    # under calibration = none a [channel] key sets its own ChannelModel field and nothing else, so an unset
+    # contrast stays None, a flip that never fails, whichever other key is set
+    @pytest.mark.parametrize("key, value", [("werner_visibility", 0.9), ("depolarizing_extra", 0.1),
+                                            ("contrast_x", 60.0), ("contrast_z", 10.0)])
+    def test_each_channel_key_sets_only_its_field(self, key, value):
+        assert RunConfig(**{key: value}).build_channel() == dataclasses.replace(channel.ChannelModel(), **{key: value})
 
     def test_bad_mode_spec(self, tmp_path):
         path = write_config(tmp_path, "[design]\nmodes = 1;2,3\n")
@@ -607,6 +609,17 @@ class TestSimulateCommand:
                          "--out", str(out)]) == 0
             hashes.append(_hash_dir(out))
         assert hashes[0] != hashes[1]
+
+    def test_one_contrast_leaves_the_other_flip_perfect(self, tmp_path):
+        # contrast_x alone: the X flips can fail, but PsiMinus (no flip) and PsiPlus (Z only) never do
+        cfg = write_config(tmp_path, "[channel]\ncontrast_x = 60\n\n[simulate]\nshots = 1000\n")
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(cfg), "--seed", "0", "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert (summary["channel"]["contrast_x"], summary["channel"]["contrast_z"]) == (60.0, None)
+        unflipped = [r for r in json.loads((out / "records.json").read_text())
+                     if r["outcome"] in ("PsiMinus", "PsiPlus")]
+        assert [r["fidelity"] for r in unflipped] == [1.0] * 12
 
     def test_fidelity_table_layout(self, tmp_path):
         out = tmp_path / "res"
